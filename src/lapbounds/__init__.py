@@ -27,9 +27,9 @@ from .majorization import (MajorizationVerdict, check_grone,
                            check_grone_merris, grone_sequence, majorizes,
                            merged_grone_sequence, pinch, power_sum)
 from .rng import SplitMix64, splitmix64
-from .spectra import (Spectrum, jacobi_eigenvalues, kirchhoff, laplacian, lee,
-                      moment, s_alpha, spanning_trees_exact,
-                      spanning_trees_spectral, spectrum)
+from .spectra import (Spectrum, complement_spectrum, jacobi_eigenvalues,
+                      kirchhoff, laplacian, lee, moment, s_alpha,
+                      spanning_trees_exact, spanning_trees_spectral, spectrum)
 
 __version__ = "0.1.0"
 
@@ -50,8 +50,8 @@ __all__ = [
     "grone_sequence", "majorizes", "merged_grone_sequence", "pinch",
     "power_sum",
     "SplitMix64", "splitmix64",
-    "Spectrum", "jacobi_eigenvalues", "kirchhoff", "laplacian", "lee",
-    "moment", "s_alpha", "spanning_trees_exact", "spanning_trees_spectral",
-    "spectrum",
+    "Spectrum", "complement_spectrum", "jacobi_eigenvalues", "kirchhoff",
+    "laplacian", "lee", "moment", "s_alpha", "spanning_trees_exact",
+    "spanning_trees_spectral", "spectrum",
     "__version__",
 ]

@@ -8,26 +8,9 @@ non-increasing; --strict-applicability narrows them to the monotone case.
 The tree bound R1_TREE_HIGH is likewise violated at negative exponents on
 non-star trees. The harness reports all of this as-is.
 
-Bound ids are stable strings used by the CLI and in reports:
-
-    id            direction  parameter      applies to
-    P1_LOWER      lower      alpha > 1      connected, n >= 2
-    P1_UPPER      upper      0 < alpha < 1  connected, n >= 2
-    P2_LOWER      lower      alpha < 0      connected, n >= 3
-    KF_NEW        lower      -              connected, n >= 3
-    KF_ZT         lower      -              connected, n >= 2
-    KF_COMPARE    compare    -              connected, n >= 3
-    R1_TREE_HIGH  upper      alpha > 1 or alpha < 0   tree, n >= 2
-    R1_TREE_LOW   lower      0 < alpha < 1  tree, n >= 2
-    RP_MOMENT     lower      integer k >= 1 any graph
-    LEE_DEGREE    lower      -              connected, n >= 2
-    LEE_TREE      upper      -              tree, n >= 2
-    LEE_CLIQUE    lower      -              any graph, n >= 2
-    LEE_R2A_M     lower      -              connected, n >= 3
-    LEE_R2A_T     lower      -              connected, n >= 3
-    LEE_R2B       strict lower (G plus complement)     any graph, n >= 2
-    LEE_R2C_M1    lower      -              connected bipartite, n >= 3
-    LEE_R2C_T     lower      -              connected bipartite, n >= 3
+Bound ids are stable strings used by the CLI and in reports. CATALOG below is
+the one declaration of every entry: its id, direction, parameter range,
+applicability and predicted equality class.
 
 KF_COMPARE is a comparison record, not a bound: lhs is the KF_NEW right-hand
 side and rhs the KF_ZT right-hand side, so its margin reports which of the two
@@ -45,7 +28,8 @@ from .errors import (BadParameterError, DisconnectedGraphError,
 from .graphs import (Graph, GraphClass, classify, complement, degree_sequence,
                      conjugate_sequence, first_zagreb)
 from .majorization import merged_grone_sequence
-from .spectra import lee, s_alpha, spanning_trees_exact, spectrum
+from .spectra import (Spectrum, complement_spectrum, kirchhoff, lee,
+                      s_alpha, spanning_trees_exact, spectrum)
 
 EQUALITY_REL_TOL = 1e-7
 
@@ -76,7 +60,7 @@ class GraphContext:
         return classify(self.graph)
 
     @cached_property
-    def spec(self):
+    def spec(self) -> Spectrum:
         return spectrum(self.graph)
 
     @cached_property
@@ -85,7 +69,8 @@ class GraphContext:
 
     @cached_property
     def complement_lee(self) -> float:
-        return lee(spectrum(complement(self.graph)))
+        return lee(complement_spectrum(
+            self.spec, self.graph.m, self.complement_class.component_count))
 
     @cached_property
     def complement_class(self) -> GraphClass:
@@ -151,12 +136,6 @@ def _p2_rhs(ctx: GraphContext, a: float) -> float:
     d = ctx.degrees
     mid = sum(x ** a for x in d[1:-2])
     return (d[0] + 1) ** a + mid + float(d[-2] + d[-1] - 1) ** a
-
-
-def _kf_actual(ctx: GraphContext) -> float:
-    if ctx.graph.n == 1:
-        return 0.0
-    return ctx.graph.n * s_alpha(ctx.spec, -1.0)
 
 
 def _kf_new_rhs(ctx: GraphContext) -> float:
@@ -301,10 +280,12 @@ CATALOG: tuple[BoundSpec, ...] = (
               _lhs_s_alpha, lambda ctx, a: _p2_rhs(ctx, a), _eq_star_or_k3,
               strict_toggle=True),
     BoundSpec("KF_NEW", "lower", None, None, _connected_n(3),
-              lambda ctx, p: _kf_actual(ctx), lambda ctx, p: _kf_new_rhs(ctx),
+              lambda ctx, p: kirchhoff(ctx.spec),
+              lambda ctx, p: _kf_new_rhs(ctx),
               _eq_star_or_k3, strict_toggle=True),
     BoundSpec("KF_ZT", "lower", None, None, _connected_n(2),
-              lambda ctx, p: _kf_actual(ctx), lambda ctx, p: _kf_zt_rhs(ctx),
+              lambda ctx, p: kirchhoff(ctx.spec),
+              lambda ctx, p: _kf_zt_rhs(ctx),
               _eq_complete_multipartite),
     BoundSpec("KF_COMPARE", "compare", None, None, _connected_n(3),
               lambda ctx, p: _kf_new_rhs(ctx), lambda ctx, p: _kf_zt_rhs(ctx),
@@ -489,7 +470,7 @@ def kf_compare(g: Graph) -> KfComparison:
     ctx = GraphContext(g)
     if not ctx.gclass.is_connected:
         raise DisconnectedGraphError("comparison needs a connected graph")
-    actual = _kf_actual(ctx)
+    actual = kirchhoff(ctx.spec)
     new_rhs = _kf_new_rhs(ctx)
     zt_rhs = _kf_zt_rhs(ctx)
     scale = max(1.0, abs(new_rhs), abs(zt_rhs))

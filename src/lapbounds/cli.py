@@ -27,7 +27,8 @@ from .graphs import (Graph, conjugate_sequence, degree_sequence, first_zagreb,
                      format_edge_list, parse_edge_list)
 from .majorization import check_grone, check_grone_merris
 from .rng import SplitMix64, splitmix64
-from .spectra import s_alpha, lee, moment, spanning_trees_exact, spectrum
+from .spectra import (kirchhoff, lee, moment, s_alpha, spanning_trees_exact,
+                      spectrum)
 
 DEFAULT_ALPHAS = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
 DEFAULT_KS = (1, 2, 3, 4)
@@ -190,9 +191,6 @@ def cmd_invariants(args, parser: _Parser) -> int:
         except NoNonzeroEigenvaluesError:
             s_vals[_fmt_real(a)] = None
     t_vals = {str(k): moment(spec, k) for k in sorted(ks)}
-    kf = None
-    if spec.component_count == 1:
-        kf = 0.0 if g.n == 1 else g.n * s_alpha(spec, -1.0)
 
     doc = {
         "graph_id": graph_id,
@@ -205,7 +203,7 @@ def cmd_invariants(args, parser: _Parser) -> int:
         "spectrum": [_sig12(v) for v in spec.mu],
         "s_alpha": s_vals,
         "moments": t_vals,
-        "kirchhoff": kf,
+        "kirchhoff": kirchhoff(spec) if spec.component_count == 1 else None,
         "lee": lee(spec),
         "first_zagreb": first_zagreb(g),
         "spanning_trees": str(spanning_trees_exact(g)),
@@ -353,7 +351,7 @@ def cmd_fuzz(args, parser: _Parser) -> int:
                                     or ctx.gclass.component_count != 1):
                 majorization[name]["skipped"] += 1
                 continue
-            verdict = check(g)
+            verdict = check(ctx.degrees, ctx.spec)
             if verdict.holds:
                 majorization[name]["holds"] += 1
             else:

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 from .errors import (BadPinchError, DisconnectedGraphError,
                      DomainViolationError, LengthMismatchError,
                      NotSortedError, SequenceTooShortError)
-from .graphs import Graph, conjugate_sequence, degree_sequence
-from .spectra import spectrum
+from .graphs import conjugate_sequence
+from .spectra import Spectrum
 
 PREFIX_TOL = 1e-9
 SUM_REL_TOL = 1e-9
@@ -104,22 +104,20 @@ def merged_grone_sequence(d: Sequence[int]) -> tuple[tuple[int, ...], bool]:
     return seq, mono
 
 
-def check_grone(g: Graph) -> MajorizationVerdict:
+def check_grone(degrees: Sequence[int],
+                spec: Spectrum) -> MajorizationVerdict:
     """Grone sequence of degrees against the spectrum (connected, n >= 2)."""
-    if g.n < 2:
-        raise SequenceTooShortError("need at least two vertices")
-    spec = spectrum(g)
     if spec.component_count != 1:
         raise DisconnectedGraphError("comparison needs a connected graph")
-    seq, _ = grone_sequence(degree_sequence(g))
+    seq, _ = grone_sequence(degrees)
     left = tuple(sorted((float(v) for v in seq), reverse=True))
     return majorizes(left, spec.mu)
 
 
-def check_grone_merris(g: Graph) -> MajorizationVerdict:
+def check_grone_merris(degrees: Sequence[int],
+                       spec: Spectrum) -> MajorizationVerdict:
     """Spectrum against the conjugate degree sequence (any graph)."""
-    spec = spectrum(g)
-    conj = conjugate_sequence(degree_sequence(g))
+    conj = conjugate_sequence(degrees)
     return majorizes(spec.mu, tuple(float(v) for v in conj))
 
 

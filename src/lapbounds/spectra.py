@@ -98,17 +98,15 @@ class Spectrum:
         return len(self.mu)
 
 
-def spectrum(g: Graph) -> Spectrum:
-    """Full Laplacian spectrum of g with exact trailing zeros.
+def _pin_zeros(vals: list[float], cc: int, two_m: float) -> Spectrum:
+    """Spectrum from non-increasing eigenvalues with cc structural zeros.
 
-    The zero multiplicity equals the number of connected components; the
-    eigensolver's smallest values must sit below ZERO_SANITY_FACTOR times
-    max(1, mu_1) or the result is rejected as inconsistent. The eigenvalue sum
-    is checked against 2m.
+    The cc smallest values must sit below ZERO_SANITY_FACTOR times
+    max(1, mu_1) and the others above it, or the result is rejected as
+    inconsistent; they are then replaced by exact zeros. The eigenvalue sum
+    is checked against two_m.
     """
-    cc = len(connected_components(g))
-    vals = sorted(jacobi_eigenvalues(laplacian(g)), reverse=True)
-    n = g.n
+    n = len(vals)
     scale = max(1.0, vals[0])
     threshold = ZERO_SANITY_FACTOR * scale
     head, tail = vals[:n - cc], vals[n - cc:]
@@ -123,11 +121,30 @@ def spectrum(g: Graph) -> Spectrum:
                 f"eigenvalue {v} is too small for a non-zero eigenvalue "
                 f"(components={cc})")
     mu = tuple(float(v) for v in head) + (0.0,) * cc
-    two_m = 2.0 * g.m
     if abs(sum(mu) - two_m) > TRACE_REL_TOL * max(1.0, two_m):
         raise SpectralInconsistencyError(
             f"eigenvalue sum {sum(mu)} does not match 2m = {two_m}")
     return Spectrum(mu=mu, h=n - cc, component_count=cc)
+
+
+def spectrum(g: Graph) -> Spectrum:
+    """Laplacian spectrum of g; one exact zero per connected component."""
+    vals = sorted(jacobi_eigenvalues(laplacian(g)), reverse=True)
+    return _pin_zeros(vals, len(connected_components(g)), 2.0 * g.m)
+
+
+def complement_spectrum(spec: Spectrum, m: int,
+                        complement_component_count: int) -> Spectrum:
+    """Laplacian spectrum of the complement of a graph with spectrum spec.
+
+    m is the graph's edge count. Uses mu_i(complement) = n - mu_{n-i}(G) for
+    i < n plus one zero; the zero multiplicity is the complement's component
+    count, never read off the values near n.
+    """
+    n = spec.n
+    vals = sorted([n - v for v in spec.mu[:-1]] + [0.0], reverse=True)
+    return _pin_zeros(vals, complement_component_count,
+                      float(n * (n - 1) - 2 * m))
 
 
 def s_alpha(spec: Spectrum, alpha: float) -> float:
@@ -155,14 +172,13 @@ def moment(spec: Spectrum, k: int) -> float:
     return s_alpha(spec, k)
 
 
-def kirchhoff(g: Graph) -> float:
-    """Kirchhoff index n * s_{-1}; requires a connected graph."""
-    spec = spectrum(g)
+def kirchhoff(spec: Spectrum) -> float:
+    """Kirchhoff index n * s_{-1}; requires a connected spectrum."""
     if spec.component_count != 1:
         raise DisconnectedGraphError("Kirchhoff index needs a connected graph")
-    if g.n == 1:
+    if spec.n == 1:
         return 0.0
-    return g.n * s_alpha(spec, -1.0)
+    return spec.n * s_alpha(spec, -1.0)
 
 
 def lee(spec: Spectrum) -> float:

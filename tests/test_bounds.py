@@ -1,6 +1,7 @@
 """Bound catalog: verdicts, margins, equality predictions, strict mode."""
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,15 @@ class TestCatalogShape:
             "KF_COMPARE", "R1_TREE_HIGH", "R1_TREE_LOW", "RP_MOMENT",
             "LEE_DEGREE", "LEE_TREE", "LEE_CLIQUE", "LEE_R2A_M", "LEE_R2A_T",
             "LEE_R2B", "LEE_R2C_M1", "LEE_R2C_T")
+
+    def test_readme_table_matches_catalog(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("## The bound catalog", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|") for line in section.splitlines()
+                if line.startswith("| `")]
+        listed = [(cells[1].strip().strip("`"), cells[2].strip())
+                  for cells in rows]
+        assert listed == [(spec.bound_id, spec.direction) for spec in CATALOG]
 
     def test_unknown_bound(self):
         with pytest.raises(UnknownBoundError):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import lapbounds as lb
+from lapbounds import spectra
 from lapbounds.bounds import BoundResult
 from lapbounds.cli import CSV_COLUMNS, _exit_code, main
 
@@ -247,6 +248,44 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 6  # header plus one row per size
+
+
+class TestOneSolvePerGraph:
+    """Every evaluated graph goes through the eigensolver exactly once."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        sizes = []
+        original = spectra.jacobi_eigenvalues
+
+        def counting(matrix):
+            sizes.append(len(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
+        return sizes
+
+    @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
+    def test_fuzz(self, model, solves, tmp_path, capsys):
+        code, out, _ = run(["fuzz", "--seed", "7", "--count", "30",
+                            "--model", model, "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code in (0, 2, 3)
+        corpus = json.loads(out)["corpus"]
+        failed = {f["index"] for f in corpus["generation_failures"]}
+        evaluated = [n for i, n in enumerate(corpus["sizes"])
+                     if i not in failed]
+        assert solves == evaluated
+
+    def test_sweep(self, solves, capsys):
+        code, out, _ = run(["sweep", "--family", "K:3..8"], capsys)
+        assert code in (0, 2, 3)
+        assert solves == [3, 4, 5, 6, 7, 8]
+
+    def test_check(self, solves, capsys):
+        code, _, _ = run(["check", "--family", "GNP:12:0.5:1"], capsys)
+        assert code in (0, 2, 3)
+        assert solves == [12]
 
 
 class TestExitCodeLogic:

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 import lapbounds as lb
 from lapbounds import (DisconnectedGraphError, NoNonzeroEigenvaluesError)
 from lapbounds.spectra import jacobi_eigenvalues
-from conftest import gnp_corpus, graph_strategy, named_corpus
+from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
+                      named_corpus, tree_corpus)
 
 
 def fam(text):
@@ -188,18 +189,47 @@ class TestSumInvariants:
 
 class TestKirchhoff:
     def test_known_values(self):
-        assert abs(lb.kirchhoff(fam("K:3")) - 2.0) <= 1e-9
-        assert abs(lb.kirchhoff(fam("S:4")) - 9.0) <= 1e-8
-        assert abs(lb.kirchhoff(fam("K:4")) - 3.0) <= 1e-9
-        assert abs(lb.kirchhoff(fam("C:4")) - 5.0) <= 1e-9
-        assert abs(lb.kirchhoff(fam("P:4")) - 10.0) <= 1e-8
+        assert abs(lb.kirchhoff(lb.spectrum(fam("K:3"))) - 2.0) <= 1e-9
+        assert abs(lb.kirchhoff(lb.spectrum(fam("S:4"))) - 9.0) <= 1e-8
+        assert abs(lb.kirchhoff(lb.spectrum(fam("K:4"))) - 3.0) <= 1e-9
+        assert abs(lb.kirchhoff(lb.spectrum(fam("C:4"))) - 5.0) <= 1e-9
+        assert abs(lb.kirchhoff(lb.spectrum(fam("P:4"))) - 10.0) <= 1e-8
 
     def test_single_vertex(self):
-        assert lb.kirchhoff(fam("K:1")) == 0.0
+        assert lb.kirchhoff(lb.spectrum(fam("K:1"))) == 0.0
 
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
-            lb.kirchhoff(fam("CLIQUES:3,2"))
+            lb.kirchhoff(lb.spectrum(fam("CLIQUES:3,2")))
+
+
+class TestComplementSpectrum:
+    """mu_i(complement) = n - mu_{n-i}(G) against a direct solve."""
+
+    def test_matches_direct_solve(self):
+        disconnected = set()
+        for corpus in (named_corpus, gnp_corpus, tree_corpus,
+                       clique_union_corpus):
+            for label, g in corpus():
+                cg = lb.complement(g)
+                direct = lb.spectrum(cg)
+                derived = lb.complement_spectrum(
+                    lb.spectrum(g), g.m, len(lb.connected_components(cg)))
+                assert derived.h == direct.h, label
+                assert derived.component_count == direct.component_count, label
+                zeros = derived.mu[derived.h:]
+                assert zeros == (0.0,) * derived.component_count, label
+                for a, b in zip(derived.mu[:derived.h], direct.mu[:direct.h]):
+                    assert abs(a - b) <= 1e-12 * g.n, (label, a, b)
+                if direct.component_count > 1:
+                    disconnected.add(label)
+        # complete graphs, complete bipartite graphs and stars have
+        # disconnected complements, so their zeros come from the count
+        assert {"K:2", "K:7", "Kab:2:3", "Kab:3:3", "S:6"} <= disconnected
+
+    def test_single_vertex(self):
+        spec = lb.complement_spectrum(lb.spectrum(fam("K:1")), 0, 1)
+        assert spec.mu == (0.0,) and spec.h == 0
 
 
 class TestLee:
