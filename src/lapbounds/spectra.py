@@ -1,10 +1,12 @@
 """Laplacian spectra and spectral invariants.
 
-The eigensolver is a cyclic-by-row Jacobi iteration tuned for the small dense
-symmetric matrices this package works with. Zero eigenvalues are forced
-structurally: the graph's component count decides the zero multiplicity, and
-the numerically smallest values are checked against a sanity threshold before
-being replaced by exact zeros. Thresholding alone never decides multiplicity.
+The eigensolver is a Jacobi iteration in the round-robin parallel ordering of
+Brent & Luk (1985), which applies each round's disjoint rotations as one numpy
+operation; Jacobi keeps small eigenvalues accurate relative to their size,
+which s_{-2} needs. Zero eigenvalues are forced structurally: the graph's
+component count decides the zero multiplicity, and the numerically smallest
+values are checked against a sanity threshold before being replaced by exact
+zeros. Thresholding alone never decides multiplicity.
 """
 from __future__ import annotations
 
@@ -34,8 +36,40 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chess-tournament schedule for one parallel Jacobi sweep of size n.
+
+    Every pair p < q meets exactly once in n - 1 rounds (n rounds when n is
+    odd: the pairing with the bye slot n is dropped, so one index sits out).
+    Row r of each array describes round r's k = n // 2 disjoint pairs (P, Q):
+    pq is P then Q, diag holds the flat indices of a[P, P], a[Q, Q], a[P, Q],
+    and off those of a[P, Q], a[Q, P].
+    """
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    i = np.arange(1, m // 2)
+    u, v = (r + i) % (m - 1), (r - i) % (m - 1)
+    if n % 2 == 0:
+        u = np.concatenate((r, u), axis=1)
+        v = np.concatenate((np.full_like(r, n - 1), v), axis=1)
+    P, Q = np.minimum(u, v), np.maximum(u, v)
+    pq = np.concatenate((P, Q), axis=1)
+    diag = np.concatenate((P * (n + 1), Q * (n + 1), P * n + Q), axis=1)
+    off = np.concatenate((P * n + Q, Q * n + P), axis=1)
+    return pq, diag, off
+
+
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic-by-row Jacobi rotations.
+    """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
+
+    The parallel ordering of Brent & Luk (1985): a sweep is a round-robin
+    schedule of rounds of n // 2 disjoint (p, q) pairs, and each round applies
+    its rotations together, to the columns and then to the rows. The rotation
+    zeroing a[p, q] has t = tan(theta) = sign(tau) / (|tau| + sqrt(1 + tau^2)),
+    tau = (a[q, q] - a[p, p]) / (2 a[p, q]) (Golub & Van Loan, section 8.5),
+    computed multiplied through by |a[p, q]| so that no intermediate
+    overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
+    gives the identity rotation.
 
     Sweeps until the off-diagonal Frobenius norm drops below
     JACOBI_REL_TOL times the matrix Frobenius norm (which rotations preserve),
@@ -51,6 +85,8 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     if total == 0.0:
         return np.zeros(n)
     target = JACOBI_REL_TOL * total
+    schedule = list(zip(*_round_robin(n)))
+    sign = np.array([[-1.0], [1.0]])
 
     def off_norm() -> float:
         return float(np.linalg.norm(a - np.diag(a.diagonal())))
@@ -58,27 +94,20 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     for _ in range(JACOBI_MAX_SWEEPS):
         if off_norm() <= target:
             return a.diagonal().copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
+        for pq, diag, off in schedule:
+            app, aqq, apq = a.take(diag).reshape(3, -1)
+            half = 0.5 * (aqq - app)
+            den = np.abs(half) + np.hypot(half, apq)
+            # den == 0 only when apq == 0 too: t = 0, the identity rotation
+            t = apq / np.copysign(den + (den == 0.0), half)
+            c = 1.0 / np.hypot(1.0, t)
+            s = sign * (t * c)
+            cols = a[:, pq].reshape(n, 2, -1)
+            a[:, pq] = (cols * c + cols[:, ::-1] * s).reshape(n, -1)
+            rows = a[pq].reshape(2, -1, n)
+            a[pq] = (rows * c[:, None]
+                     + rows[::-1] * s[:, :, None]).reshape(-1, n)
+            a.put(off, 0.0)
     if off_norm() <= target:
         return a.diagonal().copy()
     raise JacobiConvergenceError(
@@ -187,7 +216,11 @@ def lee(spec: Spectrum) -> float:
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destructive)."""
+    """Fraction-free determinant of an integer matrix (destructive).
+
+    After step k, column k below the pivot is never read again, so it is not
+    cleared.
+    """
     n = len(a)
     if n == 0:
         return 1
@@ -202,26 +235,33 @@ def _bareiss_determinant(a: list[list[int]]) -> int:
                     break
             else:
                 return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        pivot_tail = pivot_row[k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            lead = row[k]
+            row[k + 1:] = [(x * pivot - lead * y) // prev
+                           for x, y in zip(row[k + 1:], pivot_tail)]
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 
 def spanning_trees_exact(g: Graph) -> int:
     """Exact spanning-tree count: determinant of the reduced Laplacian.
 
-    Bareiss elimination over Python ints; no floating point anywhere.
-    Disconnected graphs return 0 without error.
+    The reduced Laplacian (vertex 0's row and column removed) is built as
+    Python ints straight from the degrees and edges, and its determinant is
+    taken by Bareiss elimination; no floating point anywhere. A disconnected
+    graph's reduced Laplacian is singular, so it gives exactly 0; n = 1 gives
+    the empty determinant, 1.
     """
-    if len(connected_components(g)) != 1:
-        return 0
-    if g.n == 1:
-        return 1
-    L = laplacian(g)
-    reduced = [[int(L[i, j]) for j in range(1, g.n)] for i in range(1, g.n)]
+    reduced = [[0] * (g.n - 1) for _ in range(g.n - 1)]
+    for i in range(1, g.n):
+        reduced[i - 1][i - 1] = g.degree(i)
+    for u, v in g.edges:
+        if u:
+            reduced[u - 1][v - 1] = reduced[v - 1][u - 1] = -1
     return _bareiss_determinant(reduced)
 
 

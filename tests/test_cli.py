@@ -251,7 +251,8 @@ class TestSweepCommand:
 
 
 class TestOneSolvePerGraph:
-    """Every evaluated graph goes through the eigensolver exactly once."""
+    """Every evaluated graph goes through the eigensolver exactly once, and
+    its Laplacian is built once, for that solve."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -265,8 +266,20 @@ class TestOneSolvePerGraph:
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
         return sizes
 
+    @pytest.fixture
+    def laplacians(self, monkeypatch):
+        sizes = []
+        original = spectra.laplacian
+
+        def counting(g):
+            sizes.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(spectra, "laplacian", counting)
+        return sizes
+
     @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
-    def test_fuzz(self, model, solves, tmp_path, capsys):
+    def test_fuzz(self, model, solves, laplacians, tmp_path, capsys):
         code, out, _ = run(["fuzz", "--seed", "7", "--count", "30",
                             "--model", model, "--out-dir", str(tmp_path)],
                            capsys)
@@ -276,16 +289,35 @@ class TestOneSolvePerGraph:
         evaluated = [n for i, n in enumerate(corpus["sizes"])
                      if i not in failed]
         assert solves == evaluated
+        assert laplacians == evaluated
 
-    def test_sweep(self, solves, capsys):
+    def test_sweep(self, solves, laplacians, capsys):
         code, out, _ = run(["sweep", "--family", "K:3..8"], capsys)
         assert code in (0, 2, 3)
-        assert solves == [3, 4, 5, 6, 7, 8]
+        assert solves == laplacians == [3, 4, 5, 6, 7, 8]
 
-    def test_check(self, solves, capsys):
+    def test_check(self, solves, laplacians, capsys):
         code, _, _ = run(["check", "--family", "GNP:12:0.5:1"], capsys)
         assert code in (0, 2, 3)
-        assert solves == [12]
+        assert solves == laplacians == [12]
+
+
+def test_large_fuzz_violation_replays_through_check(tmp_path, capsys):
+    """A violation found at n >= 32 reproduces through check --graph."""
+    code, out, _ = run(["fuzz", "--seed", "7", "--count", "2",
+                        "--model", "tree", "--n-min", "32", "--n-max", "40",
+                        "--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    violations = json.loads(out)["violations"]
+    assert violations and all(v["n"] >= 32 for v in violations)
+    for v in violations:
+        code, out, _ = run(["check", "--graph", str(tmp_path / v["file"]),
+                            "--bounds", v["bound_id"]], capsys)
+        assert code == 2
+        row, = [r for r in json.loads(out) if r["param"] == v["param"]]
+        assert row["verdict"] == "VIOLATED"
+        for key in ("lhs", "rhs"):
+            assert abs(row[key] - v[key]) <= 1e-12 * max(1.0, abs(v[key]))
 
 
 class TestExitCodeLogic:

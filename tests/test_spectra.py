@@ -5,6 +5,7 @@ small graphs, against exact symbolic eigenvalues. Spanning-tree counts are
 cross-checked against brute-force enumeration and the spectral product.
 """
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -13,8 +14,9 @@ import sympy
 from hypothesis import given, settings
 
 import lapbounds as lb
-from lapbounds import (DisconnectedGraphError, NoNonzeroEigenvaluesError)
-from lapbounds.spectra import jacobi_eigenvalues
+from lapbounds import (DisconnectedGraphError, JacobiConvergenceError,
+                       NoNonzeroEigenvaluesError, spectra)
+from lapbounds.spectra import _round_robin, jacobi_eigenvalues
 from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
                       named_corpus, tree_corpus)
 
@@ -90,6 +92,76 @@ class TestJacobi:
             ours = sorted(float(v) for v in jacobi_eigenvalues(lb.laplacian(g)))
             ref = sympy_oracle(g)
             assert all(abs(x - y) <= 1e-10 for x, y in zip(ours, ref))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 65])
+    def test_schedule_meets_every_pair_once(self, n):
+        pq = _round_robin(n)[0]
+        k = n // 2
+        assert pq.shape == (n - 1 + n % 2, 2 * k)
+        P, Q = pq[:, :k], pq[:, k:]
+        assert (P < Q).all()
+        assert sorted(zip(P.flat, Q.flat)) == list(combinations(range(n), 2))
+        assert all(len(set(row)) == 2 * k for row in pq)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_small_odd_and_even_sizes(self, n):
+        rs = np.random.RandomState(n)
+        a = rs.randn(n, n)
+        a = a + a.T
+        ours = sorted(jacobi_eigenvalues(a))
+        ref = sorted(np.linalg.eigvalsh(a))
+        scale = max(1.0, max(abs(v) for v in ref))
+        assert all(abs(x - y) <= 1e-12 * scale for x, y in zip(ours, ref))
+
+    @pytest.mark.parametrize("tiny", [0.0, 5e-324])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_zero_and_denormal_off_diagonals_warn_nothing(self, n, tiny):
+        # tiny entries on pairs with unequal diagonals, where tau would
+        # overflow, while large entries keep the sweeps going
+        a = np.array([[1.0, tiny, 1.0, tiny],
+                      [tiny, 2.0, tiny, 0.5],
+                      [1.0, tiny, 3.0, tiny],
+                      [tiny, 0.5, tiny, 3.0]])[:n, :n]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = sorted(jacobi_eigenvalues(a))
+        ref = sorted(np.linalg.eigvalsh(a))
+        assert all(abs(x - y) <= 1e-12 * 4.0 for x, y in zip(ours, ref))
+
+    @pytest.mark.parametrize("label", ["GNP:64:0.5:1", "K:64", "S:40"])
+    def test_large_laplacians_match_numpy(self, label):
+        g = fam(label)
+        ours = sorted(float(v) for v in jacobi_eigenvalues(lb.laplacian(g)))
+        ref = eigvalsh_oracle(g)
+        scale = max(1.0, ref[-1])
+        assert all(abs(x - y) <= 1e-9 * scale for x, y in zip(ours, ref))
+
+    @pytest.mark.parametrize("label", ["GNP:33:0.5:1", "GNP:64:0.3:2", "S:40"])
+    def test_trace_preserved(self, label):
+        a = np.asarray(lb.laplacian(fam(label)), dtype=float)
+        vals = jacobi_eigenvalues(a)
+        assert abs(vals.sum() - np.trace(a)) <= 1e-12 * np.linalg.norm(a)
+
+    def test_convergence_error_after_max_sweeps(self, monkeypatch):
+        monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(JacobiConvergenceError):
+            jacobi_eigenvalues(lb.laplacian(fam("GNP:12:0.5:1")))
+
+
+class TestJacobiDeterminism:
+    def test_repeated_calls_are_bit_identical(self):
+        for label in ["GNP:12:0.5:1", "GNP:33:0.5:3", "S:9"]:
+            L = lb.laplacian(fam(label))
+            first = jacobi_eigenvalues(L).tobytes()
+            assert all(jacobi_eigenvalues(L).tobytes() == first
+                       for _ in range(3)), label
+
+    def test_other_sizes_in_between_change_no_bits(self):
+        a5 = lb.laplacian(fam("GNP:5:0.7:1"))
+        a6 = lb.laplacian(fam("GNP:6:0.7:1"))
+        before = jacobi_eigenvalues(a5).tobytes()
+        jacobi_eigenvalues(a6)
+        assert jacobi_eigenvalues(a5).tobytes() == before
 
 
 class TestSpectrum:
@@ -264,8 +336,10 @@ class TestSpanningTrees:
         assert lb.spanning_trees_exact(fam("P:9")) == 1
 
     def test_disconnected_is_zero(self):
-        assert lb.spanning_trees_exact(fam("CLIQUES:3,2")) == 0
-        assert lb.spanning_trees_exact(lb.build_graph(3, [])) == 0
+        for g in (fam("CLIQUES:3,2"), lb.build_graph(2, []),
+                  lb.build_graph(3, []), lb.build_graph(4, [])):
+            assert lb.spanning_trees_exact(g) == 0
+            assert brute_force_spanning_trees(g) == 0
 
     def test_cayley_formula_exactly(self):
         for n in range(2, 10):
