@@ -30,6 +30,8 @@ from .rng import SplitMix64, splitmix64
 from .spectra import (kirchhoff, lee, moment, s_alpha, spanning_trees_exact,
                       spectrum)
 
+MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
+
 DEFAULT_ALPHAS = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
 DEFAULT_KS = (1, 2, 3, 4)
 
@@ -167,13 +169,29 @@ def _exit_code(results: Sequence[BoundResult]) -> int:
     return 0
 
 
+def _check_cap(n: int, what: str, parser: _Parser) -> None:
+    if n > MAX_N:
+        parser.error(f"{what} has {n} vertices, above the cap of {MAX_N}")
+
+
+def _checked_specs(args, parser: _Parser, allow_range: bool) -> list[FamilySpec]:
+    """Parse --family and apply the vertex cap before any graph is built."""
+    specs = parse_family(args.family, allow_range=allow_range)
+    for spec in specs:
+        # vertex count: the clique sizes, n, or the sides a + b of Kab
+        order = sum(spec.sizes) if spec.sizes else spec.n or spec.a + spec.b
+        _check_cap(order, spec.label(), parser)
+    return specs
+
+
 def _resolve_graph(args, parser: _Parser) -> tuple[str, Graph]:
     if bool(args.graph) == bool(args.family):
         parser.error("exactly one of --graph and --family is required")
     if args.graph:
-        text = Path(args.graph).read_text()
-        return Path(args.graph).name, parse_edge_list(text)
-    specs = parse_family(args.family, allow_range=False)
+        g = parse_edge_list(Path(args.graph).read_text())
+        _check_cap(g.n, args.graph, parser)
+        return Path(args.graph).name, g
+    specs = _checked_specs(args, parser, allow_range=False)
     return args.family.strip(), generate(specs[0])
 
 
@@ -238,7 +256,7 @@ def cmd_check(args, parser: _Parser) -> int:
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
-    specs = parse_family(args.family, allow_range=True)
+    specs = _checked_specs(args, parser, allow_range=True)
     alphas = _parse_alphas(args.alphas)
     ks = _parse_ks(args.ks)
     bound_ids = _parse_bounds(args.bounds)
@@ -280,8 +298,8 @@ def cmd_fuzz(args, parser: _Parser) -> int:
     bound_ids = _parse_bounds(args.bounds)
     if args.count < 1:
         parser.error("--count must be >= 1")
-    if not (2 <= args.n_min <= args.n_max <= 64):
-        parser.error("need 2 <= n-min <= n-max <= 64")
+    if not (2 <= args.n_min <= args.n_max <= MAX_N):
+        parser.error(f"need 2 <= n-min <= n-max <= {MAX_N}")
     if not (0.0 < args.p <= 1.0):
         parser.error("--p must lie in (0, 1]")
     out_dir = Path(args.out_dir)
@@ -402,6 +420,12 @@ def build_parser() -> _Parser:
                        help="comma-separated integer moment orders, each >= 1")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def add_catalog_filters(p: _Parser) -> None:
+        p.add_argument("--bounds", help="comma-separated bound ids")
+        p.add_argument("--strict-applicability", action="store_true",
+                       help="mark merged-sequence non-monotone cases "
+                            "NOT_APPLICABLE for P2_LOWER and KF_NEW")
+
     def add_graph_input(p: _Parser) -> None:
         p.add_argument("--graph", help="path to an edge-list file")
         p.add_argument("--family", help="family DSL string, e.g. K:4")
@@ -414,10 +438,7 @@ def build_parser() -> _Parser:
     p_check = sub.add_parser("check", help="evaluate the bound catalog")
     add_graph_input(p_check)
     add_common(p_check)
-    p_check.add_argument("--bounds", help="comma-separated bound ids")
-    p_check.add_argument("--strict-applicability", action="store_true",
-                         help="mark merged-sequence non-monotone cases "
-                              "NOT_APPLICABLE for P2_LOWER and KF_NEW")
+    add_catalog_filters(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="seeded random corpus evaluation")
@@ -432,16 +453,14 @@ def build_parser() -> _Parser:
     p_fuzz.add_argument("--n-max", type=int, default=12)
     p_fuzz.add_argument("--out-dir", default="counterexamples",
                         help="directory for violating edge lists")
-    p_fuzz.add_argument("--bounds", help="comma-separated bound ids")
-    p_fuzz.add_argument("--strict-applicability", action="store_true")
+    add_catalog_filters(p_fuzz)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a family range")
     p_sweep.add_argument("--family", required=True,
                          help="family DSL string, ranges allowed, e.g. K:3..12")
     add_common(p_sweep)
-    p_sweep.add_argument("--bounds", help="comma-separated bound ids")
-    p_sweep.add_argument("--strict-applicability", action="store_true")
+    add_catalog_filters(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -1,31 +1,31 @@
 """Named graph families, seeded random generators, and the family DSL.
 
-DSL grammar (one spec per string):
+DSL grammar (one spec per string, one kind per line):
 
-    K:n          complete            S:n          star
-    Kme:n        complete minus one edge          (n >= 2)
-    Kab:a:b      complete bipartite
-    P:n          path                C:n          cycle (n >= 3)
-    TREE:n:seed  uniform random labeled tree (Prufer decode)
-    GNP:n:p:seed Erdos-Renyi conditioned on connectivity, p in (0, 1]
+    K:n            complete graph
+    S:n            star
+    Kme:n          complete graph minus one edge (n >= 2)
+    Kab:a:b        complete bipartite
+    P:n            path
+    C:n            cycle (n >= 3)
+    TREE:n:seed    uniform random labeled tree (Prufer decode)
+    GNP:n:p:seed   Erdos-Renyi conditioned on connectivity, p in (0, 1]
     CLIQUES:a,b,c  disjoint union of cliques of the listed sizes
 
-For sweeps the single-n kinds accept a range in the n slot, e.g. "S:3..10",
-which expands to one spec per n.
+For sweeps the n slot accepts a range, e.g. "S:3..10" or "TREE:4..8:9",
+which expands to one spec per n. Each kind is declared once, in _KIND_TABLE.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, RetryExhaustedError
 from .graphs import Graph, build_graph, connected_components
 from .rng import SplitMix64
 
 GNP_RETRY_CAP = 1000
-
-_KINDS = ("complete", "star", "complete_minus_edge", "complete_bipartite",
-          "path", "cycle", "random_tree", "gnp_connected", "clique_union")
 
 
 @dataclass(frozen=True)
@@ -42,28 +42,14 @@ class FamilySpec:
 
     def label(self) -> str:
         """Short deterministic display string, DSL-shaped."""
-        if self.kind == "complete":
-            return f"K:{self.n}"
-        if self.kind == "star":
-            return f"S:{self.n}"
-        if self.kind == "complete_minus_edge":
-            return f"Kme:{self.n}"
-        if self.kind == "complete_bipartite":
-            return f"Kab:{self.a}:{self.b}"
-        if self.kind == "path":
-            return f"P:{self.n}"
-        if self.kind == "cycle":
-            return f"C:{self.n}"
-        if self.kind == "random_tree":
-            return f"TREE:{self.n}:{self.seed}"
-        if self.kind == "gnp_connected":
-            return f"GNP:{self.n}:{self.p}:{self.seed}"
-        if self.kind == "clique_union":
-            return "CLIQUES:" + ",".join(str(s) for s in self.sizes)
-        raise ValueError(f"unknown kind {self.kind!r}")
+        kind = _kind(self.kind)
+        values = (getattr(self, field) for field in kind.fields)
+        return ":".join([kind.head] + [
+            ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+            for v in values])
 
 
-def _complete_edges(vertices: list[int]) -> list[tuple[int, int]]:
+def _complete_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
     return [(vertices[i], vertices[j])
             for i in range(len(vertices)) for j in range(i + 1, len(vertices))]
 
@@ -127,150 +113,145 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
         f"no connected G({n}, {p}) draw within {GNP_RETRY_CAP} attempts")
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Construct the graph a FamilySpec describes."""
-    kind = spec.kind
-    if kind not in _KINDS:
-        raise ValueError(f"unknown family kind {kind!r}")
-    if kind == "complete":
-        _need_n(spec, 1)
-        return build_graph(spec.n, _complete_edges(list(range(spec.n))))
-    if kind == "star":
-        _need_n(spec, 1)
-        return build_graph(spec.n, [(0, v) for v in range(1, spec.n)])
-    if kind == "complete_minus_edge":
-        _need_n(spec, 2)
-        edges = _complete_edges(list(range(spec.n)))
-        return build_graph(spec.n, edges[:-1])
-    if kind == "complete_bipartite":
-        if spec.a is None or spec.b is None or spec.a < 1 or spec.b < 1:
-            raise ValueError("complete_bipartite needs sides a, b >= 1")
-        left = list(range(spec.a))
-        right = list(range(spec.a, spec.a + spec.b))
-        return build_graph(spec.a + spec.b,
-                           [(u, v) for u in left for v in right])
-    if kind == "path":
-        _need_n(spec, 1)
-        return build_graph(spec.n, [(v, v + 1) for v in range(spec.n - 1)])
-    if kind == "cycle":
-        _need_n(spec, 3)
-        edges = [(v, v + 1) for v in range(spec.n - 1)] + [(0, spec.n - 1)]
-        return build_graph(spec.n, edges)
-    if kind == "random_tree":
-        _need_n(spec, 1)
-        return random_tree(spec.n, _seed_of(spec))
-    if kind == "gnp_connected":
-        _need_n(spec, 1)
-        if spec.p is None:
-            raise ValueError("gnp_connected needs p")
-        return gnp_connected(spec.n, spec.p, _seed_of(spec))
-    # clique_union
-    if not spec.sizes or any(s < 1 for s in spec.sizes):
-        raise ValueError("clique_union needs sizes >= 1")
+def _path_edges(n: int) -> list[tuple[int, int]]:
+    return [(v, v + 1) for v in range(n - 1)]
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return build_graph(a + b, [(u, v) for u in range(a)
+                               for v in range(a, a + b)])
+
+
+def _clique_union(sizes: tuple[int, ...]) -> Graph:
     edges: list[tuple[int, int]] = []
     offset = 0
-    for s in spec.sizes:
-        edges.extend(_complete_edges(list(range(offset, offset + s))))
+    for s in sizes:
+        edges.extend(_complete_edges(range(offset, offset + s)))
         offset += s
     return build_graph(offset, edges)
 
 
-def _need_n(spec: FamilySpec, minimum: int) -> None:
-    if spec.n is None or spec.n < minimum:
-        raise ValueError(f"{spec.kind} needs n >= {minimum}, got {spec.n}")
+class _Kind(NamedTuple):
+    head: str                    # DSL prefix
+    fields: tuple[str, ...]      # FamilySpec fields in DSL order
+    min_size: int                # smallest legal n, a, b and clique size
+    build: Callable[..., Graph]  # takes the field values in DSL order
 
 
-def _seed_of(spec: FamilySpec) -> int:
-    if spec.seed is None:
-        raise ValueError(f"{spec.kind} needs a seed")
-    return spec.seed
+# Builders look gnp_connected and random_tree up when called, never at
+# import, so a wrapper swapped into this module sees every call.
+_KIND_TABLE = {
+    "complete": _Kind("K", ("n",), 1, lambda n: build_graph(
+        n, _complete_edges(range(n)))),
+    "star": _Kind("S", ("n",), 1, lambda n: build_graph(
+        n, [(0, v) for v in range(1, n)])),
+    "complete_minus_edge": _Kind("Kme", ("n",), 2, lambda n: build_graph(
+        n, _complete_edges(range(n))[:-1])),
+    "complete_bipartite": _Kind("Kab", ("a", "b"), 1, _complete_bipartite),
+    "path": _Kind("P", ("n",), 1, lambda n: build_graph(n, _path_edges(n))),
+    "cycle": _Kind("C", ("n",), 3, lambda n: build_graph(
+        n, _path_edges(n) + [(0, n - 1)])),
+    "random_tree": _Kind("TREE", ("n", "seed"), 1,
+                         lambda n, seed: random_tree(n, seed)),
+    "gnp_connected": _Kind("GNP", ("n", "p", "seed"), 1,
+                           lambda n, p, seed: gnp_connected(n, p, seed)),
+    "clique_union": _Kind("CLIQUES", ("sizes",), 1, _clique_union),
+}
 
 
-def _parse_int(token: str, text: str) -> int:
+def _kind(name: str) -> _Kind:
+    try:
+        return _KIND_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown family kind {name!r}") from None
+
+
+def _illegal(kind: _Kind, field: str, value) -> Optional[str]:
+    """Why value is not a legal `field` of kind, or None when it is."""
+    if value is None:
+        return f"needs {field}"
+    if field == "seed":
+        return None
+    if field == "p":
+        return None if 0.0 < value <= 1.0 else f"needs p in (0, 1], got {value}"
+    smallest = min(value, default=0) if field == "sizes" else value
+    if smallest < kind.min_size:
+        return f"needs {field} >= {kind.min_size}, got {value}"
+    return None
+
+
+def generate(spec: FamilySpec) -> Graph:
+    """Construct the graph a FamilySpec describes."""
+    kind = _kind(spec.kind)
+    values = [getattr(spec, field) for field in kind.fields]
+    for field, value in zip(kind.fields, values):
+        why = _illegal(kind, field, value)
+        if why:
+            raise ValueError(f"{spec.kind} {why}")
+    return kind.build(*values)
+
+
+def _parse_int(token: str, pos: int, text: str) -> int:
     try:
         return int(token)
     except ValueError:
         raise ParseError(f"expected an integer, got {token!r} in {text!r}",
-                         position=text.find(token)) from None
+                         position=pos) from None
 
 
-def _parse_n_token(token: str, text: str) -> list[int]:
-    """Single integer or inclusive range 'a..b'."""
-    if ".." in token:
-        lo_s, _, hi_s = token.partition("..")
-        lo = _parse_int(lo_s, text)
-        hi = _parse_int(hi_s, text)
+def _parse_field(field: str, token: str, pos: int, text: str,
+                 allow_range: bool) -> list:
+    """Values of the token at offset pos: several only for an n range."""
+    if field == "n":
+        lo_s, dots, hi_s = token.partition("..")
+        lo = _parse_int(lo_s, pos, text)
+        hi = _parse_int(hi_s, pos + len(lo_s) + 2, text) if dots else lo
         if hi < lo:
-            raise ParseError(f"empty range {token!r} in {text!r}",
-                             position=text.find(token))
+            raise ParseError(f"empty range {token!r} in {text!r}", position=pos)
+        if hi > lo and not allow_range:
+            raise ParseError(f"range not allowed here in {text!r}",
+                             position=pos)
         return list(range(lo, hi + 1))
-    return [_parse_int(token, text)]
+    if field == "p":
+        try:
+            return [float(token)]
+        except ValueError:
+            raise ParseError(f"expected a probability, got {token!r} in "
+                             f"{text!r}", position=pos) from None
+    if field == "sizes":
+        tokens = token.split(",")
+        starts = itertools.accumulate((len(t) + 1 for t in tokens), initial=pos)
+        return [tuple(_parse_int(t, at, text) for t, at in zip(tokens, starts))]
+    return [_parse_int(token, pos, text)]
 
 
 def parse_family(text: str, allow_range: bool = False) -> list[FamilySpec]:
     """Parse one DSL string into specs (singleton unless a range expands).
 
     With allow_range=False a range token is rejected, which is what the
-    single-graph commands use.
+    single-graph commands use. ParseError.position is the offset in text
+    of the token at fault.
     """
     parts = text.strip().split(":")
+    starts = list(itertools.accumulate((len(t) + 1 for t in parts),
+                                       initial=len(text) - len(text.lstrip())))
     head = parts[0]
-    args = parts[1:]
-
-    def fail(msg: str, token: str = "") -> ParseError:
-        pos = text.find(token) if token else 0
-        return ParseError(f"{msg} in {text!r}", position=pos)
-
-    def n_values(token: str) -> list[int]:
-        values = _parse_n_token(token, text)
-        if len(values) > 1 and not allow_range:
-            raise fail("range not allowed here", token)
-        return values
-
-    if head in ("K", "S", "Kme", "P", "C"):
-        if len(args) != 1:
-            raise fail(f"{head} takes exactly one parameter")
-        kind = {"K": "complete", "S": "star", "Kme": "complete_minus_edge",
-                "P": "path", "C": "cycle"}[head]
-        minimum = {"complete": 1, "star": 1, "complete_minus_edge": 2,
-                   "path": 1, "cycle": 3}[kind]
-        specs = []
-        for n in n_values(args[0]):
-            if n < minimum:
-                raise fail(f"{head} needs n >= {minimum}", args[0])
-            specs.append(FamilySpec(kind=kind, n=n))
-        return specs
-    if head == "Kab":
-        if len(args) != 2:
-            raise fail("Kab takes two parameters a:b")
-        a = _parse_int(args[0], text)
-        b = _parse_int(args[1], text)
-        if a < 1 or b < 1:
-            raise fail("Kab needs a, b >= 1", args[0])
-        return [FamilySpec(kind="complete_bipartite", a=a, b=b)]
-    if head == "TREE":
-        if len(args) != 2:
-            raise fail("TREE takes n:seed")
-        seed = _parse_int(args[1], text)
-        return [FamilySpec(kind="random_tree", n=n, seed=seed)
-                for n in n_values(args[0])]
-    if head == "GNP":
-        if len(args) != 3:
-            raise fail("GNP takes n:p:seed")
-        try:
-            p = float(args[1])
-        except ValueError:
-            raise fail("GNP probability must be a float", args[1]) from None
-        if not (0.0 < p <= 1.0):
-            raise fail("GNP probability must lie in (0, 1]", args[1])
-        seed = _parse_int(args[2], text)
-        return [FamilySpec(kind="gnp_connected", n=n, p=p, seed=seed)
-                for n in n_values(args[0])]
-    if head == "CLIQUES":
-        if len(args) != 1:
-            raise fail("CLIQUES takes a comma-separated size list")
-        sizes = tuple(_parse_int(tok, text) for tok in args[0].split(","))
-        if any(s < 1 for s in sizes):
-            raise fail("clique sizes must be >= 1", args[0])
-        return [FamilySpec(kind="clique_union", sizes=sizes)]
-    raise fail(f"unknown family prefix {head!r}")
+    name = next((k for k, kind in _KIND_TABLE.items() if kind.head == head),
+                None)
+    if name is None:
+        raise ParseError(f"unknown family prefix {head!r} in {text!r}",
+                         position=starts[0])
+    kind = _KIND_TABLE[name]
+    if len(parts) - 1 != len(kind.fields):
+        raise ParseError(f"{head} takes {':'.join(kind.fields)} in {text!r}",
+                         position=starts[0])
+    columns = []
+    for field, token, pos in zip(kind.fields, parts[1:], starts[1:]):
+        values = _parse_field(field, token, pos, text, allow_range)
+        for value in values:
+            why = _illegal(kind, field, value)
+            if why:
+                raise ParseError(f"{head} {why} in {text!r}", position=pos)
+        columns.append(values)
+    return [FamilySpec(name, **dict(zip(kind.fields, row)))
+            for row in itertools.product(*columns)]

@@ -28,11 +28,10 @@ TRACE_REL_TOL = 1e-9
 def laplacian(g: Graph) -> np.ndarray:
     """Integer Laplacian L = D - A."""
     L = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        L[u, u] += 1
-        L[v, v] += 1
-        L[u, v] -= 1
-        L[v, u] -= 1
+    if g.m:
+        u, v = np.array(g.edges).T
+        L[u, v] = L[v, u] = -1
+    np.fill_diagonal(L, -L.sum(axis=1))
     return L
 
 

@@ -10,7 +10,7 @@ import pytest
 import lapbounds as lb
 from lapbounds import spectra
 from lapbounds.bounds import BoundResult
-from lapbounds.cli import CSV_COLUMNS, _exit_code, main
+from lapbounds.cli import CSV_COLUMNS, MAX_N, _exit_code, main
 
 
 def run(argv, capsys):
@@ -153,6 +153,33 @@ class TestCheckCommand:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--family", "K:800"],
+        ["check", "--family", "K:100000"],
+        ["sweep", "--family", "K:60..65"],
+    ])
+    def test_family_above_cap_exits_one(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"above the cap of {MAX_N}" in err
+
+    def test_graph_file_above_cap_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "path65.el"
+        n = MAX_N + 1
+        path.write_text(f"{n} {n - 1}\n"
+                        + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+        code, out, err = run(["check", "--graph", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"above the cap of {MAX_N}" in err
+
+    def test_cap_itself_is_accepted(self, capsys):
+        code, _, _ = run(["invariants", "--family", f"P:{MAX_N}"], capsys)
+        assert code == 0
 
 
 class TestFuzzCommand:

@@ -1,9 +1,11 @@
 """Family generators, the DSL parser and the seeded RNG primitives."""
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lapbounds as lb
-from lapbounds import ParseError, RetryExhaustedError
+from lapbounds import ParseError, RetryExhaustedError, families
 from lapbounds.rng import SplitMix64, splitmix64
 
 
@@ -169,13 +171,52 @@ class TestParseFamily:
     @pytest.mark.parametrize("bad", [
         "K", "K:", "K:0", "K:x", "S:-2", "Kme:1", "C:2", "Kab:3",
         "Kab:0:2", "TREE:5", "GNP:5:0:1", "GNP:5:1.5:1", "GNP:5:0.5",
-        "CLIQUES:", "CLIQUES:3,0", "Z:4",
+        "CLIQUES:", "CLIQUES:3,0", "Z:4", "TREE:0:5", "GNP:0:0.5:1",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             lb.parse_family(bad)
 
     def test_parse_error_carries_position(self):
-        with pytest.raises(ParseError) as exc_info:
-            lb.parse_family("GNP:5:1.5:1")
-        assert exc_info.value.position == len("GNP:5:")
+        # the offset of the token at fault, not the first match of its text
+        for text, position in [("GNP:5:1.5:1", len("GNP:5:")),
+                               ("GNP:5:5:1", len("GNP:5:"))]:
+            with pytest.raises(ParseError) as exc_info:
+                lb.parse_family(text)
+            assert exc_info.value.position == position
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_kind_round_trips_through_its_label(self, data):
+        name = data.draw(st.sampled_from(sorted(families._KIND_TABLE)))
+        kind = families._KIND_TABLE[name]
+        field_values = {
+            "n": st.integers(min_value=kind.min_size, max_value=10),
+            "a": st.integers(min_value=1, max_value=6),
+            "b": st.integers(min_value=1, max_value=6),
+            "p": st.floats(min_value=0.3, max_value=1.0),
+            "seed": st.integers(min_value=0, max_value=2 ** 64 - 1),
+            "sizes": st.lists(st.integers(min_value=1, max_value=5),
+                              min_size=1, max_size=4).map(tuple),
+        }
+        spec = lb.FamilySpec(name, **{field: data.draw(field_values[field])
+                                      for field in kind.fields})
+        assert lb.parse_family(spec.label()) == [spec]
+        lb.generate(spec)
+
+
+class TestKindTableDocs:
+    HEADS = [kind.head for kind in families._KIND_TABLE.values()]
+
+    def test_readme_table_matches_kind_table(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("The family DSL accepted by", 1)[1]
+        section = section.split("\n\n", 2)[1]
+        listed = [line.split("`")[1].split(":")[0]
+                  for line in section.splitlines() if line.startswith("| `")]
+        assert listed == self.HEADS
+
+    def test_docstring_grammar_matches_kind_table(self):
+        grammar = families.__doc__.split("\n\n")[2]
+        listed = [line.split(":")[0].strip() for line in grammar.splitlines()]
+        assert listed == self.HEADS
