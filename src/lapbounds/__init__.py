@@ -17,8 +17,8 @@ from .errors import (BadParameterError, BadPinchError, DisconnectedGraphError,
                      RetryExhaustedError, SelfLoopError,
                      SequenceTooShortError, SpectralInconsistencyError,
                      UnknownBoundError, VertexRangeError)
-from .families import (FamilySpec, generate, gnp_connected, parse_family,
-                       random_tree)
+from .families import (FamilySpec, generate, gnp_connected, iter_family,
+                       parse_family, random_tree)
 from .graphs import (Graph, GraphClass, build_graph, classify, complement,
                      conjugate_sequence, connected_components,
                      degree_sequence, first_zagreb, format_edge_list,
@@ -28,8 +28,9 @@ from .majorization import (MajorizationVerdict, check_grone,
                            merged_grone_sequence, pinch, power_sum)
 from .rng import SplitMix64, splitmix64
 from .spectra import (Spectrum, complement_spectrum, jacobi_eigenvalues,
-                      kirchhoff, laplacian, lee, moment, s_alpha,
-                      spanning_trees_exact, spanning_trees_spectral, spectrum)
+                      kirchhoff, laplacian, lee, log_spanning_trees, moment,
+                      s_alpha, spanning_trees_exact, spanning_trees_spectral,
+                      spectrum)
 
 __version__ = "0.1.0"
 
@@ -42,7 +43,8 @@ __all__ = [
     "ParseError", "RetryExhaustedError", "SelfLoopError",
     "SequenceTooShortError", "SpectralInconsistencyError",
     "UnknownBoundError", "VertexRangeError",
-    "FamilySpec", "generate", "gnp_connected", "parse_family", "random_tree",
+    "FamilySpec", "generate", "gnp_connected", "iter_family", "parse_family",
+    "random_tree",
     "Graph", "GraphClass", "build_graph", "classify", "complement",
     "conjugate_sequence", "connected_components", "degree_sequence",
     "first_zagreb", "format_edge_list", "parse_edge_list",
@@ -51,7 +53,7 @@ __all__ = [
     "power_sum",
     "SplitMix64", "splitmix64",
     "Spectrum", "complement_spectrum", "jacobi_eigenvalues", "kirchhoff",
-    "laplacian", "lee", "moment", "s_alpha", "spanning_trees_exact",
-    "spanning_trees_spectral", "spectrum",
+    "laplacian", "lee", "log_spanning_trees", "moment", "s_alpha",
+    "spanning_trees_exact", "spanning_trees_spectral", "spectrum",
     "__version__",
 ]

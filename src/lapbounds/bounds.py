@@ -29,7 +29,7 @@ from .graphs import (Graph, GraphClass, classify, complement, degree_sequence,
                      conjugate_sequence, first_zagreb)
 from .majorization import merged_grone_sequence
 from .spectra import (Spectrum, complement_spectrum, kirchhoff, lee,
-                      s_alpha, spanning_trees_exact, spectrum)
+                      log_spanning_trees, s_alpha, spectrum)
 
 EQUALITY_REL_TOL = 1e-7
 
@@ -77,8 +77,8 @@ class GraphContext:
         return classify(complement(self.graph))
 
     @cached_property
-    def tree_count(self) -> int:
-        return spanning_trees_exact(self.graph)
+    def log_tree_count(self) -> float:
+        return log_spanning_trees(self.spec)
 
     @cached_property
     def zagreb(self) -> int:
@@ -184,8 +184,8 @@ def _lee_r2a_m_rhs(ctx: GraphContext) -> float:
 def _lee_r2a_t_rhs(ctx: GraphContext) -> float:
     n = ctx.graph.n
     d1 = ctx.degrees[0]
-    t = ctx.tree_count
-    expo = (t * n / (1.0 + d1)) ** (1.0 / (n - 2))
+    # (t n / (1 + d1))^(1/(n-2)), with t only ever in the log domain
+    expo = math.exp((ctx.log_tree_count + math.log(n / (1.0 + d1))) / (n - 2))
     return 1.0 + math.exp(1 + d1) + (n - 2) * math.exp(expo)
 
 
@@ -207,9 +207,10 @@ def _lee_r2c_m1_rhs(ctx: GraphContext) -> float:
 
 def _lee_r2c_t_rhs(ctx: GraphContext) -> float:
     n = ctx.graph.n
-    t = ctx.tree_count
     root = math.sqrt(ctx.zagreb / n)
-    expo = (t * n * math.sqrt(n) / (2.0 * math.sqrt(ctx.zagreb))) ** (1.0 / (n - 2))
+    # (t n sqrt(n) / (2 sqrt(M1)))^(1/(n-2)), t in the log domain
+    base = n * math.sqrt(n) / (2.0 * math.sqrt(ctx.zagreb))
+    expo = math.exp((ctx.log_tree_count + math.log(base)) / (n - 2))
     return 1.0 + math.exp(2.0 * root) + (n - 2) * math.exp(expo)
 
 

@@ -22,7 +22,7 @@ from .bounds import (BOUND_IDS, BoundResult, GraphContext, evaluate_catalog,
                      EQUALITY, NOT_APPLICABLE, VIOLATED)
 from .errors import (LapboundsError, NoNonzeroEigenvaluesError, ParseError,
                      RetryExhaustedError)
-from .families import FamilySpec, generate, gnp_connected, parse_family, random_tree
+from .families import FamilySpec, generate, gnp_connected, iter_family, random_tree
 from .graphs import (Graph, conjugate_sequence, degree_sequence, first_zagreb,
                      format_edge_list, parse_edge_list)
 from .majorization import check_grone, check_grone_merris
@@ -175,12 +175,17 @@ def _check_cap(n: int, what: str, parser: _Parser) -> None:
 
 
 def _checked_specs(args, parser: _Parser, allow_range: bool) -> list[FamilySpec]:
-    """Parse --family and apply the vertex cap before any graph is built."""
-    specs = parse_family(args.family, allow_range=allow_range)
-    for spec in specs:
+    """Parse --family and apply the vertex cap before any graph is built.
+
+    A range is expanded lazily, so a huge one stops at its first spec above
+    the cap instead of being built whole.
+    """
+    specs = []
+    for spec in iter_family(args.family, allow_range=allow_range):
         # vertex count: the clique sizes, n, or the sides a + b of Kab
         order = sum(spec.sizes) if spec.sizes else spec.n or spec.a + spec.b
         _check_cap(order, spec.label(), parser)
+        specs.append(spec)
     return specs
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, RetryExhaustedError
 from .graphs import Graph, build_graph, connected_components
@@ -200,8 +200,9 @@ def _parse_int(token: str, pos: int, text: str) -> int:
 
 
 def _parse_field(field: str, token: str, pos: int, text: str,
-                 allow_range: bool) -> list:
-    """Values of the token at offset pos: several only for an n range."""
+                 allow_range: bool) -> Sequence:
+    """Values of the token at offset pos, ascending: several only for an n
+    range, which stays a lazy range."""
     if field == "n":
         lo_s, dots, hi_s = token.partition("..")
         lo = _parse_int(lo_s, pos, text)
@@ -211,7 +212,7 @@ def _parse_field(field: str, token: str, pos: int, text: str,
         if hi > lo and not allow_range:
             raise ParseError(f"range not allowed here in {text!r}",
                              position=pos)
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     if field == "p":
         try:
             return [float(token)]
@@ -225,12 +226,14 @@ def _parse_field(field: str, token: str, pos: int, text: str,
     return [_parse_int(token, pos, text)]
 
 
-def parse_family(text: str, allow_range: bool = False) -> list[FamilySpec]:
-    """Parse one DSL string into specs (singleton unless a range expands).
+def iter_family(text: str, allow_range: bool = False) -> Iterator[FamilySpec]:
+    """Parse one DSL string and yield its specs, n ascending.
 
-    With allow_range=False a range token is rejected, which is what the
-    single-graph commands use. ParseError.position is the offset in text
-    of the token at fault.
+    The whole string is checked before this returns, so every ParseError is
+    raised here; a range is then expanded one spec at a time, so a caller can
+    stop partway through a huge one. With allow_range=False a range token is
+    rejected, which is what the single-graph commands use.
+    ParseError.position is the offset in text of the token at fault.
     """
     parts = text.strip().split(":")
     starts = list(itertools.accumulate((len(t) + 1 for t in parts),
@@ -248,10 +251,20 @@ def parse_family(text: str, allow_range: bool = False) -> list[FamilySpec]:
     columns = []
     for field, token, pos in zip(kind.fields, parts[1:], starts[1:]):
         values = _parse_field(field, token, pos, text, allow_range)
-        for value in values:
-            why = _illegal(kind, field, value)
-            if why:
-                raise ParseError(f"{head} {why} in {text!r}", position=pos)
+        # only an n range has several values, and n's rule is a lower bound
+        why = _illegal(kind, field, values[0])
+        if why:
+            raise ParseError(f"{head} {why} in {text!r}", position=pos)
         columns.append(values)
-    return [FamilySpec(name, **dict(zip(kind.fields, row)))
-            for row in itertools.product(*columns)]
+    # n, the only field that takes a range, always comes first; product()
+    # would materialise it, so it is iterated lazily on the outside
+    first, *rest = columns
+    tails = list(itertools.product(*rest))
+    return (FamilySpec(name, **dict(zip(kind.fields, (value,) + tail)))
+            for value in first for tail in tails)
+
+
+def parse_family(text: str, allow_range: bool = False) -> list[FamilySpec]:
+    """Every spec of one DSL string (singleton unless a range expands);
+    see iter_family."""
+    return list(iter_family(text, allow_range))

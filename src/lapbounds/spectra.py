@@ -264,16 +264,24 @@ def spanning_trees_exact(g: Graph) -> int:
     return _bareiss_determinant(reduced)
 
 
-def spanning_trees_spectral(spec: Spectrum) -> float:
-    """Spanning trees from the spectrum: product of non-zero mu over n.
+def log_spanning_trees(spec: Spectrum) -> float:
+    """Natural log of the spanning-tree count, from the spectrum.
 
-    Floating-point route used to cross-check spanning_trees_exact; requires a
-    connected spectrum.
+    Matrix-tree theorem: t = (product of the h non-zero mu) / n, summed in
+    the log domain with fsum so it neither overflows nor loses digits for
+    large n. Requires a connected spectrum.
     """
     if spec.component_count != 1:
         raise DisconnectedGraphError(
             "spectral spanning-tree count needs a connected spectrum")
-    prod = 1.0
-    for v in spec.mu[:spec.h]:
-        prod *= v
-    return prod / spec.n
+    return math.fsum(math.log(v) for v in spec.mu[:spec.h]) - math.log(spec.n)
+
+
+def spanning_trees_spectral(spec: Spectrum) -> float:
+    """Spanning trees from the spectrum, as exp(log_spanning_trees(spec)).
+
+    Floating-point route used to cross-check spanning_trees_exact; exp
+    raises OverflowError once t leaves the float range (from K_145 on),
+    where only the log is representable.
+    """
+    return math.exp(log_spanning_trees(spec))

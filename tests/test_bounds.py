@@ -453,6 +453,48 @@ class TestLeeBounds:
         assert one("LEE_R2C_T", fam("C:5")).verdict == "NOT_APPLICABLE"
 
 
+class TestTreeCountRightHandSides:
+    """LEE_R2A_T and LEE_R2C_T take t from the spectrum in the log domain;
+    an oracle with the exact integer t must give the same right-hand sides."""
+
+    @staticmethod
+    def oracle(bound_id, g):
+        n, t = g.n, lb.spanning_trees_exact(g)
+        d = lb.degree_sequence(g)
+        if bound_id == "LEE_R2A_T":
+            expo = (t * n / (1.0 + d[0])) ** (1.0 / (n - 2))
+            return 1.0 + math.exp(1 + d[0]) + (n - 2) * math.exp(expo)
+        zagreb = lb.first_zagreb(g)
+        root = math.sqrt(zagreb / n)
+        expo = (t * n * math.sqrt(n) / (2.0 * math.sqrt(zagreb))) \
+            ** (1.0 / (n - 2))
+        return 1.0 + math.exp(2.0 * root) + (n - 2) * math.exp(expo)
+
+    def check(self, label, g):
+        for bid in ("LEE_R2A_T", "LEE_R2C_T"):
+            r = one(bid, g)
+            if r.applicable:
+                expected = self.oracle(bid, g)
+                assert abs(r.rhs - expected) <= 1e-12 * expected, (label, bid)
+
+    def test_corpora(self):
+        for label, g in named_corpus() + gnp_corpus() + tree_corpus():
+            self.check(label, g)
+
+    def test_equality_cases(self):
+        labels = [f"K:{n}" for n in range(3, 65)]
+        labels += [f"Kab:{a}:{b}" for a in range(1, 9) for b in range(a, 9)
+                   if a + b >= 3]
+        for label in labels:
+            self.check(label, fam(label))
+
+    def test_large_n_does_not_overflow(self):
+        # t(K_180) = 180^178 is far beyond the float range
+        results = lb.evaluate_catalog(fam("K:180"), (2.0,), (1,))
+        r, = [r for r in results if r.bound_id == "LEE_R2A_T"]
+        assert r.verdict == "EQUALITY" and r.agreement
+
+
 class TestAgreementAcrossCorpora:
     def test_full_catalog_agreement_on_named_corpus(self):
         for label, g in named_corpus():

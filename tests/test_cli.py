@@ -160,6 +160,8 @@ class TestVertexCap:
         ["invariants", "--family", "K:800"],
         ["check", "--family", "K:100000"],
         ["sweep", "--family", "K:60..65"],
+        # stops at K:65 without building the rest of the range
+        ["sweep", "--family", "K:3..100000000"],
     ])
     def test_family_above_cap_exits_one(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -327,6 +329,49 @@ class TestOneSolvePerGraph:
         code, _, _ = run(["check", "--family", "GNP:12:0.5:1"], capsys)
         assert code in (0, 2, 3)
         assert solves == laplacians == [12]
+
+
+class TestNoBareissInCatalog:
+    """The catalog takes the tree count from the spectrum; only invariants,
+    which prints the exact integer, runs Bareiss elimination."""
+
+    @pytest.fixture
+    def bareiss(self, monkeypatch):
+        sizes = []
+        original = spectra.spanning_trees_exact
+
+        def counting(g):
+            sizes.append(g.n)
+            return original(g)
+
+        # wrap it wherever a lapbounds module holds it
+        for name, module in list(sys.modules.items()):
+            if name == "lapbounds" or name.startswith("lapbounds."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return sizes
+
+    def test_check(self, bareiss, capsys):
+        assert run(["check", "--family", "K:8"], capsys)[0] in (0, 2, 3)
+        assert bareiss == []
+
+    def test_sweep(self, bareiss, capsys):
+        assert run(["sweep", "--family", "K:3..8"], capsys)[0] in (0, 2, 3)
+        assert bareiss == []
+
+    @pytest.mark.parametrize("model", ["gnp", "tree"])
+    def test_fuzz(self, model, bareiss, tmp_path, capsys):
+        code, _, _ = run(["fuzz", "--count", "10", "--model", model,
+                          "--out-dir", str(tmp_path)], capsys)
+        assert code in (0, 2, 3)
+        assert bareiss == []
+
+    def test_invariants_prints_the_exact_count(self, bareiss, capsys):
+        code, out, _ = run(["invariants", "--family", "K:8"], capsys)
+        assert code == 0
+        assert json.loads(out)["spanning_trees"] == str(8 ** 6)
+        assert bareiss == [8]
 
 
 def test_large_fuzz_violation_replays_through_check(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Family generators, the DSL parser and the seeded RNG primitives."""
+import itertools
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,16 @@ class TestParseFamily:
             ["TREE:4:9", "TREE:5:9", "TREE:6:9"]
         specs = lb.parse_family("GNP:5..7:0.5:1", allow_range=True)
         assert [s.n for s in specs] == [5, 6, 7]
+
+    def test_iter_family_expands_lazily_and_checks_eagerly(self):
+        specs = lb.iter_family("K:3..100000000", allow_range=True)
+        assert [s.label() for s in itertools.islice(specs, 3)] == \
+            ["K:3", "K:4", "K:5"]
+        # errors come from the call itself, before any spec is drawn
+        with pytest.raises(ParseError):
+            lb.iter_family("C:2..100000000", allow_range=True)
+        with pytest.raises(ParseError):
+            lb.iter_family("GNP:5..100000000:1.5:1", allow_range=True)
 
     def test_range_rejected_without_flag(self):
         with pytest.raises(ParseError):

@@ -374,6 +374,39 @@ class TestSpanningTrees:
             assert abs(approx - exact) <= 1e-6 * max(1.0, exact), label
 
 
+class TestLogSpanningTrees:
+    """The catalog's tree count: log t from the spectrum, never Bareiss."""
+
+    @staticmethod
+    def close(value, expected):
+        return abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_matches_exact_count_on_corpora(self):
+        for label, g in named_corpus() + gnp_corpus() + tree_corpus():
+            spec = lb.spectrum(g)
+            if spec.component_count != 1:
+                continue
+            exact = math.log(lb.spanning_trees_exact(g))
+            assert self.close(lb.log_spanning_trees(spec), exact), label
+
+    def test_cayley_formula(self):
+        for n in range(3, 65):
+            value = lb.log_spanning_trees(lb.spectrum(fam(f"K:{n}")))
+            assert self.close(value, (n - 2) * math.log(n)), n
+
+    def test_complete_bipartite(self):
+        # t(K_{a,b}) = a^(b-1) * b^(a-1)
+        for a in range(1, 9):
+            for b in range(a, 9):
+                value = lb.log_spanning_trees(lb.spectrum(fam(f"Kab:{a}:{b}")))
+                expected = (b - 1) * math.log(a) + (a - 1) * math.log(b)
+                assert self.close(value, expected), (a, b)
+
+    def test_disconnected_raises(self):
+        with pytest.raises(DisconnectedGraphError):
+            lb.log_spanning_trees(lb.spectrum(fam("CLIQUES:3,2")))
+
+
 class TestBareissAgainstSymbolic:
     @given(graph_strategy(max_n=7))
     @settings(max_examples=25, deadline=None)
