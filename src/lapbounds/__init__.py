@@ -30,7 +30,7 @@ from .rng import SplitMix64, splitmix64
 from .spectra import (Spectrum, complement_spectrum, jacobi_eigenvalues,
                       kirchhoff, laplacian, lee, log_spanning_trees, moment,
                       s_alpha, spanning_trees_exact, spanning_trees_spectral,
-                      spectrum)
+                      spectra_of, spectrum)
 
 __version__ = "0.1.0"
 
@@ -54,6 +54,7 @@ __all__ = [
     "SplitMix64", "splitmix64",
     "Spectrum", "complement_spectrum", "jacobi_eigenvalues", "kirchhoff",
     "laplacian", "lee", "log_spanning_trees", "moment", "s_alpha",
-    "spanning_trees_exact", "spanning_trees_spectral", "spectrum",
+    "spanning_trees_exact", "spanning_trees_spectral", "spectra_of",
+    "spectrum",
     "__version__",
 ]

@@ -42,10 +42,17 @@ Param = Union[float, int, None]
 
 
 class GraphContext:
-    """Per-graph cache shared by the evaluators of all catalog entries."""
+    """Per-graph cache shared by the evaluators of all catalog entries.
 
-    def __init__(self, g: Graph):
+    spec, when given, is g's spectrum solved beforehand (fuzz solves each
+    chunk of graphs together with spectra_of); otherwise it is solved on
+    first use.
+    """
+
+    def __init__(self, g: Graph, spec: Optional[Spectrum] = None):
         self.graph = g
+        if spec is not None:
+            self.spec = spec
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

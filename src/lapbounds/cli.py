@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .bounds import (BOUND_IDS, BoundResult, GraphContext, evaluate_catalog,
                      EQUALITY, NOT_APPLICABLE, VIOLATED)
@@ -27,10 +27,13 @@ from .graphs import (Graph, conjugate_sequence, degree_sequence, first_zagreb,
                      format_edge_list, parse_edge_list)
 from .majorization import check_grone, check_grone_merris
 from .rng import SplitMix64, splitmix64
-from .spectra import (kirchhoff, lee, moment, s_alpha, spanning_trees_exact,
-                      spectrum)
+from .spectra import (Spectrum, kirchhoff, lee, moment, s_alpha,
+                      spanning_trees_exact, spectra_of, spectrum)
 
 MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
+# fuzz generates and solves this many consecutive instances at a time: enough
+# to stack the graphs that share an n, few enough to bound memory
+FUZZ_CHUNK = 64
 
 DEFAULT_ALPHAS = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
 DEFAULT_KS = (1, 2, 3, 4)
@@ -297,6 +300,30 @@ def _fuzz_instance(model: str, rng: SplitMix64, n: int, p: float) -> Graph:
     return generate(FamilySpec(kind="clique_union", sizes=_fuzz_sizes(rng, n)))
 
 
+def _fuzz_corpus(args, sizes: list[int], generation_failures: list[dict]
+                 ) -> Iterator[tuple[int, Graph, Spectrum]]:
+    """Yield (index, graph, spectrum) for each fuzz instance, in index order.
+
+    Instances are generated FUZZ_CHUNK consecutive indices at a time, and
+    each chunk's spectra are solved together by spectra_of. Every drawn n
+    is appended to sizes, and every instance that could not be generated to
+    generation_failures.
+    """
+    for start in range(0, args.count, FUZZ_CHUNK):
+        chunk: list[tuple[int, Graph]] = []
+        for i in range(start, min(start + FUZZ_CHUNK, args.count)):
+            rng = SplitMix64(splitmix64(args.seed, i))
+            n = rng.randrange(args.n_min, args.n_max)
+            sizes.append(n)
+            try:
+                chunk.append((i, _fuzz_instance(args.model, rng, n, args.p)))
+            except RetryExhaustedError:
+                generation_failures.append({"index": i, "n": n})
+        spectra = spectra_of([g for _, g in chunk])
+        for (i, g), spec in zip(chunk, spectra):
+            yield i, g, spec
+
+
 def cmd_fuzz(args, parser: _Parser) -> int:
     alphas = _parse_alphas(args.alphas)
     ks = _parse_ks(args.ks)
@@ -324,17 +351,10 @@ def cmd_fuzz(args, parser: _Parser) -> int:
     rows: list[dict] = []
     all_results: list[BoundResult] = []
 
-    for i in range(args.count):
-        rng = SplitMix64(splitmix64(args.seed, i))
-        n = rng.randrange(args.n_min, args.n_max)
-        sizes.append(n)
-        try:
-            g = _fuzz_instance(args.model, rng, n, args.p)
-        except RetryExhaustedError:
-            generation_failures.append({"index": i, "n": n})
-            continue
+    for i, g, spec in _fuzz_corpus(args, sizes, generation_failures):
         graph_id = f"{args.model}-{i}"
-        ctx = GraphContext(g)
+        ctx = GraphContext(g, spec)
+        files: list[str] = []  # this graph's counterexample files
         results = evaluate_catalog(g, alphas, ks,
                                    strict_applicability=args.strict_applicability,
                                    bound_ids=bound_ids, ctx=ctx)
@@ -345,7 +365,8 @@ def cmd_fuzz(args, parser: _Parser) -> int:
             tallies[r.bound_id][r.verdict.lower()] += 1
             if r.verdict == VIOLATED:
                 fname = f"{r.bound_id}_{i}.el"
-                (out_dir / fname).write_text(format_edge_list(g))
+                if fname not in files:
+                    files.append(fname)
                 violations.append({
                     "index": i,
                     "graph_id": graph_id,
@@ -379,8 +400,11 @@ def cmd_fuzz(args, parser: _Parser) -> int:
                 majorization[name]["holds"] += 1
             else:
                 majorization[name]["fails"] += 1
-                fname = f"{name}_{i}.el"
-                (out_dir / fname).write_text(format_edge_list(g))
+                files.append(f"{name}_{i}.el")
+        if files:
+            text = format_edge_list(g)
+            for fname in files:
+                (out_dir / fname).write_text(text)
 
     report = {
         "config": {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, RetryExhaustedError
-from .graphs import Graph, build_graph, connected_components
+from .graphs import Graph, build_graph
 from .rng import SplitMix64
 
 GNP_RETRY_CAP = 1000
@@ -107,7 +107,7 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.uniform() < p]
         g = build_graph(n, edges)
-        if len(connected_components(g)) == 1:
+        if len(g.components) == 1:
             return g
     raise RetryExhaustedError(
         f"no connected G({n}, {p}) draw within {GNP_RETRY_CAP} attempts")

@@ -32,6 +32,11 @@ class Graph:
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """connected_components(self), computed once per graph."""
+        return tuple(tuple(comp) for comp in connected_components(self))
+
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -159,7 +164,7 @@ def classify(g: Graph) -> GraphClass:
     once; K_2 is both a star and complete.
     """
     n, m = g.n, g.m
-    comps = connected_components(g)
+    comps = g.components
     cc = len(comps)
     degs = degree_sequence(g)
 

@@ -2,22 +2,27 @@
 
 The eigensolver is a Jacobi iteration in the round-robin parallel ordering of
 Brent & Luk (1985), which applies each round's disjoint rotations as one numpy
-operation; Jacobi keeps small eigenvalues accurate relative to their size,
-which s_{-2} needs. Zero eigenvalues are forced structurally: the graph's
-component count decides the zero multiplicity, and the numerically smallest
-values are checked against a sanity threshold before being replaced by exact
-zeros. Thresholding alone never decides multiplicity.
+operation, to one matrix or to a whole stack of matrices of one size at once;
+Jacobi keeps small eigenvalues accurate relative to their size, which s_{-2}
+needs (Demmel & Veselic 1992). Each matrix of a stack converges and leaves
+the stack on its own, so its eigenvalues are bit-identical whatever it was
+stacked with; spectra_of solves many graphs with one stack per vertex count.
+Zero eigenvalues are forced structurally: the graph's component count decides
+the zero multiplicity, and the numerically smallest values are checked against
+a sanity threshold before being replaced by exact zeros. Thresholding alone
+never decides multiplicity.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (DisconnectedGraphError, JacobiConvergenceError,
                      NoNonzeroEigenvaluesError, SpectralInconsistencyError)
-from .graphs import Graph, connected_components
+from .graphs import Graph
 
 JACOBI_MAX_SWEEPS = 64
 JACOBI_REL_TOL = 1e-12
@@ -35,80 +40,122 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chess-tournament schedule for one parallel Jacobi sweep of size n.
+def _round_robin(n: int, b: int = 1) -> tuple[np.ndarray, ...]:
+    """Chess-tournament schedule for one parallel Jacobi sweep of a stack.
 
     Every pair p < q meets exactly once in n - 1 rounds (n rounds when n is
     odd: the pairing with the bye slot n is dropped, so one index sits out).
-    Row r of each array describes round r's k = n // 2 disjoint pairs (P, Q):
-    pq is P then Q, diag holds the flat indices of a[P, P], a[Q, Q], a[P, Q],
-    and off those of a[P, Q], a[Q, P].
+    The b matrices of size n are laid out as x[row, j, col] (see
+    jacobi_eigenvalues), and round r's k = n // 2 disjoint pairs (P, Q) are
+    applied to all of them. Row r of each of the four arrays describes round
+    r, ordered (matrix, pair) within each block: cols holds the columns P
+    then Q of the (n, b * n) view, rows the rows P then Q of the (n * b, n)
+    view, diag the flat indices of a[P, P], a[Q, Q], a[P, Q] as three rows,
+    and off those of a[P, Q] and a[Q, P]. For b = 1, cols and rows are the
+    pairs P then Q themselves.
     """
     m = n + n % 2
     r = np.arange(m - 1)[:, None]
-    i = np.arange(1, m // 2)
+    i = np.arange(m // 2)
     u, v = (r + i) % (m - 1), (r - i) % (m - 1)
-    if n % 2 == 0:
-        u = np.concatenate((r, u), axis=1)
-        v = np.concatenate((np.full_like(r, n - 1), v), axis=1)
-    P, Q = np.minimum(u, v), np.maximum(u, v)
-    pq = np.concatenate((P, Q), axis=1)
-    diag = np.concatenate((P * (n + 1), Q * (n + 1), P * n + Q), axis=1)
-    off = np.concatenate((P * n + Q, Q * n + P), axis=1)
-    return pq, diag, off
+    v[:, 0] = m - 1  # r meets the last index; for odd n the bye, dropped
+    if n % 2:
+        u, v = u[:, 1:], v[:, 1:]
+    rounds, k = u.shape
+    # axes (round, P or Q, matrix, pair)
+    pq = np.array((np.minimum(u, v), np.maximum(u, v))).transpose(1, 0, 2)
+    pq, qp = pq[:, :, None], pq[:, ::-1, None]
+    j = np.arange(b)[:, None]
+    # the flat index of x[row, j, col] is row * b * n + j * n + col
+    bn = b * n
+    diag = np.concatenate((pq * (bn + 1), pq[:, :1] * bn + qp[:, :1]),
+                          axis=1) + j * n
+    return ((pq + j * n).reshape(rounds, -1), (pq * b + j).reshape(rounds, -1),
+            diag.reshape(rounds, 3, b * k),
+            (pq * bn + qp + j * n).reshape(rounds, -1))
 
 
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by round-robin Jacobi rotations.
+    """Eigenvalues of a symmetric matrix, or of each matrix of a stack.
+
+    matrix is one (n, n) matrix, giving an (n,) result, or a (B, n, n) stack,
+    giving a (B, n) result whose row i holds the eigenvalues of matrix i, in
+    the order of its final diagonal. A single matrix is a stack of one.
 
     The parallel ordering of Brent & Luk (1985): a sweep is a round-robin
     schedule of rounds of n // 2 disjoint (p, q) pairs, and each round applies
-    its rotations together, to the columns and then to the rows. The rotation
-    zeroing a[p, q] has t = tan(theta) = sign(tau) / (|tau| + sqrt(1 + tau^2)),
+    its rotations, for every matrix of the stack at once, to the columns and
+    then to the rows. The rotation zeroing a[p, q] has
+    t = tan(theta) = sign(tau) / (|tau| + sqrt(1 + tau^2)),
     tau = (a[q, q] - a[p, p]) / (2 a[p, q]) (Golub & Van Loan, section 8.5),
     computed multiplied through by |a[p, q]| so that no intermediate
     overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
     gives the identity rotation.
 
-    Sweeps until the off-diagonal Frobenius norm drops below
-    JACOBI_REL_TOL times the matrix Frobenius norm (which rotations preserve),
-    raising JacobiConvergenceError after JACOBI_MAX_SWEEPS sweeps.
+    Each matrix sweeps until its own off-diagonal Frobenius norm drops below
+    JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),
+    and then leaves the stack, never to be rotated again. The rotation
+    arithmetic is elementwise, so a matrix's eigenvalues are bit-identical
+    whatever it is stacked with. Raises JacobiConvergenceError when any
+    matrix is still above its target after JACOBI_MAX_SWEEPS sweeps.
     """
     a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
+    n = a.shape[1]
     if n == 1:
-        return a.diagonal().copy()
-    total = float(np.linalg.norm(a))
-    if total == 0.0:
-        return np.zeros(n)
-    target = JACOBI_REL_TOL * total
-    schedule = list(zip(*_round_robin(n)))
+        return a.reshape(-1) if single else a.reshape(-1, 1)
+    out = np.zeros(a.shape[:2])
+    ids, targets = [], []
+    for i, m in enumerate(a):
+        total = float(np.linalg.norm(m))
+        if total != 0.0:  # an all-zero matrix keeps its row of zeros
+            ids.append(i)
+            targets.append(JACOBI_REL_TOL * total)
+    # row r of matrix j is x[r, j]: the columns of one pair across the stack
+    # then sit side by side, and a stack of one is laid out as the matrix
+    x = a.transpose(1, 0, 2).take(ids, axis=1)
     sign = np.array([[-1.0], [1.0]])
-
-    def off_norm() -> float:
-        return float(np.linalg.norm(a - np.diag(a.diagonal())))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm() <= target:
-            return a.diagonal().copy()
-        for pq, diag, off in schedule:
-            app, aqq, apq = a.take(diag).reshape(3, -1)
+    b = 0
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        keep = []
+        for j, i in enumerate(ids):
+            m = x[:, j]
+            if float(np.linalg.norm(m - np.diag(m.diagonal()))) <= targets[j]:
+                out[i] = m.diagonal()
+            else:
+                keep.append(j)
+        if not keep:
+            return out[0] if single else out
+        if sweep == JACOBI_MAX_SWEEPS:
+            break
+        if len(keep) < len(ids):  # converged matrices leave the stack
+            x = x.take(keep, axis=1)
+            ids = [ids[j] for j in keep]
+            targets = [targets[j] for j in keep]
+        if len(ids) != b:  # first sweep, or the stack shrank
+            b = len(ids)
+            cols_view, rows_view = x.reshape(n, b * n), x.reshape(n * b, n)
+            flat = x.reshape(-1)
+            schedule = list(zip(*_round_robin(n, b)))
+        for cols_pq, rows_pq, diag, off in schedule:
+            app, aqq, apq = flat.take(diag)
             half = 0.5 * (aqq - app)
             den = np.abs(half) + np.hypot(half, apq)
             # den == 0 only when apq == 0 too: t = 0, the identity rotation
             t = apq / np.copysign(den + (den == 0.0), half)
             c = 1.0 / np.hypot(1.0, t)
             s = sign * (t * c)
-            cols = a[:, pq].reshape(n, 2, -1)
-            a[:, pq] = (cols * c + cols[:, ::-1] * s).reshape(n, -1)
-            rows = a[pq].reshape(2, -1, n)
-            a[pq] = (rows * c[:, None]
-                     + rows[::-1] * s[:, :, None]).reshape(-1, n)
-            a.put(off, 0.0)
-    if off_norm() <= target:
-        return a.diagonal().copy()
+            cols = cols_view[:, cols_pq].reshape(n, 2, -1)
+            cols_view[:, cols_pq] = (cols * c
+                                     + cols[:, ::-1] * s).reshape(n, -1)
+            rows = rows_view[rows_pq].reshape(2, -1, n)
+            rows_view[rows_pq] = (rows * c[:, None]
+                                  + rows[::-1] * s[:, :, None]).reshape(-1, n)
+            flat.put(off, 0.0)
     raise JacobiConvergenceError(
         f"off-diagonal norm above target after {JACOBI_MAX_SWEEPS} sweeps")
 
@@ -155,10 +202,29 @@ def _pin_zeros(vals: list[float], cc: int, two_m: float) -> Spectrum:
     return Spectrum(mu=mu, h=n - cc, component_count=cc)
 
 
+def spectra_of(graphs: Sequence[Graph]) -> list[Spectrum]:
+    """Laplacian spectra of many graphs, in order; one exact zero per component.
+
+    The graphs are grouped by vertex count, and each group's Laplacians are
+    solved as one stack: one jacobi_eigenvalues call per distinct n. A
+    graph's eigenvalues do not depend on the graphs it is stacked with.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(g.n, []).append(i)
+    out: list[Optional[Spectrum]] = [None] * len(graphs)
+    for members in groups.values():
+        stack = np.stack([laplacian(graphs[i]) for i in members])
+        for i, vals in zip(members, jacobi_eigenvalues(stack)):
+            g = graphs[i]
+            out[i] = _pin_zeros(sorted(vals, reverse=True), len(g.components),
+                                2.0 * g.m)
+    return out
+
+
 def spectrum(g: Graph) -> Spectrum:
     """Laplacian spectrum of g; one exact zero per connected component."""
-    vals = sorted(jacobi_eigenvalues(laplacian(g)), reverse=True)
-    return _pin_zeros(vals, len(connected_components(g)), 2.0 * g.m)
+    return spectra_of([g])[0]
 
 
 def complement_spectrum(spec: Spectrum, m: int,

@@ -4,11 +4,14 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lapbounds as lb
-from lapbounds import spectra
+from lapbounds import cli, spectra
 from lapbounds.bounds import BoundResult
 from lapbounds.cli import CSV_COLUMNS, MAX_N, _exit_code, main
 
@@ -243,6 +246,25 @@ class TestFuzzCommand:
         report = json.loads(out)
         assert list(report["tallies"]) == ["KF_ZT"]
 
+    def test_each_counterexample_file_written_once(self, tmp_path, capsys,
+                                                   monkeypatch):
+        written = []
+        original = Path.write_text
+
+        def counting(self, *args, **kwargs):
+            written.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", counting)
+        code, out, _ = run(["fuzz", "--model", "tree", "--seed", "7",
+                            "--count", "30", "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == 2
+        # several parameters of one bound violated on one graph share a file
+        files = [v["file"] for v in json.loads(out)["violations"]]
+        assert len(set(files)) < len(files)
+        assert sorted(written) == sorted(f.name for f in tmp_path.iterdir())
+
     def test_validation(self, tmp_path, capsys):
         base = ["fuzz", "--out-dir", str(tmp_path)]
         assert run(base + ["--count", "0"], capsys)[0] == 1
@@ -285,15 +307,31 @@ class TestOneSolvePerGraph:
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        """The n of every matrix solved, a stack counting each member."""
         sizes = []
         original = spectra.jacobi_eigenvalues
 
         def counting(matrix):
-            sizes.append(len(matrix))
+            shape = np.shape(matrix)
+            sizes.extend([shape[-1]] * (shape[0] if len(shape) == 3 else 1))
             return original(matrix)
 
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
         return sizes
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """(stack size, n) of every jacobi_eigenvalues call."""
+        calls = []
+        original = spectra.jacobi_eigenvalues
+
+        def counting(matrix):
+            shape = np.shape(matrix)
+            calls.append((shape[0] if len(shape) == 3 else 1, shape[-1]))
+            return original(matrix)
+
+        monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
+        return calls
 
     @pytest.fixture
     def laplacians(self, monkeypatch):
@@ -308,17 +346,25 @@ class TestOneSolvePerGraph:
         return sizes
 
     @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
-    def test_fuzz(self, model, solves, laplacians, tmp_path, capsys):
+    def test_fuzz(self, model, stacks, laplacians, tmp_path, capsys,
+                  monkeypatch):
+        """Each chunk's graphs are solved as one stack per distinct n."""
+        chunk = 7
+        monkeypatch.setattr(cli, "FUZZ_CHUNK", chunk)
         code, out, _ = run(["fuzz", "--seed", "7", "--count", "30",
                             "--model", model, "--out-dir", str(tmp_path)],
                            capsys)
         assert code in (0, 2, 3)
         corpus = json.loads(out)["corpus"]
         failed = {f["index"] for f in corpus["generation_failures"]}
-        evaluated = [n for i, n in enumerate(corpus["sizes"])
+        evaluated = [(i, n) for i, n in enumerate(corpus["sizes"])
                      if i not in failed]
-        assert solves == evaluated
-        assert laplacians == evaluated
+        solved = [n for size, n in stacks for _ in range(size)]
+        assert sorted(solved) == sorted(n for _, n in evaluated)
+        assert sorted(laplacians) == sorted(n for _, n in evaluated)
+        per_chunk = Counter((i // chunk, n) for i, n in evaluated)
+        assert sorted(stacks) == sorted((size, n)
+                                        for (_, n), size in per_chunk.items())
 
     def test_sweep(self, solves, laplacians, capsys):
         code, out, _ = run(["sweep", "--family", "K:3..8"], capsys)
@@ -329,6 +375,44 @@ class TestOneSolvePerGraph:
         code, _, _ = run(["check", "--family", "GNP:12:0.5:1"], capsys)
         assert code in (0, 2, 3)
         assert solves == laplacians == [12]
+
+
+class TestComponentsOncePerGraph:
+    """classify, the spectrum and the G(n, p) connectivity test share one
+    connected_components computation per graph object."""
+
+    @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
+    def test_fuzz(self, model, tmp_path, capsys, monkeypatch):
+        traversed = []
+        original = lb.graphs.connected_components
+
+        def counting(g):
+            traversed.append(g)
+            return original(g)
+
+        for name, module in list(sys.modules.items()):
+            if name == "lapbounds" or name.startswith("lapbounds."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        built = []
+        original_build = lb.families.build_graph
+
+        def building(n, edges):
+            built.append(original_build(n, edges))
+            return built[-1]
+
+        monkeypatch.setattr(lb.families, "build_graph", building)
+        code, out, _ = run(["fuzz", "--seed", "7", "--count", "30",
+                            "--model", model, "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code in (0, 2, 3)
+        corpus = json.loads(out)["corpus"]
+        evaluated = len(corpus["sizes"]) - len(corpus["generation_failures"])
+        assert len({id(g) for g in traversed}) == len(traversed)
+        # one per generated graph (every G(n, p) draw included) and one per
+        # complement; the parent commit made 3 per graph plus one per draw
+        assert len(traversed) == len(built) + evaluated
 
 
 class TestNoBareissInCatalog:
@@ -390,6 +474,47 @@ def test_large_fuzz_violation_replays_through_check(tmp_path, capsys):
         assert row["verdict"] == "VIOLATED"
         for key in ("lhs", "rhs"):
             assert abs(row[key] - v[key]) <= 1e-12 * max(1.0, abs(v[key]))
+
+
+class TestFuzzChunks:
+    """Fuzz solves each chunk's graphs of one n as a stack; no report bit
+    depends on which graphs share a stack."""
+
+    @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
+    def test_report_independent_of_chunk_size(self, model, tmp_path, capsys,
+                                              monkeypatch):
+        outputs = set()
+        for chunk in (1, 7, cli.FUZZ_CHUNK):
+            monkeypatch.setattr(cli, "FUZZ_CHUNK", chunk)
+            out_dir = tmp_path / str(chunk)
+            texts = []
+            for fmt in ("json", "csv"):
+                code, out, _ = run(["fuzz", "--seed", "7", "--count", "40",
+                                    "--model", model, "--format", fmt,
+                                    "--out-dir", str(out_dir)], capsys)
+                texts.append(out)
+            files = tuple(sorted((f.name, f.read_bytes())
+                                 for f in out_dir.iterdir()))
+            outputs.add((code, *texts, files))
+        assert len(outputs) == 1
+
+    def test_stacked_violation_replays_exactly(self, tmp_path, capsys):
+        """A violation solved in a stack gives the same lhs and rhs, to the
+        bit, when its graph is checked alone."""
+        code, out, _ = run(["fuzz", "--seed", "7", "--count", "30",
+                            "--model", "tree", "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == 2
+        report = json.loads(out)
+        sizes = report["corpus"]["sizes"]
+        stacked = [v for v in report["violations"]
+                   if v["n"] <= 12 and sizes.count(v["n"]) > 1]
+        assert stacked
+        for v in stacked:
+            code, out, _ = run(["check", "--graph", str(tmp_path / v["file"]),
+                                "--bounds", v["bound_id"]], capsys)
+            row, = [r for r in json.loads(out) if r["param"] == v["param"]]
+            assert (row["lhs"], row["rhs"]) == (v["lhs"], v["rhs"])
 
 
 class TestExitCodeLogic:

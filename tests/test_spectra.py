@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lapbounds as lb
 from lapbounds import (DisconnectedGraphError, JacobiConvergenceError,
@@ -162,6 +163,77 @@ class TestJacobiDeterminism:
         before = jacobi_eigenvalues(a5).tobytes()
         jacobi_eigenvalues(a6)
         assert jacobi_eigenvalues(a5).tobytes() == before
+
+
+def _stack_member(kind, n, seed):
+    """Laplacian of one graph of a stack mix at vertex count n."""
+    if kind == "gnp":
+        g = lb.gnp_connected(n, 0.5, seed)
+    elif kind == "tree":
+        g = lb.random_tree(n, seed)
+    elif kind == "star":
+        g = fam(f"S:{n}")
+    elif kind == "edgeless":
+        g = lb.build_graph(n, [])
+    else:
+        sizes, rest = [], n
+        while rest:
+            sizes.append(min(rest, 1 + (seed + len(sizes)) % 5))
+            rest -= sizes[-1]
+        g = lb.generate(lb.FamilySpec(kind="clique_union", sizes=tuple(sizes)))
+    return lb.laplacian(g)
+
+
+@st.composite
+def stack_mix(draw):
+    """Laplacians of one n from every kind, and an order to stack them in."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 12, 17, 24, 40]))
+    members = draw(st.lists(
+        st.tuples(st.sampled_from(["gnp", "tree", "star", "edgeless",
+                                   "clique_union"]),
+                  st.integers(min_value=0, max_value=2 ** 32)),
+        min_size=1, max_size=6))
+    mats = [_stack_member(kind, n, seed) for kind, seed in members]
+    return mats, draw(st.permutations(range(len(mats))))
+
+
+class TestJacobiStack:
+    """A (B, n, n) stack gives each matrix the bits it gets alone."""
+
+    @given(stack_mix())
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_bits_equal_alone(self, mix):
+        mats, order = mix
+        stacked = jacobi_eigenvalues(np.stack([mats[i] for i in order]))
+        assert stacked.shape == (len(mats), mats[0].shape[0])
+        for row, i in zip(stacked, order):
+            alone = jacobi_eigenvalues(mats[i])
+            assert (row.view(np.int64) == alone.view(np.int64)).all()
+
+    def test_spectra_of_matches_spectrum(self):
+        graphs = [g for _, g in named_corpus() + gnp_corpus()[:60]
+                  + tree_corpus()[:40] + clique_union_corpus()[:20]]
+        assert lb.spectra_of(graphs) == [lb.spectrum(g) for g in graphs]
+        assert lb.spectra_of([]) == []
+
+    def test_one_by_one_stack(self):
+        stack = np.array([[[5.0]], [[0.0]], [[-2.5]]])
+        assert jacobi_eigenvalues(stack).tolist() == [[5.0], [0.0], [-2.5]]
+        spec, = lb.spectra_of([fam("K:1")])
+        assert spec.mu == (0.0,) and spec.component_count == 1
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3,), (2, 2, 2, 2), ()])
+    def test_rejects_non_square_stack(self, shape):
+        with pytest.raises(ValueError):
+            jacobi_eigenvalues(np.zeros(shape))
+
+    def test_convergence_error_on_a_stack(self, monkeypatch):
+        monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 1)
+        stack = np.stack([np.zeros((12, 12)),
+                          lb.laplacian(fam("GNP:12:0.5:1")),
+                          np.diag(np.arange(12.0))])
+        with pytest.raises(JacobiConvergenceError):
+            jacobi_eigenvalues(stack)
 
 
 class TestSpectrum:
