@@ -20,7 +20,8 @@ from .errors import (BadParameterError, BadPinchError, DisconnectedGraphError,
 from .families import (FamilySpec, generate, gnp_connected, iter_family,
                        parse_family, random_tree)
 from .graphs import (Graph, GraphClass, build_graph, classify, complement,
-                     conjugate_sequence, connected_components,
+                     complement_components, conjugate_sequence,
+                     connected_components,
                      degree_sequence, first_zagreb, format_edge_list,
                      parse_edge_list)
 from .majorization import (MajorizationVerdict, check_grone,
@@ -46,8 +47,8 @@ __all__ = [
     "FamilySpec", "generate", "gnp_connected", "iter_family", "parse_family",
     "random_tree",
     "Graph", "GraphClass", "build_graph", "classify", "complement",
-    "conjugate_sequence", "connected_components", "degree_sequence",
-    "first_zagreb", "format_edge_list", "parse_edge_list",
+    "complement_components", "conjugate_sequence", "connected_components",
+    "degree_sequence", "first_zagreb", "format_edge_list", "parse_edge_list",
     "MajorizationVerdict", "check_grone", "check_grone_merris",
     "grone_sequence", "majorizes", "merged_grone_sequence", "pinch",
     "power_sum",

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Union
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (BadParameterError, DisconnectedGraphError,
                      SequenceTooShortError, UnknownBoundError)
-from .graphs import (Graph, GraphClass, classify, complement, degree_sequence,
-                     conjugate_sequence, first_zagreb)
+from .graphs import (Graph, GraphClass, classify, complement_components,
+                     degree_sequence, conjugate_sequence, first_zagreb)
 from .majorization import merged_grone_sequence
 from .spectra import (Spectrum, complement_spectrum, kirchhoff, lee,
                       log_spanning_trees, s_alpha, spectrum)
@@ -41,16 +41,25 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 Param = Union[float, int, None]
 
 
+class ComplementClass(NamedTuple):
+    """The two facts about a graph's complement that the catalog reads."""
+
+    component_count: int
+    is_clique_union: bool
+
+
 class GraphContext:
     """Per-graph cache shared by the evaluators of all catalog entries.
 
-    spec, when given, is g's spectrum solved beforehand (fuzz solves each
-    chunk of graphs together with spectra_of); otherwise it is solved on
-    first use.
+    Every invariant a catalog row reads is computed here, once per graph:
+    the rows only combine them. spec, when given, is g's spectrum solved
+    beforehand (fuzz solves each chunk of graphs together with spectra_of);
+    otherwise it is solved on first use.
     """
 
     def __init__(self, g: Graph, spec: Optional[Spectrum] = None):
         self.graph = g
+        self._s_alpha: dict[float, float] = {}
         if spec is not None:
             self.spec = spec
 
@@ -70,6 +79,26 @@ class GraphContext:
     def spec(self) -> Spectrum:
         return spectrum(self.graph)
 
+    def s_alpha(self, alpha: float) -> float:
+        """s_alpha(spec, alpha), computed once per alpha."""
+        try:
+            return self._s_alpha[alpha]
+        except KeyError:
+            value = self._s_alpha[alpha] = s_alpha(self.spec, alpha)
+            return value
+
+    @cached_property
+    def kirchhoff(self) -> float:
+        return kirchhoff(self.spec)
+
+    @cached_property
+    def kf_new_rhs(self) -> float:
+        return self.graph.n * _p2_rhs(self, -1.0)
+
+    @cached_property
+    def kf_zt_rhs(self) -> float:
+        return -1.0 + (self.graph.n - 1) * sum(1.0 / x for x in self.degrees)
+
     @cached_property
     def lee_value(self) -> float:
         return lee(self.spec)
@@ -80,8 +109,16 @@ class GraphContext:
             self.spec, self.graph.m, self.complement_class.component_count))
 
     @cached_property
-    def complement_class(self) -> GraphClass:
-        return classify(complement(self.graph))
+    def complement_class(self) -> ComplementClass:
+        """Read off complement_components: the complement is a clique union
+        when each vertex misses exactly the rest of its complement
+        component."""
+        g = self.graph
+        comps = complement_components(g)
+        return ComplementClass(
+            component_count=len(comps),
+            is_clique_union=all(g.n - 1 - g.degree(v) == len(comp) - 1
+                                for comp in comps for v in comp))
 
     @cached_property
     def log_tree_count(self) -> float:
@@ -143,14 +180,6 @@ def _p2_rhs(ctx: GraphContext, a: float) -> float:
     d = ctx.degrees
     mid = sum(x ** a for x in d[1:-2])
     return (d[0] + 1) ** a + mid + float(d[-2] + d[-1] - 1) ** a
-
-
-def _kf_new_rhs(ctx: GraphContext) -> float:
-    return ctx.graph.n * _p2_rhs(ctx, -1.0)
-
-
-def _kf_zt_rhs(ctx: GraphContext) -> float:
-    return -1.0 + (ctx.graph.n - 1) * sum(1.0 / x for x in ctx.degrees)
 
 
 def _r1_rhs(ctx: GraphContext, a: float) -> float:
@@ -272,7 +301,7 @@ class BoundSpec:
 
 
 def _lhs_s_alpha(ctx: GraphContext, a: Param) -> float:
-    return s_alpha(ctx.spec, float(a))
+    return ctx.s_alpha(float(a))
 
 
 def _lhs_lee(ctx: GraphContext, param: Param) -> float:
@@ -288,15 +317,13 @@ CATALOG: tuple[BoundSpec, ...] = (
               _lhs_s_alpha, lambda ctx, a: _p2_rhs(ctx, a), _eq_star_or_k3,
               strict_toggle=True),
     BoundSpec("KF_NEW", "lower", None, None, _connected_n(3),
-              lambda ctx, p: kirchhoff(ctx.spec),
-              lambda ctx, p: _kf_new_rhs(ctx),
+              lambda ctx, p: ctx.kirchhoff, lambda ctx, p: ctx.kf_new_rhs,
               _eq_star_or_k3, strict_toggle=True),
     BoundSpec("KF_ZT", "lower", None, None, _connected_n(2),
-              lambda ctx, p: kirchhoff(ctx.spec),
-              lambda ctx, p: _kf_zt_rhs(ctx),
+              lambda ctx, p: ctx.kirchhoff, lambda ctx, p: ctx.kf_zt_rhs,
               _eq_complete_multipartite),
     BoundSpec("KF_COMPARE", "compare", None, None, _connected_n(3),
-              lambda ctx, p: _kf_new_rhs(ctx), lambda ctx, p: _kf_zt_rhs(ctx),
+              lambda ctx, p: ctx.kf_new_rhs, lambda ctx, p: ctx.kf_zt_rhs,
               _eq_star_or_k3),
     BoundSpec("R1_TREE_HIGH", "upper", "alpha", _alpha_tree_high, _tree,
               _lhs_s_alpha, lambda ctx, a: _r1_rhs(ctx, a), _eq_star),
@@ -331,8 +358,7 @@ BOUND_IDS: tuple[str, ...] = tuple(spec.bound_id for spec in CATALOG)
 _BY_ID = {spec.bound_id: spec for spec in CATALOG}
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """Verdict for one (bound, parameter) pair on one graph."""
 
     bound_id: str
@@ -366,6 +392,14 @@ def _check_param(spec: BoundSpec, param: Param) -> Param:
     return param
 
 
+def _context(g: Graph, ctx: Optional[GraphContext]) -> GraphContext:
+    if ctx is None:
+        return GraphContext(g)
+    if ctx.graph is not g and ctx.graph != g:
+        raise ValueError("context belongs to a different graph")
+    return ctx
+
+
 def _not_applicable(spec: BoundSpec, param: Param) -> BoundResult:
     return BoundResult(bound_id=spec.bound_id, param=param, applicable=False,
                        lhs=None, rhs=None, margin=None,
@@ -373,27 +407,17 @@ def _not_applicable(spec: BoundSpec, param: Param) -> BoundResult:
                        agreement=True)
 
 
-def evaluate_bound(bound_id: str, g: Graph, param: Param = None, *,
-                   strict_applicability: bool = False,
-                   ctx: Optional[GraphContext] = None) -> BoundResult:
-    """Evaluate one catalog entry on a graph.
+def _evaluate(spec: BoundSpec, param: Param, ctx: GraphContext,
+              strict_applicability: bool) -> Optional[BoundResult]:
+    """The one row evaluator; param is already checked against spec.
 
-    Inapplicable graphs yield NOT_APPLICABLE with empty numeric fields; a
-    wrong parameter raises BadParameterError; an unknown id raises
-    UnknownBoundError.
+    None when the entry does not apply to the graph: the NOT_APPLICABLE row
+    depends on (spec, param) alone, so the caller supplies it.
     """
-    spec = _BY_ID.get(bound_id)
-    if spec is None:
-        raise UnknownBoundError(f"no bound with id {bound_id!r}")
-    param = _check_param(spec, param)
-    if ctx is None:
-        ctx = GraphContext(g)
-    elif ctx.graph is not g and ctx.graph != g:
-        raise ValueError("context belongs to a different graph")
     if not spec.applies(ctx):
-        return _not_applicable(spec, param)
+        return None
     if strict_applicability and spec.strict_toggle and not ctx.merged_monotone:
-        return _not_applicable(spec, param)
+        return None
 
     lhs = spec.lhs(ctx, param)
     rhs = spec.rhs(ctx, param)
@@ -410,9 +434,62 @@ def evaluate_bound(bound_id: str, g: Graph, param: Param = None, *,
         verdict = HOLDS
     predicted = spec.predicts_equality(ctx, param)
     agreement = (verdict == EQUALITY) == predicted
-    return BoundResult(bound_id=bound_id, param=param, applicable=True,
+    return BoundResult(bound_id=spec.bound_id, param=param, applicable=True,
                        lhs=lhs, rhs=rhs, margin=margin, verdict=verdict,
                        predicted_equality=predicted, agreement=agreement)
+
+
+def evaluate_bound(bound_id: str, g: Graph, param: Param = None, *,
+                   strict_applicability: bool = False,
+                   ctx: Optional[GraphContext] = None) -> BoundResult:
+    """Evaluate one catalog entry on a graph.
+
+    Inapplicable graphs yield NOT_APPLICABLE with empty numeric fields; a
+    wrong parameter raises BadParameterError; an unknown id raises
+    UnknownBoundError.
+    """
+    spec = _BY_ID.get(bound_id)
+    if spec is None:
+        raise UnknownBoundError(f"no bound with id {bound_id!r}")
+    param = _check_param(spec, param)
+    return (_evaluate(spec, param, _context(g, ctx), strict_applicability)
+            or _not_applicable(spec, param))
+
+
+@lru_cache(maxsize=32)
+def _plan(alphas: tuple[float, ...], ks: tuple[int, ...],
+          bound_ids: Optional[tuple[str, ...]],
+          types: tuple[type, ...]
+          ) -> tuple[tuple[BoundSpec, Param, BoundResult], ...]:
+    """The checked (spec, param) rows of a catalog evaluation, in order,
+    each with its NOT_APPLICABLE result.
+
+    types holds the grid entries' types: values such as 2, 2.0 and True
+    hash alike, but only some of them are legal k.
+    """
+    for a in alphas:
+        if a in (0.0, 1.0):
+            raise BadParameterError("alpha grid must avoid 0 and 1")
+    for k in ks:
+        if not isinstance(k, int) or k < 1:
+            raise BadParameterError("k grid must hold integers >= 1")
+    if bound_ids is not None:
+        unknown = set(bound_ids) - set(BOUND_IDS)
+        if unknown:
+            raise UnknownBoundError(f"no bound with id {sorted(unknown)!r}")
+    grids = {"alpha": alphas, "k": ks}
+    rows = []
+    for spec in CATALOG:
+        if bound_ids is not None and spec.bound_id not in bound_ids:
+            continue
+        if spec.param_kind is None:
+            params = [None]
+        else:
+            # a repeated grid entry gives one row
+            params = sorted({_check_param(spec, p) for p in
+                             grids[spec.param_kind] if spec.param_ok(p)})
+        rows.extend((spec, p, _not_applicable(spec, p)) for p in params)
+    return tuple(rows)
 
 
 def evaluate_catalog(g: Graph, alphas: tuple[float, ...],
@@ -422,37 +499,16 @@ def evaluate_catalog(g: Graph, alphas: tuple[float, ...],
                      ctx: Optional[GraphContext] = None) -> list[BoundResult]:
     """Evaluate the whole catalog over the parameter grids.
 
-    One BoundResult per (bound, legal parameter) pair, in catalog order with
-    parameters ascending. Grids must avoid the trivial exponents 0 and 1.
+    One BoundResult per (bound, distinct legal parameter) pair, in catalog
+    order with parameters ascending. Grids must avoid the trivial exponents
+    0 and 1.
     """
-    for a in alphas:
-        if a in (0.0, 1.0):
-            raise BadParameterError("alpha grid must avoid 0 and 1")
-    for k in ks:
-        if not isinstance(k, int) or k < 1:
-            raise BadParameterError("k grid must hold integers >= 1")
-    if ctx is None:
-        ctx = GraphContext(g)
-    wanted = set(bound_ids) if bound_ids is not None else None
-    if wanted is not None:
-        unknown = wanted - set(BOUND_IDS)
-        if unknown:
-            raise UnknownBoundError(f"no bound with id {sorted(unknown)!r}")
-    results = []
-    for spec in CATALOG:
-        if wanted is not None and spec.bound_id not in wanted:
-            continue
-        if spec.param_kind == "alpha":
-            params: list[Param] = sorted(a for a in alphas if spec.param_ok(a))
-        elif spec.param_kind == "k":
-            params = sorted(k for k in ks if spec.param_ok(k))
-        else:
-            params = [None]
-        for p in params:
-            results.append(evaluate_bound(spec.bound_id, g, p,
-                                          strict_applicability=strict_applicability,
-                                          ctx=ctx))
-    return results
+    alphas, ks = tuple(alphas), tuple(ks)
+    plan = _plan(alphas, ks, None if bound_ids is None else tuple(bound_ids),
+                 tuple(map(type, alphas + ks)))
+    ctx = _context(g, ctx)
+    return [_evaluate(spec, p, ctx, strict_applicability) or not_applicable
+            for spec, p, not_applicable in plan]
 
 
 @dataclass(frozen=True)
@@ -478,9 +534,9 @@ def kf_compare(g: Graph) -> KfComparison:
     ctx = GraphContext(g)
     if not ctx.gclass.is_connected:
         raise DisconnectedGraphError("comparison needs a connected graph")
-    actual = kirchhoff(ctx.spec)
-    new_rhs = _kf_new_rhs(ctx)
-    zt_rhs = _kf_zt_rhs(ctx)
+    actual = ctx.kirchhoff
+    new_rhs = ctx.kf_new_rhs
+    zt_rhs = ctx.kf_zt_rhs
     scale = max(1.0, abs(new_rhs), abs(zt_rhs))
     if abs(new_rhs - zt_rhs) <= EQUALITY_REL_TOL * scale:
         larger = "equal"

@@ -508,6 +508,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (LapboundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:  # an exponent grid beyond the float range
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

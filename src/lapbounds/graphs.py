@@ -69,6 +69,29 @@ def complement(g: Graph) -> Graph:
     return Graph(n=g.n, edges=tuple(edges))
 
 
+def complement_components(g: Graph) -> list[list[int]]:
+    """connected_components(complement(g)), without building the complement.
+
+    The traversal reaches from x every unvisited vertex outside x's
+    neighbourhood, one set difference per visited vertex.
+    """
+    unseen = set(range(g.n))
+    comps: list[list[int]] = []
+    for start in range(g.n):
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        comp = [start]
+        stack = [start]
+        while stack and unseen:
+            reached = unseen - g.adjacency[stack.pop()]
+            unseen -= reached
+            comp.extend(reached)
+            stack.extend(reached)
+        comps.append(sorted(comp))
+    return comps
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
     seen = [False] * g.n

@@ -1,9 +1,12 @@
 """Bound catalog: verdicts, margins, equality predictions, strict mode."""
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lapbounds as lb
 from lapbounds import (BadParameterError, DisconnectedGraphError,
@@ -512,3 +515,90 @@ class TestAgreementAcrossCorpora:
         r1 = lb.evaluate_catalog(g, ALPHAS, KS, ctx=ctx)
         r2 = lb.evaluate_catalog(g, ALPHAS, KS)
         assert r1 == r2
+
+
+@st.composite
+def catalog_graphs(draw):
+    """Random G(n, p), tree and clique-union graphs, as the fuzz models."""
+    model = draw(st.sampled_from(("gnp", "tree", "clique-union")))
+    n = draw(st.integers(min_value=1, max_value=9))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 64 - 1))
+    if model == "gnp":
+        p = draw(st.sampled_from((0.3, 0.5, 0.8, 1.0)))
+        return lb.gnp_connected(n, p, seed)
+    if model == "tree":
+        return lb.random_tree(n, seed)
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                          max_size=4))
+    return lb.generate(lb.FamilySpec(kind="clique_union", sizes=tuple(sizes)))
+
+
+ALPHA_GRIDS = st.lists(
+    st.floats(min_value=-3.0, max_value=3.0).filter(
+        lambda a: a not in (0.0, 1.0)) | st.sampled_from(ALPHAS),
+    min_size=1, max_size=8)
+K_GRIDS = st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                   max_size=6)
+
+
+class TestOneRowPath:
+    """evaluate_catalog and evaluate_bound share one row evaluator, and each
+    invariant a row reads is computed once per graph."""
+
+    @given(catalog_graphs(), ALPHA_GRIDS, K_GRIDS, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_catalog_rows_equal_single_evaluations(self, g, alphas, ks,
+                                                   strict):
+        rows = lb.evaluate_catalog(g, tuple(alphas), tuple(ks),
+                                   strict_applicability=strict)
+        keys = [(r.bound_id, r.param) for r in rows]
+        assert len(set(keys)) == len(keys)
+        for r in rows:
+            single = lb.evaluate_bound(r.bound_id, g, r.param,
+                                       strict_applicability=strict)
+            # field for field, floats by ==: the same bits, not a tolerance
+            assert r._asdict() == single._asdict()
+
+    def test_each_invariant_once_per_graph(self, monkeypatch):
+        calls = []
+        bounds = lb.bounds
+
+        def counting(name, original):
+            def wrapped(spec, *args):
+                calls.append((name,) + args)
+                return original(spec, *args)
+            return wrapped
+
+        monkeypatch.setattr(bounds, "s_alpha",
+                            counting("s_alpha", bounds.s_alpha))
+        monkeypatch.setattr(bounds, "kirchhoff",
+                            counting("kirchhoff", bounds.kirchhoff))
+        # a tree: P1, P2, R1_TREE_* and RP_MOMENT all apply, and alphas 2
+        # and 3 meet the k = 2, 3 moments
+        for label in ("TREE:9:4", "S:7", "P:6"):
+            calls.clear()
+            rows = lb.evaluate_catalog(fam(label), ALPHAS, KS)
+            assert {r.bound_id for r in rows if r.applicable} >= {
+                "P1_LOWER", "P2_LOWER", "KF_NEW", "KF_ZT", "R1_TREE_HIGH",
+                "R1_TREE_LOW", "RP_MOMENT"}
+            assert Counter(calls) == Counter(
+                [("kirchhoff",)]
+                + [("s_alpha", a) for a in {*ALPHAS, *map(float, KS)}]), label
+
+    def test_duplicate_grid_entries_give_one_row(self):
+        g = fam("K:4")
+        once = lb.evaluate_catalog(g, (2.0, -1.0), (2,))
+        assert lb.evaluate_catalog(g, (2.0, -1.0, 2, -1.0), (2, 2)) == once
+
+    def test_grid_types_are_checked_on_every_call(self):
+        g = fam("K:4")
+        lb.evaluate_catalog(g, ALPHAS, (1, 2))
+        for ks in ((True, 2), (1.0, 2)):  # equal to (1, 2), yet not ints
+            with pytest.raises(BadParameterError):
+                lb.evaluate_catalog(g, ALPHAS, ks)
+
+    def test_bound_result_is_immutable(self):
+        r = one("KF_ZT", fam("K:4"))
+        with pytest.raises(AttributeError):
+            r.lhs = 0.0
+        assert r == lb.BoundResult(**r._asdict())

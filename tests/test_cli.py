@@ -187,6 +187,49 @@ class TestVertexCap:
         assert code == 0
 
 
+class TestNumericOverflow:
+    """Exponents whose powers leave the float range end in an error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--family", "P:5", "--alphas=1000"],
+        ["check", "--family", "P:5", "--alphas=-1000"],
+        ["check", "--family", "P:5", "--ks=800"],
+        ["invariants", "--family", "K:40", "--alphas=300"],
+    ])
+    def test_exits_one_without_traceback(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestDuplicateGridEntries:
+    """A repeated alpha or k gives one row, as a repeated bound id does."""
+
+    def test_check_prints_each_row_once(self, capsys):
+        rows = {}
+        for grid in ("2", "2,2"):
+            code, out, _ = run(["check", "--family", "K:4", f"--alphas={grid}",
+                                f"--ks={grid}", "--bounds",
+                                "P1_LOWER,RP_MOMENT"], capsys)
+            assert code == 0
+            rows[grid] = json.loads(out)
+        assert rows["2,2"] == rows["2"]
+        assert [(r["bound_id"], r["param"]) for r in rows["2"]] == [
+            ("P1_LOWER", 2.0), ("RP_MOMENT", 2)]
+
+    def test_fuzz_counts_each_row_once(self, tmp_path, capsys):
+        tallies = {}
+        for grid in ("-1,2", "2,-1,2,-1"):
+            code, out, _ = run(["fuzz", "--seed", "7", "--count", "12",
+                                f"--alphas={grid}", "--ks=3,3",
+                                "--out-dir", str(tmp_path / grid)], capsys)
+            assert code in (0, 2, 3)
+            tallies[grid] = json.loads(out)["tallies"]
+        assert tallies["2,-1,2,-1"] == tallies["-1,2"]
+
+
 class TestFuzzCommand:
     def test_deterministic_reports(self, tmp_path, capsys):
         argv = ["fuzz", "--seed", "5", "--count", "20",
@@ -407,12 +450,11 @@ class TestComponentsOncePerGraph:
                             "--model", model, "--out-dir", str(tmp_path)],
                            capsys)
         assert code in (0, 2, 3)
-        corpus = json.loads(out)["corpus"]
-        evaluated = len(corpus["sizes"]) - len(corpus["generation_failures"])
         assert len({id(g) for g in traversed}) == len(traversed)
-        # one per generated graph (every G(n, p) draw included) and one per
-        # complement; the parent commit made 3 per graph plus one per draw
-        assert len(traversed) == len(built) + evaluated
+        # one per generated graph, every G(n, p) draw included; the
+        # complement's components come from complement_components, and no
+        # complement graph is built
+        assert len(traversed) == len(built)
 
 
 class TestNoBareissInCatalog:

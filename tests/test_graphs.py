@@ -4,7 +4,9 @@ from hypothesis import given, settings
 
 import lapbounds as lb
 from lapbounds import ParseError, SelfLoopError, VertexRangeError
-from conftest import graph_strategy, named_corpus
+from lapbounds.bounds import GraphContext
+from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
+                      named_corpus, tree_corpus)
 
 
 def fam(text):
@@ -109,6 +111,57 @@ class TestComplement:
     @settings(max_examples=60)
     def test_complement_edge_count(self, g):
         assert g.m + lb.complement(g).m == g.n * (g.n - 1) // 2
+
+
+class TestComplementComponents:
+    """complement_components finds the complement's components without
+    building the complement graph."""
+
+    @staticmethod
+    def expected(g):
+        return lb.connected_components(lb.complement(g))
+
+    @pytest.mark.parametrize("corpus", [named_corpus, gnp_corpus, tree_corpus,
+                                        clique_union_corpus])
+    def test_corpora(self, corpus):
+        for label, g in corpus():
+            assert lb.complement_components(g) == self.expected(g), label
+
+    @given(graph_strategy())
+    @settings(max_examples=200)
+    def test_matches_the_complement_graph(self, g):
+        assert lb.complement_components(g) == self.expected(g)
+
+    def test_degenerate_graphs(self):
+        assert lb.complement_components(lb.build_graph(1, [])) == [[0]]
+        assert lb.complement_components(lb.build_graph(4, [])) == [
+            [0, 1, 2, 3]]
+        assert lb.complement_components(fam("K:4")) == [[0], [1], [2], [3]]
+
+    @pytest.mark.parametrize("corpus", [named_corpus, gnp_corpus, tree_corpus,
+                                        clique_union_corpus])
+    def test_context_complement_class(self, corpus):
+        for label, g in corpus():
+            cls = lb.classify(lb.complement(g))
+            assert GraphContext(g).complement_class == (
+                cls.component_count, cls.is_clique_union), label
+
+    def test_complement_class_predicts_kf_zt_equality(self):
+        # K_{a,b} and the complements of clique unions are exactly the
+        # complete multipartite graphs
+        graphs = [fam(f"Kab:{a}:{b}") for a in range(1, 6)
+                  for b in range(a, 6) if a + b >= 2]
+        graphs += [lb.complement(fam(f"CLIQUES:{sizes}"))
+                   for sizes in ("1,1", "2,1", "2,2,1", "3,3", "4,2,1",
+                                 "3,3,3", "5,1,1,1")]
+        for g in graphs:
+            assert GraphContext(g).complement_class.is_clique_union, g
+            r = lb.evaluate_bound("KF_ZT", g)
+            assert r.verdict == "EQUALITY" and r.predicted_equality, g
+        for label in ("P:5", "C:7", "TREE:8:3"):
+            g = fam(label)
+            assert not GraphContext(g).complement_class.is_clique_union
+            assert lb.evaluate_bound("KF_ZT", g).verdict == "HOLDS"
 
 
 class TestClassify:
