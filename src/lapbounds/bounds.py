@@ -53,7 +53,7 @@ class GraphContext:
 
     Every invariant a catalog row reads is computed here, once per graph:
     the rows only combine them. spec, when given, is g's spectrum solved
-    beforehand (fuzz solves each chunk of graphs together with spectra_of);
+    beforehand (the CLI solves the graphs of one n together with spectra_of);
     otherwise it is solved on first use.
     """
 
@@ -515,8 +515,8 @@ def evaluate_catalog(g: Graph, alphas: tuple[float, ...],
 class KfComparison:
     """Side-by-side record of the two Kf lower bounds on one graph.
 
-    larger is "new", "zt" or "equal" (at the shared equality tolerance);
-    the validity flags report whether each bound actually holds here.
+    larger is "new", "zt" or "equal", as the KF_COMPARE row decides it; a
+    validity flag is false exactly when its bound's row is VIOLATED.
     """
 
     kf_actual: float
@@ -528,28 +528,23 @@ class KfComparison:
 
 
 def kf_compare(g: Graph) -> KfComparison:
-    """Compare the two Kf lower bounds (connected, n >= 3)."""
+    """Compare the two Kf lower bounds (connected, n >= 3), read off the
+    KF_NEW, KF_ZT and KF_COMPARE catalog rows."""
     if g.n < 3:
         raise SequenceTooShortError("comparison needs n >= 3")
-    ctx = GraphContext(g)
-    if not ctx.gclass.is_connected:
+    if len(g.components) != 1:
         raise DisconnectedGraphError("comparison needs a connected graph")
-    actual = ctx.kirchhoff
-    new_rhs = ctx.kf_new_rhs
-    zt_rhs = ctx.kf_zt_rhs
-    scale = max(1.0, abs(new_rhs), abs(zt_rhs))
-    if abs(new_rhs - zt_rhs) <= EQUALITY_REL_TOL * scale:
+    new, zt, cmp = evaluate_catalog(
+        g, (), (), bound_ids=("KF_NEW", "KF_ZT", "KF_COMPARE"))
+    if cmp.verdict == EQUALITY:
         larger = "equal"
-    elif new_rhs > zt_rhs:
-        larger = "new"
     else:
-        larger = "zt"
-    tol = EQUALITY_REL_TOL * max(1.0, abs(actual))
+        larger = "new" if cmp.margin > 0 else "zt"
     return KfComparison(
-        kf_actual=actual,
-        kf_new_rhs=new_rhs,
-        kf_zt_rhs=zt_rhs,
+        kf_actual=new.lhs,
+        kf_new_rhs=new.rhs,
+        kf_zt_rhs=zt.rhs,
         larger=larger,
-        new_valid=actual >= new_rhs - tol,
-        zt_valid=actual >= zt_rhs - tol,
+        new_valid=new.verdict != VIOLATED,
+        zt_valid=zt.verdict != VIOLATED,
     )

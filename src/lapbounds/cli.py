@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .bounds import (BOUND_IDS, BoundResult, GraphContext, evaluate_catalog,
                      EQUALITY, NOT_APPLICABLE, VIOLATED)
@@ -31,12 +34,9 @@ from .spectra import (Spectrum, kirchhoff, lee, moment, s_alpha,
                       spanning_trees_exact, spectra_of, spectrum)
 
 MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
-# fuzz generates and solves this many consecutive instances at a time: enough
-# to stack the graphs that share an n, few enough to bound memory
+# every command solves this many consecutive instances at a time, the graphs
+# of one n as one stack; only the graphs of one n in a chunk are alive at once
 FUZZ_CHUNK = 64
-
-DEFAULT_ALPHAS = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
-DEFAULT_KS = (1, 2, 3, 4)
 
 CSV_COLUMNS = ("graph_id", "n", "m", "bound_id", "param", "applicable",
                "lhs", "rhs", "margin", "verdict", "predicted_equality",
@@ -56,16 +56,15 @@ def _fmt_real(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_param(param) -> str:
-    if param is None:
+def _fmt_cell(value) -> str:
+    """A CSV cell: empty for None, true/false, floats as _fmt_real."""
+    if value is None:
         return ""
-    if isinstance(param, int):
-        return str(param)
-    return _fmt_real(param)
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt_real(value)
+    return str(value)
 
 
 def _sig12(x: float) -> float:
@@ -85,8 +84,6 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         if val in (0.0, 1.0):
             raise ParseError("alpha grid must avoid the trivial exponents 0 and 1")
         out.append(val)
-    if not out:
-        raise ParseError("empty alpha grid")
     return tuple(out)
 
 
@@ -101,8 +98,6 @@ def _parse_ks(text: str) -> tuple[int, ...]:
         if val < 1:
             raise ParseError(f"k must be >= 1, got {val}")
         out.append(val)
-    if not out:
-        raise ParseError("empty k grid")
     return tuple(out)
 
 
@@ -118,50 +113,45 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[str, ...]]:
     return ids
 
 
-def _result_row(graph_id: str, g: Graph, r: BoundResult) -> dict:
-    return {
-        "graph_id": graph_id,
-        "n": g.n,
-        "m": g.m,
-        "bound_id": r.bound_id,
-        "param": r.param,
-        "applicable": r.applicable,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "margin": r.margin,
-        "verdict": r.verdict,
-        "predicted_equality": r.predicted_equality,
-        "agreement": r.agreement,
-    }
+# an instance is (index, graph_id, n, build): its vertex count is known
+# before build() makes the graph
+_Instance = tuple[int, str, int, Callable[[], Graph]]
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
+class _Record(NamedTuple):
+    """What the report needs of one instance, once its graph is dropped."""
+
+    index: int
+    graph_id: str
+    n: int
+    m: Optional[int]  # None when the instance could not be generated
+    results: list[BoundResult]
+    # fuzz only: the outcome, "holds" or "fails", of each majorization check
+    # that ran, and the report entries of the VIOLATED verdicts
+    majorization: Optional[dict[str, str]] = None
+    violations: tuple[dict, ...] = ()
+
+
+def _rows_to_csv(rows: list[dict], columns=CSV_COLUMNS) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row["graph_id"],
-            row["n"],
-            row["m"],
-            row["bound_id"],
-            _fmt_param(row["param"]),
-            _fmt_bool(row["applicable"]),
-            "" if row["lhs"] is None else _fmt_real(row["lhs"]),
-            "" if row["rhs"] is None else _fmt_real(row["rhs"]),
-            "" if row["margin"] is None else _fmt_real(row["margin"]),
-            row["verdict"],
-            _fmt_bool(row["predicted_equality"]),
-            _fmt_bool(row["agreement"]),
-        ])
+    writer.writerow(columns)
+    writer.writerows([_fmt_cell(row[col]) for col in columns] for row in rows)
     return buf.getvalue()
 
 
-def _emit(args, rows: list[dict]) -> None:
-    if args.format == "csv":
-        sys.stdout.write(_rows_to_csv(rows))
+def _emit(args, report: Union[list, dict]) -> None:
+    """Print a report as JSON or as CSV: a list of rows in CSV_COLUMNS, a
+    document as key-value rows."""
+    if args.format == "json":
+        print(json.dumps(report, indent=2))
+    elif isinstance(report, list):
+        sys.stdout.write(_rows_to_csv(report))
     else:
-        print(json.dumps(rows, indent=2))
+        sys.stdout.write(_rows_to_csv(
+            [{"key": key, "value": json.dumps(value)
+              if isinstance(value, (dict, list)) else value}
+             for key, value in report.items()], ("key", "value")))
 
 
 def _exit_code(results: Sequence[BoundResult]) -> int:
@@ -185,26 +175,155 @@ def _checked_specs(args, parser: _Parser, allow_range: bool) -> list[FamilySpec]
     """
     specs = []
     for spec in iter_family(args.family, allow_range=allow_range):
-        # vertex count: the clique sizes, n, or the sides a + b of Kab
-        order = sum(spec.sizes) if spec.sizes else spec.n or spec.a + spec.b
-        _check_cap(order, spec.label(), parser)
+        _check_cap(spec.order, spec.label(), parser)
         specs.append(spec)
     return specs
 
 
-def _resolve_graph(args, parser: _Parser) -> tuple[str, Graph]:
+def _resolve_input(args, parser: _Parser) -> _Instance:
+    """The one instance that --graph or --family names."""
     if bool(args.graph) == bool(args.family):
         parser.error("exactly one of --graph and --family is required")
     if args.graph:
         g = parse_edge_list(Path(args.graph).read_text())
         _check_cap(g.n, args.graph, parser)
-        return Path(args.graph).name, g
-    specs = _checked_specs(args, parser, allow_range=False)
-    return args.family.strip(), generate(specs[0])
+        return 0, Path(args.graph).name, g.n, lambda: g
+    spec, = _checked_specs(args, parser, allow_range=False)
+    return 0, args.family.strip(), spec.order, functools.partial(generate, spec)
+
+
+def _grids(args) -> tuple:
+    """The parsed --alphas, --ks and --bounds."""
+    return (_parse_alphas(args.alphas), _parse_ks(args.ks),
+            _parse_bounds(args.bounds))
+
+
+def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
+            out_dir: Optional[Path]) -> _Record:
+    """Evaluate one solved graph; with out_dir (fuzz) also run the
+    majorization checks and write the graph's counterexample files."""
+    alphas, ks, bound_ids = grids
+    ctx = GraphContext(g, spec)
+    results = evaluate_catalog(g, alphas, ks,
+                               strict_applicability=args.strict_applicability,
+                               bound_ids=bound_ids, ctx=ctx)
+    if out_dir is None:
+        return _Record(index, graph_id, g.n, g.m, results)
+    violations = tuple({
+        "index": index,
+        "graph_id": graph_id,
+        "bound_id": r.bound_id,
+        "param": r.param,
+        "lhs": r.lhs,
+        "rhs": r.rhs,
+        "margin": r.margin,
+        "n": g.n,
+        "m": g.m,
+        "edges": [list(e) for e in g.edges],
+        "file": f"{r.bound_id}_{index}.el",
+    } for r in results if r.verdict == VIOLATED)
+    majorization = {
+        name: "holds" if check(ctx.degrees, ctx.spec).holds else "fails"
+        for name, check in (("GRONE", check_grone),
+                            ("GRONE_MERRIS", check_grone_merris))
+        if name != "GRONE" or (g.n >= 2 and ctx.gclass.component_count == 1)}
+    # several violated parameters of one bound share one file
+    files = dict.fromkeys([v["file"] for v in violations]
+                          + [f"{name}_{index}.el" for name, outcome
+                             in majorization.items() if outcome == "fails"])
+    if files:
+        text = format_edge_list(g)
+        for fname in files:
+            (out_dir / fname).write_text(text)
+    return _Record(index, graph_id, g.n, g.m, results, majorization,
+                   violations)
+
+
+def _solve_group(group: list[_Instance], args, grids,
+                 out_dir: Optional[Path]) -> list[_Record]:
+    """Build the graphs of one n, solve them as one stack and evaluate them;
+    the graphs die when this returns.
+
+    With out_dir (fuzz) an instance that cannot be generated gives a record
+    without m; otherwise its RetryExhaustedError ends the run.
+    """
+    records, built = [], []
+    for index, graph_id, n, build in group:
+        try:
+            built.append((index, graph_id, build()))
+        except RetryExhaustedError:
+            if out_dir is None:
+                raise
+            records.append(_Record(index, graph_id, n, None, []))
+    spectra = spectra_of([g for _, _, g in built])
+    for (index, graph_id, g), spec in zip(built, spectra):
+        records.append(_record(index, graph_id, g, spec, args, grids, out_dir))
+    return records
+
+
+def _records(instances: Iterable[_Instance], args, grids,
+             out_dir: Optional[Path] = None) -> Iterator[_Record]:
+    """The solve stage: one record per instance, in index order.
+
+    Instances are taken FUZZ_CHUNK at a time. Within a chunk the graphs of
+    one n are built, solved together by spectra_of, evaluated and dropped
+    before the next n is built, so only one n-group of graphs is alive.
+    """
+    instances = iter(instances)
+    while chunk := list(itertools.islice(instances, FUZZ_CHUNK)):
+        groups: dict[int, list[_Instance]] = {}  # keyed by n
+        for instance in chunk:
+            groups.setdefault(instance[2], []).append(instance)
+        records = {rec.index: rec for group in groups.values()
+                   for rec in _solve_group(group, args, grids, out_dir)}
+        yield from (records[index] for index, *_ in chunk)
+
+
+def _report(args, records: Iterable[_Record],
+            fuzz: Optional[dict] = None) -> int:
+    """Fold the records into the report, print it, return the exit code.
+
+    The report is the rows for check, sweep and fuzz CSV. For fuzz JSON it
+    is fuzz, the aggregate report, whose empty tallies and lists are
+    filled in here.
+    """
+    rows = [] if fuzz is None or args.format == "csv" else None
+    code = 0
+    for rec in records:
+        # exit codes in rising severity: clean, agreement failure, VIOLATED
+        code = max(code, _exit_code(rec.results), key=(0, 3, 2).index)
+        if rows is not None:
+            # BoundResult's fields are the rest of CSV_COLUMNS, in order
+            rows.extend({"graph_id": rec.graph_id, "n": rec.n, "m": rec.m,
+                         **r._asdict()} for r in rec.results)
+        if fuzz is None:
+            continue
+        fuzz["corpus"]["sizes"].append(rec.n)
+        if rec.m is None:
+            fuzz["corpus"]["generation_failures"].append(
+                {"index": rec.index, "n": rec.n})
+            continue
+        fuzz["violations"].extend(rec.violations)
+        for r in rec.results:
+            fuzz["tallies"][r.bound_id][r.verdict.lower()] += 1
+            if not r.agreement:
+                fuzz["agreement_failures"].append({
+                    "index": rec.index,
+                    "graph_id": rec.graph_id,
+                    "bound_id": r.bound_id,
+                    "param": r.param,
+                    "verdict": r.verdict,
+                    "predicted_equality": r.predicted_equality,
+                })
+        for name, tally in fuzz["majorization"].items():
+            tally[rec.majorization.get(name, "skipped")] += 1
+    _emit(args, fuzz if rows is None else rows)
+    return code
 
 
 def cmd_invariants(args, parser: _Parser) -> int:
-    graph_id, g = _resolve_graph(args, parser)
+    _, graph_id, _, build = _resolve_input(args, parser)
+    g = build()
     alphas = _parse_alphas(args.alphas)
     ks = _parse_ks(args.ks)
     spec = spectrum(g)
@@ -218,7 +337,7 @@ def cmd_invariants(args, parser: _Parser) -> int:
             s_vals[_fmt_real(a)] = None
     t_vals = {str(k): moment(spec, k) for k in sorted(ks)}
 
-    doc = {
+    _emit(args, {
         "graph_id": graph_id,
         "n": g.n,
         "m": g.m,
@@ -233,52 +352,21 @@ def cmd_invariants(args, parser: _Parser) -> int:
         "lee": lee(spec),
         "first_zagreb": first_zagreb(g),
         "spanning_trees": str(spanning_trees_exact(g)),
-    }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        for key, value in doc.items():
-            if isinstance(value, (dict, list)):
-                writer.writerow((key, json.dumps(value)))
-            elif isinstance(value, float):
-                writer.writerow((key, _fmt_real(value)))
-            else:
-                writer.writerow((key, "" if value is None else value))
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(json.dumps(doc, indent=2))
+    })
     return 0
 
 
 def cmd_check(args, parser: _Parser) -> int:
-    graph_id, g = _resolve_graph(args, parser)
-    alphas = _parse_alphas(args.alphas)
-    ks = _parse_ks(args.ks)
-    bound_ids = _parse_bounds(args.bounds)
-    results = evaluate_catalog(g, alphas, ks,
-                               strict_applicability=args.strict_applicability,
-                               bound_ids=bound_ids)
-    _emit(args, [_result_row(graph_id, g, r) for r in results])
-    return _exit_code(results)
+    instance = _resolve_input(args, parser)
+    return _report(args, _records([instance], args, _grids(args)))
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
     specs = _checked_specs(args, parser, allow_range=True)
-    alphas = _parse_alphas(args.alphas)
-    ks = _parse_ks(args.ks)
-    bound_ids = _parse_bounds(args.bounds)
-    rows: list[dict] = []
-    all_results: list[BoundResult] = []
-    for spec in specs:
-        g = generate(spec)
-        results = evaluate_catalog(g, alphas, ks,
-                                   strict_applicability=args.strict_applicability,
-                                   bound_ids=bound_ids)
-        rows.extend(_result_row(spec.label(), g, r) for r in results)
-        all_results.extend(results)
-    _emit(args, rows)
-    return _exit_code(all_results)
+    grids = _grids(args)
+    return _report(args, _records(
+        ((i, spec.label(), spec.order, functools.partial(generate, spec))
+         for i, spec in enumerate(specs)), args, grids))
 
 
 def _fuzz_sizes(rng: SplitMix64, n: int) -> tuple[int, ...]:
@@ -292,7 +380,7 @@ def _fuzz_sizes(rng: SplitMix64, n: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _fuzz_instance(model: str, rng: SplitMix64, n: int, p: float) -> Graph:
+def _fuzz_graph(model: str, rng: SplitMix64, n: int, p: float) -> Graph:
     if model == "gnp":
         return gnp_connected(n, p, rng.next_u64())
     if model == "tree":
@@ -300,34 +388,19 @@ def _fuzz_instance(model: str, rng: SplitMix64, n: int, p: float) -> Graph:
     return generate(FamilySpec(kind="clique_union", sizes=_fuzz_sizes(rng, n)))
 
 
-def _fuzz_corpus(args, sizes: list[int], generation_failures: list[dict]
-                 ) -> Iterator[tuple[int, Graph, Spectrum]]:
-    """Yield (index, graph, spectrum) for each fuzz instance, in index order.
-
-    Instances are generated FUZZ_CHUNK consecutive indices at a time, and
-    each chunk's spectra are solved together by spectra_of. Every drawn n
-    is appended to sizes, and every instance that could not be generated to
-    generation_failures.
-    """
-    for start in range(0, args.count, FUZZ_CHUNK):
-        chunk: list[tuple[int, Graph]] = []
-        for i in range(start, min(start + FUZZ_CHUNK, args.count)):
-            rng = SplitMix64(splitmix64(args.seed, i))
-            n = rng.randrange(args.n_min, args.n_max)
-            sizes.append(n)
-            try:
-                chunk.append((i, _fuzz_instance(args.model, rng, n, args.p)))
-            except RetryExhaustedError:
-                generation_failures.append({"index": i, "n": n})
-        spectra = spectra_of([g for _, g in chunk])
-        for (i, g), spec in zip(chunk, spectra):
-            yield i, g, spec
+def _fuzz_instances(args) -> Iterator[_Instance]:
+    """One instance per index, each with its own stream: n is drawn from it
+    first, and the graph from the rest of it when the instance is built."""
+    for i in range(args.count):
+        rng = SplitMix64(splitmix64(args.seed, i))
+        n = rng.randrange(args.n_min, args.n_max)
+        yield i, f"{args.model}-{i}", n, functools.partial(
+            _fuzz_graph, args.model, rng, n, args.p)
 
 
 def cmd_fuzz(args, parser: _Parser) -> int:
-    alphas = _parse_alphas(args.alphas)
-    ks = _parse_ks(args.ks)
-    bound_ids = _parse_bounds(args.bounds)
+    grids = _grids(args)
+    alphas, ks, bound_ids = grids
     if args.count < 1:
         parser.error("--count must be >= 1")
     if not (2 <= args.n_min <= args.n_max <= MAX_N):
@@ -336,76 +409,7 @@ def cmd_fuzz(args, parser: _Parser) -> int:
         parser.error("--p must lie in (0, 1]")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     active = bound_ids if bound_ids is not None else BOUND_IDS
-    tallies = {bid: {"holds": 0, "equality": 0, "violated": 0,
-                     "not_applicable": 0} for bid in active}
-    majorization = {
-        "GRONE": {"holds": 0, "fails": 0, "skipped": 0},
-        "GRONE_MERRIS": {"holds": 0, "fails": 0, "skipped": 0},
-    }
-    violations: list[dict] = []
-    agreement_failures: list[dict] = []
-    generation_failures: list[dict] = []
-    sizes: list[int] = []
-    rows: list[dict] = []
-    all_results: list[BoundResult] = []
-
-    for i, g, spec in _fuzz_corpus(args, sizes, generation_failures):
-        graph_id = f"{args.model}-{i}"
-        ctx = GraphContext(g, spec)
-        files: list[str] = []  # this graph's counterexample files
-        results = evaluate_catalog(g, alphas, ks,
-                                   strict_applicability=args.strict_applicability,
-                                   bound_ids=bound_ids, ctx=ctx)
-        all_results.extend(results)
-        if args.format == "csv":
-            rows.extend(_result_row(graph_id, g, r) for r in results)
-        for r in results:
-            tallies[r.bound_id][r.verdict.lower()] += 1
-            if r.verdict == VIOLATED:
-                fname = f"{r.bound_id}_{i}.el"
-                if fname not in files:
-                    files.append(fname)
-                violations.append({
-                    "index": i,
-                    "graph_id": graph_id,
-                    "bound_id": r.bound_id,
-                    "param": r.param,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "margin": r.margin,
-                    "n": g.n,
-                    "m": g.m,
-                    "edges": [list(e) for e in g.edges],
-                    "file": fname,
-                })
-            if not r.agreement:
-                agreement_failures.append({
-                    "index": i,
-                    "graph_id": graph_id,
-                    "bound_id": r.bound_id,
-                    "param": r.param,
-                    "verdict": r.verdict,
-                    "predicted_equality": r.predicted_equality,
-                })
-        for name, check in (("GRONE", check_grone),
-                            ("GRONE_MERRIS", check_grone_merris)):
-            if name == "GRONE" and (g.n < 2
-                                    or ctx.gclass.component_count != 1):
-                majorization[name]["skipped"] += 1
-                continue
-            verdict = check(ctx.degrees, ctx.spec)
-            if verdict.holds:
-                majorization[name]["holds"] += 1
-            else:
-                majorization[name]["fails"] += 1
-                files.append(f"{name}_{i}.el")
-        if files:
-            text = format_edge_list(g)
-            for fname in files:
-                (out_dir / fname).write_text(text)
-
     report = {
         "config": {
             "seed": args.seed,
@@ -419,20 +423,16 @@ def cmd_fuzz(args, parser: _Parser) -> int:
             "strict_applicability": args.strict_applicability,
             "bounds": list(active),
         },
-        "corpus": {
-            "sizes": sizes,
-            "generation_failures": generation_failures,
-        },
-        "tallies": tallies,
-        "majorization": majorization,
-        "violations": violations,
-        "agreement_failures": agreement_failures,
+        "corpus": {"sizes": [], "generation_failures": []},
+        "tallies": {bid: {"holds": 0, "equality": 0, "violated": 0,
+                          "not_applicable": 0} for bid in active},
+        "majorization": {name: {"holds": 0, "fails": 0, "skipped": 0}
+                         for name in ("GRONE", "GRONE_MERRIS")},
+        "violations": [],
+        "agreement_failures": [],
     }
-    if args.format == "csv":
-        sys.stdout.write(_rows_to_csv(rows))
-    else:
-        print(json.dumps(report, indent=2))
-    return _exit_code(all_results)
+    return _report(args, _records(_fuzz_instances(args), args, grids,
+                                  out_dir), report)
 
 
 def build_parser() -> _Parser:
@@ -499,9 +499,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

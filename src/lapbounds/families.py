@@ -48,6 +48,11 @@ class FamilySpec:
             ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
             for v in values])
 
+    @property
+    def order(self) -> int:
+        """Vertex count: the clique sizes' sum, a + b for Kab, else n."""
+        return sum(self.sizes) if self.sizes else self.n or self.a + self.b
+
 
 def _complete_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
     return [(vertices[i], vertices[j])

@@ -1,9 +1,11 @@
 """Command-line harness: formats, exit codes, determinism, file handling."""
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -557,6 +559,96 @@ class TestFuzzChunks:
                                 "--bounds", v["bound_id"]], capsys)
             row, = [r for r in json.loads(out) if r["param"] == v["param"]]
             assert (row["lhs"], row["rhs"]) == (v["lhs"], v["rhs"])
+
+
+class TestLiveGraphsBounded:
+    """At every eigensolver call no more graphs are alive than the stack it
+    solves: the graphs of one n are built, solved and dropped before the
+    next n's are built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--seed", "7", "--count", "100"],
+        ["sweep", "--family", "K:3..20"],
+    ])
+    def test_live_graphs_within_stack(self, argv, tmp_path, capsys,
+                                      monkeypatch):
+        built = []
+        original_build = lb.families.build_graph
+
+        def building(n, edges):
+            g = original_build(n, edges)
+            built.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(lb.families, "build_graph", building)
+        calls = []
+        original = spectra.jacobi_eigenvalues
+
+        def solving(matrix):
+            shape = np.shape(matrix)
+            stack = shape[0] if len(shape) == 3 else 1
+            calls.append((sum(ref() is not None for ref in built), stack))
+            return original(matrix)
+
+        monkeypatch.setattr(spectra, "jacobi_eigenvalues", solving)
+        if argv[0] == "fuzz":
+            argv = argv + ["--out-dir", str(tmp_path)]
+        code, _, _ = run(argv, capsys)
+        assert code in (0, 2, 3)
+        assert calls
+        assert [(live, stack) for live, stack in calls if live > stack] == []
+
+
+class TestReportsPinned:
+    """The float-free part of each report is pinned across refactors.
+
+    The digests were recorded with the per-command loops that preceded the
+    shared pipeline. lhs, rhs and margin stay out: their last digits may
+    move when the arithmetic is reordered; verdicts, tallies, counterexample
+    names and contents may not.
+    """
+
+    ROW_KEYS = ("graph_id", "bound_id", "param", "verdict",
+                "predicted_equality", "agreement")
+
+    def _projection(self, argv, tmp_path, capsys):
+        fuzz = argv[0] == "fuzz"
+        out_dir = tmp_path / "cex"
+        extra = ["--out-dir", str(out_dir)] if fuzz else []
+        code, out, _ = run(argv + extra + ["--format", "csv"], capsys)
+        rows = [[row[key] for key in self.ROW_KEYS]
+                for row in csv.DictReader(io.StringIO(out))]
+        doc = {"code": code, "rows": rows}
+        if fuzz:
+            json_code, out, _ = run(argv + extra, capsys)
+            report = json.loads(out)
+            doc.update(
+                json_code=json_code,
+                tallies=report["tallies"],
+                majorization=report["majorization"],
+                sizes=report["corpus"]["sizes"],
+                generation_failures=report["corpus"]["generation_failures"],
+                violations=[[v["index"], v["bound_id"], v["param"], v["file"]]
+                            for v in report["violations"]],
+                files=sorted([f.name, f.read_text()]
+                             for f in out_dir.iterdir()))
+        text = json.dumps(doc, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["check", "--family", "K:4"],
+         "16db90faeff12963f15c27a5101df8ce4366add16e3fd26ceba1e93dc04b8671"),
+        (["sweep", "--family", "TREE:4..12:9"],
+         "be285f8b70300c9bfd740967f6d7ddabaf3fab867c05b32d243f4e8adff42ae4"),
+        (["fuzz", "--seed", "7", "--count", "60", "--model", "gnp"],
+         "62a8e0c85fd02b3d39f7dbf259e5e3ed858bef7101b4155df86c880be496b57e"),
+        (["fuzz", "--seed", "7", "--count", "60", "--model", "tree"],
+         "3810bbf070dc0e1b2bb007dd1eeefd1cc008c403323573c6f0aaf4927371837c"),
+        (["fuzz", "--seed", "7", "--count", "60", "--model", "clique-union"],
+         "c74befc4213c601c247833968952398eb43dd5272944bb2d6b8ed5e0ad7f4aba"),
+    ])
+    def test_projection_digest(self, argv, digest, tmp_path, capsys):
+        assert self._projection(argv, tmp_path, capsys) == digest
 
 
 class TestExitCodeLogic:
