@@ -292,6 +292,7 @@ class BoundSpec:
     bound_id: str
     direction: str  # "lower" | "upper" | "strict_lower" | "compare"
     param_kind: Optional[str]  # "alpha" | "k" | None
+    # the entry's range within the legal parameters; None takes them all
     param_ok: Optional[Callable[[float], bool]]
     applies: Callable[[GraphContext], bool]
     lhs: Callable[[GraphContext, Param], float]
@@ -310,11 +311,11 @@ def _lhs_lee(ctx: GraphContext, param: Param) -> float:
 
 CATALOG: tuple[BoundSpec, ...] = (
     BoundSpec("P1_LOWER", "lower", "alpha", _alpha_above_1, _connected_n(2),
-              _lhs_s_alpha, lambda ctx, a: _p1_rhs(ctx, a), _eq_star),
+              _lhs_s_alpha, _p1_rhs, _eq_star),
     BoundSpec("P1_UPPER", "upper", "alpha", _alpha_unit, _connected_n(2),
-              _lhs_s_alpha, lambda ctx, a: _p1_rhs(ctx, a), _eq_star),
+              _lhs_s_alpha, _p1_rhs, _eq_star),
     BoundSpec("P2_LOWER", "lower", "alpha", _alpha_negative, _connected_n(3),
-              _lhs_s_alpha, lambda ctx, a: _p2_rhs(ctx, a), _eq_star_or_k3,
+              _lhs_s_alpha, _p2_rhs, _eq_star_or_k3,
               strict_toggle=True),
     BoundSpec("KF_NEW", "lower", None, None, _connected_n(3),
               lambda ctx, p: ctx.kirchhoff, lambda ctx, p: ctx.kf_new_rhs,
@@ -326,11 +327,11 @@ CATALOG: tuple[BoundSpec, ...] = (
               lambda ctx, p: ctx.kf_new_rhs, lambda ctx, p: ctx.kf_zt_rhs,
               _eq_star_or_k3),
     BoundSpec("R1_TREE_HIGH", "upper", "alpha", _alpha_tree_high, _tree,
-              _lhs_s_alpha, lambda ctx, a: _r1_rhs(ctx, a), _eq_star),
+              _lhs_s_alpha, _r1_rhs, _eq_star),
     BoundSpec("R1_TREE_LOW", "lower", "alpha", _alpha_unit, _tree,
-              _lhs_s_alpha, lambda ctx, a: _r1_rhs(ctx, a), _eq_star),
-    BoundSpec("RP_MOMENT", "lower", "k", lambda k: k >= 1, _always,
-              _lhs_s_alpha, lambda ctx, k: _rp_rhs(ctx, k), _eq_rp),
+              _lhs_s_alpha, _r1_rhs, _eq_star),
+    BoundSpec("RP_MOMENT", "lower", "k", None, _always,
+              _lhs_s_alpha, _rp_rhs, _eq_rp),
     BoundSpec("LEE_DEGREE", "lower", None, None, _connected_n(2),
               _lhs_lee, lambda ctx, p: _lee_degree_rhs(ctx), _eq_star),
     BoundSpec("LEE_TREE", "upper", None, None, _tree,
@@ -372,6 +373,33 @@ class BoundResult(NamedTuple):
     agreement: bool
 
 
+def _legal(kind: str, value) -> Union[float, int, str]:
+    """The one legality check of the catalog's inputs; returns value in
+    canonical form.
+
+    kind is "alpha", "k" or "bound": an alpha is a finite float other than
+    the trivial exponents 0 and 1, a k is an int (not a bool) >= 1, and a
+    bound id is one of BOUND_IDS. evaluate_catalog, evaluate_bound and the
+    CLI's grid parsers all check each value here.
+    """
+    if kind == "bound":
+        if value not in _BY_ID:
+            raise UnknownBoundError(f"unknown bound id {value!r}")
+        return value
+    if kind == "k":
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise BadParameterError(
+                f"k must be an integer >= 1, got {value!r}")
+        return value
+    alpha = float(value)
+    if not math.isfinite(alpha):
+        raise BadParameterError(f"alpha must be finite, got {alpha!r}")
+    if alpha in (0.0, 1.0):
+        raise BadParameterError(
+            "alpha grid must avoid the trivial exponents 0 and 1")
+    return alpha
+
+
 def _check_param(spec: BoundSpec, param: Param) -> Param:
     if spec.param_kind is None:
         if param is not None:
@@ -379,14 +407,8 @@ def _check_param(spec: BoundSpec, param: Param) -> Param:
         return None
     if param is None:
         raise BadParameterError(f"{spec.bound_id} needs a {spec.param_kind}")
-    if spec.param_kind == "k":
-        if not isinstance(param, int) or isinstance(param, bool):
-            raise BadParameterError(f"{spec.bound_id} needs an integer k")
-    else:
-        param = float(param)
-        if not math.isfinite(param):
-            raise BadParameterError("alpha must be finite")
-    if not spec.param_ok(param):
+    param = _legal(spec.param_kind, param)
+    if spec.param_ok is not None and not spec.param_ok(param):
         raise BadParameterError(
             f"parameter {param} outside the legal range of {spec.bound_id}")
     return param
@@ -448,9 +470,7 @@ def evaluate_bound(bound_id: str, g: Graph, param: Param = None, *,
     wrong parameter raises BadParameterError; an unknown id raises
     UnknownBoundError.
     """
-    spec = _BY_ID.get(bound_id)
-    if spec is None:
-        raise UnknownBoundError(f"no bound with id {bound_id!r}")
+    spec = _BY_ID[_legal("bound", bound_id)]
     param = _check_param(spec, param)
     return (_evaluate(spec, param, _context(g, ctx), strict_applicability)
             or _not_applicable(spec, param))
@@ -458,25 +478,11 @@ def evaluate_bound(bound_id: str, g: Graph, param: Param = None, *,
 
 @lru_cache(maxsize=32)
 def _plan(alphas: tuple[float, ...], ks: tuple[int, ...],
-          bound_ids: Optional[tuple[str, ...]],
-          types: tuple[type, ...]
+          bound_ids: Optional[tuple[str, ...]]
           ) -> tuple[tuple[BoundSpec, Param, BoundResult], ...]:
-    """The checked (spec, param) rows of a catalog evaluation, in order,
-    each with its NOT_APPLICABLE result.
-
-    types holds the grid entries' types: values such as 2, 2.0 and True
-    hash alike, but only some of them are legal k.
-    """
-    for a in alphas:
-        if a in (0.0, 1.0):
-            raise BadParameterError("alpha grid must avoid 0 and 1")
-    for k in ks:
-        if not isinstance(k, int) or k < 1:
-            raise BadParameterError("k grid must hold integers >= 1")
-    if bound_ids is not None:
-        unknown = set(bound_ids) - set(BOUND_IDS)
-        if unknown:
-            raise UnknownBoundError(f"no bound with id {sorted(unknown)!r}")
+    """The (spec, param) rows of a catalog evaluation over grids and a
+    filter already passed through _legal, in order, each with its
+    NOT_APPLICABLE result."""
     grids = {"alpha": alphas, "k": ks}
     rows = []
     for spec in CATALOG:
@@ -486,8 +492,8 @@ def _plan(alphas: tuple[float, ...], ks: tuple[int, ...],
             params = [None]
         else:
             # a repeated grid entry gives one row
-            params = sorted({_check_param(spec, p) for p in
-                             grids[spec.param_kind] if spec.param_ok(p)})
+            params = sorted({p for p in grids[spec.param_kind]
+                             if spec.param_ok is None or spec.param_ok(p)})
         rows.extend((spec, p, _not_applicable(spec, p)) for p in params)
     return tuple(rows)
 
@@ -500,12 +506,14 @@ def evaluate_catalog(g: Graph, alphas: tuple[float, ...],
     """Evaluate the whole catalog over the parameter grids.
 
     One BoundResult per (bound, distinct legal parameter) pair, in catalog
-    order with parameters ascending. Grids must avoid the trivial exponents
-    0 and 1.
+    order with parameters ascending. An illegal alpha or k raises
+    BadParameterError, and an unknown filter id UnknownBoundError, whether
+    or not a row would take the value.
     """
-    alphas, ks = tuple(alphas), tuple(ks)
-    plan = _plan(alphas, ks, None if bound_ids is None else tuple(bound_ids),
-                 tuple(map(type, alphas + ks)))
+    plan = _plan(tuple(_legal("alpha", a) for a in alphas),
+                 tuple(_legal("k", k) for k in ks),
+                 None if bound_ids is None
+                 else tuple(_legal("bound", b) for b in bound_ids))
     ctx = _context(g, ctx)
     return [_evaluate(spec, p, ctx, strict_applicability) or not_applicable
             for spec, p, not_applicable in plan]

@@ -21,17 +21,15 @@ from pathlib import Path
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
-from .bounds import (BOUND_IDS, BoundResult, GraphContext, evaluate_catalog,
-                     EQUALITY, NOT_APPLICABLE, VIOLATED)
+from .bounds import (BOUND_IDS, BoundResult, GraphContext, _legal,
+                     evaluate_catalog, VIOLATED)
 from .errors import (LapboundsError, NoNonzeroEigenvaluesError, ParseError,
                      RetryExhaustedError)
 from .families import FamilySpec, generate, gnp_connected, iter_family, random_tree
-from .graphs import (Graph, conjugate_sequence, degree_sequence, first_zagreb,
-                     format_edge_list, parse_edge_list)
+from .graphs import Graph, format_edge_list, parse_edge_list
 from .majorization import check_grone, check_grone_merris
 from .rng import SplitMix64, splitmix64
-from .spectra import (Spectrum, kirchhoff, lee, moment, s_alpha,
-                      spanning_trees_exact, spectra_of, spectrum)
+from .spectra import Spectrum, moment, spanning_trees_exact, spectra_of
 
 MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
 # every command solves this many consecutive instances at a time, the graphs
@@ -71,43 +69,27 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _parse_alphas(text: str) -> tuple[float, ...]:
+def _parse_grid(text: str, kind: str,
+                number: Callable[[str], Union[float, int]]) -> tuple:
+    """A comma-separated --alphas (kind "alpha", number float) or --ks
+    (kind "k", number int) grid, each value checked as the catalog checks
+    it."""
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         try:
-            val = float(tok)
+            val = number(tok)
         except ValueError:
-            raise ParseError(f"bad alpha {tok!r}") from None
-        if val != val or val in (float("inf"), float("-inf")):
-            raise ParseError(f"alpha must be finite, got {tok!r}")
-        if val in (0.0, 1.0):
-            raise ParseError("alpha grid must avoid the trivial exponents 0 and 1")
-        out.append(val)
-    return tuple(out)
-
-
-def _parse_ks(text: str) -> tuple[int, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        try:
-            val = int(tok)
-        except ValueError:
-            raise ParseError(f"bad k {tok!r}") from None
-        if val < 1:
-            raise ParseError(f"k must be >= 1, got {val}")
-        out.append(val)
+            raise ParseError(f"bad {kind} {tok!r}") from None
+        out.append(_legal(kind, val))
     return tuple(out)
 
 
 def _parse_bounds(text: Optional[str]) -> Optional[tuple[str, ...]]:
     if text is None:
         return None
-    ids = tuple(tok.strip() for tok in text.split(",") if tok.strip())
-    for bid in ids:
-        if bid not in BOUND_IDS:
-            raise ParseError(f"unknown bound id {bid!r}")
+    ids = tuple(_legal("bound", tok.strip())
+                for tok in text.split(",") if tok.strip())
     if not ids:
         raise ParseError("empty bound filter")
     return ids
@@ -194,8 +176,8 @@ def _resolve_input(args, parser: _Parser) -> _Instance:
 
 def _grids(args) -> tuple:
     """The parsed --alphas, --ks and --bounds."""
-    return (_parse_alphas(args.alphas), _parse_ks(args.ks),
-            _parse_bounds(args.bounds))
+    return (_parse_grid(args.alphas, "alpha", float),
+            _parse_grid(args.ks, "k", int), _parse_bounds(args.bounds))
 
 
 def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
@@ -324,15 +306,15 @@ def _report(args, records: Iterable[_Record],
 def cmd_invariants(args, parser: _Parser) -> int:
     _, graph_id, _, build = _resolve_input(args, parser)
     g = build()
-    alphas = _parse_alphas(args.alphas)
-    ks = _parse_ks(args.ks)
-    spec = spectrum(g)
-    degs = degree_sequence(g)
+    alphas = _parse_grid(args.alphas, "alpha", float)
+    ks = _parse_grid(args.ks, "k", int)
+    ctx = GraphContext(g)
+    spec = ctx.spec
 
     s_vals: dict[str, Optional[float]] = {}
     for a in sorted(alphas):
         try:
-            s_vals[_fmt_real(a)] = s_alpha(spec, a)
+            s_vals[_fmt_real(a)] = ctx.s_alpha(a)
         except NoNonzeroEigenvaluesError:
             s_vals[_fmt_real(a)] = None
     t_vals = {str(k): moment(spec, k) for k in sorted(ks)}
@@ -341,16 +323,16 @@ def cmd_invariants(args, parser: _Parser) -> int:
         "graph_id": graph_id,
         "n": g.n,
         "m": g.m,
-        "degrees": list(degs),
-        "conjugate": list(conjugate_sequence(degs)),
+        "degrees": list(ctx.degrees),
+        "conjugate": list(ctx.conjugate),
         "component_count": spec.component_count,
         "h": spec.h,
         "spectrum": [_sig12(v) for v in spec.mu],
         "s_alpha": s_vals,
         "moments": t_vals,
-        "kirchhoff": kirchhoff(spec) if spec.component_count == 1 else None,
-        "lee": lee(spec),
-        "first_zagreb": first_zagreb(g),
+        "kirchhoff": ctx.kirchhoff if spec.component_count == 1 else None,
+        "lee": ctx.lee_value,
+        "first_zagreb": ctx.zagreb,
         "spanning_trees": str(spanning_trees_exact(g)),
     })
     return 0

@@ -106,15 +106,9 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
     n = a.shape[1]
-    if n == 1:
-        return a.reshape(-1) if single else a.reshape(-1, 1)
     out = np.zeros(a.shape[:2])
-    ids, targets = [], []
-    for i, m in enumerate(a):
-        total = float(np.linalg.norm(m))
-        if total != 0.0:  # an all-zero matrix keeps its row of zeros
-            ids.append(i)
-            targets.append(JACOBI_REL_TOL * total)
+    ids = range(len(a))
+    targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
     # row r of matrix j is x[r, j]: the columns of one pair across the stack
     # then sit side by side, and a stack of one is laid out as the matrix
     x = a.transpose(1, 0, 2).take(ids, axis=1)

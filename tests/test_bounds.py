@@ -108,6 +108,21 @@ class TestParamChecking:
         with pytest.raises(BadParameterError):
             one("RP_MOMENT", g, 0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_catalog_rejects_non_finite_alpha(self, alpha):
+        # NaN is outside every row's range, so only the grid check sees it
+        with pytest.raises(BadParameterError):
+            lb.evaluate_catalog(fam("K:4"), (alpha,), ())
+
+    def test_equal_grid_values_of_other_types(self):
+        g = fam("K:4")
+        lb.evaluate_catalog(g, (), (2,))
+        for ks in ((2.0,), (True,)):  # hash like legal ks, yet not ints
+            with pytest.raises(BadParameterError):
+                lb.evaluate_catalog(g, (), ks)
+        assert (lb.evaluate_catalog(g, (2,), ())
+                == lb.evaluate_catalog(g, (2.0,), ()))
+
     def test_context_graph_mismatch(self):
         ctx = GraphContext(fam("K:4"))
         with pytest.raises(ValueError):

@@ -206,6 +206,35 @@ class TestNumericOverflow:
         assert "Traceback" not in err
 
 
+REJECTED_GRIDS = (["--alphas=0"], ["--alphas=nan"], ["--alphas=x"],
+                  ["--ks", "0"], ["--ks", "2.5"], ["--bounds", "NOPE"],
+                  ["--bounds", ","])
+GRID_COMMANDS = {"check": ["check", "--family", "K:4"],
+                 "sweep": ["sweep", "--family", "S:3..5"],
+                 "fuzz": ["fuzz", "--count", "3"],
+                 "invariants": ["invariants", "--family", "K:4"]}
+
+
+class TestRejectedGrids:
+    """A rejected grid ends every command that takes the flag before it
+    prints or writes anything."""
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in GRID_COMMANDS for flag in REJECTED_GRIDS
+        if command != "invariants" or flag[0] != "--bounds"])
+    def test_exits_one_with_an_error_line(self, command, flag, tmp_path,
+                                          capsys):
+        out_dir = tmp_path / "out"
+        argv = GRID_COMMANDS[command] + flag
+        if command == "fuzz":
+            argv += ["--out-dir", str(out_dir)]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not out_dir.exists()
+
+
 class TestDuplicateGridEntries:
     """A repeated alpha or k gives one row, as a repeated bound id does."""
 
