@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (BadParameterError, DisconnectedGraphError,
                      SequenceTooShortError, UnknownBoundError)
-from .graphs import (Graph, GraphClass, classify, complement_components,
-                     degree_sequence, conjugate_sequence, first_zagreb)
+from .graphs import (Graph, GraphClass, classify, degree_sequence,
+                     conjugate_sequence, first_zagreb)
 from .majorization import merged_grone_sequence
 from .spectra import (Spectrum, complement_spectrum, kirchhoff, lee,
                       log_spanning_trees, s_alpha, spectrum)
@@ -39,13 +39,6 @@ VIOLATED = "VIOLATED"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 Param = Union[float, int, None]
-
-
-class ComplementClass(NamedTuple):
-    """The two facts about a graph's complement that the catalog reads."""
-
-    component_count: int
-    is_clique_union: bool
 
 
 class GraphContext:
@@ -106,19 +99,7 @@ class GraphContext:
     @cached_property
     def complement_lee(self) -> float:
         return lee(complement_spectrum(
-            self.spec, self.graph.m, self.complement_class.component_count))
-
-    @cached_property
-    def complement_class(self) -> ComplementClass:
-        """Read off complement_components: the complement is a clique union
-        when each vertex misses exactly the rest of its complement
-        component."""
-        g = self.graph
-        comps = complement_components(g)
-        return ComplementClass(
-            component_count=len(comps),
-            is_clique_union=all(g.n - 1 - g.degree(v) == len(comp) - 1
-                                for comp in comps for v in comp))
+            self.spec, self.graph.m, self.gclass.complement_component_count))
 
     @cached_property
     def log_tree_count(self) -> float:
@@ -278,7 +259,7 @@ def _eq_balanced_bipartite(ctx: GraphContext, param: Param) -> bool:
 
 def _eq_complete_multipartite(ctx: GraphContext, param: Param) -> bool:
     # measured equality family: complement is a union of cliques
-    return ctx.complement_class.is_clique_union
+    return ctx.gclass.is_complete_multipartite
 
 
 def _eq_never(ctx: GraphContext, param: Param) -> bool:

@@ -305,9 +305,9 @@ def _report(args, records: Iterable[_Record],
 
 def cmd_invariants(args, parser: _Parser) -> int:
     _, graph_id, _, build = _resolve_input(args, parser)
-    g = build()
     alphas = _parse_grid(args.alphas, "alpha", float)
     ks = _parse_grid(args.ks, "k", int)
+    g = build()
     ctx = GraphContext(g)
     spec = ctx.spec
 
@@ -441,7 +441,7 @@ def build_parser() -> _Parser:
         p.add_argument("--graph", help="path to an edge-list file")
         p.add_argument("--family", help="family DSL string, e.g. K:4")
 
-    p_inv = sub.add_parser("invariants", parents=[], help="print invariants")
+    p_inv = sub.add_parser("invariants", help="print invariants")
     add_graph_input(p_inv)
     add_common(p_inv)
     p_inv.set_defaults(func=cmd_invariants)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError, SelfLoopError, VertexRangeError
 
@@ -145,8 +145,8 @@ def first_zagreb(g: Graph) -> int:
     return sum(len(s) ** 2 for s in g.adjacency)
 
 
-def _two_color(g: Graph) -> Optional[list[int]]:
-    """Traversal 2-coloring; None when an odd cycle exists."""
+def _is_bipartite(g: Graph) -> bool:
+    """Traversal 2-colouring; False when an odd cycle exists."""
     color = [-1] * g.n
     for start in range(g.n):
         if color[start] != -1:
@@ -160,77 +160,61 @@ def _two_color(g: Graph) -> Optional[list[int]]:
                     color[y] = 1 - color[x]
                     queue.append(y)
                 elif color[y] == color[x]:
-                    return None
-    return color
+                    return False
+    return True
+
+
+def _is_clique_union(m: int, comps: Sequence[Sequence[int]]) -> bool:
+    """A graph with m edges and these components is a union of cliques:
+    a component of c vertices has at most c(c-1)/2 edges, so the bound is
+    met in total only when it is met by every component."""
+    return m == sum(len(comp) * (len(comp) - 1) // 2 for comp in comps)
 
 
 @dataclass(frozen=True)
 class GraphClass:
-    """Structural flags used by the bound catalog's equality predictions."""
+    """The structural facts the bound catalog reads, of G and of its
+    complement."""
 
     component_count: int
     is_connected: bool
     is_tree: bool
     is_star: bool
     is_complete: bool
-    is_complete_minus_edge: bool
     is_clique_union: bool
     is_bipartite: bool
     is_balanced_complete_bipartite: bool
-    bipartition: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
+    complement_component_count: int
+    # the complement is a clique union
+    is_complete_multipartite: bool
 
 
 def classify(g: Graph) -> GraphClass:
-    """Recognize the named families by degrees and traversal (no isomorphism).
+    """Recognize the named families from n, m, the components of G and of
+    its complement, and one 2-colouring (no isomorphism).
 
     K_1 counts as a degenerate star, complete graph and clique union all at
     once; K_2 is both a star and complete.
     """
     n, m = g.n, g.m
-    comps = g.components
-    cc = len(comps)
-    degs = degree_sequence(g)
-
-    is_connected = cc == 1
+    is_connected = len(g.components) == 1
     is_tree = is_connected and m == n - 1
-    if n == 1:
-        is_star = is_complete = True
-    else:
-        is_star = degs[0] == n - 1 and all(x == 1 for x in degs[1:])
-        is_complete = degs[-1] == n - 1
-    # degree multiset (n-1)^(n-2), (n-2)^2 forces K_n minus one edge: the n-2
-    # full-degree vertices dominate, leaving the two others non-adjacent.
-    is_cme = (n >= 3
-              and degs == (n - 1,) * (n - 2) + (n - 2,) * 2)
-    is_clique_union = all(
-        all(g.degree(v) == len(comp) - 1 for v in comp) for comp in comps)
-
-    color = _two_color(g)
-    if color is None:
-        is_bip = False
-        bipartition = None
-    else:
-        is_bip = True
-        side0 = tuple(v for v in range(n) if color[v] == 0)
-        side1 = tuple(v for v in range(n) if color[v] == 1)
-        bipartition = (side0, side1)
-    is_bcb = (is_bip
-              and n % 2 == 0
-              and bipartition is not None
-              and len(bipartition[0]) == n // 2
-              and m == n * n // 4)
-
+    is_bipartite = _is_bipartite(g)
+    co_comps = complement_components(g)
     return GraphClass(
-        component_count=cc,
+        component_count=len(g.components),
         is_connected=is_connected,
         is_tree=is_tree,
-        is_star=is_star,
-        is_complete=is_complete,
-        is_complete_minus_edge=is_cme,
-        is_clique_union=is_clique_union,
-        is_bipartite=is_bip,
-        is_balanced_complete_bipartite=is_bcb,
-        bipartition=bipartition,
+        is_star=is_tree and any(len(s) == n - 1 for s in g.adjacency),
+        is_complete=2 * m == n * (n - 1),
+        is_clique_union=_is_clique_union(m, g.components),
+        is_bipartite=is_bipartite,
+        # sides a + b = n give m <= ab <= n^2/4, with equality only for
+        # K_{n/2,n/2}
+        is_balanced_complete_bipartite=is_bipartite and 4 * m == n * n,
+        complement_component_count=len(co_comps),
+        is_complete_multipartite=_is_clique_union(
+            n * (n - 1) // 2 - m, co_comps),
     )
 
 

@@ -73,12 +73,6 @@ def majorizes(x: Sequence[float], y: Sequence[float]) -> MajorizationVerdict:
     )
 
 
-def majorizes_sorted(x: Sequence[float], y: Sequence[float]) -> MajorizationVerdict:
-    """majorizes() after sorting both inputs non-increasing."""
-    return majorizes(tuple(sorted(x, reverse=True)),
-                     tuple(sorted(y, reverse=True)))
-
-
 def grone_sequence(d: Sequence[int]) -> tuple[tuple[int, ...], bool]:
     """(d_1+1, d_2, ..., d_{n-1}, d_n - 1) plus a non-increasing flag."""
     if len(d) < 2:
@@ -109,9 +103,9 @@ def check_grone(degrees: Sequence[int],
     """Grone sequence of degrees against the spectrum (connected, n >= 2)."""
     if spec.component_count != 1:
         raise DisconnectedGraphError("comparison needs a connected graph")
+    # d_1 + 1 > d_1 >= ... >= d_n > d_n - 1: already non-increasing
     seq, _ = grone_sequence(degrees)
-    left = tuple(sorted((float(v) for v in seq), reverse=True))
-    return majorizes(left, spec.mu)
+    return majorizes(tuple(float(v) for v in seq), spec.mu)
 
 
 def check_grone_merris(degrees: Sequence[int],

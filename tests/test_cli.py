@@ -234,6 +234,15 @@ class TestRejectedGrids:
         assert err.startswith("error: ")
         assert not out_dir.exists()
 
+    def test_invariants_checks_the_grid_before_the_graph(self, capsys):
+        # this family's graph cannot be built: no draw is connected
+        code, out, err = run(["invariants", "--family", "GNP:40:0.001:1",
+                              "--alphas=0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: alpha grid must avoid the trivial exponents 0 and 1"]
+
 
 class TestDuplicateGridEntries:
     """A repeated alpha or k gives one row, as a repeated bound id does."""
@@ -486,6 +495,45 @@ class TestComponentsOncePerGraph:
         # complement's components come from complement_components, and no
         # complement graph is built
         assert len(traversed) == len(built)
+
+
+class TestFactsOncePerGraph:
+    """GraphContext sorts the degrees and classify traverses the
+    complement once per evaluated graph."""
+
+    @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
+    def test_fuzz(self, model, tmp_path, capsys, monkeypatch):
+        calls = {lb.graphs.degree_sequence: [],
+                 lb.graphs.complement_components: []}
+
+        def counting(original):
+            def wrapper(g):
+                calls[original].append(g)
+                return original(g)
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name == "lapbounds" or name.startswith("lapbounds."):
+                for attr, value in list(vars(module).items()):
+                    for original in calls:
+                        if value is original:
+                            monkeypatch.setattr(module, attr,
+                                                counting(original))
+        evaluated = []
+        original_catalog = cli.evaluate_catalog
+
+        def evaluating(g, *args, **kwargs):
+            evaluated.append(g)
+            return original_catalog(g, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_catalog", evaluating)
+        code, _, _ = run(["fuzz", "--seed", "7", "--count", "30",
+                          "--model", model, "--out-dir", str(tmp_path)],
+                         capsys)
+        assert code in (0, 2, 3)
+        assert len(evaluated) == 30
+        for seen in calls.values():
+            assert Counter(map(id, seen)) == Counter(map(id, evaluated))
 
 
 class TestNoBareissInCatalog:

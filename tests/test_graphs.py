@@ -4,7 +4,6 @@ from hypothesis import given, settings
 
 import lapbounds as lb
 from lapbounds import ParseError, SelfLoopError, VertexRangeError
-from lapbounds.bounds import GraphContext
 from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
                       named_corpus, tree_corpus)
 
@@ -142,9 +141,10 @@ class TestComplementComponents:
                                         clique_union_corpus])
     def test_context_complement_class(self, corpus):
         for label, g in corpus():
-            cls = lb.classify(lb.complement(g))
-            assert GraphContext(g).complement_class == (
-                cls.component_count, cls.is_clique_union), label
+            cls, co = lb.classify(g), lb.classify(lb.complement(g))
+            assert (cls.complement_component_count,
+                    cls.is_complete_multipartite) == (
+                co.component_count, co.is_clique_union), label
 
     def test_complement_class_predicts_kf_zt_equality(self):
         # K_{a,b} and the complements of clique unions are exactly the
@@ -155,12 +155,12 @@ class TestComplementComponents:
                    for sizes in ("1,1", "2,1", "2,2,1", "3,3", "4,2,1",
                                  "3,3,3", "5,1,1,1")]
         for g in graphs:
-            assert GraphContext(g).complement_class.is_clique_union, g
+            assert lb.classify(g).is_complete_multipartite, g
             r = lb.evaluate_bound("KF_ZT", g)
             assert r.verdict == "EQUALITY" and r.predicted_equality, g
         for label in ("P:5", "C:7", "TREE:8:3"):
             g = fam(label)
-            assert not GraphContext(g).complement_class.is_clique_union
+            assert not lb.classify(g).is_complete_multipartite
             assert lb.evaluate_bound("KF_ZT", g).verdict == "HOLDS"
 
 
@@ -181,11 +181,6 @@ class TestClassify:
         c = lb.classify(fam("K:2"))
         assert c.is_star and c.is_complete
 
-    def test_complete_minus_edge(self):
-        c = lb.classify(fam("Kme:5"))
-        assert c.is_complete_minus_edge and not c.is_complete
-        assert not lb.classify(fam("K:5")).is_complete_minus_edge
-
     def test_clique_union(self):
         c = lb.classify(fam("CLIQUES:3,2"))
         assert c.is_clique_union and c.component_count == 2
@@ -203,12 +198,6 @@ class TestClassify:
         assert not lb.classify(fam("Kab:2:3")).is_balanced_complete_bipartite
         assert not lb.classify(fam("C:6")).is_balanced_complete_bipartite
 
-    def test_bipartition_is_a_proper_split(self):
-        c = lb.classify(fam("Kab:2:4"))
-        assert c.bipartition is not None
-        side0, side1 = c.bipartition
-        assert sorted(side0 + side1) == list(range(6))
-
     def test_named_corpus_classes_are_consistent(self):
         for label, g in named_corpus():
             c = lb.classify(g)
@@ -221,6 +210,41 @@ class TestClassify:
                 assert c.is_clique_union
             if label.startswith("Kab:"):
                 assert c.is_bipartite
+
+
+class TestClassifyAgainstNetworkx:
+    """classify against networkx's own recognizers on every atlas graph
+    (all graphs with 1 to 7 vertices, up to isomorphism)."""
+
+    @staticmethod
+    def cliques_only(nx, G):
+        return all(nx.is_isomorphic(G.subgraph(comp),
+                                    nx.complete_graph(len(comp)))
+                   for comp in nx.connected_components(G))
+
+    def test_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for i, G in enumerate(nx.graph_atlas_g()):
+            n = G.number_of_nodes()
+            if n == 0:
+                continue
+            c = lb.classify(lb.build_graph(n, G.edges()))
+            co = nx.complement(G)
+            balanced = n % 2 == 0 and nx.is_isomorphic(
+                G, nx.complete_bipartite_graph(n // 2, n // 2))
+            assert c == lb.GraphClass(
+                component_count=nx.number_connected_components(G),
+                is_connected=nx.is_connected(G),
+                is_tree=nx.is_tree(G),
+                is_star=nx.is_isomorphic(G, nx.star_graph(n - 1)),
+                is_complete=nx.is_isomorphic(G, nx.complete_graph(n)),
+                is_clique_union=self.cliques_only(nx, G),
+                is_bipartite=nx.is_bipartite(G),
+                is_balanced_complete_bipartite=balanced,
+                complement_component_count=nx.number_connected_components(
+                    co),
+                is_complete_multipartite=self.cliques_only(nx, co),
+            ), f"atlas graph {i}"
 
 
 class TestEdgeListIO:

@@ -6,7 +6,6 @@ import lapbounds as lb
 from lapbounds import (BadPinchError, DisconnectedGraphError,
                        DomainViolationError, LengthMismatchError,
                        NotSortedError, SequenceTooShortError)
-from lapbounds.majorization import majorizes_sorted
 from lapbounds.rng import SplitMix64, splitmix64
 from conftest import gnp_corpus, named_corpus, tree_corpus
 
@@ -56,9 +55,6 @@ class TestMajorizes:
             lb.majorizes((1.0, 2.0), (2.0, 1.0))
         with pytest.raises(NotSortedError):
             lb.majorizes((2.0, 1.0), (1.0, 2.0))
-
-    def test_majorizes_sorted_sorts(self):
-        assert majorizes_sorted((1.0, 3.0), (4.0, 0.0)).holds
 
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=2,
                     max_size=10))
