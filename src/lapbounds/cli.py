@@ -29,16 +29,14 @@ from .families import FamilySpec, generate, gnp_connected, iter_family, random_t
 from .graphs import Graph, format_edge_list, parse_edge_list
 from .majorization import check_grone, check_grone_merris
 from .rng import SplitMix64, splitmix64
-from .spectra import Spectrum, moment, spanning_trees_exact, spectra_of
+from .spectra import Spectrum, spanning_trees_exact, spectra_of
 
 MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
-# every command solves this many consecutive instances at a time, the graphs
-# of one n as one stack; only the graphs of one n in a chunk are alive at once
+# check, sweep and fuzz solve this many consecutive instances at a time, the
+# graphs of one n as one stack; only one n-group of a chunk is alive at once
 FUZZ_CHUNK = 64
 
-CSV_COLUMNS = ("graph_id", "n", "m", "bound_id", "param", "applicable",
-               "lhs", "rhs", "margin", "verdict", "predicted_equality",
-               "agreement")
+CSV_COLUMNS = ("graph_id", "n", "m") + BoundResult._fields
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,7 +206,7 @@ def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
         name: "holds" if check(ctx.degrees, ctx.spec).holds else "fails"
         for name, check in (("GRONE", check_grone),
                             ("GRONE_MERRIS", check_grone_merris))
-        if name != "GRONE" or (g.n >= 2 and ctx.gclass.component_count == 1)}
+        if name != "GRONE" or ctx.gclass.is_connected}
     # several violated parameters of one bound share one file
     files = dict.fromkeys([v["file"] for v in violations]
                           + [f"{name}_{index}.el" for name, outcome
@@ -250,6 +248,8 @@ def _records(instances: Iterable[_Instance], args, grids,
     Instances are taken FUZZ_CHUNK at a time. Within a chunk the graphs of
     one n are built, solved together by spectra_of, evaluated and dropped
     before the next n is built, so only one n-group of graphs is alive.
+    Groups go by declared n: a built graph of another n ends the run with
+    spectra_of's ValueError.
     """
     instances = iter(instances)
     while chunk := list(itertools.islice(instances, FUZZ_CHUNK)):
@@ -275,7 +275,6 @@ def _report(args, records: Iterable[_Record],
         # exit codes in rising severity: clean, agreement failure, VIOLATED
         code = max(code, _exit_code(rec.results), key=(0, 3, 2).index)
         if rows is not None:
-            # BoundResult's fields are the rest of CSV_COLUMNS, in order
             rows.extend({"graph_id": rec.graph_id, "n": rec.n, "m": rec.m,
                          **r._asdict()} for r in rec.results)
         if fuzz is None:
@@ -317,7 +316,7 @@ def cmd_invariants(args, parser: _Parser) -> int:
             s_vals[_fmt_real(a)] = ctx.s_alpha(a)
         except NoNonzeroEigenvaluesError:
             s_vals[_fmt_real(a)] = None
-    t_vals = {str(k): moment(spec, k) for k in sorted(ks)}
+    t_vals = {str(k): ctx.s_alpha(k) for k in sorted(ks)}
 
     _emit(args, {
         "graph_id": graph_id,

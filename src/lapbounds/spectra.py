@@ -6,7 +6,8 @@ operation, to one matrix or to a whole stack of matrices of one size at once;
 Jacobi keeps small eigenvalues accurate relative to their size, which s_{-2}
 needs (Demmel & Veselic 1992). Each matrix of a stack converges and leaves
 the stack on its own, so its eigenvalues are bit-identical whatever it was
-stacked with; spectra_of solves many graphs with one stack per vertex count.
+stacked with; spectra_of solves graphs of one vertex count as one stack, and
+the CLI's check, sweep and fuzz group their graphs by n before they call it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,23 +198,20 @@ def _pin_zeros(vals: list[float], cc: int, two_m: float) -> Spectrum:
 
 
 def spectra_of(graphs: Sequence[Graph]) -> list[Spectrum]:
-    """Laplacian spectra of many graphs, in order; one exact zero per component.
+    """Laplacian spectra of graphs of one vertex count, in order; one exact
+    zero per component.
 
-    The graphs are grouped by vertex count, and each group's Laplacians are
-    solved as one stack: one jacobi_eigenvalues call per distinct n. A
-    graph's eigenvalues do not depend on the graphs it is stacked with.
+    The Laplacians are solved as one stack, in one jacobi_eigenvalues call.
+    A graph's eigenvalues do not depend on the graphs it is stacked with.
+    Raises ValueError when the graphs do not all have the same n.
     """
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(g.n, []).append(i)
-    out: list[Optional[Spectrum]] = [None] * len(graphs)
-    for members in groups.values():
-        stack = np.stack([laplacian(graphs[i]) for i in members])
-        for i, vals in zip(members, jacobi_eigenvalues(stack)):
-            g = graphs[i]
-            out[i] = _pin_zeros(sorted(vals, reverse=True), len(g.components),
-                                2.0 * g.m)
-    return out
+    if not graphs:
+        return []
+    if len({g.n for g in graphs}) > 1:
+        raise ValueError("spectra_of solves graphs of one vertex count only")
+    vals = jacobi_eigenvalues(np.stack([laplacian(g) for g in graphs]))
+    return [_pin_zeros(sorted(v, reverse=True), len(g.components), 2.0 * g.m)
+            for g, v in zip(graphs, vals)]
 
 
 def spectrum(g: Graph) -> Spectrum:

@@ -1,4 +1,6 @@
 """Bound catalog: verdicts, margins, equality predictions, strict mode."""
+import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -617,3 +619,26 @@ class TestOneRowPath:
         with pytest.raises(AttributeError):
             r.lhs = 0.0
         assert r == lb.BoundResult(**r._asdict())
+
+
+class TestAtlasCensus:
+    """The catalog on every atlas graph (n = 1..7) through the lazy
+    spectrum path, pinned by a digest of its verdicts."""
+
+    def test_census_is_pinned(self):
+        nx = pytest.importorskip("networkx")
+        rows = []
+        for i, G in enumerate(nx.graph_atlas_g()):
+            if G.number_of_nodes() < 1:
+                continue
+            g = lb.build_graph(G.number_of_nodes(), G.edges())
+            rows.extend([i, r.bound_id, r.param, r.verdict,
+                         r.predicted_equality, r.agreement]
+                        for r in lb.evaluate_catalog(g, ALPHAS, KS))
+        assert len({row[0] for row in rows}) == 1252 and len(rows) == 33804
+        assert Counter(row[1] for row in rows if not row[5]) == {
+            "P2_LOWER": 6, "KF_NEW": 2, "KF_COMPARE": 3}
+        assert Counter(row[1] for row in rows if row[3] == "VIOLATED") == {
+            "R1_TREE_HIGH": 54, "P2_LOWER": 27, "KF_NEW": 9}
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "e92ed30e1a6859611f9dc48355c0b71e901154a837f077eaa277e1998f496f58")

@@ -78,6 +78,26 @@ class TestInvariantsCommand:
                            capsys)
         assert code == 1 and "error" in err
 
+    def test_each_exponent_summed_once(self, capsys, monkeypatch):
+        """Moments of order k reuse the s_alpha sums at alpha = k."""
+        exponents = []
+        original = spectra.s_alpha
+
+        def counting(spec, alpha):
+            exponents.append(alpha)
+            return original(spec, alpha)
+
+        for name, module in list(sys.modules.items()):
+            if name == "lapbounds" or name.startswith("lapbounds."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, _, _ = run(["invariants", "--family", "S:10", "--alphas=2,3",
+                          "--ks", "2,3"], capsys)
+        assert code == 0
+        # the -1 is kirchhoff's own sum
+        assert Counter(exponents) == {2.0: 1, 3.0: 1, -1.0: 1}
+
 
 class TestCheckCommand:
     def test_exit_zero_on_star(self, capsys):

@@ -213,8 +213,28 @@ class TestJacobiStack:
     def test_spectra_of_matches_spectrum(self):
         graphs = [g for _, g in named_corpus() + gnp_corpus()[:60]
                   + tree_corpus()[:40] + clique_union_corpus()[:20]]
-        assert lb.spectra_of(graphs) == [lb.spectrum(g) for g in graphs]
+        groups = {}
+        for g in graphs:
+            groups.setdefault(g.n, []).append(g)
+        for group in groups.values():
+            assert lb.spectra_of(group) == [lb.spectrum(g) for g in group]
         assert lb.spectra_of([]) == []
+
+    def test_spectra_of_solves_one_stack_of_one_n(self, monkeypatch):
+        graphs = [fam("S:6"), fam("P:6"), fam("K:6")]
+        alone = [lb.spectrum(g) for g in graphs]
+        shapes = []
+        original = spectra.jacobi_eigenvalues
+
+        def counting(matrix):
+            shapes.append(np.shape(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
+        assert lb.spectra_of(graphs) == alone
+        assert shapes == [(3, 6, 6)]
+        with pytest.raises(ValueError, match="one vertex count"):
+            lb.spectra_of([fam("S:6"), fam("S:7")])
 
     def test_one_by_one_stack(self):
         stack = np.array([[[5.0]], [[0.0]], [[-2.5]]])
