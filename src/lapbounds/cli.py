@@ -120,11 +120,34 @@ def _rows_to_csv(rows: list[dict], columns=CSV_COLUMNS) -> str:
     return buf.getvalue()
 
 
+def _rows_to_json(rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2), byte for byte, for a list of flat dicts,
+    through json's C encoder, which cannot indent.
+
+    The encoder puts each key of a row on its own line with the item
+    separator; only the framing of the rows is added here. An encoded
+    string holds no raw newline, a key starts with a quote and an encoded
+    scalar never ends in "}", so "},\n    {" occurs only between two rows,
+    and a row's body is empty only for an empty dict.
+    """
+    if not rows:
+        return "[]"
+    text = json.dumps(rows, separators=(",\n    ", ": "))
+    return "[\n  " + ",\n  ".join(
+        "{\n    " + body + "\n  }" if body else "{}"
+        for body in text[2:-2].split("},\n    {")) + "\n]"
+
+
 def _emit(args, report: Union[list, dict]) -> None:
-    """Print a report as JSON or as CSV: a list of rows in CSV_COLUMNS, a
-    document as key-value rows."""
+    """Print a report as JSON or as CSV.
+
+    A report is a list of rows over CSV_COLUMNS (check, sweep, fuzz CSV),
+    written by _rows_to_json or _rows_to_csv, or a document (fuzz JSON,
+    invariants), written by json.dumps(indent=2) or as key-value CSV rows.
+    """
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_rows_to_json(report) if isinstance(report, list)
+              else json.dumps(report, indent=2))
     elif isinstance(report, list):
         sys.stdout.write(_rows_to_csv(report))
     else:

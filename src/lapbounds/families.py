@@ -55,8 +55,7 @@ class FamilySpec:
 
 
 def _complete_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
-    return [(vertices[i], vertices[j])
-            for i in range(len(vertices)) for j in range(i + 1, len(vertices))]
+    return list(itertools.combinations(vertices, 2))
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:

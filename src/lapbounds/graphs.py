@@ -6,6 +6,8 @@ equal and all iteration orders are deterministic.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -47,19 +49,28 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate, dedupe and canonicalize an edge list into a Graph.
 
-    Self-loops and endpoints outside 0..n-1 are rejected; parallel edges
-    collapse to one.
+    Endpoints that are not integers (operator.index fails) and endpoints
+    outside 0..n-1 raise VertexRangeError, self-loops SelfLoopError, each
+    edge checked in list order; parallel edges collapse to one. Endpoints
+    are stored as plain ints. Each edge is keyed by the int u * n + v with
+    u < v, so sorting the keys sorts the edges.
     """
     if n < 1:
         raise ValueError(f"graph needs at least one vertex, got n={n}")
-    canon: set[tuple[int, int]] = set()
+    keys: set[int] = set()
     for u, v in edges:
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise VertexRangeError(
+                f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        canon.add((u, v) if u < v else (v, u))
-    return Graph(n=n, edges=tuple(sorted(canon)))
+        keys.add(u * n + v if u < v else v * n + u)
+    return Graph(n=n, edges=tuple(map(divmod, sorted(keys),
+                                      itertools.repeat(n))))
 
 
 def complement(g: Graph) -> Graph:

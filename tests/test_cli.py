@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import weakref
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lapbounds as lb
 from lapbounds import cli, spectra
@@ -746,6 +749,76 @@ class TestReportsPinned:
     ])
     def test_projection_digest(self, argv, digest, tmp_path, capsys):
         assert self._projection(argv, tmp_path, capsys) == digest
+
+
+class TestRowsToJson:
+    """Row reports are encoded by json's C encoder and still read exactly as
+    json.dumps(rows, indent=2)."""
+
+    AWKWARD = st.sampled_from([
+        '"', "\\", "\n", "},\n    {", '"},\n    {"', "{", "}", "{}", "[\n  ",
+        "caf\u00e9 \u2211 \U0001f600"])
+    SCALARS = st.one_of(
+        st.text(), AWKWARD, st.integers(), st.none(), st.booleans(),
+        st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+
+    @given(st.lists(st.dictionaries(st.text() | AWKWARD, SCALARS, max_size=6),
+                    max_size=5))
+    @example([])
+    @example([{}])
+    @example([{}, {"a": "},\n    {"}, {}])
+    @settings(max_examples=300)
+    def test_matches_indent_2(self, rows):
+        assert cli._rows_to_json(rows) == json.dumps(rows, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "K:3..12"],
+        ["sweep", "--family", "S:3..8"],
+        ["sweep", "--family", "GNP:5..9:0.5:3"],
+        ["check", "--family", "K:4"],
+    ])
+    def test_cli_reports(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code in (0, 2, 3)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class TestRowReportsSkipThePythonEncoder:
+    """json.dumps(indent=2) runs json.encoder's pure-Python _make_iterencode;
+    row reports must not, documents still do."""
+
+    @pytest.fixture
+    def iterencodes(self, monkeypatch):
+        calls = []
+        original = json.encoder._make_iterencode
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--family", "K:4"],
+        ["sweep", "--family", "K:3..12"],
+        ["sweep", "--family", "GNP:5..9:0.5:3"],
+    ])
+    def test_row_reports(self, argv, iterencodes, capsys):
+        assert run(argv, capsys)[0] in (0, 2, 3)
+        assert iterencodes == []
+
+    @pytest.mark.parametrize("fmt, calls", [("json", 1), ("csv", 0)])
+    def test_fuzz(self, fmt, calls, iterencodes, tmp_path, capsys):
+        """The fuzz JSON report is a document: one pure-Python encoding."""
+        code, _, _ = run(["fuzz", "--count", "10", "--format", fmt,
+                          "--out-dir", str(tmp_path)], capsys)
+        assert code in (0, 2, 3)
+        assert len(iterencodes) == calls
+
+    def test_invariants_document(self, iterencodes, capsys):
+        assert run(["invariants", "--family", "K:5"], capsys)[0] == 0
+        assert len(iterencodes) == 1
 
 
 class TestExitCodeLogic:

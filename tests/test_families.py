@@ -83,6 +83,25 @@ class TestNamedFamilies:
         assert len(lb.connected_components(g)) == 3
 
 
+    @pytest.mark.parametrize("label", [f"K:{n}" for n in (1, 2, 3, 9, 64)]
+                             + [f"Kme:{n}" for n in (2, 3, 9, 64)]
+                             + ["CLIQUES:3,2,1", "CLIQUES:1,5,4"])
+    def test_clique_edges_unchanged(self, label):
+        def index_pairs(vs):  # the index-loop form of the pairs of vs
+            return [(vs[i], vs[j]) for i in range(len(vs))
+                    for j in range(i + 1, len(vs))]
+
+        spec = lb.parse_family(label)[0]
+        if spec.kind == "clique_union":
+            starts = itertools.accumulate(spec.sizes, initial=0)
+            edges = [e for s, a in zip(spec.sizes, starts)
+                     for e in index_pairs(range(a, a + s))]
+        else:
+            edges = index_pairs(range(spec.n))
+            edges = edges[:-1] if spec.kind == "complete_minus_edge" else edges
+        assert lb.generate(spec).edges == tuple(edges)
+
+
 class TestRandomFamilies:
     def test_tree_is_a_tree_and_deterministic(self):
         g1 = fam("TREE:12:42")

@@ -1,6 +1,8 @@
 """Graph core: construction, components, degrees, recognizers, edge-list IO."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lapbounds as lb
 from lapbounds import ParseError, SelfLoopError, VertexRangeError
@@ -37,6 +39,58 @@ class TestBuildGraph:
         g = lb.build_graph(1, [])
         assert g.n == 1 and g.m == 0
         assert lb.degree_sequence(g) == (0,)
+
+    @pytest.mark.parametrize("edge", [(0, 1.5), (1.0, 2), ("1", 2), (0, None),
+                                      (np.float64(1), 2)])
+    def test_rejects_non_integer_endpoints(self, edge):
+        with pytest.raises(VertexRangeError, match="non-integer endpoint"):
+            lb.build_graph(3, [(0, 1), edge])
+
+    def test_integer_like_endpoints_stored_as_ints(self):
+        g = lb.build_graph(3, [(True, 2), (np.int64(0), np.int8(2))])
+        assert g.edges == ((0, 2), (1, 2))
+        assert {type(x) for e in g.edges for x in e} == {int}
+        assert lb.spectrum(g).mu == lb.spectrum(lb.build_graph(
+            3, [(1, 2), (0, 2)])).mu
+
+    @staticmethod
+    def tuple_key_build(n, edges):
+        """The tuple-keyed build_graph that preceded the integer keys."""
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        canon = set()
+        for u, v in edges:
+            if u == v:
+                raise SelfLoopError(f"self-loop at vertex {u}")
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+            canon.add((u, v) if u < v else (v, u))
+        return tuple(sorted(canon))
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1))
+                             .filter(lambda e: e[0] != e[1]), max_size=40))))
+    @settings(max_examples=200)
+    def test_canonical_edges(self, case):
+        n, edges = case
+        doubled = edges + [(v, u) for u, v in edges[::2]]
+        assert lb.build_graph(n, doubled).edges == tuple(
+            sorted({(min(u, v), max(u, v)) for u, v in edges}))
+
+    @given(st.integers(1, 8), st.lists(st.tuples(st.integers(-3, 10),
+                                                 st.integers(-3, 10)),
+                                       max_size=12))
+    @settings(max_examples=300)
+    def test_first_invalid_edge_raises_as_before(self, n, edges):
+        try:
+            expected = self.tuple_key_build(n, edges)
+        except (SelfLoopError, VertexRangeError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                lb.build_graph(n, edges)
+            assert str(raised.value) == str(exc)
+        else:
+            assert lb.build_graph(n, edges).edges == expected
 
 
 class TestComponents:
