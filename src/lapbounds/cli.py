@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
-from .bounds import (BOUND_IDS, BoundResult, GraphContext, _legal,
-                     evaluate_catalog, VIOLATED)
+from .bounds import (BOUND_IDS, EQUALITY, HOLDS, NOT_APPLICABLE, VIOLATED,
+                     BoundResult, GraphContext, _legal, evaluate_catalog)
 from .errors import (LapboundsError, NoNonzeroEigenvaluesError, ParseError,
                      RetryExhaustedError)
 from .families import FamilySpec, generate, gnp_connected, iter_family, random_tree
@@ -201,6 +201,11 @@ def _grids(args) -> tuple:
             _parse_grid(args.ks, "k", int), _parse_bounds(args.bounds))
 
 
+def _majorization_checks() -> dict[str, Callable]:
+    """The fuzz report's majorization checks; GRONE needs a connected graph."""
+    return {"GRONE": check_grone, "GRONE_MERRIS": check_grone_merris}
+
+
 def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
             out_dir: Optional[Path]) -> _Record:
     """Evaluate one solved graph; with out_dir (fuzz) also run the
@@ -212,6 +217,8 @@ def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
                                bound_ids=bound_ids, ctx=ctx)
     if out_dir is None:
         return _Record(index, graph_id, g.n, g.m, results)
+    violated = [r for r in results if r.verdict == VIOLATED]
+    edges = [list(e) for e in g.edges] if violated else None
     violations = tuple({
         "index": index,
         "graph_id": graph_id,
@@ -222,13 +229,12 @@ def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
         "margin": r.margin,
         "n": g.n,
         "m": g.m,
-        "edges": [list(e) for e in g.edges],
+        "edges": edges,  # one list, shared by the graph's entries
         "file": f"{r.bound_id}_{index}.el",
-    } for r in results if r.verdict == VIOLATED)
+    } for r in violated)
     majorization = {
         name: "holds" if check(ctx.degrees, ctx.spec).holds else "fails"
-        for name, check in (("GRONE", check_grone),
-                            ("GRONE_MERRIS", check_grone_merris))
+        for name, check in _majorization_checks().items()
         if name != "GRONE" or ctx.gclass.is_connected}
     # several violated parameters of one bound share one file
     files = dict.fromkeys([v["file"] for v in violations]
@@ -288,19 +294,18 @@ def _report(args, records: Iterable[_Record],
             fuzz: Optional[dict] = None) -> int:
     """Fold the records into the report, print it, return the exit code.
 
-    The report is the rows for check, sweep and fuzz CSV. For fuzz JSON it
-    is fuzz, the aggregate report, whose empty tallies and lists are
-    filled in here.
+    Without fuzz (check, sweep, fuzz CSV) the report is the rows. With fuzz
+    (fuzz JSON) it is that aggregate report, whose empty tallies and lists
+    are filled in here.
     """
-    rows = [] if fuzz is None or args.format == "csv" else None
+    rows: list[dict] = []
     code = 0
     for rec in records:
         # exit codes in rising severity: clean, agreement failure, VIOLATED
         code = max(code, _exit_code(rec.results), key=(0, 3, 2).index)
-        if rows is not None:
+        if fuzz is None:
             rows.extend({"graph_id": rec.graph_id, "n": rec.n, "m": rec.m,
                          **r._asdict()} for r in rec.results)
-        if fuzz is None:
             continue
         fuzz["corpus"]["sizes"].append(rec.n)
         if rec.m is None:
@@ -321,7 +326,7 @@ def _report(args, records: Iterable[_Record],
                 })
         for name, tally in fuzz["majorization"].items():
             tally[rec.majorization.get(name, "skipped")] += 1
-    _emit(args, fuzz if rows is None else rows)
+    _emit(args, rows if fuzz is None else fuzz)
     return code
 
 
@@ -413,6 +418,9 @@ def cmd_fuzz(args, parser: _Parser) -> int:
         parser.error("--p must lie in (0, 1]")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    records = _records(_fuzz_instances(args), args, grids, out_dir)
+    if args.format == "csv":
+        return _report(args, records)
     active = bound_ids if bound_ids is not None else BOUND_IDS
     report = {
         "config": {
@@ -428,15 +436,15 @@ def cmd_fuzz(args, parser: _Parser) -> int:
             "bounds": list(active),
         },
         "corpus": {"sizes": [], "generation_failures": []},
-        "tallies": {bid: {"holds": 0, "equality": 0, "violated": 0,
-                          "not_applicable": 0} for bid in active},
+        "tallies": {bid: {v.lower(): 0 for v in (HOLDS, EQUALITY, VIOLATED,
+                                                 NOT_APPLICABLE)}
+                    for bid in active},
         "majorization": {name: {"holds": 0, "fails": 0, "skipped": 0}
-                         for name in ("GRONE", "GRONE_MERRIS")},
+                         for name in _majorization_checks()},
         "violations": [],
         "agreement_failures": [],
     }
-    return _report(args, _records(_fuzz_instances(args), args, grids,
-                                  out_dir), report)
+    return _report(args, records, report)
 
 
 def build_parser() -> _Parser:

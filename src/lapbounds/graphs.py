@@ -1,4 +1,4 @@
-"""Immutable simple-graph core: construction, degrees, recognizers, edge-list IO.
+"""Simple-graph core: construction, components, degrees, recognizers, IO.
 
 Vertices are 0..n-1. Graphs are simple and undirected; edges are stored as a
 canonical sorted tuple of (u, v) pairs with u < v, so equal graphs compare
@@ -10,7 +10,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, SelfLoopError, VertexRangeError
 
@@ -80,11 +80,12 @@ def complement(g: Graph) -> Graph:
     return Graph(n=g.n, edges=tuple(edges))
 
 
-def complement_components(g: Graph) -> list[list[int]]:
-    """connected_components(complement(g)), without building the complement.
+def _components(g: Graph, step: Callable[..., set[int]]) -> list[list[int]]:
+    """The one component walk: sorted vertex lists, ordered by smallest member.
 
-    The traversal reaches from x every unvisited vertex outside x's
-    neighbourhood, one set difference per visited vertex.
+    From a visited vertex x it reaches the unvisited vertices joined to x in
+    one set operation, step(unseen, g.adjacency[x]): set.intersection walks
+    G, set.difference its complement.
     """
     unseen = set(range(g.n))
     comps: list[list[int]] = []
@@ -93,35 +94,24 @@ def complement_components(g: Graph) -> list[list[int]]:
             continue
         unseen.discard(start)
         comp = [start]
-        stack = [start]
-        while stack and unseen:
-            reached = unseen - g.adjacency[stack.pop()]
+        for x in comp:  # comp is also the queue: the loop sees what it adds
+            if not unseen:
+                break
+            reached = step(unseen, g.adjacency[x])
             unseen -= reached
             comp.extend(reached)
-            stack.extend(reached)
         comps.append(sorted(comp))
     return comps
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
+    return _components(g, set.intersection)
+
+
+def complement_components(g: Graph) -> list[list[int]]:
+    """connected_components(complement(g)), without building the complement."""
+    return _components(g, set.difference)
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:

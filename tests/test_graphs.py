@@ -1,7 +1,7 @@
 """Graph core: construction, components, degrees, recognizers, edge-list IO."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lapbounds as lb
@@ -113,6 +113,40 @@ class TestComponents:
             for v in comp:
                 owner[v] = idx
         assert all(owner[u] == owner[v] for u, v in g.edges)
+
+
+class TestOneComponentWalk:
+    """connected_components and complement_components are one walk, over
+    the edges of G and over those of its complement."""
+
+    @staticmethod
+    def seen_list_dfs(g):
+        """The per-neighbour traversal the shared walk replaced."""
+        seen = [False] * g.n
+        comps = []
+        for start in range(g.n):
+            if seen[start]:
+                continue
+            seen[start] = True
+            comp, stack = [start], [start]
+            while stack:
+                for y in g.adjacency[stack.pop()]:
+                    if not seen[y]:
+                        seen[y] = True
+                        comp.append(y)
+                        stack.append(y)
+            comps.append(sorted(comp))
+        return comps
+
+    @given(graph_strategy(max_n=14))
+    @settings(max_examples=200)
+    @example(lb.build_graph(1, []))
+    @example(lb.build_graph(7, []))
+    @example(fam("K:7"))
+    def test_matches_the_seen_list_dfs_and_the_complement_graph(self, g):
+        assert lb.connected_components(g) == self.seen_list_dfs(g)
+        assert lb.complement_components(g) == lb.connected_components(
+            lb.complement(g))
 
 
 class TestDegrees:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import lapbounds as lb
 from lapbounds import (DisconnectedGraphError, JacobiConvergenceError,
-                       NoNonzeroEigenvaluesError, spectra)
+                       NoNonzeroEigenvaluesError, SpectralInconsistencyError,
+                       spectra)
 from lapbounds.spectra import _round_robin, jacobi_eigenvalues
 from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
                       named_corpus, tree_corpus)
@@ -394,6 +395,18 @@ class TestComplementSpectrum:
     def test_single_vertex(self):
         spec = lb.complement_spectrum(lb.spectrum(fam("K:1")), 0, 1)
         assert spec.mu == (0.0,) and spec.h == 0
+
+    @pytest.mark.parametrize("label, m, cc, message", [
+        # K_4's complement is edgeless: its three values n - 4 are zeros
+        ("K:4", 6, 1, "too small for a non-zero eigenvalue"),
+        # P_4's complement is P_4: one component, not three
+        ("P:4", 3, 3, "should be a structural zero"),
+        # P_4 has 3 edges, so its complement has 3, not 4
+        ("P:4", 2, 1, "does not match 2m"),
+    ])
+    def test_inconsistent_inputs_raise(self, label, m, cc, message):
+        with pytest.raises(SpectralInconsistencyError, match=message):
+            lb.complement_spectrum(lb.spectrum(fam(label)), m, cc)
 
 
 class TestLee:
