@@ -100,17 +100,20 @@ def random_tree(n: int, seed: int) -> Graph:
 def gnp_connected(n: int, p: float, seed: int) -> Graph:
     """G(n, p) conditioned on connectivity by rejection sampling.
 
-    Raises RetryExhaustedError after GNP_RETRY_CAP rejected draws.
+    An attempt flips one coin per pair u < v, in u-major order, as one
+    SplitMix64.uniforms block of the seed's stream, and keeps the pairs whose
+    draw is below p; the next attempt continues the stream. Raises
+    RetryExhaustedError after GNP_RETRY_CAP rejected draws.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     rng = SplitMix64(seed)
+    pairs = _complete_edges(range(n))
     for _ in range(GNP_RETRY_CAP):
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.uniform() < p]
-        g = build_graph(n, edges)
+        coins = (rng.uniforms(len(pairs)) < p).tolist()
+        g = build_graph(n, itertools.compress(pairs, coins))
         if len(g.components) == 1:
             return g
     raise RetryExhaustedError(

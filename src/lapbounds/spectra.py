@@ -145,18 +145,26 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
             schedule = list(zip(*_round_robin(n, b)))
         for cols_pq, rows_pq, diag, off in schedule:
             app, aqq, apq = flat.take(diag)
-            half = 0.5 * (aqq - app)
-            den = np.abs(half) + np.hypot(half, apq)
-            # den == 0 only when apq == 0 too: t = 0, the identity rotation
-            t = apq / np.copysign(den + (den == 0.0), half)
-            c = 1.0 / np.hypot(1.0, t)
-            s = sign * (t * c)
+            half = aqq - app
+            half *= 0.5
+            den = np.hypot(half, apq)
+            den += np.abs(half)
+            # den == 0 only when apq == 0 too; den is then raised to the
+            # smallest subnormal, so t = apq / den = +-0, the identity rotation
+            np.maximum(den, 5e-324, out=den)
+            t = apq / np.copysign(den, half, out=den)
+            c = np.hypot(1.0, t)
+            np.divide(1.0, c, out=c)
+            t *= c
+            s = sign * t
             cols = cols_view[:, cols_pq].reshape(n, 2, -1)
-            cols_view[:, cols_pq] = (cols * c
-                                     + cols[:, ::-1] * s).reshape(n, -1)
-            rows = rows_view[rows_pq].reshape(2, -1, n)
-            rows_view[rows_pq] = (rows * c[:, None]
-                                  + rows[::-1] * s[:, :, None]).reshape(-1, n)
+            new = cols * c
+            new += cols[:, ::-1] * s
+            cols_view[:, cols_pq] = new.reshape(n, -1)
+            rows = rows_view.take(rows_pq, axis=0).reshape(2, -1, n)
+            new = rows * c[:, None]
+            new += rows[::-1] * s[:, :, None]
+            rows_view[rows_pq] = new.reshape(-1, n)
             flat.put(off, 0.0)
     raise JacobiConvergenceError(
         f"off-diagonal norm above target after {JACOBI_MAX_SWEEPS} sweeps")
@@ -197,7 +205,7 @@ def _pin_zeros(vals: list[float], cc: int, two_m: float) -> Spectrum:
             raise SpectralInconsistencyError(
                 f"eigenvalue {v} is too small for a non-zero eigenvalue "
                 f"(components={cc})")
-    mu = tuple(float(v) for v in head) + (0.0,) * cc
+    mu = tuple(head) + (0.0,) * cc
     if abs(sum(mu) - two_m) > TRACE_REL_TOL * max(1.0, two_m):
         raise SpectralInconsistencyError(
             f"eigenvalue sum {sum(mu)} does not match 2m = {two_m}")
@@ -217,7 +225,8 @@ def spectra_of(graphs: Sequence[Graph]) -> list[Spectrum]:
     if len({g.n for g in graphs}) > 1:
         raise ValueError("spectra_of solves graphs of one vertex count only")
     vals = jacobi_eigenvalues(np.stack([laplacian(g) for g in graphs]))
-    return [_pin_zeros(sorted(v, reverse=True), len(g.components), 2.0 * g.m)
+    return [_pin_zeros(sorted(v.tolist(), reverse=True), len(g.components),
+                       2.0 * g.m)
             for g, v in zip(graphs, vals)]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import weakref
@@ -843,9 +844,15 @@ class TestExitCodeLogic:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the package from the same source directory as
+        # this process, installed or not
+        src = str(Path(lb.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
         proc = subprocess.run(
             [sys.executable, "-m", "lapbounds.cli", "check",
              "--family", "S:4"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)

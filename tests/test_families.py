@@ -2,6 +2,7 @@
 import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,17 @@ class TestSplitMix:
         rng = SplitMix64(5)
         vals = {rng.randrange(4, 6) for _ in range(200)}
         assert vals == {4, 5, 6}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 2016])
+    def test_uniforms_block_equals_successive_uniforms(self, seed, k):
+        block, seq = SplitMix64(seed), SplitMix64(seed)
+        got = block.uniforms(k)
+        want = [seq.uniform() for _ in range(k)]
+        assert got.dtype == np.float64 and got.shape == (k,)
+        assert got.view(np.uint64).tolist() == \
+            np.array(want, dtype=np.float64).view(np.uint64).tolist()
+        assert block.next_u64() == seq.next_u64()
 
 
 class TestNamedFamilies:
@@ -102,6 +114,19 @@ class TestNamedFamilies:
         assert lb.generate(spec).edges == tuple(edges)
 
 
+def _coin_by_coin_gnp(n, p, seed):
+    """G(n, p) drawn one uniform() per pair, and the attempts it took; the
+    graph is None when every attempt was disconnected."""
+    rng = SplitMix64(seed)
+    for attempt in range(1, families.GNP_RETRY_CAP + 1):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.uniform() < p]
+        g = lb.build_graph(n, edges)
+        if len(g.components) == 1:
+            return g, attempt
+    return None, families.GNP_RETRY_CAP
+
+
 class TestRandomFamilies:
     def test_tree_is_a_tree_and_deterministic(self):
         g1 = fam("TREE:12:42")
@@ -139,6 +164,25 @@ class TestRandomFamilies:
     def test_gnp_p_one_is_complete(self):
         g = fam("GNP:6:1.0:3")
         assert g.m == 15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 24, 47, 64])
+    @pytest.mark.parametrize("p", [0.05, 0.15, 0.5, 0.9, 1.0])
+    def test_gnp_equals_coin_by_coin_draws(self, n, p):
+        for seed in (0, 7, 2 ** 64 - 1):
+            want, _ = _coin_by_coin_gnp(n, p, seed)
+            if want is None:
+                with pytest.raises(RetryExhaustedError):
+                    lb.gnp_connected(n, p, seed)
+            else:
+                assert lb.gnp_connected(n, p, seed) == want, seed
+
+    def test_gnp_stream_continues_across_rejected_attempts(self):
+        attempts = []
+        for seed in range(8):
+            want, tries = _coin_by_coin_gnp(12, 0.15, seed)
+            assert lb.gnp_connected(12, 0.15, seed) == want, seed
+            attempts.append(tries)
+        assert min(attempts) > 1 and max(attempts) > 20
 
     def test_gnp_retry_exhaustion(self):
         with pytest.raises(RetryExhaustedError):

@@ -176,6 +176,8 @@ def _stack_member(kind, n, seed):
         g = fam(f"S:{n}")
     elif kind == "edgeless":
         g = lb.build_graph(n, [])
+    elif kind == "complete":
+        g = fam(f"K:{n}")
     else:
         sizes, rest = [], n
         while rest:
@@ -255,6 +257,93 @@ class TestJacobiStack:
                           np.diag(np.arange(12.0))])
         with pytest.raises(JacobiConvergenceError):
             jacobi_eigenvalues(stack)
+
+
+def _temporaries_jacobi(matrix):
+    """jacobi_eigenvalues with the round written as one expression per
+    quantity, as it was before the round was computed in place."""
+    a = np.array(matrix, dtype=float)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    n = a.shape[1]
+    out = np.zeros(a.shape[:2])
+    ids = range(len(a))
+    targets = [spectra.JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
+    x = a.transpose(1, 0, 2).take(ids, axis=1)
+    sign = np.array([[-1.0], [1.0]])
+    b = 0
+    for sweep in range(spectra.JACOBI_MAX_SWEEPS + 1):
+        keep = []
+        for j, i in enumerate(ids):
+            m = x[:, j]
+            if float(np.linalg.norm(m - np.diag(m.diagonal()))) <= targets[j]:
+                out[i] = m.diagonal()
+            else:
+                keep.append(j)
+        if not keep:
+            return out[0] if single else out
+        assert sweep < spectra.JACOBI_MAX_SWEEPS
+        if len(keep) < len(ids):
+            x = x.take(keep, axis=1)
+            ids = [ids[j] for j in keep]
+            targets = [targets[j] for j in keep]
+        if len(ids) != b:
+            b = len(ids)
+            cols_view, rows_view = x.reshape(n, b * n), x.reshape(n * b, n)
+            flat = x.reshape(-1)
+            schedule = list(zip(*_round_robin(n, b)))
+        for cols_pq, rows_pq, diag, off in schedule:
+            app, aqq, apq = flat.take(diag)
+            half = 0.5 * (aqq - app)
+            den = np.abs(half) + np.hypot(half, apq)
+            t = apq / np.copysign(den + (den == 0.0), half)
+            c = 1.0 / np.hypot(1.0, t)
+            s = sign * (t * c)
+            cols = cols_view[:, cols_pq].reshape(n, 2, -1)
+            cols_view[:, cols_pq] = (cols * c
+                                     + cols[:, ::-1] * s).reshape(n, -1)
+            rows = rows_view[rows_pq].reshape(2, -1, n)
+            rows_view[rows_pq] = (rows * c[:, None]
+                                  + rows[::-1] * s[:, :, None]).reshape(-1, n)
+            flat.put(off, 0.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
+
+
+class TestJacobiRoundInPlace:
+    """The in-place round gives the bits of the round with temporaries."""
+
+    def test_stacks_of_every_kind(self):
+        kinds = ("gnp", "tree", "star", "complete", "edgeless", "clique_union")
+        for n in range(2, 65):
+            stack = np.stack([_stack_member(kind, n, 7 * n + 1)
+                              for kind in kinds])
+            assert _same_bits(jacobi_eigenvalues(stack),
+                              _temporaries_jacobi(stack)), n
+
+    @pytest.mark.parametrize("tiny", [0.0, -0.0, 5e-324, -5e-324])
+    def test_zero_and_subnormal_off_diagonals(self, tiny):
+        # tiny off-diagonals between equal diagonal entries: rotations with
+        # den == 0 (tiny = +-0) or den == 5e-324, under any warning
+        mats = [
+            [[1.0, tiny, 1.0], [tiny, 1.0, 0.0], [1.0, 0.0, 2.0]],
+            [[2.0, tiny, 0.0, 1.0], [tiny, 2.0, 1.0, 0.0],
+             [0.0, 1.0, 3.0, tiny], [1.0, 0.0, tiny, 3.0]],
+            [[1.0, tiny, tiny, 2.0], [tiny, 1.0, 2.0, tiny],
+             [tiny, 2.0, 1.0, tiny], [2.0, tiny, tiny, 1.0]],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in mats:
+                a = np.array(m)
+                assert _same_bits(jacobi_eigenvalues(a),
+                                  _temporaries_jacobi(a)), m
+                stack = np.stack([a, a[::-1, ::-1]])
+                assert _same_bits(jacobi_eigenvalues(stack),
+                                  _temporaries_jacobi(stack)), m
 
 
 class TestSpectrum:
