@@ -1,13 +1,17 @@
 """Laplacian spectra and spectral invariants.
 
 The eigensolver is a Jacobi iteration in the round-robin parallel ordering of
-Brent & Luk (1985), which applies each round's disjoint rotations as one numpy
-operation, to one matrix or to a whole stack of matrices of one size at once;
-Jacobi keeps small eigenvalues accurate relative to their size, which s_{-2}
-needs (Demmel & Veselic 1992). Each matrix of a stack converges and leaves
-the stack on its own, so its eigenvalues are bit-identical whatever it was
-stacked with; spectra_of solves graphs of one vertex count as one stack, and
-the CLI's check, sweep and fuzz group their graphs by n before they call it.
+Brent & Luk (1985), applied to one matrix or to a whole stack of matrices of
+one size at once; Jacobi keeps small eigenvalues accurate relative to their
+size, which s_{-2} needs (Demmel & Veselic 1992). Each sweep of the stack is
+one call of a kernel: the C function in _jacobi.c, compiled on the first
+sweep into this package's __pycache__, or, when no library can be built or
+loaded, the same round in numpy. Both do the same IEEE operations in the same
+order, so they give the same bits. Each matrix of a stack converges and
+leaves the stack on its own, so its eigenvalues are bit-identical whatever it
+was stacked with; spectra_of solves graphs of one vertex count as one stack,
+and the CLI's check, sweep and fuzz group their graphs by n before they call
+it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -15,9 +19,13 @@ never decides multiplicity.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -48,19 +56,14 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-def _round_robin(n: int, b: int = 1) -> tuple[np.ndarray, ...]:
-    """Chess-tournament schedule for one parallel Jacobi sweep of a stack.
+def _round_robin(n: int) -> np.ndarray:
+    """Chess-tournament schedule for one parallel Jacobi sweep.
 
     Every pair p < q meets exactly once in n - 1 rounds (n rounds when n is
     odd: the pairing with the bye slot n is dropped, so one index sits out).
-    The b matrices of size n are laid out as x[row, j, col] (see
-    jacobi_eigenvalues), and round r's k = n // 2 disjoint pairs (P, Q) are
-    applied to all of them. Row r of each of the four arrays describes round
-    r, ordered (matrix, pair) within each block: cols holds the columns P
-    then Q of the (n, b * n) view, rows the rows P then Q of the (n * b, n)
-    view, diag the flat indices of a[P, P], a[Q, Q], a[P, Q] as three rows,
-    and off those of a[P, Q] and a[Q, P]. For b = 1, cols and rows are the
-    pairs P then Q themselves.
+    Row r of the (rounds, 2k) np.intp result holds round r's k = n // 2
+    disjoint pairs (P, Q): all P, then all Q. This is the pq array that
+    _jacobi.c's jacobi_sweep takes.
     """
     m = n + n % 2
     r = np.arange(m - 1)[:, None]
@@ -69,82 +72,25 @@ def _round_robin(n: int, b: int = 1) -> tuple[np.ndarray, ...]:
     v[:, 0] = m - 1  # r meets the last index; for odd n the bye, dropped
     if n % 2:
         u, v = u[:, 1:], v[:, 1:]
-    rounds, k = u.shape
-    # axes (round, P or Q, matrix, pair)
-    pq = np.array((np.minimum(u, v), np.maximum(u, v))).transpose(1, 0, 2)
-    pq, qp = pq[:, :, None], pq[:, ::-1, None]
-    j = np.arange(b)[:, None]
-    # the flat index of x[row, j, col] is row * b * n + j * n + col
-    bn = b * n
-    diag = np.concatenate((pq * (bn + 1), pq[:, :1] * bn + qp[:, :1]),
-                          axis=1) + j * n
-    return ((pq + j * n).reshape(rounds, -1), (pq * b + j).reshape(rounds, -1),
-            diag.reshape(rounds, 3, b * k),
-            (pq * bn + qp + j * n).reshape(rounds, -1))
+    return np.concatenate((np.minimum(u, v), np.maximum(u, v)),
+                          axis=1).astype(np.intp)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, or of each matrix of a stack.
+def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
+    """One sweep of every matrix of the contiguous (b, n, n) stack a, in place.
 
-    matrix is one (n, n) matrix, giving an (n,) result, or a (B, n, n) stack,
-    giving a (B, n) result whose row i holds the eigenvalues of matrix i, in
-    the order of its final diagonal. A single matrix is a stack of one.
-
-    The parallel ordering of Brent & Luk (1985): a sweep is a round-robin
-    schedule of rounds of n // 2 disjoint (p, q) pairs, and each round applies
-    its rotations, for every matrix of the stack at once, to the columns and
-    then to the rows. The rotation zeroing a[p, q] has
-    t = tan(theta) = sign(tau) / (|tau| + sqrt(1 + tau^2)),
-    tau = (a[q, q] - a[p, p]) / (2 a[p, q]) (Golub & Van Loan, section 8.5),
-    computed multiplied through by |a[p, q]| so that no intermediate
-    overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
-    gives the identity rotation.
-
-    Each matrix sweeps until its own off-diagonal Frobenius norm drops below
-    JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),
-    and then leaves the stack, never to be rotated again. The rotation
-    arithmetic is elementwise, so a matrix's eigenvalues are bit-identical
-    whatever it is stacked with. Raises JacobiConvergenceError when any
-    matrix is still above its target after JACOBI_MAX_SWEEPS sweeps.
+    One matrix at a time, each round in numpy: the rotation coefficients of
+    all k pairs, then the P and Q columns, then the P and Q rows, then
+    a[P, Q] = a[Q, P] = 0. This is the fallback when _jacobi.c cannot be
+    built or loaded, and the reference it is tested against bit for bit.
     """
-    a = np.array(matrix, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError("matrix must be square")
     n = a.shape[1]
-    out = np.zeros(a.shape[:2])
-    ids = range(len(a))
-    targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
-    # row r of matrix j is x[r, j]: the columns of one pair across the stack
-    # then sit side by side, and a stack of one is laid out as the matrix
-    x = a.transpose(1, 0, 2).take(ids, axis=1)
+    k = pq.shape[1] // 2
     sign = np.array([[-1.0], [1.0]])
-    b = 0
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        keep = []
-        for j, i in enumerate(ids):
-            m = x[:, j]
-            if float(np.linalg.norm(m - np.diag(m.diagonal()))) <= targets[j]:
-                out[i] = m.diagonal()
-            else:
-                keep.append(j)
-        if not keep:
-            return out[0] if single else out
-        if sweep == JACOBI_MAX_SWEEPS:
-            break
-        if len(keep) < len(ids):  # converged matrices leave the stack
-            x = x.take(keep, axis=1)
-            ids = [ids[j] for j in keep]
-            targets = [targets[j] for j in keep]
-        if len(ids) != b:  # first sweep, or the stack shrank
-            b = len(ids)
-            cols_view, rows_view = x.reshape(n, b * n), x.reshape(n * b, n)
-            flat = x.reshape(-1)
-            schedule = list(zip(*_round_robin(n, b)))
-        for cols_pq, rows_pq, diag, off in schedule:
-            app, aqq, apq = flat.take(diag)
+    for m in a:
+        for pair in pq:
+            p, q = pair[:k], pair[k:]
+            app, aqq, apq = m[p, p], m[q, q], m[p, q]
             half = aqq - app
             half *= 0.5
             den = np.hypot(half, apq)
@@ -157,15 +103,143 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
             np.divide(1.0, c, out=c)
             t *= c
             s = sign * t
-            cols = cols_view[:, cols_pq].reshape(n, 2, -1)
+            cols = m[:, pair].reshape(n, 2, k)
             new = cols * c
             new += cols[:, ::-1] * s
-            cols_view[:, cols_pq] = new.reshape(n, -1)
-            rows = rows_view.take(rows_pq, axis=0).reshape(2, -1, n)
+            m[:, pair] = new.reshape(n, 2 * k)
+            rows = m.take(pair, axis=0).reshape(2, k, n)
             new = rows * c[:, None]
             new += rows[::-1] * s[:, :, None]
-            rows_view[rows_pq] = new.reshape(-1, n)
-            flat.put(off, 0.0)
+            m[pair] = new.reshape(2 * k, n)
+            m[p, q] = m[q, p] = 0.0
+
+
+_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _compiled_sweep():
+    """_jacobi.c's jacobi_sweep, with _numpy_sweep's signature; None when it
+    cannot be built or loaded.
+
+    The library is built once, with sysconfig's CC, into this package's own
+    __pycache__ as _jacobi-<sha256 of source, compiler and flags>.so, and
+    loaded only from there. It is compiled to a fresh mkstemp name in that
+    directory and moved into place with os.replace, so processes that build
+    at once each load a complete library.
+    """
+    # imported here, so that importing the package pays for none of them
+    import hashlib
+    import shlex
+    import subprocess
+    import sysconfig
+
+    source = Path(__file__).with_name("_jacobi.c")
+    cache = source.with_name("__pycache__")
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS]
+    try:
+        key = hashlib.sha256(source.read_bytes()
+                             + "\0".join(command).encode()).hexdigest()
+        library = cache / f"_jacobi-{key}.so"
+        if not library.exists():
+            cache.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix="_jacobi-", suffix=".tmp",
+                                       dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([*command, "-o", tmp, str(source)], check=True,
+                               stdin=subprocess.DEVNULL, capture_output=True,
+                               timeout=120)
+                os.replace(tmp, library)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(str(library)).jacobi_sweep
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                       ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                       ctypes.c_void_p)
+    kernel.restype = None
+
+    def sweep(a: np.ndarray, pq: np.ndarray) -> None:
+        if not (a.flags.c_contiguous and a.dtype == np.float64
+                and pq.flags.c_contiguous and pq.dtype == np.intp):
+            raise ValueError("sweep needs C-contiguous float64 and intp")
+        rounds, two_k = pq.shape
+        scratch = np.empty(two_k)
+        kernel(a.ctypes.data, len(a), a.shape[1], pq.ctypes.data, rounds,
+               two_k // 2, scratch.ctypes.data)
+
+    return sweep
+
+
+# The sweep kernel: _compiled_sweep(), or _numpy_sweep when that is None.
+# Resolved on the first sweep, not at import.
+_sweep = None
+
+
+def _kernel():
+    """The sweep kernel, built or loaded on the first call."""
+    global _sweep
+    if _sweep is None:
+        _sweep = _compiled_sweep() or _numpy_sweep
+    return _sweep
+
+
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each matrix of a stack.
+
+    matrix is one (n, n) matrix, giving an (n,) result, or a (B, n, n) stack,
+    giving a (B, n) result whose row i holds the eigenvalues of matrix i, in
+    the order of its final diagonal. A single matrix is a stack of one.
+
+    The parallel ordering of Brent & Luk (1985): a sweep is a round-robin
+    schedule of rounds of n // 2 disjoint (p, q) pairs, and each round applies
+    its rotations to the columns and then to the rows. The rotation zeroing
+    a[p, q] has t = tan(theta) = sign(tau) / (|tau| + sqrt(1 + tau^2)),
+    tau = (a[q, q] - a[p, p]) / (2 a[p, q]) (Golub & Van Loan, section 8.5),
+    computed multiplied through by |a[p, q]| so that no intermediate
+    overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
+    gives the identity rotation. Each sweep of the stack is one call of the
+    kernel: the compiled _jacobi.c, built on the first sweep, or the numpy
+    round of _numpy_sweep when it cannot be built. Both do the same IEEE
+    operations in the same order, so they give the same bits.
+
+    Each matrix sweeps until its own off-diagonal Frobenius norm drops below
+    JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),
+    and then leaves the stack, never to be rotated again. The rotations act
+    on each matrix alone, so a matrix's eigenvalues are bit-identical
+    whatever it is stacked with. Raises JacobiConvergenceError when any
+    matrix is still above its target after JACOBI_MAX_SWEEPS sweeps.
+    """
+    a = np.array(matrix, dtype=float)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("matrix must be square")
+    out = np.zeros(a.shape[:2])
+    ids = range(len(a))
+    targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
+    pq = None
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        keep = []
+        for j, m in enumerate(a):
+            if float(np.linalg.norm(m - np.diag(m.diagonal()))) <= targets[j]:
+                out[ids[j]] = m.diagonal()
+            else:
+                keep.append(j)
+        if not keep:
+            return out[0] if single else out
+        if sweep == JACOBI_MAX_SWEEPS:
+            break
+        if len(keep) < len(a):  # converged matrices leave the stack
+            a = a[keep]
+            ids = [ids[j] for j in keep]
+            targets = [targets[j] for j in keep]
+        if pq is None:
+            pq = _round_robin(a.shape[1])
+        _kernel()(a, pq)
     raise JacobiConvergenceError(
         f"off-diagonal norm above target after {JACOBI_MAX_SWEEPS} sweeps")
 

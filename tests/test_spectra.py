@@ -4,9 +4,17 @@ The Jacobi route is cross-checked against numpy.linalg.eigvalsh and, on a few
 small graphs, against exact symbolic eigenvalues. Spanning-tree counts are
 cross-checked against brute-force enumeration and the spectral product.
 """
+import hashlib
 import math
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +25,7 @@ from hypothesis import strategies as st
 import lapbounds as lb
 from lapbounds import (DisconnectedGraphError, JacobiConvergenceError,
                        NoNonzeroEigenvaluesError, SpectralInconsistencyError,
-                       spectra)
+                       cli, spectra)
 from lapbounds.spectra import _round_robin, jacobi_eigenvalues
 from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
                       named_corpus, tree_corpus)
@@ -97,7 +105,7 @@ class TestJacobi:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 65])
     def test_schedule_meets_every_pair_once(self, n):
-        pq = _round_robin(n)[0]
+        pq = _round_robin(n)
         k = n // 2
         assert pq.shape == (n - 1 + n % 2, 2 * k)
         P, Q = pq[:, :k], pq[:, k:]
@@ -259,6 +267,31 @@ class TestJacobiStack:
             jacobi_eigenvalues(stack)
 
 
+def _stacked_round_robin(n, b):
+    """The round-robin schedule of a stack of b matrices laid out as
+    x[row, j, col], as the stacked numpy round took it: per round, the
+    columns P then Q of the (n, b * n) view, the rows P then Q of the
+    (n * b, n) view, the flat indices of a[P, P], a[Q, Q] and a[P, Q], and
+    those of a[P, Q] and a[Q, P]."""
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    i = np.arange(m // 2)
+    u, v = (r + i) % (m - 1), (r - i) % (m - 1)
+    v[:, 0] = m - 1
+    if n % 2:
+        u, v = u[:, 1:], v[:, 1:]
+    rounds, k = u.shape
+    pq = np.array((np.minimum(u, v), np.maximum(u, v))).transpose(1, 0, 2)
+    pq, qp = pq[:, :, None], pq[:, ::-1, None]
+    j = np.arange(b)[:, None]
+    bn = b * n
+    diag = np.concatenate((pq * (bn + 1), pq[:, :1] * bn + qp[:, :1]),
+                          axis=1) + j * n
+    return ((pq + j * n).reshape(rounds, -1), (pq * b + j).reshape(rounds, -1),
+            diag.reshape(rounds, 3, b * k),
+            (pq * bn + qp + j * n).reshape(rounds, -1))
+
+
 def _temporaries_jacobi(matrix):
     """jacobi_eigenvalues with the round written as one expression per
     quantity, as it was before the round was computed in place."""
@@ -292,7 +325,7 @@ def _temporaries_jacobi(matrix):
             b = len(ids)
             cols_view, rows_view = x.reshape(n, b * n), x.reshape(n * b, n)
             flat = x.reshape(-1)
-            schedule = list(zip(*_round_robin(n, b)))
+            schedule = list(zip(*_stacked_round_robin(n, b)))
         for cols_pq, rows_pq, diag, off in schedule:
             app, aqq, apq = flat.take(diag)
             half = 0.5 * (aqq - app)
@@ -344,6 +377,203 @@ class TestJacobiRoundInPlace:
                 stack = np.stack([a, a[::-1, ::-1]])
                 assert _same_bits(jacobi_eigenvalues(stack),
                                   _temporaries_jacobi(stack)), m
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Puts the numpy fallback in the module's kernel slot."""
+    monkeypatch.setattr(spectra, "_sweep", spectra._numpy_sweep)
+
+
+@pytest.fixture
+def compiled_kernel():
+    """The compiled sweep; the test is skipped when it cannot be built."""
+    sweep = spectra._compiled_sweep()
+    if sweep is None:
+        pytest.skip("the compiled Jacobi sweep cannot be built here")
+    return sweep
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestJacobiStackNumpyKernel(TestJacobiStack):
+    """TestJacobiStack under the numpy fallback."""
+
+    # Hypothesis runs a given test from one class only, so it is wrapped
+    # anew; the inner test keeps its settings
+    test_stacked_bits_equal_alone = given(stack_mix())(
+        TestJacobiStack.test_stacked_bits_equal_alone.hypothesis.inner_test)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestJacobiDeterminismNumpyKernel(TestJacobiDeterminism):
+    """TestJacobiDeterminism under the numpy fallback."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestJacobiRoundInPlaceNumpyKernel(TestJacobiRoundInPlace):
+    """TestJacobiRoundInPlace under the numpy fallback."""
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestJacobiConvergenceNumpyKernel:
+    """TestJacobi's convergence-error test under the numpy fallback."""
+
+    test_convergence_error_after_max_sweeps = (
+        TestJacobi.test_convergence_error_after_max_sweeps)
+
+
+def _solve_with(monkeypatch, kernel, matrix):
+    monkeypatch.setattr(spectra, "_sweep", kernel)
+    return jacobi_eigenvalues(matrix)
+
+
+class TestCompiledKernel:
+    """The compiled sweep gives the numpy fallback's bits."""
+
+    def test_stacks_of_every_kind(self, monkeypatch, compiled_kernel):
+        kinds = ("gnp", "tree", "star", "complete", "edgeless", "clique_union")
+        for n in range(2, 65):
+            stack = np.stack([_stack_member(kind, n, 3 * n + 2)
+                              for kind in kinds])
+            assert _same_bits(
+                _solve_with(monkeypatch, compiled_kernel, stack),
+                _solve_with(monkeypatch, spectra._numpy_sweep, stack)), n
+
+    def test_fuzz_small_stacks_at_seed_7(self, monkeypatch, compiled_kernel,
+                                         tmp_path, capsys):
+        # the 27 calls of perfbench's fuzz-small pass, one stack each
+        stacks = []
+        original = spectra.jacobi_eigenvalues
+
+        def recording(matrix):
+            stacks.append(np.array(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(spectra, "jacobi_eigenvalues", recording)
+        for model in ("gnp", "tree", "clique-union"):
+            for n in range(4, 13):
+                cli.main(["fuzz", "--model", model, "--seed", "7",
+                          "--count", "12", "--n-min", str(n), "--n-max",
+                          str(n), "--p", "0.5",
+                          "--out-dir", str(tmp_path / f"{model}-{n}")])
+        capsys.readouterr()
+        assert [s.shape for s in stacks] == [
+            (12, n, n) for _ in range(3) for n in range(4, 13)]
+        for stack in stacks:
+            assert _same_bits(
+                _solve_with(monkeypatch, compiled_kernel, stack),
+                _solve_with(monkeypatch, spectra._numpy_sweep, stack))
+
+    # an infinite off-diagonal entry is not in the list: its norm target is
+    # infinite too, so the matrix counts as converged before any sweep
+    @pytest.mark.parametrize("bad, i, j", [(np.nan, 0, 0), (np.nan, 1, 2),
+                                           (np.inf, 1, 1), (-np.inf, 1, 1)])
+    def test_nan_and_inf_alike(self, monkeypatch, compiled_kernel,
+                                     bad, i, j):
+        # (0, 3) is a pair of the first round and a[0, 3] == 0, so after
+        # that round a NaN at a[0, 0] shows whether the clamp of den
+        # propagates it
+        a = np.array([[2.0, 1.0, 0.5, 0.0], [1.0, 3.0, 1.0, 1.0],
+                      [0.5, 1.0, 1.0, 1.0], [0.0, 1.0, 1.0, 4.0]])
+        a[i, j] = a[j, i] = bad
+        swept = []
+        with np.errstate(invalid="ignore"):
+            for kernel in (compiled_kernel, spectra._numpy_sweep):
+                with pytest.raises(JacobiConvergenceError):
+                    _solve_with(monkeypatch, kernel, a)
+                swept.append(a[None].copy())
+                kernel(swept[-1], _round_robin(4)[:1])
+        assert np.array_equal(*swept, equal_nan=True)
+
+
+# Solves one stack in a fresh interpreter that imports the package from the
+# directory argv[1]; argv[2] is a C compiler command, or "" for sysconfig's.
+# Prints "ready", waits for a line on stdin, then prints which kernel ran and
+# the sha256 of the eigenvalues' bits.
+_BUILD_PROBE = """
+import hashlib, sys, sysconfig
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2]:
+    sysconfig.get_config_vars()["CC"] = sys.argv[2]
+import numpy as np
+from lapbounds import spectra
+if not spectra.__file__.startswith(sys.argv[1]):
+    sys.exit("imported " + spectra.__file__)
+print("ready", flush=True)
+sys.stdin.readline()
+vals = spectra.jacobi_eigenvalues(np.load(sys.argv[3]))
+kernel = "numpy" if spectra._kernel() is spectra._numpy_sweep else "compiled"
+print(kernel, hashlib.sha256(vals.tobytes()).hexdigest(), flush=True)
+"""
+
+
+class TestKernelBuild:
+    """The compiled sweep is built on the first solve into the package's
+    __pycache__; when that fails, the numpy fallback gives the same bits."""
+
+    @pytest.fixture
+    def package(self, tmp_path):
+        """A copy of the package with no __pycache__, and a stack file."""
+        shutil.copytree(Path(spectra.__file__).parent, tmp_path / "lapbounds",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        stack = np.stack([_stack_member(kind, 24, 5)
+                          for kind in ("gnp", "tree", "clique_union")])
+        np.save(tmp_path / "stack.npy", stack)
+        digest = hashlib.sha256(jacobi_eigenvalues(stack).tobytes())
+        return tmp_path, digest.hexdigest()
+
+    @staticmethod
+    def _probes(root, count, compiler=""):
+        """Start count probes, let them solve at once, return their output."""
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _BUILD_PROBE, str(root), compiler,
+             str(root / "stack.npy")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, env=env)
+            for _ in range(count)]
+        try:
+            for proc in procs:
+                assert proc.stdout.readline() == "ready\n"
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            results = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert [proc.returncode for proc in procs] == [0] * count
+        return results
+
+    def test_compiled_kernel_runs_when_a_compiler_is_on_path(self):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+        if shutil.which(cc) is None:
+            pytest.skip(f"no C compiler {cc!r} on PATH")
+        assert spectra._compiled_sweep() is not None
+        assert spectra._kernel() is not spectra._numpy_sweep
+
+    def test_missing_compiler_falls_back(self, package):
+        root, digest = package
+        (out, err), = self._probes(root, 1, "no-such-compiler-lapbounds")
+        assert (out, err) == (f"numpy {digest}\n", "")
+        assert not list((root / "lapbounds" / "__pycache__").glob("_jacobi*"))
+
+    def test_unwritable_pycache_falls_back(self, package):
+        root, digest = package
+        # a file where the directory should be: not writable, even for root
+        (root / "lapbounds" / "__pycache__").write_text("")
+        (out, err), = self._probes(root, 1)
+        assert (out, err) == (f"numpy {digest}\n", "")
+
+    def test_concurrent_cold_builds_both_load(self, package, compiled_kernel):
+        root, digest = package
+        results = self._probes(root, 2)
+        assert results == [(f"compiled {digest}\n", "")] * 2
+        built = sorted(p.name for p in (root / "lapbounds"
+                                         / "__pycache__").iterdir())
+        assert len(built) == 1 and built[0].startswith("_jacobi-")
+        assert built[0].endswith(".so")
 
 
 class TestSpectrum:
