@@ -30,7 +30,8 @@ class RetryExhaustedError(LapboundsError):
 
 
 class JacobiConvergenceError(LapboundsError):
-    """The Jacobi sweep limit was reached before the off-diagonal target."""
+    """The Jacobi sweep limit was reached before the off-diagonal target, or
+    the matrix has a non-finite entry, so no target can be met."""
 
 
 class SpectralInconsistencyError(LapboundsError):

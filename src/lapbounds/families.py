@@ -14,6 +14,11 @@ DSL grammar (one spec per string, one kind per line):
 
 For sweeps the n slot accepts a range, e.g. "S:3..10" or "TREE:4..8:9",
 which expands to one spec per n. Each kind is declared once, in _KIND_TABLE.
+
+Every generator but random_tree emits its edges valid, unique and sorted
+(u < v, ascending), so it builds Graph(n, edges) directly, with none of
+build_graph's per-edge checks. A Prufer decode emits its pairs unsorted, so
+random_tree goes through build_graph.
 """
 from __future__ import annotations
 
@@ -54,8 +59,8 @@ class FamilySpec:
         return sum(self.sizes) if self.sizes else self.n or self.a + self.b
 
 
-def _complete_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
-    return list(itertools.combinations(vertices, 2))
+def _complete_edges(vertices: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple(itertools.combinations(vertices, 2))
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -113,20 +118,25 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
     pairs = _complete_edges(range(n))
     for _ in range(GNP_RETRY_CAP):
         coins = (rng.uniforms(len(pairs)) < p).tolist()
-        g = build_graph(n, itertools.compress(pairs, coins))
+        g = Graph(n, tuple(itertools.compress(pairs, coins)))
         if len(g.components) == 1:
             return g
     raise RetryExhaustedError(
         f"no connected G({n}, {p}) draw within {GNP_RETRY_CAP} attempts")
 
 
-def _path_edges(n: int) -> list[tuple[int, int]]:
-    return [(v, v + 1) for v in range(n - 1)]
+def _path_edges(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((v, v + 1) for v in range(n - 1))
+
+
+def _cycle_edges(n: int) -> tuple[tuple[int, int], ...]:
+    """The path's edges and the closing (0, n - 1), sorted."""
+    return ((0, 1), (0, n - 1)) + _path_edges(n)[1:]
 
 
 def _complete_bipartite(a: int, b: int) -> Graph:
-    return build_graph(a + b, [(u, v) for u in range(a)
-                               for v in range(a, a + b)])
+    return Graph(a + b, tuple((u, v) for u in range(a)
+                              for v in range(a, a + b)))
 
 
 def _clique_union(sizes: tuple[int, ...]) -> Graph:
@@ -135,7 +145,7 @@ def _clique_union(sizes: tuple[int, ...]) -> Graph:
     for s in sizes:
         edges.extend(_complete_edges(range(offset, offset + s)))
         offset += s
-    return build_graph(offset, edges)
+    return Graph(offset, tuple(edges))
 
 
 class _Kind(NamedTuple):
@@ -148,16 +158,15 @@ class _Kind(NamedTuple):
 # Builders look gnp_connected and random_tree up when called, never at
 # import, so a wrapper swapped into this module sees every call.
 _KIND_TABLE = {
-    "complete": _Kind("K", ("n",), 1, lambda n: build_graph(
+    "complete": _Kind("K", ("n",), 1, lambda n: Graph(
         n, _complete_edges(range(n)))),
-    "star": _Kind("S", ("n",), 1, lambda n: build_graph(
-        n, [(0, v) for v in range(1, n)])),
-    "complete_minus_edge": _Kind("Kme", ("n",), 2, lambda n: build_graph(
+    "star": _Kind("S", ("n",), 1, lambda n: Graph(
+        n, tuple((0, v) for v in range(1, n)))),
+    "complete_minus_edge": _Kind("Kme", ("n",), 2, lambda n: Graph(
         n, _complete_edges(range(n))[:-1])),
     "complete_bipartite": _Kind("Kab", ("a", "b"), 1, _complete_bipartite),
-    "path": _Kind("P", ("n",), 1, lambda n: build_graph(n, _path_edges(n))),
-    "cycle": _Kind("C", ("n",), 3, lambda n: build_graph(
-        n, _path_edges(n) + [(0, n - 1)])),
+    "path": _Kind("P", ("n",), 1, lambda n: Graph(n, _path_edges(n))),
+    "cycle": _Kind("C", ("n",), 3, lambda n: Graph(n, _cycle_edges(n))),
     "random_tree": _Kind("TREE", ("n", "seed"), 1,
                          lambda n, seed: random_tree(n, seed)),
     "gnp_connected": _Kind("GNP", ("n", "p", "seed"), 1,

@@ -3,6 +3,18 @@
 Vertices are 0..n-1. Graphs are simple and undirected; edges are stored as a
 canonical sorted tuple of (u, v) pairs with u < v, so equal graphs compare
 equal and all iteration orders are deterministic.
+
+Each graph makes one pass over its edge tuple: np.fromiter fills a dense 0/1
+adjacency matrix, and everything structural is read from that matrix. It is
+packed into one int bitmask of neighbours per vertex (Graph.masks), and the
+Laplacian is taken from it (spectra.laplacian). The component walks, the
+2-colouring, degrees and edge tests are bit operations on the masks;
+Graph.adjacency, a tuple of frozensets, is a view derived from them.
+
+build_graph checks, dedupes and sorts any edge list, and parse_edge_list goes
+through it. Graph(n, edges) checks nothing: it is for edges that are already
+valid, unique and sorted, which is how families.py builds every graph except
+its random trees.
 """
 from __future__ import annotations
 
@@ -10,14 +22,20 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ParseError, SelfLoopError, VertexRangeError
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a canonical edge tuple."""
+    """Simple undirected graph with a canonical edge tuple.
+
+    The edges must already be canonical: int endpoints in 0..n-1, u < v in
+    each pair, no repeats, sorted. build_graph makes any edge list so.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -27,12 +45,31 @@ class Graph:
         return len(self.edges)
 
     @cached_property
+    def adjacency_matrix(self) -> np.ndarray:
+        """The 0/1 adjacency matrix as a read-only (n, n) bool array, filled
+        in one np.fromiter pass over the edges."""
+        a = np.zeros((self.n, self.n), dtype=bool)
+        if self.edges:
+            u, v = np.fromiter(itertools.chain.from_iterable(self.edges),
+                               np.intp, 2 * self.m).reshape(-1, 2).T
+            a[u, v] = a[v, u] = True
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as one int: bit v of masks[u] is set when
+        u and v are adjacent. The rows of adjacency_matrix, packed."""
+        rows = np.packbits(self.adjacency_matrix, axis=1, bitorder="little")
+        data, width = rows.tobytes(), rows.shape[1]
+        chunks = [data[i:i + width] for i in range(0, len(data), width)]
+        return tuple(map(int.from_bytes, chunks, itertools.repeat("little")))
+
+    @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+        """Each vertex's neighbours as a frozenset: a view of masks."""
+        return tuple(frozenset(v for v in range(self.n) if mask >> v & 1)
+                     for mask in self.masks)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -40,10 +77,10 @@ class Graph:
         return tuple(tuple(comp) for comp in connected_components(self))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return v >= 0 and self.masks[u] >> v & 1 == 1
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -75,48 +112,52 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Complement graph on the same vertex set."""
-    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-             if not g.has_edge(u, v)]
-    return Graph(n=g.n, edges=tuple(edges))
+    return Graph(g.n, tuple((u, v) for u, mask in enumerate(g.masks)
+                            for v in range(u + 1, g.n) if not mask >> v & 1))
 
 
-def _components(g: Graph, step: Callable[..., set[int]]) -> list[list[int]]:
-    """The one component walk: sorted vertex lists, ordered by smallest member.
+def _components(masks: Sequence[int], flip: int) -> list[list[int]]:
+    """The one component walk: sorted vertex lists, ordered by smallest
+    member, of G when flip is 0 and of its complement when flip is -1.
 
-    From a visited vertex x it reaches the unvisited vertices joined to x in
-    one set operation, step(unseen, g.adjacency[x]): set.intersection walks
-    G, set.difference its complement.
+    From a visited vertex x it takes the unvisited vertices joined to x in
+    one step, (masks[x] ^ flip) & unseen: with flip = -1 that is ~masks[x],
+    the complement's mask full ^ masks[x] ^ (1 << x) read on unseen vertices
+    only, and x itself is never unseen.
     """
-    unseen = set(range(g.n))
+    unseen = (1 << len(masks)) - 1
     comps: list[list[int]] = []
-    for start in range(g.n):
-        if start not in unseen:
-            continue
-        unseen.discard(start)
-        comp = [start]
+    while unseen:
+        low = unseen & -unseen
+        unseen ^= low
+        comp = [low.bit_length() - 1]
         for x in comp:  # comp is also the queue: the loop sees what it adds
             if not unseen:
                 break
-            reached = step(unseen, g.adjacency[x])
-            unseen -= reached
-            comp.extend(reached)
-        comps.append(sorted(comp))
+            reached = (masks[x] ^ flip) & unseen
+            unseen ^= reached
+            while reached:
+                low = reached & -reached
+                comp.append(low.bit_length() - 1)
+                reached ^= low
+        comp.sort()
+        comps.append(comp)
     return comps
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
-    return _components(g, set.intersection)
+    return _components(g.masks, 0)
 
 
 def complement_components(g: Graph) -> list[list[int]]:
     """connected_components(complement(g)), without building the complement."""
-    return _components(g, set.difference)
+    return _components(g.masks, -1)
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
     """Degrees sorted non-increasing."""
-    return tuple(sorted((len(s) for s in g.adjacency), reverse=True))
+    return tuple(sorted(map(int.bit_count, g.masks), reverse=True))
 
 
 def conjugate_sequence(d: Sequence[int]) -> tuple[int, ...]:
@@ -143,25 +184,34 @@ def conjugate_sequence(d: Sequence[int]) -> tuple[int, ...]:
 
 def first_zagreb(g: Graph) -> int:
     """Sum of squared vertex degrees."""
-    return sum(len(s) ** 2 for s in g.adjacency)
+    return sum(d * d for d in map(int.bit_count, g.masks))
 
 
 def _is_bipartite(g: Graph) -> bool:
-    """Traversal 2-colouring; False when an odd cycle exists."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in g.adjacency[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
+    """Breadth-first 2-colouring by layers of masks; False at the first odd
+    cycle.
+
+    Every edge of a component joins two vertices of one layer or of adjacent
+    layers, so the component is bipartite exactly when no vertex's mask
+    meets its own layer.
+    """
+    masks = g.masks
+    unseen = (1 << g.n) - 1
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        while layer:
+            reached = 0
+            todo = layer
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                nbrs = masks[low.bit_length() - 1]
+                if nbrs & layer:
                     return False
+                reached |= nbrs
+            layer = reached & unseen
+            unseen ^= layer
     return True
 
 
@@ -206,7 +256,7 @@ def classify(g: Graph) -> GraphClass:
         component_count=len(g.components),
         is_connected=is_connected,
         is_tree=is_tree,
-        is_star=is_tree and any(len(s) == n - 1 for s in g.adjacency),
+        is_star=is_tree and n - 1 in map(int.bit_count, g.masks),
         is_complete=2 * m == n * (n - 1),
         is_clique_union=_is_clique_union(m, g.components),
         is_bipartite=is_bipartite,

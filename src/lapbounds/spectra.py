@@ -20,7 +20,6 @@ never decides multiplicity.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 import os
 import tempfile
@@ -41,18 +40,12 @@ TRACE_REL_TOL = 1e-9
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Integer Laplacian L = D - A.
-
-    The endpoints are streamed into one flat index array: np.array on the
-    edge tuple inspects each pair as a nested sequence, which takes about
-    three times as long on K_64.
-    """
-    L = np.zeros((g.n, g.n), dtype=np.int64)
-    if g.m:
-        u, v = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp,
-                           2 * g.m).reshape(-1, 2).T
-        L[u, v] = L[v, u] = -1
-    np.fill_diagonal(L, -L.sum(axis=1))
+    """Integer Laplacian L = D - A, as int64, from g's dense adjacency matrix
+    (the one pass over the edges that g's masks are packed from too)."""
+    a = g.adjacency_matrix
+    L = a.astype(np.int64)
+    np.negative(L, out=L)
+    np.fill_diagonal(L, a.sum(axis=1))
     return L
 
 
@@ -210,7 +203,10 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     and then leaves the stack, never to be rotated again. The rotations act
     on each matrix alone, so a matrix's eigenvalues are bit-identical
     whatever it is stacked with. Raises JacobiConvergenceError when any
-    matrix is still above its target after JACOBI_MAX_SWEEPS sweeps.
+    matrix is still above its target after JACOBI_MAX_SWEEPS sweeps, and
+    before the first sweep when any entry is NaN or infinite: an infinite
+    off-diagonal entry would make the target infinite and pass the unrotated
+    diagonal off as converged.
     """
     a = np.array(matrix, dtype=float)
     single = a.ndim == 2
@@ -218,6 +214,8 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         a = a[None]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise JacobiConvergenceError("matrix has a non-finite entry")
     out = np.zeros(a.shape[:2])
     ids = range(len(a))
     targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
@@ -397,19 +395,12 @@ def _bareiss_determinant(a: list[list[int]]) -> int:
 def spanning_trees_exact(g: Graph) -> int:
     """Exact spanning-tree count: determinant of the reduced Laplacian.
 
-    The reduced Laplacian (vertex 0's row and column removed) is built as
-    Python ints straight from the degrees and edges, and its determinant is
-    taken by Bareiss elimination; no floating point anywhere. A disconnected
-    graph's reduced Laplacian is singular, so it gives exactly 0; n = 1 gives
-    the empty determinant, 1.
+    The reduced Laplacian (vertex 0's row and column removed) is taken as
+    Python ints, and its determinant by Bareiss elimination; no floating
+    point anywhere. A disconnected graph's reduced Laplacian is singular, so
+    it gives exactly 0; n = 1 gives the empty determinant, 1.
     """
-    reduced = [[0] * (g.n - 1) for _ in range(g.n - 1)]
-    for i in range(1, g.n):
-        reduced[i - 1][i - 1] = g.degree(i)
-    for u, v in g.edges:
-        if u:
-            reduced[u - 1][v - 1] = reduced[v - 1][u - 1] = -1
-    return _bareiss_determinant(reduced)
+    return _bareiss_determinant(laplacian(g)[1:, 1:].tolist())
 
 
 def log_spanning_trees(spec: Spectrum) -> float:

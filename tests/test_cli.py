@@ -503,13 +503,15 @@ class TestComponentsOncePerGraph:
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
         built = []
-        original_build = lb.families.build_graph
+        original_init = lb.Graph.__init__
 
-        def building(n, edges):
-            built.append(original_build(n, edges))
-            return built[-1]
+        def building(g, *args, **kwargs):
+            original_init(g, *args, **kwargs)
+            built.append(g)
 
-        monkeypatch.setattr(lb.families, "build_graph", building)
+        # every Graph, whether build_graph checked its edges or a generator
+        # constructed it directly
+        monkeypatch.setattr(lb.Graph, "__init__", building)
         code, out, _ = run(["fuzz", "--seed", "7", "--count", "30",
                             "--model", model, "--out-dir", str(tmp_path)],
                            capsys)
@@ -674,14 +676,15 @@ class TestLiveGraphsBounded:
     def test_live_graphs_within_stack(self, argv, tmp_path, capsys,
                                       monkeypatch):
         built = []
-        original_build = lb.families.build_graph
+        original_init = lb.Graph.__init__
 
-        def building(n, edges):
-            g = original_build(n, edges)
+        def building(g, *args, **kwargs):
+            original_init(g, *args, **kwargs)
             built.append(weakref.ref(g))
-            return g
 
-        monkeypatch.setattr(lb.families, "build_graph", building)
+        # every Graph, whether build_graph checked its edges or a generator
+        # constructed it directly
+        monkeypatch.setattr(lb.Graph, "__init__", building)
         calls = []
         original = spectra.jacobi_eigenvalues
 

@@ -114,6 +114,54 @@ class TestNamedFamilies:
         assert lb.generate(spec).edges == tuple(edges)
 
 
+def _direct_construction_labels(kind):
+    """Specs of one kind over n = 1..12 and at n = 64 (C from 3, Kme from 2,
+    Kab with a, b <= 6, G(n, p) at p = 0.1, 0.5 and 1.0)."""
+    ns = [*range(1, 13), 64]
+    if kind in ("K", "S", "P"):
+        return [f"{kind}:{n}" for n in ns]
+    if kind in ("C", "Kme"):
+        return [f"{kind}:{n}" for n in ns if n >= {"C": 3, "Kme": 2}[kind]]
+    if kind == "Kab":
+        return [f"Kab:{a}:{b}" for a in range(1, 7) for b in range(1, 7)] + [
+            "Kab:1:63", "Kab:32:32"]
+    if kind == "TREE":
+        return [f"TREE:{n}:{n + 5}" for n in ns]
+    if kind == "GNP":
+        return [f"GNP:{n}:{p}:{n}" for n in ns for p in (0.1, 0.5, 1.0)]
+    return ["CLIQUES:" + ",".join(map(str, sizes)) for sizes in (
+        (1,), (2,), (1, 1), (1, 1, 1), (1, 2), (2, 1), (3, 1, 2), (1, 4, 1),
+        (5, 1, 1, 5), (1,) * 12, (6, 6), (12,), (1,) * 64, (32, 1, 31),
+        (8,) * 8)]
+
+
+class TestDirectConstruction:
+    """Every generator but random_tree builds Graph(n, edges) with no
+    checks, so each graph it constructs, every rejected G(n, p) draw
+    included, must equal what build_graph makes of the same edges."""
+
+    @pytest.mark.parametrize("kind", ["K", "S", "Kme", "Kab", "P", "C",
+                                      "TREE", "GNP", "CLIQUES"])
+    def test_equals_the_checked_build(self, kind, monkeypatch):
+        constructed = []
+        original_init = lb.Graph.__init__
+
+        def recording(g, *args, **kwargs):
+            original_init(g, *args, **kwargs)
+            constructed.append(g)
+
+        for label in _direct_construction_labels(kind):
+            monkeypatch.setattr(lb.Graph, "__init__", recording)
+            g = fam(label)
+            monkeypatch.undo()
+            assert constructed[-1] is g, label
+            for h in constructed:
+                assert h == lb.build_graph(h.n, h.edges), label
+                assert {type(x) for e in h.edges for x in e} <= {int}, label
+            constructed.clear()
+            assert g.n == lb.parse_family(label)[0].order, label
+
+
 def _coin_by_coin_gnp(n, p, seed):
     """G(n, p) drawn one uniform() per pair, and the attempts it took; the
     graph is None when every attempt was disconnected."""

@@ -149,6 +149,104 @@ class TestOneComponentWalk:
             lb.complement(g))
 
 
+class TestMasksMatchTheSetCode:
+    """The bitmask structure code against test-local copies of the set-based
+    code it replaced, which read a tuple of frozensets."""
+
+    @staticmethod
+    def set_adjacency(g):
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return tuple(frozenset(s) for s in nbrs)
+
+    @staticmethod
+    def set_components(adjacency, step):
+        """The shared walk: step is set.intersection for G, set.difference
+        for its complement."""
+        unseen = set(range(len(adjacency)))
+        comps = []
+        for start in range(len(adjacency)):
+            if start not in unseen:
+                continue
+            unseen.discard(start)
+            comp = [start]
+            for x in comp:
+                if not unseen:
+                    break
+                reached = step(unseen, adjacency[x])
+                unseen -= reached
+                comp.extend(reached)
+            comps.append(sorted(comp))
+        return comps
+
+    @staticmethod
+    def set_is_bipartite(adjacency):
+        color = [-1] * len(adjacency)
+        for start in range(len(adjacency)):
+            if color[start] != -1:
+                continue
+            color[start] = 0
+            queue = [start]
+            while queue:
+                x = queue.pop()
+                for y in adjacency[x]:
+                    if color[y] == -1:
+                        color[y] = 1 - color[x]
+                        queue.append(y)
+                    elif color[y] == color[x]:
+                        return False
+        return True
+
+    @given(graph_strategy(max_n=14))
+    @settings(max_examples=300)
+    @example(lb.build_graph(1, []))
+    @example(lb.build_graph(9, []))
+    @example(lb.build_graph(64, []))
+    @example(fam("K:8"))
+    @example(fam("K:64"))
+    @example(fam("C:7"))
+    @example(fam("C:8"))
+    @example(fam("C:63"))
+    @example(fam("C:64"))
+    @example(fam("GNP:64:0.5:1"))
+    @example(fam("GNP:64:0.1:3"))
+    @example(fam("CLIQUES:30,1,33"))
+    @example(fam("TREE:64:9"))
+    @example(fam("P:70"))
+    def test_same_answers(self, g):
+        adj = self.set_adjacency(g)
+        assert g.adjacency == adj
+        assert lb.connected_components(g) == self.set_components(
+            adj, set.intersection)
+        assert lb.complement_components(g) == self.set_components(
+            adj, set.difference)
+        assert lb.graphs._is_bipartite(g) == self.set_is_bipartite(adj)
+        assert lb.degree_sequence(g) == tuple(sorted(
+            (len(s) for s in adj), reverse=True))
+        assert lb.first_zagreb(g) == sum(len(s) ** 2 for s in adj)
+        assert [g.degree(v) for v in range(g.n)] == [len(s) for s in adj]
+        assert all(g.has_edge(u, v) == (v in adj[u])
+                   for u in range(g.n) for v in range(g.n))
+        assert lb.complement(g).edges == tuple(
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if v not in adj[u])
+        L = np.diag([len(s) for s in adj])
+        for u, v in g.edges:
+            L[u, v] = L[v, u] = -1
+        assert lb.laplacian(g).dtype == np.int64
+        assert np.array_equal(lb.laplacian(g), L)
+
+    def test_masks_are_the_neighbour_bits(self):
+        assert fam("P:3").masks == (0b010, 0b101, 0b010)
+        assert fam("K:1").masks == (0,)
+        g = fam("S:70")
+        assert g.masks[0] == (1 << 70) - 2
+        assert g.masks[1:] == (1,) * 69
+        assert not g.has_edge(0, -1) and not g.has_edge(1, 70)
+
+
 class TestDegrees:
     def test_star_degrees(self):
         assert lb.degree_sequence(fam("S:5")) == (4, 1, 1, 1, 1)

@@ -157,6 +157,22 @@ class TestJacobi:
         with pytest.raises(JacobiConvergenceError):
             jacobi_eigenvalues(lb.laplacian(fam("GNP:12:0.5:1")))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_raises_before_any_sweep(self, monkeypatch,
+                                                     bad):
+        # an infinite off-diagonal entry makes the convergence target
+        # infinite, so the unrotated diagonal would pass as converged, and a
+        # NaN never meets its target: both are rejected before a sweep
+        sweeps = []
+        monkeypatch.setattr(spectra, "_sweep", lambda a, pq: sweeps.append(a))
+        good = np.array([[2.0, 0.5, 0.5], [0.5, 3.0, 1.0], [0.5, 1.0, 1.0]])
+        for i, j in [(0, 1), (1, 1)]:
+            a = good.copy()
+            a[i, j] = a[j, i] = bad
+            with pytest.raises(JacobiConvergenceError, match="non-finite"):
+                jacobi_eigenvalues(np.stack([good, a]))
+        assert sweeps == []
+
 
 class TestJacobiDeterminism:
     def test_repeated_calls_are_bit_identical(self):
@@ -464,10 +480,9 @@ class TestCompiledKernel:
                 _solve_with(monkeypatch, compiled_kernel, stack),
                 _solve_with(monkeypatch, spectra._numpy_sweep, stack))
 
-    # an infinite off-diagonal entry is not in the list: its norm target is
-    # infinite too, so the matrix counts as converged before any sweep
     @pytest.mark.parametrize("bad, i, j", [(np.nan, 0, 0), (np.nan, 1, 2),
-                                           (np.inf, 1, 1), (-np.inf, 1, 1)])
+                                           (np.inf, 1, 1), (-np.inf, 1, 1),
+                                           (np.inf, 1, 2), (-np.inf, 1, 2)])
     def test_nan_and_inf_alike(self, monkeypatch, compiled_kernel,
                                      bad, i, j):
         # (0, 3) is a pair of the first round and a[0, 3] == 0, so after
