@@ -4,22 +4,129 @@
  * same order, so both give the same bits. Build it without fast-math and
  * without contraction (-fno-fast-math -ffp-contract=off), since a fused
  * multiply-add would round once where numpy rounds twice.
+ *
+ * Only the order in which independent entries are visited differs from the
+ * numpy round. A round's column rotation changes each entry of columns P_i
+ * and Q_i from the two entries of its own row in those columns, and no two
+ * pairs share a column; its row rotation then changes rows P_i and Q_i from
+ * the column-rotated rows P_i and Q_i alone. So the columns may be walked in
+ * any order of pairs and rows, and every entry still goes through the same
+ * operations on the same operands.
+ *
+ * The columns are walked as runs: stretches of consecutive pairs of pq in
+ * which P and Q each step by +1 or -1. Pair i of round r of the round-robin
+ * schedule is {(r + i) mod M, (r - i) mod M}, so a round splits into a few
+ * runs, one side rising and the other falling, and in each row a run reads
+ * and writes two unit-stride streams, which the compiler vectorizes. Runs of
+ * fewer than MIN_RUN pairs cost more to set up than they gain, so they are
+ * walked through the index arrays, as one stretch with their neighbours.
+ * The runs are read from pq itself, so any pq of disjoint pairs works.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdlib.h>
+
+enum { MIN_RUN = 4 };
+
+/* u[su * l] and v[sv * l] of one row, for l < len, rotated by c[l] and t[l].
+ * su and sv are +1 or -1, and each call passes constants, so that each
+ * inlined copy streams both sides. */
+static inline void rotate_run(double *restrict u, ptrdiff_t su,
+                              double *restrict v, ptrdiff_t sv,
+                              const double *restrict c,
+                              const double *restrict t, ptrdiff_t len)
+{
+    for (ptrdiff_t l = 0; l < len; l++) {
+        double xp = u[su * l], xq = v[sv * l];
+        u[su * l] = xp * c[l] + xq * -t[l];
+        v[sv * l] = xq * c[l] + xp * t[l];
+    }
+}
+
+/* Splits a round's k pairs into segments seg[j] .. seg[j + 1] - 1, j < the
+ * count returned: runs of at least MIN_RUN pairs, with dir[j] = 1 + (P
+ * rises) + 2 (Q rises), and the stretches between them, with dir[j] = 0. */
+static ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
+                           ptrdiff_t k, ptrdiff_t *seg, ptrdiff_t *dir)
+{
+    ptrdiff_t nseg = 0;
+    for (ptrdiff_t i = 0; i < k;) {
+        ptrdiff_t start = i++;
+        ptrdiff_t dp = i < k ? P[i] - P[i - 1] : 0;
+        ptrdiff_t dq = i < k ? Q[i] - Q[i - 1] : 0;
+        if ((dp == 1 || dp == -1) && (dq == 1 || dq == -1))
+            while (i < k && P[i] - P[i - 1] == dp && Q[i] - Q[i - 1] == dq)
+                i++;
+        if (i - start >= MIN_RUN) {
+            seg[nseg] = start;
+            dir[nseg++] = 1 + (dp > 0) + 2 * (dq > 0);
+        } else if (nseg == 0 || dir[nseg - 1] != 0) {
+            seg[nseg] = start;
+            dir[nseg++] = 0;
+        }
+    }
+    seg[nseg] = k;
+    return nseg;
+}
+
+/* Columns P and Q of every row of the n x n matrix m, segment by segment. */
+static void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
+                           const ptrdiff_t *Q, const ptrdiff_t *seg,
+                           const ptrdiff_t *dir, ptrdiff_t nseg,
+                           const double *c, const double *t)
+{
+    for (ptrdiff_t j = 0; j < nseg; j++) {
+        ptrdiff_t i = seg[j], len = seg[j + 1] - i;
+        const double *ci = c + i, *ti = t + i;
+        for (double *x = m; x < m + n * n; x += n) {
+            double *u = x + P[i], *v = x + Q[i];
+            switch (dir[j]) {
+            case 0:
+                for (ptrdiff_t l = i; l < i + len; l++) {
+                    double xp = x[P[l]], xq = x[Q[l]];
+                    x[P[l]] = xp * c[l] + xq * -t[l];
+                    x[Q[l]] = xq * c[l] + xp * t[l];
+                }
+                break;
+            case 1: rotate_run(u, -1, v, -1, ci, ti, len); break;
+            case 2: rotate_run(u, 1, v, -1, ci, ti, len); break;
+            case 3: rotate_run(u, -1, v, 1, ci, ti, len); break;
+            default: rotate_run(u, 1, v, 1, ci, ti, len); break;
+            }
+        }
+    }
+}
+
+/* Rows P and Q of one pair, whole. */
+static void rotate_rows(double *restrict xp, double *restrict xq,
+                        ptrdiff_t n, double c, double t)
+{
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double u = xp[j], v = xq[j];
+        xp[j] = u * c + v * -t;
+        xq[j] = v * c + u * t;
+    }
+}
 
 /* a is b contiguous n x n matrices, row-major. Row r of pq (rounds x 2k)
- * holds round r's k pairs, all P then all Q. scratch holds 2k doubles. */
-void jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
-                  ptrdiff_t rounds, ptrdiff_t k, double *scratch)
+ * holds round r's k disjoint pairs, all P then all Q. Returns 0, or -1 when
+ * the work arrays cannot be allocated, before any entry is changed. */
+int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+                 ptrdiff_t rounds, ptrdiff_t k)
 {
-    double *c = scratch, *t = scratch + k;
-    for (ptrdiff_t m = 0; m < b; m++, a += n * n) {
-        for (ptrdiff_t r = 0; r < rounds; r++) {
-            const ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
+    double *c = malloc(2 * k * sizeof(double)
+                       + (2 * k + 2) * sizeof(ptrdiff_t));
+    if (c == NULL)
+        return -1;
+    double *t = c + k;
+    ptrdiff_t *seg = (ptrdiff_t *)(t + k), *dir = seg + k + 1;
+    for (ptrdiff_t r = 0; r < rounds; r++) {
+        const ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
+        ptrdiff_t nseg = find_runs(P, Q, k, seg, dir);
+        for (double *m = a; m < a + b * n * n; m += n * n) {
             for (ptrdiff_t i = 0; i < k; i++) {
-                double app = a[P[i] * n + P[i]], aqq = a[Q[i] * n + Q[i]];
-                double apq = a[P[i] * n + Q[i]];
+                double app = m[P[i] * n + P[i]], aqq = m[Q[i] * n + Q[i]];
+                double apq = m[P[i] * n + Q[i]];
                 double half = (aqq - app) * 0.5;
                 double den = hypot(half, apq) + fabs(half);
                 /* den == 0 only when apq == 0 too: t = +-0, the identity.
@@ -29,24 +136,13 @@ void jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
                 c[i] = 1.0 / hypot(1.0, tt);
                 t[i] = tt * c[i];
             }
-            for (ptrdiff_t row = 0; row < n; row++) {  /* columns P and Q */
-                double *x = a + row * n;
-                for (ptrdiff_t i = 0; i < k; i++) {
-                    double xp = x[P[i]], xq = x[Q[i]];
-                    x[P[i]] = xp * c[i] + xq * -t[i];
-                    x[Q[i]] = xq * c[i] + xp * t[i];
-                }
+            rotate_columns(m, n, P, Q, seg, dir, nseg, c, t);
+            for (ptrdiff_t i = 0; i < k; i++) {
+                rotate_rows(m + P[i] * n, m + Q[i] * n, n, c[i], t[i]);
+                m[P[i] * n + Q[i]] = m[Q[i] * n + P[i]] = 0.0;
             }
-            for (ptrdiff_t i = 0; i < k; i++) {  /* then rows P and Q */
-                double *xp = a + P[i] * n, *xq = a + Q[i] * n;
-                for (ptrdiff_t j = 0; j < n; j++) {
-                    double u = xp[j], v = xq[j];
-                    xp[j] = u * c[i] + v * -t[i];
-                    xq[j] = v * c[i] + u * t[i];
-                }
-            }
-            for (ptrdiff_t i = 0; i < k; i++)
-                a[P[i] * n + Q[i]] = a[Q[i] * n + P[i]] = 0.0;
         }
     }
+    free(c);
+    return 0;
 }

@@ -20,6 +20,7 @@ never decides multiplicity.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import tempfile
@@ -49,6 +50,7 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
+@functools.lru_cache(maxsize=None)
 def _round_robin(n: int) -> np.ndarray:
     """Chess-tournament schedule for one parallel Jacobi sweep.
 
@@ -56,7 +58,8 @@ def _round_robin(n: int) -> np.ndarray:
     odd: the pairing with the bye slot n is dropped, so one index sits out).
     Row r of the (rounds, 2k) np.intp result holds round r's k = n // 2
     disjoint pairs (P, Q): all P, then all Q. This is the pq array that
-    _jacobi.c's jacobi_sweep takes.
+    _jacobi.c's jacobi_sweep takes. Built once per n and shared, so it is
+    read-only.
     """
     m = n + n % 2
     r = np.arange(m - 1)[:, None]
@@ -65,8 +68,10 @@ def _round_robin(n: int) -> np.ndarray:
     v[:, 0] = m - 1  # r meets the last index; for odd n the bye, dropped
     if n % 2:
         u, v = u[:, 1:], v[:, 1:]
-    return np.concatenate((np.minimum(u, v), np.maximum(u, v)),
-                          axis=1).astype(np.intp)
+    pq = np.concatenate((np.minimum(u, v), np.maximum(u, v)),
+                        axis=1).astype(np.intp)
+    pq.flags.writeable = False
+    return pq
 
 
 def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
@@ -107,7 +112,7 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
             m[p, q] = m[q, p] = 0.0
 
 
-_CFLAGS = ("-O2", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _compiled_sweep():
@@ -150,18 +155,17 @@ def _compiled_sweep():
     except (OSError, subprocess.SubprocessError):
         return None
     kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                       ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                       ctypes.c_void_p)
-    kernel.restype = None
+                       ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)
+    kernel.restype = ctypes.c_int
 
     def sweep(a: np.ndarray, pq: np.ndarray) -> None:
         if not (a.flags.c_contiguous and a.dtype == np.float64
                 and pq.flags.c_contiguous and pq.dtype == np.intp):
             raise ValueError("sweep needs C-contiguous float64 and intp")
         rounds, two_k = pq.shape
-        scratch = np.empty(two_k)
-        kernel(a.ctypes.data, len(a), a.shape[1], pq.ctypes.data, rounds,
-               two_k // 2, scratch.ctypes.data)
+        if kernel(a.ctypes.data, len(a), a.shape[1], pq.ctypes.data, rounds,
+                  two_k // 2):
+            raise MemoryError("no memory for the Jacobi sweep's work arrays")
 
     return sweep
 
@@ -216,14 +220,18 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.isfinite(a).all():
         raise JacobiConvergenceError("matrix has a non-finite entry")
+    n = a.shape[1]
     out = np.zeros(a.shape[:2])
     ids = range(len(a))
     targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
-    pq = None
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
         keep = []
         for j, m in enumerate(a):
-            if float(np.linalg.norm(m - np.diag(m.diagonal()))) <= targets[j]:
+            # the Frobenius norm of m - diag(m) as np.linalg.norm takes it,
+            # ravel, dot and a correctly rounded sqrt, on the same entries
+            x = m.flatten()
+            x[::n + 1] = 0.0
+            if math.sqrt(x.dot(x)) <= targets[j]:
                 out[ids[j]] = m.diagonal()
             else:
                 keep.append(j)
@@ -235,9 +243,7 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
             a = a[keep]
             ids = [ids[j] for j in keep]
             targets = [targets[j] for j in keep]
-        if pq is None:
-            pq = _round_robin(a.shape[1])
-        _kernel()(a, pq)
+        _kernel()(a, _round_robin(n))
     raise JacobiConvergenceError(
         f"off-diagonal norm above target after {JACOBI_MAX_SWEEPS} sweeps")
 

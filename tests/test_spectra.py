@@ -113,6 +113,15 @@ class TestJacobi:
         assert sorted(zip(P.flat, Q.flat)) == list(combinations(range(n), 2))
         assert all(len(set(row)) == 2 * k for row in pq)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 64, 65])
+    def test_schedule_is_built_once_and_read_only(self, n):
+        pq = _round_robin(n)
+        assert _round_robin(n) is pq
+        assert np.array_equal(pq, _round_robin.__wrapped__(n))
+        assert pq.dtype == np.intp and pq.flags.c_contiguous
+        with pytest.raises(ValueError):
+            pq[...] = 0
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_small_odd_and_even_sizes(self, n):
         rs = np.random.RandomState(n)
@@ -500,6 +509,59 @@ class TestCompiledKernel:
                 kernel(swept[-1], _round_robin(4)[:1])
         assert np.array_equal(*swept, equal_nan=True)
 
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_any_schedule_of_disjoint_pairs(self, compiled_kernel, b):
+        rng = np.random.default_rng(18 + b)
+        for n in [2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 40, 64, 65]:
+            for k in sorted({1, n // 2, int(rng.integers(1, n // 2 + 1))}):
+                pq = _random_schedule(rng, n, k, rounds=12)
+                x = rng.standard_normal((b, n, n))
+                x += x.transpose(0, 2, 1)
+                swept = [x.copy(), x.copy()]
+                compiled_kernel(swept[0], pq)
+                spectra._numpy_sweep(swept[1], pq)
+                assert _same_bits(*swept), (n, k, pq)
+
+    @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 65, 66, 97, 128,
+                                   129])
+    def test_sizes_on_both_sides_of_the_cli_cap(self, monkeypatch,
+                                                compiled_kernel, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((3, n, n))
+        stack = np.concatenate((x + x.transpose(0, 2, 1),
+                                _stack_member("gnp", n, n)[None]))
+        assert _same_bits(
+            _solve_with(monkeypatch, compiled_kernel, stack),
+            _solve_with(monkeypatch, spectra._numpy_sweep, stack))
+
+
+def _random_schedule(rng, n, k, rounds):
+    """rounds rounds of k disjoint pairs of indices below n, as a pq array.
+
+    Each round places, in random order, random pairs with P on either side
+    of Q, and a run of consecutive pairs in which P and Q each step by +1 or
+    -1, in each of the four directions in turn and as long as the free
+    indices allow, so that the kernel sees long runs, runs of one pair and
+    indices that sit out."""
+    pq = np.empty((rounds, 2 * k), dtype=np.intp)
+    for r in range(rounds):
+        length = int(rng.integers(0, k + 1))
+        dp, dq = ((1, 1), (1, -1), (-1, 1), (-1, -1))[r % 4]
+        # the run takes the blocks [p0, p0 + length) and [q0, q0 + length)
+        start = int(rng.integers(0, n - 2 * length + 1))
+        p0, q0 = start, start + length
+        if r % 8 >= 4:
+            p0, q0 = q0, p0
+        run_p = [p0 + (i if dp > 0 else length - 1 - i) for i in range(length)]
+        run_q = [q0 + (i if dq > 0 else length - 1 - i) for i in range(length)]
+        rest = [int(x) for x in rng.permutation(
+            sorted(set(range(n)) - set(run_p) - set(run_q)))]
+        pairs = [(rest[2 * i], rest[2 * i + 1]) for i in range(k - length)]
+        at = int(rng.integers(0, len(pairs) + 1))
+        pairs[at:at] = zip(run_p, run_q)
+        pq[r] = [p for p, _ in pairs] + [q for _, q in pairs]
+    return pq
+
 
 # Solves one stack in a fresh interpreter that imports the package from the
 # directory argv[1]; argv[2] is a C compiler command, or "" for sysconfig's.
@@ -567,6 +629,19 @@ class TestKernelBuild:
             pytest.skip(f"no C compiler {cc!r} on PATH")
         assert spectra._compiled_sweep() is not None
         assert spectra._kernel() is not spectra._numpy_sweep
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # the library's own build tolerates warnings; this keeps the source
+        # clean of them under the library's flags
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        if shutil.which(cc[0]) is None:
+            pytest.skip(f"no C compiler {cc[0]!r} on PATH")
+        source = Path(spectra.__file__).with_name("_jacobi.c")
+        done = subprocess.run(
+            [*cc, *spectra._CFLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "_jacobi.so"), str(source)],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_missing_compiler_falls_back(self, package):
         root, digest = package
