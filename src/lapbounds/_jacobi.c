@@ -21,6 +21,10 @@
  * fewer than MIN_RUN pairs cost more to set up than they gain, so they are
  * walked through the index arrays, as one stretch with their neighbours.
  * The runs are read from pq itself, so any pq of disjoint pairs works.
+ *
+ * jacobi_sweep is portable. On x86-64, jacobi_sweep_avx2 is the same sweep
+ * compiled for AVX2, for the hosts where jacobi_sweep_avx2_runs() says it
+ * runs; a library built on one host stays safe to load on another.
  */
 #include <math.h>
 #include <stddef.h>
@@ -28,13 +32,20 @@
 
 enum { MIN_RUN = 4 };
 
+/* Every helper is inlined into each exported sweep, so that it is compiled
+ * for the instruction set of the sweep it serves. */
+#ifdef __GNUC__
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
+
 /* u[su * l] and v[sv * l] of one row, for l < len, rotated by c[l] and t[l].
  * su and sv are +1 or -1, and each call passes constants, so that each
  * inlined copy streams both sides. */
-static inline void rotate_run(double *restrict u, ptrdiff_t su,
-                              double *restrict v, ptrdiff_t sv,
-                              const double *restrict c,
-                              const double *restrict t, ptrdiff_t len)
+INLINE void rotate_run(double *restrict u, ptrdiff_t su, double *restrict v,
+                       ptrdiff_t sv, const double *restrict c,
+                       const double *restrict t, ptrdiff_t len)
 {
     for (ptrdiff_t l = 0; l < len; l++) {
         double xp = u[su * l], xq = v[sv * l];
@@ -46,7 +57,7 @@ static inline void rotate_run(double *restrict u, ptrdiff_t su,
 /* Splits a round's k pairs into segments seg[j] .. seg[j + 1] - 1, j < the
  * count returned: runs of at least MIN_RUN pairs, with dir[j] = 1 + (P
  * rises) + 2 (Q rises), and the stretches between them, with dir[j] = 0. */
-static ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
+INLINE ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
                            ptrdiff_t k, ptrdiff_t *seg, ptrdiff_t *dir)
 {
     ptrdiff_t nseg = 0;
@@ -70,7 +81,7 @@ static ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
 }
 
 /* Columns P and Q of every row of the n x n matrix m, segment by segment. */
-static void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
+INLINE void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
                            const ptrdiff_t *Q, const ptrdiff_t *seg,
                            const ptrdiff_t *dir, ptrdiff_t nseg,
                            const double *c, const double *t)
@@ -98,7 +109,7 @@ static void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
 }
 
 /* Rows P and Q of one pair, whole. */
-static void rotate_rows(double *restrict xp, double *restrict xq,
+INLINE void rotate_rows(double *restrict xp, double *restrict xq,
                         ptrdiff_t n, double c, double t)
 {
     for (ptrdiff_t j = 0; j < n; j++) {
@@ -108,10 +119,9 @@ static void rotate_rows(double *restrict xp, double *restrict xq,
     }
 }
 
-/* a is b contiguous n x n matrices, row-major. Row r of pq (rounds x 2k)
- * holds round r's k disjoint pairs, all P then all Q. Returns 0, or -1 when
- * the work arrays cannot be allocated, before any entry is changed. */
-int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+/* The work arrays, c, t and the segments, are sized from k and allocated
+ * here, which costs less per call than two numpy arrays passed in. */
+INLINE int sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
                  ptrdiff_t rounds, ptrdiff_t k)
 {
     double *c = malloc(2 * k * sizeof(double)
@@ -146,3 +156,29 @@ int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
     free(c);
     return 0;
 }
+
+/* a is b contiguous n x n matrices, row-major. Row r of pq (rounds x 2k)
+ * holds round r's k disjoint pairs, all P then all Q. Returns 0, or -1 when
+ * the work arrays cannot be allocated, before any entry is changed. */
+int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+                 ptrdiff_t rounds, ptrdiff_t k)
+{
+    return sweep(a, b, n, pq, rounds, k);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/* jacobi_sweep built for AVX2, for hosts where jacobi_sweep_avx2_runs()
+ * returns 1. Wider vectors do the same IEEE operations on each entry, and
+ * the avx2 target enables no fused multiply-add. */
+__attribute__((target("avx2")))
+int jacobi_sweep_avx2(double *a, ptrdiff_t b, ptrdiff_t n,
+                      const ptrdiff_t *pq, ptrdiff_t rounds, ptrdiff_t k)
+{
+    return sweep(a, b, n, pq, rounds, k);
+}
+
+int jacobi_sweep_avx2_runs(void)
+{
+    return __builtin_cpu_supports("avx2") != 0;
+}
+#endif

@@ -115,15 +115,19 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
 _CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _compiled_sweep():
-    """_jacobi.c's jacobi_sweep, with _numpy_sweep's signature; None when it
-    cannot be built or loaded.
+def _compiled_sweeps() -> list:
+    """The variants of _jacobi.c's sweep that this host can run, each with
+    _numpy_sweep's signature, fastest last: jacobi_sweep, then, on x86-64
+    hosts with AVX2, jacobi_sweep_avx2. Empty when the library cannot be
+    built or loaded.
 
     The library is built once, with sysconfig's CC, into this package's own
     __pycache__ as _jacobi-<sha256 of source, compiler and flags>.so, and
     loaded only from there. It is compiled to a fresh mkstemp name in that
     directory and moved into place with os.replace, so processes that build
-    at once each load a complete library.
+    at once each load a complete library. Both variants are in it, whichever
+    CPU built it, and the AVX2 one is used only where the CPU it runs on has
+    AVX2, so a checkout shared between hosts stays safe.
     """
     # imported here, so that importing the package pays for none of them
     import hashlib
@@ -151,9 +155,20 @@ def _compiled_sweep():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        kernel = ctypes.CDLL(str(library)).jacobi_sweep
+        lib = ctypes.CDLL(str(library))
     except (OSError, subprocess.SubprocessError):
-        return None
+        return []
+    kernels = [lib.jacobi_sweep]
+    if hasattr(lib, "jacobi_sweep_avx2_runs"):
+        lib.jacobi_sweep_avx2_runs.argtypes = ()
+        lib.jacobi_sweep_avx2_runs.restype = ctypes.c_int
+        if lib.jacobi_sweep_avx2_runs():
+            kernels.append(lib.jacobi_sweep_avx2)
+    return [_wrap(kernel) for kernel in kernels]
+
+
+def _wrap(kernel):
+    """A sweep with _numpy_sweep's signature around one exported variant."""
     kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
                        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)
     kernel.restype = ctypes.c_int
@@ -167,7 +182,14 @@ def _compiled_sweep():
                   two_k // 2):
             raise MemoryError("no memory for the Jacobi sweep's work arrays")
 
+    sweep.__name__ = kernel.__name__
     return sweep
+
+
+def _compiled_sweep():
+    """The fastest of _compiled_sweeps(), or None when there is none."""
+    sweeps = _compiled_sweeps()
+    return sweeps[-1] if sweeps else None
 
 
 # The sweep kernel: _compiled_sweep(), or _numpy_sweep when that is None.

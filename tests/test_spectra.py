@@ -4,6 +4,7 @@ The Jacobi route is cross-checked against numpy.linalg.eigvalsh and, on a few
 small graphs, against exact symbolic eigenvalues. Spanning-tree counts are
 cross-checked against brute-force enumeration and the spectral product.
 """
+import ctypes
 import hashlib
 import math
 import os
@@ -447,6 +448,16 @@ class TestJacobiConvergenceNumpyKernel:
         TestJacobi.test_convergence_error_after_max_sweeps)
 
 
+@pytest.fixture(params=["jacobi_sweep", "jacobi_sweep_avx2"])
+def compiled_variant(request):
+    """Each exported variant of the compiled sweep; the test is skipped for
+    a variant this host cannot build or run."""
+    for sweep in spectra._compiled_sweeps():
+        if sweep.__name__ == request.param:
+            return sweep
+    pytest.skip(f"{request.param} cannot be built or run here")
+
+
 def _solve_with(monkeypatch, kernel, matrix):
     monkeypatch.setattr(spectra, "_sweep", kernel)
     return jacobi_eigenvalues(matrix)
@@ -510,7 +521,7 @@ class TestCompiledKernel:
         assert np.array_equal(*swept, equal_nan=True)
 
     @pytest.mark.parametrize("b", [1, 3])
-    def test_any_schedule_of_disjoint_pairs(self, compiled_kernel, b):
+    def test_any_schedule_of_disjoint_pairs(self, compiled_variant, b):
         rng = np.random.default_rng(18 + b)
         for n in [2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 40, 64, 65]:
             for k in sorted({1, n // 2, int(rng.integers(1, n // 2 + 1))}):
@@ -518,21 +529,26 @@ class TestCompiledKernel:
                 x = rng.standard_normal((b, n, n))
                 x += x.transpose(0, 2, 1)
                 swept = [x.copy(), x.copy()]
-                compiled_kernel(swept[0], pq)
+                compiled_variant(swept[0], pq)
                 spectra._numpy_sweep(swept[1], pq)
                 assert _same_bits(*swept), (n, k, pq)
 
     @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 65, 66, 97, 128,
                                    129])
     def test_sizes_on_both_sides_of_the_cli_cap(self, monkeypatch,
-                                                compiled_kernel, n):
+                                                compiled_variant, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal((3, n, n))
         stack = np.concatenate((x + x.transpose(0, 2, 1),
                                 _stack_member("gnp", n, n)[None]))
         assert _same_bits(
-            _solve_with(monkeypatch, compiled_kernel, stack),
+            _solve_with(monkeypatch, compiled_variant, stack),
             _solve_with(monkeypatch, spectra._numpy_sweep, stack))
+
+    def test_fastest_variant_is_the_kernel(self, compiled_kernel):
+        sweeps = spectra._compiled_sweeps()
+        assert sweeps[0].__name__ == "jacobi_sweep"
+        assert spectra._kernel().__name__ == sweeps[-1].__name__
 
 
 def _random_schedule(rng, n, k, rounds):
@@ -630,18 +646,29 @@ class TestKernelBuild:
         assert spectra._compiled_sweep() is not None
         assert spectra._kernel() is not spectra._numpy_sweep
 
-    def test_source_compiles_without_warnings(self, tmp_path):
+    @pytest.mark.parametrize("host", ["this", "not x86-64"])
+    def test_source_compiles_without_warnings(self, tmp_path, host):
         # the library's own build tolerates warnings; this keeps the source
-        # clean of them under the library's flags
+        # clean of them under the library's flags, also where the AVX2
+        # variant is left out and only the plain sweep is built
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
         if shutil.which(cc[0]) is None:
             pytest.skip(f"no C compiler {cc[0]!r} on PATH")
-        source = Path(spectra.__file__).with_name("_jacobi.c")
+        source = Path(spectra.__file__).with_name("_jacobi.c").read_text()
+        if host == "not x86-64":  # what the preprocessor keeps on such a host
+            assert source.count("defined(__x86_64__)") == 1
+            source = source.replace("defined(__x86_64__)", "0")
+        (tmp_path / "_jacobi.c").write_text(source)
+        library = tmp_path / "_jacobi.so"
         done = subprocess.run(
             [*cc, *spectra._CFLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / "_jacobi.so"), str(source)],
+             "-o", str(library), str(tmp_path / "_jacobi.c")],
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+        lib = ctypes.CDLL(str(library))
+        assert hasattr(lib, "jacobi_sweep")
+        if host == "not x86-64":
+            assert not hasattr(lib, "jacobi_sweep_avx2")
 
     def test_missing_compiler_falls_back(self, package):
         root, digest = package
