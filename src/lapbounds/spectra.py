@@ -4,9 +4,12 @@ The eigensolver is a Jacobi iteration in the round-robin parallel ordering of
 Brent & Luk (1985), applied to one matrix or to a whole stack of matrices of
 one size at once; Jacobi keeps small eigenvalues accurate relative to their
 size, which s_{-2} needs (Demmel & Veselic 1992). Each sweep of the stack is
-one call of a kernel: the C function in _jacobi.c, compiled on the first
-sweep into this package's __pycache__, or, when no library can be built or
-loaded, the same round in numpy. Both do the same IEEE operations in the same
+one call of a kernel: the C function in _jacobi.c, compiled with -O3 on the
+first sweep into this package's __pycache__, or, when no library can be
+built or loaded, the same round in numpy. The C sweep walks each round's
+pairs as runs of adjacent indices, so that its rotations stream contiguous
+memory in vector instructions, with an AVX2 build used where the CPU has
+AVX2. All of them do the same IEEE operations on each entry in the same
 order, so they give the same bits. Each matrix of a stack converges and
 leaves the stack on its own, so its eigenvalues are bit-identical whatever it
 was stacked with; spectra_of solves graphs of one vertex count as one stack,
@@ -80,7 +83,11 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
     One matrix at a time, each round in numpy: the rotation coefficients of
     all k pairs, then the P and Q columns, then the P and Q rows, then
     a[P, Q] = a[Q, P] = 0. This is the fallback when _jacobi.c cannot be
-    built or loaded, and the reference it is tested against bit for bit.
+    built or loaded, and the reference that each of its compiled variants is
+    tested against bit for bit, on the round-robin schedule and on any other
+    pq of disjoint pairs. The compiled sweep visits the entries in another
+    order, runs of adjacent columns first, but each entry goes through the
+    same operations on the same operands.
     """
     n = a.shape[1]
     k = pq.shape[1] // 2
@@ -220,9 +227,10 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     computed multiplied through by |a[p, q]| so that no intermediate
     overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
     gives the identity rotation. Each sweep of the stack is one call of the
-    kernel: the compiled _jacobi.c, built on the first sweep, or the numpy
-    round of _numpy_sweep when it cannot be built. Both do the same IEEE
-    operations in the same order, so they give the same bits.
+    kernel on the schedule of _round_robin(n), built once per n: the
+    compiled _jacobi.c, built on the first sweep, or the numpy round of
+    _numpy_sweep when it cannot be built. Both do the same IEEE operations in
+    the same order, so they give the same bits.
 
     Each matrix sweeps until its own off-diagonal Frobenius norm drops below
     JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),
