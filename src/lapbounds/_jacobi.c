@@ -14,13 +14,14 @@
  * operations on the same operands.
  *
  * The columns are walked as runs: stretches of consecutive pairs of pq in
- * which P and Q each step by +1 or -1. Pair i of round r of the round-robin
- * schedule is {(r + i) mod M, (r - i) mod M}, so a round splits into a few
- * runs, one side rising and the other falling, and in each row a run reads
- * and writes two unit-stride streams, which the compiler vectorizes. Runs of
- * fewer than MIN_RUN pairs cost more to set up than they gain, so they are
- * walked through the index arrays, as one stretch with their neighbours.
- * The runs are read from pq itself, so any pq of disjoint pairs works.
+ * which one of P and Q steps by +1 and the other by -1. Pair i of round r of
+ * the round-robin schedule is {(r + i) mod M, (r - i) mod M}, so a round
+ * splits into a few such runs, and in each row a run reads and writes one
+ * ascending and one descending unit-stride stream, which the compiler
+ * vectorizes. Runs of fewer than MIN_RUN pairs cost more to set up than they
+ * gain, so they are walked through the index arrays, as one stretch with
+ * their neighbours, and so is any other stretch of pairs. The runs are read
+ * from pq itself, so any pq of disjoint pairs works.
  *
  * jacobi_sweep is portable. On x86-64, jacobi_sweep_avx2 is the same sweep
  * compiled for AVX2, for the hosts where jacobi_sweep_avx2_runs() says it
@@ -40,23 +41,23 @@ enum { MIN_RUN = 4 };
 #define INLINE static inline
 #endif
 
-/* u[su * l] and v[sv * l] of one row, for l < len, rotated by c[l] and t[l].
- * su and sv are +1 or -1, and each call passes constants, so that each
- * inlined copy streams both sides. */
-INLINE void rotate_run(double *restrict u, ptrdiff_t su, double *restrict v,
-                       ptrdiff_t sv, const double *restrict c,
-                       const double *restrict t, ptrdiff_t len)
+/* u[s * l] and v[-s * l] of one row, for l < len, rotated by c[l] and t[l].
+ * s is +1 or -1, and each call passes a constant, so that each inlined copy
+ * streams both sides. */
+INLINE void rotate_run(double *restrict u, double *restrict v, ptrdiff_t s,
+                       const double *restrict c, const double *restrict t,
+                       ptrdiff_t len)
 {
     for (ptrdiff_t l = 0; l < len; l++) {
-        double xp = u[su * l], xq = v[sv * l];
-        u[su * l] = xp * c[l] + xq * -t[l];
-        v[sv * l] = xq * c[l] + xp * t[l];
+        double xp = u[s * l], xq = v[-s * l];
+        u[s * l] = xp * c[l] + xq * -t[l];
+        v[-s * l] = xq * c[l] + xp * t[l];
     }
 }
 
 /* Splits a round's k pairs into segments seg[j] .. seg[j + 1] - 1, j < the
- * count returned: runs of at least MIN_RUN pairs, with dir[j] = 1 + (P
- * rises) + 2 (Q rises), and the stretches between them, with dir[j] = 0. */
+ * count returned: runs of at least MIN_RUN pairs, with dir[j] the step of P,
+ * +1 or -1, and the stretches between them, with dir[j] = 0. */
 INLINE ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
                            ptrdiff_t k, ptrdiff_t *seg, ptrdiff_t *dir)
 {
@@ -64,13 +65,12 @@ INLINE ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
     for (ptrdiff_t i = 0; i < k;) {
         ptrdiff_t start = i++;
         ptrdiff_t dp = i < k ? P[i] - P[i - 1] : 0;
-        ptrdiff_t dq = i < k ? Q[i] - Q[i - 1] : 0;
-        if ((dp == 1 || dp == -1) && (dq == 1 || dq == -1))
-            while (i < k && P[i] - P[i - 1] == dp && Q[i] - Q[i - 1] == dq)
+        if ((dp == 1 || dp == -1) && Q[i] - Q[i - 1] == -dp)
+            while (i < k && P[i] - P[i - 1] == dp && Q[i] - Q[i - 1] == -dp)
                 i++;
         if (i - start >= MIN_RUN) {
             seg[nseg] = start;
-            dir[nseg++] = 1 + (dp > 0) + 2 * (dq > 0);
+            dir[nseg++] = dp;
         } else if (nseg == 0 || dir[nseg - 1] != 0) {
             seg[nseg] = start;
             dir[nseg++] = 0;
@@ -91,19 +91,16 @@ INLINE void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
         const double *ci = c + i, *ti = t + i;
         for (double *x = m; x < m + n * n; x += n) {
             double *u = x + P[i], *v = x + Q[i];
-            switch (dir[j]) {
-            case 0:
+            if (dir[j] > 0)
+                rotate_run(u, v, 1, ci, ti, len);
+            else if (dir[j] < 0)
+                rotate_run(u, v, -1, ci, ti, len);
+            else
                 for (ptrdiff_t l = i; l < i + len; l++) {
                     double xp = x[P[l]], xq = x[Q[l]];
                     x[P[l]] = xp * c[l] + xq * -t[l];
                     x[Q[l]] = xq * c[l] + xp * t[l];
                 }
-                break;
-            case 1: rotate_run(u, -1, v, -1, ci, ti, len); break;
-            case 2: rotate_run(u, 1, v, -1, ci, ti, len); break;
-            case 3: rotate_run(u, -1, v, 1, ci, ti, len); break;
-            default: rotate_run(u, 1, v, 1, ci, ti, len); break;
-            }
         }
     }
 }

@@ -555,10 +555,11 @@ def _random_schedule(rng, n, k, rounds):
     """rounds rounds of k disjoint pairs of indices below n, as a pq array.
 
     Each round places, in random order, random pairs with P on either side
-    of Q, and a run of consecutive pairs in which P and Q each step by +1 or
-    -1, in each of the four directions in turn and as long as the free
-    indices allow, so that the kernel sees long runs, runs of one pair and
-    indices that sit out."""
+    of Q, and a stretch of consecutive pairs in which P and Q each step by
+    +1 or -1, in each of the four directions in turn and as long as the free
+    indices allow. So the kernel sees runs that it streams (P and Q step in
+    opposite directions), stretches that it must not stream (P and Q step
+    the same way), pairs on their own and indices that sit out."""
     pq = np.empty((rounds, 2 * k), dtype=np.intp)
     for r in range(rounds):
         length = int(rng.integers(0, k + 1))
