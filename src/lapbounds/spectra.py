@@ -23,7 +23,6 @@ never decides multiplicity.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import os
 import tempfile
@@ -53,7 +52,6 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-@functools.lru_cache(maxsize=None)
 def _round_robin(n: int) -> np.ndarray:
     """Chess-tournament schedule for one parallel Jacobi sweep.
 
@@ -61,8 +59,7 @@ def _round_robin(n: int) -> np.ndarray:
     odd: the pairing with the bye slot n is dropped, so one index sits out).
     Row r of the (rounds, 2k) np.intp result holds round r's k = n // 2
     disjoint pairs (P, Q): all P, then all Q. This is the pq array that
-    _jacobi.c's jacobi_sweep takes. Built once per n and shared, so it is
-    read-only.
+    _jacobi.c's jacobi_sweep takes.
     """
     m = n + n % 2
     r = np.arange(m - 1)[:, None]
@@ -71,10 +68,8 @@ def _round_robin(n: int) -> np.ndarray:
     v[:, 0] = m - 1  # r meets the last index; for odd n the bye, dropped
     if n % 2:
         u, v = u[:, 1:], v[:, 1:]
-    pq = np.concatenate((np.minimum(u, v), np.maximum(u, v)),
-                        axis=1).astype(np.intp)
-    pq.flags.writeable = False
-    return pq
+    return np.concatenate((np.minimum(u, v), np.maximum(u, v)),
+                          axis=1).astype(np.intp)
 
 
 def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
@@ -227,10 +222,9 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     computed multiplied through by |a[p, q]| so that no intermediate
     overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
     gives the identity rotation. Each sweep of the stack is one call of the
-    kernel on the schedule of _round_robin(n), built once per n: the
-    compiled _jacobi.c, built on the first sweep, or the numpy round of
-    _numpy_sweep when it cannot be built. Both do the same IEEE operations in
-    the same order, so they give the same bits.
+    kernel: the compiled _jacobi.c, built on the first sweep, or the numpy
+    round of _numpy_sweep when it cannot be built. Both do the same IEEE
+    operations in the same order, so they give the same bits.
 
     Each matrix sweeps until its own off-diagonal Frobenius norm drops below
     JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),
@@ -254,6 +248,7 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     out = np.zeros(a.shape[:2])
     ids = range(len(a))
     targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
+    pq = None
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
         keep = []
         for j, m in enumerate(a):
@@ -273,7 +268,9 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
             a = a[keep]
             ids = [ids[j] for j in keep]
             targets = [targets[j] for j in keep]
-        _kernel()(a, _round_robin(n))
+        if pq is None:
+            pq = _round_robin(n)
+        _kernel()(a, pq)
     raise JacobiConvergenceError(
         f"off-diagonal norm above target after {JACOBI_MAX_SWEEPS} sweeps")
 

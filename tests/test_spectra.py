@@ -114,15 +114,6 @@ class TestJacobi:
         assert sorted(zip(P.flat, Q.flat)) == list(combinations(range(n), 2))
         assert all(len(set(row)) == 2 * k for row in pq)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 64, 65])
-    def test_schedule_is_built_once_and_read_only(self, n):
-        pq = _round_robin(n)
-        assert _round_robin(n) is pq
-        assert np.array_equal(pq, _round_robin.__wrapped__(n))
-        assert pq.dtype == np.intp and pq.flags.c_contiguous
-        with pytest.raises(ValueError):
-            pq[...] = 0
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_small_odd_and_even_sizes(self, n):
         rs = np.random.RandomState(n)
