@@ -23,9 +23,10 @@
  * their neighbours, and so is any other stretch of pairs. The runs are read
  * from pq itself, so any pq of disjoint pairs works.
  *
- * jacobi_sweep is portable. On x86-64, jacobi_sweep_avx2 is the same sweep
- * compiled for AVX2, for the hosts where jacobi_sweep_avx2_runs() says it
- * runs; a library built on one host stays safe to load on another.
+ * jacobi_sweep is the one export. On x86-64 it picks its body itself, on
+ * each call: the same sweep compiled for AVX2 where the CPU it runs on has
+ * AVX2, the portable body otherwise, so a library built on one host stays
+ * safe to load on another.
  */
 #include <math.h>
 #include <stddef.h>
@@ -33,8 +34,8 @@
 
 enum { MIN_RUN = 4 };
 
-/* Every helper is inlined into each exported sweep, so that it is compiled
- * for the instruction set of the sweep it serves. */
+/* Every helper is inlined into each body of jacobi_sweep, so that it is
+ * compiled for the instruction set of the body it serves. */
 #ifdef __GNUC__
 #define INLINE static inline __attribute__((always_inline))
 #else
@@ -157,25 +158,27 @@ INLINE int sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
 /* a is b contiguous n x n matrices, row-major. Row r of pq (rounds x 2k)
  * holds round r's k disjoint pairs, all P then all Q. Returns 0, or -1 when
  * the work arrays cannot be allocated, before any entry is changed. */
-int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
-                 ptrdiff_t rounds, ptrdiff_t k)
-{
-    return sweep(a, b, n, pq, rounds, k);
-}
-
 #if defined(__x86_64__) && defined(__GNUC__)
-/* jacobi_sweep built for AVX2, for hosts where jacobi_sweep_avx2_runs()
- * returns 1. Wider vectors do the same IEEE operations on each entry, and
- * the avx2 target enables no fused multiply-add. */
+/* sweep built for AVX2. Wider vectors do the same IEEE operations on each
+ * entry, and the avx2 target enables no fused multiply-add. */
 __attribute__((target("avx2")))
-int jacobi_sweep_avx2(double *a, ptrdiff_t b, ptrdiff_t n,
+static int sweep_avx2(double *a, ptrdiff_t b, ptrdiff_t n,
                       const ptrdiff_t *pq, ptrdiff_t rounds, ptrdiff_t k)
 {
     return sweep(a, b, n, pq, rounds, k);
 }
 
-int jacobi_sweep_avx2_runs(void)
+int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+                 ptrdiff_t rounds, ptrdiff_t k)
 {
-    return __builtin_cpu_supports("avx2") != 0;
+    if (__builtin_cpu_supports("avx2"))
+        return sweep_avx2(a, b, n, pq, rounds, k);
+    return sweep(a, b, n, pq, rounds, k);
+}
+#else
+int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+                 ptrdiff_t rounds, ptrdiff_t k)
+{
+    return sweep(a, b, n, pq, rounds, k);
 }
 #endif

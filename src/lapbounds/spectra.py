@@ -8,13 +8,13 @@ one call of a kernel: the C function in _jacobi.c, compiled with -O3 on the
 first sweep into this package's __pycache__, or, when no library can be
 built or loaded, the same round in numpy. The C sweep walks each round's
 pairs as runs of adjacent indices, so that its rotations stream contiguous
-memory in vector instructions, with an AVX2 build used where the CPU has
-AVX2. All of them do the same IEEE operations on each entry in the same
-order, so they give the same bits. Each matrix of a stack converges and
-leaves the stack on its own, so its eigenvalues are bit-identical whatever it
-was stacked with; spectra_of solves graphs of one vertex count as one stack,
-and the CLI's check, sweep and fuzz group their graphs by n before they call
-it.
+memory in vector instructions; the library picks its AVX2 body itself where
+the CPU has AVX2. All of them do the same IEEE operations on each entry in
+the same order, so they give the same bits. Each matrix of a stack converges
+and leaves the stack on its own, so its eigenvalues are bit-identical
+whatever it was stacked with; spectra_of solves graphs of one vertex count as
+one stack, and the CLI's check, sweep and fuzz group their graphs by n before
+they call it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -78,11 +78,12 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
     One matrix at a time, each round in numpy: the rotation coefficients of
     all k pairs, then the P and Q columns, then the P and Q rows, then
     a[P, Q] = a[Q, P] = 0. This is the fallback when _jacobi.c cannot be
-    built or loaded, and the reference that each of its compiled variants is
-    tested against bit for bit, on the round-robin schedule and on any other
-    pq of disjoint pairs. The compiled sweep visits the entries in another
-    order, runs of adjacent columns first, but each entry goes through the
-    same operations on the same operands.
+    built or loaded, and the reference that the compiled sweep is tested
+    against bit for bit, its AVX2 body and its portable one, on the
+    round-robin schedule and on any other pq of disjoint pairs. The compiled
+    sweep visits the entries in another order, runs of adjacent columns
+    first, but each entry goes through the same operations on the same
+    operands.
     """
     n = a.shape[1]
     k = pq.shape[1] // 2
@@ -117,19 +118,17 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
 _CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _compiled_sweeps() -> list:
-    """The variants of _jacobi.c's sweep that this host can run, each with
-    _numpy_sweep's signature, fastest last: jacobi_sweep, then, on x86-64
-    hosts with AVX2, jacobi_sweep_avx2. Empty when the library cannot be
-    built or loaded.
+def _compiled_sweep():
+    """_jacobi.c's jacobi_sweep, with _numpy_sweep's signature, or None when
+    the library cannot be built or loaded.
 
     The library is built once, with sysconfig's CC, into this package's own
     __pycache__ as _jacobi-<sha256 of source, compiler and flags>.so, and
     loaded only from there. It is compiled to a fresh mkstemp name in that
     directory and moved into place with os.replace, so processes that build
-    at once each load a complete library. Both variants are in it, whichever
-    CPU built it, and the AVX2 one is used only where the CPU it runs on has
-    AVX2, so a checkout shared between hosts stays safe.
+    at once each load a complete library. The library picks its AVX2 body
+    itself, where the CPU it runs on has AVX2, so a checkout shared between
+    hosts stays safe.
     """
     # imported here, so that importing the package pays for none of them
     import hashlib
@@ -157,20 +156,9 @@ def _compiled_sweeps() -> list:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(str(library))
+        kernel = ctypes.CDLL(str(library)).jacobi_sweep
     except (OSError, subprocess.SubprocessError):
-        return []
-    kernels = [lib.jacobi_sweep]
-    if hasattr(lib, "jacobi_sweep_avx2_runs"):
-        lib.jacobi_sweep_avx2_runs.argtypes = ()
-        lib.jacobi_sweep_avx2_runs.restype = ctypes.c_int
-        if lib.jacobi_sweep_avx2_runs():
-            kernels.append(lib.jacobi_sweep_avx2)
-    return [_wrap(kernel) for kernel in kernels]
-
-
-def _wrap(kernel):
-    """A sweep with _numpy_sweep's signature around one exported variant."""
+        return None
     kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
                        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)
     kernel.restype = ctypes.c_int
@@ -184,14 +172,7 @@ def _wrap(kernel):
                   two_k // 2):
             raise MemoryError("no memory for the Jacobi sweep's work arrays")
 
-    sweep.__name__ = kernel.__name__
     return sweep
-
-
-def _compiled_sweep():
-    """The fastest of _compiled_sweeps(), or None when there is none."""
-    sweeps = _compiled_sweeps()
-    return sweeps[-1] if sweeps else None
 
 
 # The sweep kernel: _compiled_sweep(), or _numpy_sweep when that is None.

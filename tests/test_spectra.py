@@ -439,14 +439,31 @@ class TestJacobiConvergenceNumpyKernel:
         TestJacobi.test_convergence_error_after_max_sweeps)
 
 
-@pytest.fixture(params=["jacobi_sweep", "jacobi_sweep_avx2"])
+@pytest.fixture(scope="session")
+def portable_sweep(tmp_path_factory):
+    """The compiled sweep as a host that is not x86-64 builds it, portable
+    body only: _jacobi.c with defined(__x86_64__) replaced by 0, built and
+    wrapped by _compiled_sweep() from a copy in a temporary directory. None
+    when it cannot be built."""
+    root = tmp_path_factory.mktemp("portable")
+    source = Path(spectra.__file__).with_name("_jacobi.c").read_text()
+    (root / "_jacobi.c").write_text(
+        source.replace("defined(__x86_64__)", "0"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "__file__", str(root / "spectra.py"))
+        return spectra._compiled_sweep()
+
+
+@pytest.fixture(params=["built", "portable"])
 def compiled_variant(request):
-    """Each exported variant of the compiled sweep; the test is skipped for
-    a variant this host cannot build or run."""
-    for sweep in spectra._compiled_sweeps():
-        if sweep.__name__ == request.param:
-            return sweep
-    pytest.skip(f"{request.param} cannot be built or run here")
+    """The compiled sweep as _compiled_sweep() builds it here, and its
+    portable body, which hosts without AVX2 run; the test is skipped for one
+    that cannot be built."""
+    sweep = (spectra._compiled_sweep() if request.param == "built"
+             else request.getfixturevalue("portable_sweep"))
+    if sweep is None:
+        pytest.skip(f"the {request.param} sweep cannot be built here")
+    return sweep
 
 
 def _solve_with(monkeypatch, kernel, matrix):
@@ -535,11 +552,6 @@ class TestCompiledKernel:
         assert _same_bits(
             _solve_with(monkeypatch, compiled_variant, stack),
             _solve_with(monkeypatch, spectra._numpy_sweep, stack))
-
-    def test_fastest_variant_is_the_kernel(self, compiled_kernel):
-        sweeps = spectra._compiled_sweeps()
-        assert sweeps[0].__name__ == "jacobi_sweep"
-        assert spectra._kernel().__name__ == sweeps[-1].__name__
 
 
 def _random_schedule(rng, n, k, rounds):
@@ -661,6 +673,43 @@ class TestKernelBuild:
         assert hasattr(lib, "jacobi_sweep")
         if host == "not x86-64":
             assert not hasattr(lib, "jacobi_sweep_avx2")
+
+    def test_rotation_loops_are_vectorized(self, tmp_path):
+        # the sweep's speed rests on gcc vectorizing both rotation loops;
+        # an edit that turns either back into scalar code, or into a loop
+        # checked for aliasing at run time, changes no bit and would pass
+        # every other test
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        if shutil.which(cc[0]) is None:
+            pytest.skip(f"no C compiler {cc[0]!r} on PATH")
+        version = subprocess.run([*cc, "--version"], capture_output=True,
+                                 text=True, timeout=60).stdout
+        if "Free Software Foundation" not in version:  # clang says none
+            pytest.skip(f"{cc[0]!r} is not gcc")
+        source = Path(spectra.__file__).with_name("_jacobi.c")
+        lines = source.read_text().splitlines()
+        loops = {}
+        for helper in ("rotate_run", "rotate_rows"):
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith(f"INLINE void {helper}("))
+            loops[helper] = next(i + 1 for i in range(start, len(lines))
+                                 if lines[i].lstrip().startswith("for ("))
+        done = subprocess.run(
+            [*cc, *spectra._CFLAGS, "-fopt-info-vec-optimized",
+             "-o", str(tmp_path / "_jacobi.so"), str(source)],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        target = subprocess.run([*cc, "-dumpmachine"], capture_output=True,
+                                text=True, timeout=60).stdout
+        for helper, line in loops.items():
+            report = [r for r in done.stderr.splitlines()
+                      if f"_jacobi.c:{line}:" in r]
+            assert any("loop vectorized" in r for r in report), helper
+            if target.startswith("x86_64"):  # the AVX2 body
+                assert any("using 32 byte vectors" in r
+                           for r in report), helper
+            assert not any("versioned for vectorization because of possible "
+                           "aliasing" in r for r in report), helper
 
     def test_missing_compiler_falls_back(self, package):
         root, digest = package
