@@ -30,8 +30,7 @@ from .majorization import (MajorizationVerdict, check_grone,
 from .rng import SplitMix64, splitmix64
 from .spectra import (Spectrum, complement_spectrum, jacobi_eigenvalues,
                       kirchhoff, laplacian, lee, log_spanning_trees, moment,
-                      s_alpha, spanning_trees_exact, spanning_trees_spectral,
-                      spectra_of, spectrum)
+                      s_alpha, spanning_trees_exact, spectra_of, spectrum)
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "SplitMix64", "splitmix64",
     "Spectrum", "complement_spectrum", "jacobi_eigenvalues", "kirchhoff",
     "laplacian", "lee", "log_spanning_trees", "moment", "s_alpha",
-    "spanning_trees_exact", "spanning_trees_spectral", "spectra_of",
-    "spectrum",
+    "spanning_trees_exact", "spectra_of", "spectrum",
     "__version__",
 ]

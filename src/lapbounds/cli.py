@@ -52,15 +52,12 @@ def _fmt_real(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_cell(value) -> str:
-    """A CSV cell: empty for None, true/false, floats as _fmt_real."""
-    if value is None:
-        return ""
+def _fmt_cell(value):
+    """A CSV cell: true/false for a bool. csv writes any other value itself,
+    None as an empty field and a float as its repr, as _fmt_real does."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_real(value)
-    return str(value)
+    return value
 
 
 def _sig12(x: float) -> float:

@@ -8,8 +8,7 @@ Each graph makes one pass over its edge tuple: np.fromiter fills a dense 0/1
 adjacency matrix, and everything structural is read from that matrix. It is
 packed into one int bitmask of neighbours per vertex (Graph.masks), and the
 Laplacian is taken from it (spectra.laplacian). The component walks, the
-2-colouring, degrees and edge tests are bit operations on the masks;
-Graph.adjacency, a tuple of frozensets, is a view derived from them.
+2-colouring, degrees and edge tests are bit operations on the masks.
 
 build_graph checks, dedupes and sorts any edge list, and parse_edge_list goes
 through it. Graph(n, edges) checks nothing: it is for edges that are already
@@ -64,12 +63,6 @@ class Graph:
         data, width = rows.tobytes(), rows.shape[1]
         chunks = [data[i:i + width] for i in range(0, len(data), width)]
         return tuple(map(int.from_bytes, chunks, itertools.repeat("little")))
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Each vertex's neighbours as a frozenset: a view of masks."""
-        return tuple(frozenset(v for v in range(self.n) if mask >> v & 1)
-                     for mask in self.masks)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:

@@ -22,6 +22,7 @@ never decides multiplicity.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 import os
@@ -126,9 +127,11 @@ def _compiled_sweep():
     __pycache__ as _jacobi-<sha256 of source, compiler and flags>.so, and
     loaded only from there. It is compiled to a fresh mkstemp name in that
     directory and moved into place with os.replace, so processes that build
-    at once each load a complete library. The library picks its AVX2 body
-    itself, where the CPU it runs on has AVX2, so a checkout shared between
-    hosts stays safe.
+    at once each load a complete library. A build then unlinks the libraries
+    of every other key (a process that loaded one keeps it mapped), so the
+    cache holds one library. The library picks its AVX2 body itself, where
+    the CPU it runs on has AVX2, so a checkout shared between hosts stays
+    safe.
     """
     # imported here, so that importing the package pays for none of them
     import hashlib
@@ -153,6 +156,10 @@ def _compiled_sweep():
                                stdin=subprocess.DEVNULL, capture_output=True,
                                timeout=120)
                 os.replace(tmp, library)
+                for stale in cache.glob("_jacobi-*.so"):
+                    if stale != library:
+                        with contextlib.suppress(OSError):
+                            stale.unlink()
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
@@ -375,25 +382,23 @@ def lee(spec: Spectrum) -> float:
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (destructive).
+    """Fraction-free determinant of a positive semidefinite integer matrix,
+    such as a reduced Laplacian (destructive).
 
-    After step k, column k below the pivot is never read again, so it is not
-    cleared.
+    Without row swaps, pivot k is the leading (k+1)-by-(k+1) minor. When it
+    is 0, that leading block B has a nonzero x with B x = 0; padded with
+    zeros to y, x gives y^T A y = x^T B x = 0, which for a positive
+    semidefinite A means A y = 0. So a zero pivot means det = 0, and no row
+    swap is ever needed. After step k, column k below the pivot is never
+    read again, so it is not cleared.
     """
     n = len(a)
     if n == 0:
         return 1
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+            return 0
         pivot_row = a[k]
         pivot = pivot_row[k]
         pivot_tail = pivot_row[k + 1:]
@@ -403,7 +408,7 @@ def _bareiss_determinant(a: list[list[int]]) -> int:
             row[k + 1:] = [(x * pivot - lead * y) // prev
                            for x, y in zip(row[k + 1:], pivot_tail)]
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def spanning_trees_exact(g: Graph) -> int:
@@ -428,13 +433,3 @@ def log_spanning_trees(spec: Spectrum) -> float:
         raise DisconnectedGraphError(
             "spectral spanning-tree count needs a connected spectrum")
     return math.fsum(math.log(v) for v in spec.mu[:spec.h]) - math.log(spec.n)
-
-
-def spanning_trees_spectral(spec: Spectrum) -> float:
-    """Spanning trees from the spectrum, as exp(log_spanning_trees(spec)).
-
-    Floating-point route used to cross-check spanning_trees_exact; exp
-    raises OverflowError once t leaves the float range (from K_145 on),
-    where only the log is representable.
-    """
-    return math.exp(log_spanning_trees(spec))

@@ -176,6 +176,20 @@ class TestCheckCommand:
         code, _, err = run(argv, capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("flag, source, error", [
+        ("--family", "GNP:5:abc:1", "error: expected a probability, got "
+                                    "'abc' in 'GNP:5:abc:1' (at position 6)"),
+        ("--graph", "0 0\n", "error: bad sizes n=0 m=0 (at position 1)"),
+        ("--graph", "2 1\n0 1 2\n",
+         "error: edge line must be 'u v' (at position 2)"),
+    ])
+    def test_parse_error_prints_one_error_line(self, flag, source, error,
+                                               tmp_path, capsys):
+        if flag == "--graph":
+            (tmp_path / "g.el").write_text(source)
+            source = str(tmp_path / "g.el")
+        assert run(["check", flag, source], capsys) == (1, "", error + "\n")
+
     def test_usage_error_exits_one(self, capsys):
         assert run([], capsys)[0] == 1
         assert run(["frobnicate"], capsys)[0] == 1
@@ -371,6 +385,24 @@ class TestFuzzCommand:
         files = [v["file"] for v in json.loads(out)["violations"]]
         assert len(set(files)) < len(files)
         assert sorted(written) == sorted(f.name for f in tmp_path.iterdir())
+
+    def test_generation_failures_are_listed(self, tmp_path, capsys):
+        # at p = 0.001 no G(12, p) draw is connected within the retries
+        code, out, _ = run(["fuzz", "--seed", "7", "--count", "3",
+                            "--model", "gnp", "--p", "0.001", "--n-min", "12",
+                            "--n-max", "12", "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["corpus"] == {
+            "sizes": [12, 12, 12],
+            "generation_failures": [{"index": i, "n": 12} for i in range(3)]}
+        assert all(count == 0 for tally in report["tallies"].values()
+                   for count in tally.values())
+        assert all(count == 0 for tally in report["majorization"].values()
+                   for count in tally.values())
+        assert report["violations"] == report["agreement_failures"] == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_validation(self, tmp_path, capsys):
         base = ["fuzz", "--out-dir", str(tmp_path)]

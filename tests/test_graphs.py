@@ -115,6 +115,15 @@ class TestComponents:
         assert all(owner[u] == owner[v] for u, v in g.edges)
 
 
+def set_adjacency(g):
+    """Each vertex's neighbours as a frozenset, read off g's edge tuple."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(frozenset(s) for s in nbrs)
+
+
 class TestOneComponentWalk:
     """connected_components and complement_components are one walk, over
     the edges of G and over those of its complement."""
@@ -122,6 +131,7 @@ class TestOneComponentWalk:
     @staticmethod
     def seen_list_dfs(g):
         """The per-neighbour traversal the shared walk replaced."""
+        adjacency = set_adjacency(g)
         seen = [False] * g.n
         comps = []
         for start in range(g.n):
@@ -130,7 +140,7 @@ class TestOneComponentWalk:
             seen[start] = True
             comp, stack = [start], [start]
             while stack:
-                for y in g.adjacency[stack.pop()]:
+                for y in adjacency[stack.pop()]:
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
@@ -152,14 +162,6 @@ class TestOneComponentWalk:
 class TestMasksMatchTheSetCode:
     """The bitmask structure code against test-local copies of the set-based
     code it replaced, which read a tuple of frozensets."""
-
-    @staticmethod
-    def set_adjacency(g):
-        nbrs = [set() for _ in range(g.n)]
-        for u, v in g.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
 
     @staticmethod
     def set_components(adjacency, step):
@@ -216,8 +218,8 @@ class TestMasksMatchTheSetCode:
     @example(fam("TREE:64:9"))
     @example(fam("P:70"))
     def test_same_answers(self, g):
-        adj = self.set_adjacency(g)
-        assert g.adjacency == adj
+        adj = set_adjacency(g)
+        assert g.masks == tuple(sum(1 << v for v in s) for s in adj)
         assert lb.connected_components(g) == self.set_components(
             adj, set.intersection)
         assert lb.complement_components(g) == self.set_components(

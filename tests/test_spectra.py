@@ -671,8 +671,13 @@ class TestKernelBuild:
         assert done.returncode == 0, done.stderr
         lib = ctypes.CDLL(str(library))
         assert hasattr(lib, "jacobi_sweep")
-        if host == "not x86-64":
-            assert not hasattr(lib, "jacobi_sweep_avx2")
+        if host == "not x86-64":  # and no AVX2 code: no 256-bit register
+            objdump = shutil.which("objdump")
+            if objdump is None:
+                pytest.skip("no objdump on PATH")
+            code = subprocess.run([objdump, "-d", str(library)], check=True,
+                                  capture_output=True, text=True, timeout=60)
+            assert "%ymm" not in code.stdout
 
     def test_rotation_loops_are_vectorized(self, tmp_path):
         # the sweep's speed rests on gcc vectorizing both rotation loops;
@@ -710,6 +715,38 @@ class TestKernelBuild:
                            for r in report), helper
             assert not any("versioned for vectorization because of possible "
                            "aliasing" in r for r in report), helper
+
+    def test_build_removes_stale_libraries(self, tmp_path, monkeypatch,
+                                           compiled_kernel):
+        # a library of an older source, compiler or flags is never loaded
+        # again; a build in progress (a mkstemp .tmp name) is left alone
+        shutil.copy(Path(spectra.__file__).with_name("_jacobi.c"), tmp_path)
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        (cache / "_jacobi-0.so").write_bytes(b"")
+        (cache / "_jacobi-building.tmp").write_bytes(b"")
+        monkeypatch.setattr(spectra, "__file__", str(tmp_path / "spectra.py"))
+        assert spectra._compiled_sweep() is not None
+        built = sorted(p.name for p in cache.iterdir())
+        assert len(built) == 2 and built[0].endswith(".so")
+        assert built[0] != "_jacobi-0.so"
+        assert built[1] == "_jacobi-building.tmp"
+
+    def test_missing_compiler_falls_back_in_process(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the probes run the fallback in a child process; this runs it here
+        monkeypatch.setattr(spectra, "_sweep", None)
+        argv = ["check", "--family", "GNP:24:0.5:1"]
+        expected = (cli.main(argv), capsys.readouterr())
+        shutil.copy(Path(spectra.__file__).with_name("_jacobi.c"), tmp_path)
+        monkeypatch.setattr(spectra, "__file__", str(tmp_path / "spectra.py"))
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC",
+                            "no-such-compiler-lapbounds")
+        assert spectra._compiled_sweep() is None
+        assert not list(tmp_path.glob("__pycache__/*.tmp"))
+        monkeypatch.setattr(spectra, "_sweep", None)
+        assert spectra._kernel() is spectra._numpy_sweep
+        assert (cli.main(argv), capsys.readouterr()) == expected
 
     def test_missing_compiler_falls_back(self, package):
         root, digest = package
@@ -949,10 +986,10 @@ class TestSpanningTrees:
             spec = lb.spectrum(g)
             if spec.component_count != 1:
                 with pytest.raises(DisconnectedGraphError):
-                    lb.spanning_trees_spectral(spec)
+                    math.exp(lb.log_spanning_trees(spec))
                 continue
             exact = lb.spanning_trees_exact(g)
-            approx = lb.spanning_trees_spectral(spec)
+            approx = math.exp(lb.log_spanning_trees(spec))
             assert abs(approx - exact) <= 1e-6 * max(1.0, exact), label
 
 
