@@ -13,15 +13,13 @@
  * any order of pairs and rows, and every entry still goes through the same
  * operations on the same operands.
  *
- * The columns are walked as runs: stretches of consecutive pairs of pq in
- * which one of P and Q steps by +1 and the other by -1. Pair i of round r of
- * the round-robin schedule is {(r + i) mod M, (r - i) mod M}, so a round
- * splits into a few such runs, and in each row a run reads and writes one
- * ascending and one descending unit-stride stream, which the compiler
- * vectorizes. Runs of fewer than MIN_RUN pairs cost more to set up than they
- * gain, so they are walked through the index arrays, as one stretch with
- * their neighbours, and so is any other stretch of pairs. The runs are read
- * from pq itself, so any pq of disjoint pairs works.
+ * The columns are walked as runs: maximal stretches of consecutive pairs of
+ * pq in which P steps by +1 or -1 and Q steps the opposite way; a pair that
+ * starts no such stretch is a run of one. Pair i of round r of the
+ * round-robin schedule is {(r + i) mod M, (r - i) mod M}, so a round splits
+ * into a few such runs, and in each row a run reads and writes one ascending
+ * and one descending unit-stride stream, which the compiler vectorizes. The
+ * runs are read from pq itself, so any pq of disjoint pairs works.
  *
  * jacobi_sweep is the one export. On x86-64 it picks its body itself, on
  * each call: the same sweep compiled for AVX2 where the CPU it runs on has
@@ -31,8 +29,6 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdlib.h>
-
-enum { MIN_RUN = 4 };
 
 /* Every helper is inlined into each body of jacobi_sweep, so that it is
  * compiled for the instruction set of the body it serves. */
@@ -56,32 +52,25 @@ INLINE void rotate_run(double *restrict u, double *restrict v, ptrdiff_t s,
     }
 }
 
-/* Splits a round's k pairs into segments seg[j] .. seg[j + 1] - 1, j < the
- * count returned: runs of at least MIN_RUN pairs, with dir[j] the step of P,
- * +1 or -1, and the stretches between them, with dir[j] = 0. */
+/* Splits a round's k pairs into runs seg[j] .. seg[j + 1] - 1, j < the
+ * count returned, with dir[j] the step of P, +1 or -1 (+1 for a run of one).
+ */
 INLINE ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
                            ptrdiff_t k, ptrdiff_t *seg, ptrdiff_t *dir)
 {
     ptrdiff_t nseg = 0;
-    for (ptrdiff_t i = 0; i < k;) {
-        ptrdiff_t start = i++;
-        ptrdiff_t dp = i < k ? P[i] - P[i - 1] : 0;
-        if ((dp == 1 || dp == -1) && Q[i] - Q[i - 1] == -dp)
-            while (i < k && P[i] - P[i - 1] == dp && Q[i] - Q[i - 1] == -dp)
-                i++;
-        if (i - start >= MIN_RUN) {
-            seg[nseg] = start;
-            dir[nseg++] = dp;
-        } else if (nseg == 0 || dir[nseg - 1] != 0) {
-            seg[nseg] = start;
-            dir[nseg++] = 0;
-        }
+    for (ptrdiff_t i = 0; i < k; nseg++) {
+        seg[nseg] = i++;
+        ptrdiff_t dp = i < k && P[i] - P[i - 1] == -1 ? -1 : 1;
+        while (i < k && P[i] - P[i - 1] == dp && Q[i] - Q[i - 1] == -dp)
+            i++;
+        dir[nseg] = dp;
     }
     seg[nseg] = k;
     return nseg;
 }
 
-/* Columns P and Q of every row of the n x n matrix m, segment by segment. */
+/* Columns P and Q of every row of the n x n matrix m, run by run. */
 INLINE void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
                            const ptrdiff_t *Q, const ptrdiff_t *seg,
                            const ptrdiff_t *dir, ptrdiff_t nseg,
@@ -94,14 +83,8 @@ INLINE void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
             double *u = x + P[i], *v = x + Q[i];
             if (dir[j] > 0)
                 rotate_run(u, v, 1, ci, ti, len);
-            else if (dir[j] < 0)
-                rotate_run(u, v, -1, ci, ti, len);
             else
-                for (ptrdiff_t l = i; l < i + len; l++) {
-                    double xp = x[P[l]], xq = x[Q[l]];
-                    x[P[l]] = xp * c[l] + xq * -t[l];
-                    x[Q[l]] = xq * c[l] + xp * t[l];
-                }
+                rotate_run(u, v, -1, ci, ti, len);
         }
     }
 }
@@ -117,7 +100,7 @@ INLINE void rotate_rows(double *restrict xp, double *restrict xq,
     }
 }
 
-/* The work arrays, c, t and the segments, are sized from k and allocated
+/* The work arrays, c, t and the runs, are sized from k and allocated
  * here, which costs less per call than two numpy arrays passed in. */
 INLINE int sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
                  ptrdiff_t rounds, ptrdiff_t k)

@@ -163,6 +163,7 @@ def conjugate_sequence(d: Sequence[int]) -> tuple[int, ...]:
     n = len(d)
     if n == 0:
         raise ValueError("empty sequence")
+    counts = [0] * (n + 1)  # counts[x]: how many d_j equal x
     prev = None
     for x in d:
         if not isinstance(x, int):
@@ -171,8 +172,10 @@ def conjugate_sequence(d: Sequence[int]) -> tuple[int, ...]:
             raise ValueError(f"entry {x} outside 0..{n}")
         if prev is not None and x > prev:
             raise ValueError("sequence must be non-increasing")
+        counts[x] += 1
         prev = x
-    return tuple(sum(1 for x in d if x >= i) for i in range(1, n + 1))
+    # entry i is counts[i] + ... + counts[n]: suffix sums, taken from n down
+    return tuple(itertools.accumulate(counts[:0:-1]))[::-1]
 
 
 def first_zagreb(g: Graph) -> int:

@@ -7,14 +7,14 @@ size, which s_{-2} needs (Demmel & Veselic 1992). Each sweep of the stack is
 one call of a kernel: the C function in _jacobi.c, compiled with -O3 on the
 first sweep into this package's __pycache__, or, when no library can be
 built or loaded, the same round in numpy. The C sweep walks each round's
-pairs as runs of adjacent indices, so that its rotations stream contiguous
-memory in vector instructions; the library picks its AVX2 body itself where
-the CPU has AVX2. All of them do the same IEEE operations on each entry in
-the same order, so they give the same bits. Each matrix of a stack converges
-and leaves the stack on its own, so its eigenvalues are bit-identical
-whatever it was stacked with; spectra_of solves graphs of one vertex count as
-one stack, and the CLI's check, sweep and fuzz group their graphs by n before
-they call it.
+columns as runs of adjacent indices, a lone pair being a run of one, so that
+its rotations stream contiguous memory in vector instructions; the library
+picks its AVX2 body itself where the CPU has AVX2. All of them do the same
+IEEE operations on each entry in the same order, so they give the same bits.
+Each matrix of a stack converges and leaves the stack on its own, so its
+eigenvalues are bit-identical whatever it was stacked with; spectra_of solves
+graphs of one vertex count as one stack, and the CLI's check, sweep and fuzz
+group their graphs by n before they call it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -82,9 +82,9 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
     built or loaded, and the reference that the compiled sweep is tested
     against bit for bit, its AVX2 body and its portable one, on the
     round-robin schedule and on any other pq of disjoint pairs. The compiled
-    sweep visits the entries in another order, runs of adjacent columns
-    first, but each entry goes through the same operations on the same
-    operands.
+    sweep visits the entries in another order, the columns one run of pairs
+    at a time (a stretch of pairs of adjacent columns, or a lone pair), but
+    each entry goes through the same operations on the same operands.
     """
     n = a.shape[1]
     k = pq.shape[1] // 2
@@ -220,11 +220,13 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     on each matrix alone, so a matrix's eigenvalues are bit-identical
     whatever it is stacked with. Raises JacobiConvergenceError when any
     matrix is still above its target after JACOBI_MAX_SWEEPS sweeps, and
-    before the first sweep when any entry is NaN or infinite: an infinite
-    off-diagonal entry would make the target infinite and pass the unrotated
-    diagonal off as converged.
+    before the first sweep when any entry is NaN or infinite or any matrix's
+    Frobenius norm overflows (entries beyond about 1e154): an infinite target
+    would pass the unrotated diagonal off as converged. The overflow raises
+    no RuntimeWarning, only the error. Any memory layout is accepted; the
+    stack is solved as a C-ordered copy.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.array(matrix, dtype=float, order="C")
     single = a.ndim == 2
     if single:
         a = a[None]
@@ -235,7 +237,10 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     n = a.shape[1]
     out = np.zeros(a.shape[:2])
     ids = range(len(a))
-    targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
+    with np.errstate(over="ignore"):
+        targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
+    if not all(map(math.isfinite, targets)):
+        raise JacobiConvergenceError("matrix norm overflows")
     pq = None
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
         keep = []

@@ -1,4 +1,6 @@
 """Graph core: construction, components, degrees, recognizers, edge-list IO."""
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -265,6 +267,18 @@ class TestDegrees:
             lb.conjugate_sequence((4, 1))
         with pytest.raises(ValueError):
             lb.conjugate_sequence((2.0, 1))
+
+    def test_conjugate_matches_the_counting_definition(self):
+        # every non-increasing sequence of n entries in 0..n, n = 1..8
+        # (C(2n, n) each), against entry i as the count of the d_j >= i
+        checked = 0
+        for n in range(1, 9):
+            for d in combinations_with_replacement(range(n, -1, -1), n):
+                expected = tuple(sum(1 for x in d if x >= i)
+                                 for i in range(1, n + 1))
+                assert lb.conjugate_sequence(d) == expected, d
+                checked += 1
+        assert checked == 17_576
 
     @given(graph_strategy())
     @settings(max_examples=60)

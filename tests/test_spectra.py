@@ -174,6 +174,43 @@ class TestJacobi:
                 jacobi_eigenvalues(np.stack([good, a]))
         assert sweeps == []
 
+    def test_overflowing_norm_raises_before_any_sweep(self, monkeypatch):
+        # the target 1e-12 * inf is inf, so the unrotated diagonal would
+        # pass as converged; the eigenvalues are 5.86e199 and 3.41e200
+        sweeps = []
+        monkeypatch.setattr(spectra, "_sweep", lambda a, pq: sweeps.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(JacobiConvergenceError, match="overflows"):
+                jacobi_eigenvalues(np.array([[1e200, 1e200], [1e200, 3e200]]))
+        assert sweeps == []
+
+    def test_entries_near_1e150_solve(self):
+        rs = np.random.RandomState(150)
+        a = rs.randn(8, 8)
+        a = (a + a.T) * 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = sorted(jacobi_eigenvalues(a))
+        ref = sorted(np.linalg.eigvalsh(a))
+        assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in zip(ours, ref))
+
+    @pytest.mark.parametrize("kernel", ["compiled_kernel", "numpy"])
+    def test_any_memory_layout(self, request, monkeypatch, kernel):
+        # a Fortran-ordered matrix, a transposed view and a Fortran-ordered
+        # stack give the bits of the same values in C order
+        sweep = (spectra._numpy_sweep if kernel == "numpy"
+                 else request.getfixturevalue(kernel))
+        rs = np.random.RandomState(23)
+        x = rs.randn(3, 9, 9)
+        stack = x + x.transpose(0, 2, 1)
+        m = stack[0].copy()
+        for c_order, other in [(m, np.asfortranarray(m)), (m, m.T),
+                               (stack, np.asfortranarray(stack))]:
+            assert not other.flags.c_contiguous
+            assert _same_bits(_solve_with(monkeypatch, sweep, other),
+                              _solve_with(monkeypatch, sweep, c_order))
+
 
 class TestJacobiDeterminism:
     def test_repeated_calls_are_bit_identical(self):
@@ -560,9 +597,9 @@ def _random_schedule(rng, n, k, rounds):
     Each round places, in random order, random pairs with P on either side
     of Q, and a stretch of consecutive pairs in which P and Q each step by
     +1 or -1, in each of the four directions in turn and as long as the free
-    indices allow. So the kernel sees runs that it streams (P and Q step in
-    opposite directions), stretches that it must not stream (P and Q step
-    the same way), pairs on their own and indices that sit out."""
+    indices allow. So the kernel sees runs of many pairs (P and Q step in
+    opposite directions), stretches that are runs of one pair each (P and Q
+    step the same way), pairs on their own and indices that sit out."""
     pq = np.empty((rounds, 2 * k), dtype=np.intp)
     for r in range(rounds):
         length = int(rng.integers(0, k + 1))
