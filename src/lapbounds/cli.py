@@ -185,8 +185,8 @@ def _resolve_input(args, parser: _Parser) -> _Instance:
     if bool(args.graph) == bool(args.family):
         parser.error("exactly one of --graph and --family is required")
     if args.graph:
-        g = parse_edge_list(Path(args.graph).read_text())
-        _check_cap(g.n, args.graph, parser)
+        g = parse_edge_list(Path(args.graph).read_text(), functools.partial(
+            _check_cap, what=args.graph, parser=parser))
         return 0, Path(args.graph).name, g.n, lambda: g
     spec, = _checked_specs(args, parser, allow_range=False)
     return 0, args.family.strip(), spec.order, functools.partial(generate, spec)

@@ -15,9 +15,9 @@ DSL grammar (one spec per string, one kind per line):
 For sweeps the n slot accepts a range, e.g. "S:3..10" or "TREE:4..8:9",
 which expands to one spec per n. Each kind is declared once, in _KIND_TABLE.
 
-Every generator but random_tree emits its edges valid, unique and sorted
-(u < v, ascending), so it builds Graph(n, edges) directly, with none of
-build_graph's per-edge checks. A Prufer decode emits its pairs unsorted, so
+Every generator but random_tree emits each vertex's neighbour mask by bit
+arithmetic, so it builds Graph(n, masks) directly, with none of
+build_graph's per-edge checks. A Prufer decode emits edge pairs, so
 random_tree goes through build_graph.
 """
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import ParseError, RetryExhaustedError
 from .graphs import Graph, build_graph
@@ -59,8 +61,15 @@ class FamilySpec:
         return sum(self.sizes) if self.sizes else self.n or self.a + self.b
 
 
-def _complete_edges(vertices: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(itertools.combinations(vertices, 2))
+def _clique_union(sizes: Sequence[int]) -> Graph:
+    """Disjoint cliques of the given sizes on consecutive vertices: vertex v
+    of a block is joined to the rest of its block."""
+    masks: list[int] = []
+    for s in sizes:
+        lo = len(masks)
+        block = ((1 << s) - 1) << lo
+        masks.extend(block ^ (1 << v) for v in range(lo, lo + s))
+    return Graph(len(masks), tuple(masks))
 
 
 def _prufer_decode(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -115,37 +124,19 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     rng = SplitMix64(seed)
-    pairs = _complete_edges(range(n))
+    upper = np.less.outer(np.arange(n), np.arange(n))  # u < v, u-major
     for _ in range(GNP_RETRY_CAP):
-        coins = (rng.uniforms(len(pairs)) < p).tolist()
-        g = Graph(n, tuple(itertools.compress(pairs, coins)))
+        a = np.zeros((n, n), dtype=bool)
+        a[upper] = rng.uniforms(n * (n - 1) // 2) < p
+        a |= a.T
+        rows = np.packbits(a, axis=1, bitorder="little")
+        data, width = rows.tobytes(), rows.shape[1]
+        g = Graph(n, tuple(int.from_bytes(data[i:i + width], "little")
+                           for i in range(0, len(data), width)))
         if len(g.components) == 1:
             return g
     raise RetryExhaustedError(
         f"no connected G({n}, {p}) draw within {GNP_RETRY_CAP} attempts")
-
-
-def _path_edges(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((v, v + 1) for v in range(n - 1))
-
-
-def _cycle_edges(n: int) -> tuple[tuple[int, int], ...]:
-    """The path's edges and the closing (0, n - 1), sorted."""
-    return ((0, 1), (0, n - 1)) + _path_edges(n)[1:]
-
-
-def _complete_bipartite(a: int, b: int) -> Graph:
-    return Graph(a + b, tuple((u, v) for u in range(a)
-                              for v in range(a, a + b)))
-
-
-def _clique_union(sizes: tuple[int, ...]) -> Graph:
-    edges: list[tuple[int, int]] = []
-    offset = 0
-    for s in sizes:
-        edges.extend(_complete_edges(range(offset, offset + s)))
-        offset += s
-    return Graph(offset, tuple(edges))
 
 
 class _Kind(NamedTuple):
@@ -158,15 +149,20 @@ class _Kind(NamedTuple):
 # Builders look gnp_connected and random_tree up when called, never at
 # import, so a wrapper swapped into this module sees every call.
 _KIND_TABLE = {
-    "complete": _Kind("K", ("n",), 1, lambda n: Graph(
-        n, _complete_edges(range(n)))),
+    "complete": _Kind("K", ("n",), 1, lambda n: _clique_union((n,))),
     "star": _Kind("S", ("n",), 1, lambda n: Graph(
-        n, tuple((0, v) for v in range(1, n)))),
+        n, ((1 << n) - 2,) + (1,) * (n - 1))),
+    # K_n without its last edge (n - 2, n - 1): both ends keep 0..n-3
     "complete_minus_edge": _Kind("Kme", ("n",), 2, lambda n: Graph(
-        n, _complete_edges(range(n))[:-1])),
-    "complete_bipartite": _Kind("Kab", ("a", "b"), 1, _complete_bipartite),
-    "path": _Kind("P", ("n",), 1, lambda n: Graph(n, _path_edges(n))),
-    "cycle": _Kind("C", ("n",), 3, lambda n: Graph(n, _cycle_edges(n))),
+        n, _clique_union((n,)).masks[:-2] + ((1 << (n - 2)) - 1,) * 2)),
+    "complete_bipartite": _Kind("Kab", ("a", "b"), 1, lambda a, b: Graph(
+        a + b, (((1 << b) - 1) << a,) * a + ((1 << a) - 1,) * b)),
+    # vertex v of a path or cycle is joined to v - 1 and v + 1 (mod n for
+    # a cycle), where they exist
+    "path": _Kind("P", ("n",), 1, lambda n: Graph(n, tuple(
+        ((1 << v) >> 1 | 2 << v) & ((1 << n) - 1) for v in range(n)))),
+    "cycle": _Kind("C", ("n",), 3, lambda n: Graph(n, tuple(
+        (1 << (v - 1) % n) | (1 << (v + 1) % n) for v in range(n)))),
     "random_tree": _Kind("TREE", ("n", "seed"), 1,
                          lambda n, seed: random_tree(n, seed)),
     "gnp_connected": _Kind("GNP", ("n", "p", "seed"), 1,

@@ -1,19 +1,17 @@
 """Simple-graph core: construction, components, degrees, recognizers, IO.
 
-Vertices are 0..n-1. Graphs are simple and undirected; edges are stored as a
-canonical sorted tuple of (u, v) pairs with u < v, so equal graphs compare
-equal and all iteration orders are deterministic.
+Vertices are 0..n-1. Graphs are simple and undirected. A graph is held as
+one int per vertex, its neighbour mask: bit v of masks[u] is set when u and
+v are adjacent. Equal graphs have equal masks, so they compare equal. The
+component walks, the 2-colouring, degrees, edge tests and the complement
+are bit operations on the masks, spectra.laplacian unpacks them into L, and
+the edge count is their popcount. The canonical sorted edge tuple is derived
+from the masks only where edges are printed.
 
-Each graph makes one pass over its edge tuple: np.fromiter fills a dense 0/1
-adjacency matrix, and everything structural is read from that matrix. It is
-packed into one int bitmask of neighbours per vertex (Graph.masks), and the
-Laplacian is taken from it (spectra.laplacian). The component walks, the
-2-colouring, degrees and edge tests are bit operations on the masks.
-
-build_graph checks, dedupes and sorts any edge list, and parse_edge_list goes
-through it. Graph(n, edges) checks nothing: it is for edges that are already
-valid, unique and sorted, which is how families.py builds every graph except
-its random trees.
+build_graph checks any edge list and ORs in its bits, and parse_edge_list
+goes through it. Graph(n, masks) checks nothing: it is for masks that are
+already canonical, which is how families.py builds every graph except its
+random trees.
 """
 from __future__ import annotations
 
@@ -21,48 +19,32 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ParseError, SelfLoopError, VertexRangeError
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a canonical edge tuple.
+    """Simple undirected graph held as neighbour masks.
 
-    The edges must already be canonical: int endpoints in 0..n-1, u < v in
-    each pair, no repeats, sorted. build_graph makes any edge list so.
+    The masks must already be canonical: n non-negative ints, bit v of
+    masks[u] set exactly when bit u of masks[v] is, no bit u in masks[u]
+    and none at n or above. build_graph makes any edge list so.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    masks: tuple[int, ...]
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.masks)) // 2
 
     @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        """The 0/1 adjacency matrix as a read-only (n, n) bool array, filled
-        in one np.fromiter pass over the edges."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        if self.edges:
-            u, v = np.fromiter(itertools.chain.from_iterable(self.edges),
-                               np.intp, 2 * self.m).reshape(-1, 2).T
-            a[u, v] = a[v, u] = True
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Each vertex's neighbours as one int: bit v of masks[u] is set when
-        u and v are adjacent. The rows of adjacency_matrix, packed."""
-        rows = np.packbits(self.adjacency_matrix, axis=1, bitorder="little")
-        data, width = rows.tobytes(), rows.shape[1]
-        chunks = [data[i:i + width] for i in range(0, len(data), width)]
-        return tuple(map(int.from_bytes, chunks, itertools.repeat("little")))
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical edge tuple: (u, v) with u < v, sorted."""
+        return tuple((u, v) for u, mask in enumerate(self.masks)
+                     for v in range(u + 1, self.n) if mask >> v & 1)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
@@ -77,17 +59,15 @@ class Graph:
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Validate, dedupe and canonicalize an edge list into a Graph.
+    """Validate an edge list and set its bits in the neighbour masks.
 
     Endpoints that are not integers (operator.index fails) and endpoints
     outside 0..n-1 raise VertexRangeError, self-loops SelfLoopError, each
-    edge checked in list order; parallel edges collapse to one. Endpoints
-    are stored as plain ints. Each edge is keyed by the int u * n + v with
-    u < v, so sorting the keys sorts the edges.
+    edge checked in list order; parallel edges collapse to one.
     """
     if n < 1:
         raise ValueError(f"graph needs at least one vertex, got n={n}")
-    keys: set[int] = set()
+    masks = [0] * n
     for u, v in edges:
         try:
             u, v = operator.index(u), operator.index(v)
@@ -98,15 +78,16 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise SelfLoopError(f"self-loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):
             raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        keys.add(u * n + v if u < v else v * n + u)
-    return Graph(n=n, edges=tuple(map(divmod, sorted(keys),
-                                      itertools.repeat(n))))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
 
 
 def complement(g: Graph) -> Graph:
     """Complement graph on the same vertex set."""
-    return Graph(g.n, tuple((u, v) for u, mask in enumerate(g.masks)
-                            for v in range(u + 1, g.n) if not mask >> v & 1))
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full ^ mask ^ (1 << u)
+                            for u, mask in enumerate(g.masks)))
 
 
 def _components(masks: Sequence[int], flip: int) -> list[list[int]]:
@@ -265,11 +246,14 @@ def classify(g: Graph) -> GraphClass:
     )
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(
+        text: str, check_n: Optional[Callable[[int], object]] = None) -> Graph:
     """Parse the plain edge-list format.
 
     First non-comment line is "n m"; each of the next m non-comment lines is
-    "u v". Lines starting with '#' and blank lines are ignored.
+    "u v". Lines starting with '#' and blank lines are ignored. check_n, when
+    given, is called with n once every line has parsed and before the masks
+    are made, so it can reject a huge n before n ints are allocated.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -303,6 +287,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError("edge endpoints must be integers",
                              position=lineno) from None
         edges.append((u, v))
+    if check_n is not None:
+        check_n(n)
     try:
         g = build_graph(n, edges)
     except (SelfLoopError, VertexRangeError) as exc:

@@ -44,12 +44,16 @@ TRACE_REL_TOL = 1e-9
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Integer Laplacian L = D - A, as int64, from g's dense adjacency matrix
-    (the one pass over the edges that g's masks are packed from too)."""
-    a = g.adjacency_matrix
-    L = a.astype(np.int64)
+    """Integer Laplacian L = D - A, as int64: A is g's neighbour masks,
+    unpacked by np.unpackbits, and D their popcounts."""
+    n = g.n
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little")
+                                  for mask in g.masks), np.uint8)
+    L = np.unpackbits(rows.reshape(n, width), axis=1, count=n,
+                      bitorder="little").astype(np.int64)
     np.negative(L, out=L)
-    np.fill_diagonal(L, a.sum(axis=1))
+    np.fill_diagonal(L, list(map(int.bit_count, g.masks)))
     return L
 
 

@@ -1,5 +1,6 @@
 """Command-line harness: formats, exit codes, determinism, file handling."""
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -225,6 +227,26 @@ class TestVertexCap:
     def test_cap_itself_is_accepted(self, capsys):
         code, _, _ = run(["invariants", "--family", f"P:{MAX_N}"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["check", "invariants"])
+    @pytest.mark.parametrize("text", ["1000000000 0\n",
+                                      "1000000000 1\n0 999999999\n"])
+    def test_huge_header_is_rejected_before_vertex_storage(
+            self, command, text, tmp_path, capsys):
+        path = tmp_path / "f.el"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            code, out, err = run([command, "--graph", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"lapbounds: error: {path} has 1000000000 vertices, "
+            f"above the cap of {MAX_N}"]
+        assert peak < 10 * 2**20
 
 
 class TestNumericOverflow:
@@ -553,6 +575,44 @@ class TestComponentsOncePerGraph:
         # complement's components come from complement_components, and no
         # complement graph is built
         assert len(traversed) == len(built)
+
+
+class TestEdgesDerivedOnlyToPrint:
+    """Graph.edges is derived from the masks only where edges are printed:
+    never by a sweep or a check, and once for each fuzz graph with a
+    VIOLATED verdict or a failed GRONE check."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        graphs = []
+        original = lb.Graph.edges.func
+
+        def deriving(g):
+            graphs.append(g)
+            return original(g)
+
+        prop = functools.cached_property(deriving)
+        prop.__set_name__(lb.Graph, "edges")
+        monkeypatch.setattr(lb.Graph, "edges", prop)
+        return graphs
+
+    @pytest.mark.parametrize("argv", [["sweep", "--family", "K:3..64"],
+                                      ["check", "--family", "GNP:64:0.5:1"]])
+    def test_never_without_a_printed_graph(self, argv, derived, capsys):
+        code, _, _ = run(argv, capsys)
+        assert code in (0, 2, 3)
+        assert derived == []
+
+    def test_once_per_printed_fuzz_graph(self, derived, tmp_path, capsys):
+        code, _, _ = run(["fuzz", "--seed", "7", "--count", "100",
+                          "--model", "tree", "--out-dir", str(tmp_path)],
+                         capsys)
+        assert code == 2
+        # a counterexample file, <bound or check>_<index>.el, is written for
+        # each VIOLATED bound and each failed GRONE check
+        printed = {f.stem.rsplit("_", 1)[1] for f in tmp_path.iterdir()}
+        assert printed
+        assert len({id(g) for g in derived}) == len(derived) == len(printed)
 
 
 class TestFactsOncePerGraph:

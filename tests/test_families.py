@@ -136,9 +136,9 @@ def _direct_construction_labels(kind):
 
 
 class TestDirectConstruction:
-    """Every generator but random_tree builds Graph(n, edges) with no
-    checks, so each graph it constructs, every rejected G(n, p) draw
-    included, must equal what build_graph makes of the same edges."""
+    """Every generator but random_tree builds Graph(n, masks) by bit
+    arithmetic, with no checks, so each graph it constructs, every rejected
+    G(n, p) draw included, must equal what build_graph makes of its edges."""
 
     @pytest.mark.parametrize("kind", ["K", "S", "Kme", "Kab", "P", "C",
                                       "TREE", "GNP", "CLIQUES"])

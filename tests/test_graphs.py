@@ -95,6 +95,67 @@ class TestBuildGraph:
             assert lb.build_graph(n, edges).edges == expected
 
 
+@st.composite
+def _edge_lists(draw):
+    """n in 1..70, across the 64-bit word boundary, and an edge list with
+    repeats and reversed pairs, its endpoints ints, numpy ints and bools."""
+    n = draw(st.integers(1, 70) | st.integers(60, 70))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(
+        lambda e: e[0] != e[1]), max_size=0 if n == 1 else 80))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=20))
+        pairs += [(v, u) if flip else (u, v) for (u, v), flip
+                  in zip(again, draw(st.lists(st.booleans(), min_size=len(
+                      again), max_size=len(again))))]
+    pairs = draw(st.permutations(pairs))
+    kinds = draw(st.lists(st.sampled_from([int, np.int64, np.uint8, bool]),
+                          min_size=2 * len(pairs), max_size=2 * len(pairs)))
+    typed = [kind(x) if kind is not bool or x < 2 else x
+             for x, kind in zip((x for e in pairs for x in e), kinds)]
+    return n, list(zip(typed[::2], typed[1::2]))
+
+
+class TestRepresentation:
+    """A graph is its neighbour masks; everything else is derived."""
+
+    @given(_edge_lists(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_masks_hold_the_edge_set(self, case, data):
+        n, edges = case
+        canon = sorted({(min(map(int, e)), max(map(int, e))) for e in edges})
+        g = lb.build_graph(n, edges)
+        assert g.edges == tuple(canon)
+        assert {type(x) for e in g.edges for x in e} <= {int}
+        assert g.m == len(g.edges)
+        assert len(g.masks) == n
+        for u, mask in enumerate(g.masks):
+            assert 0 <= mask < 1 << n and not mask >> u & 1
+            assert all(g.masks[v] >> u & 1
+                       for v in range(n) if mask >> v & 1)
+
+        c = lb.complement(g)
+        assert lb.complement(c) == g
+        assert c.edges == tuple(sorted(
+            {(u, v) for u in range(n) for v in range(u + 1, n)}
+            - set(canon)))
+
+        L = np.zeros((n, n), dtype=np.int64)
+        for u, v in canon:
+            L[u, v] = L[v, u] = -1
+        L[np.diag_indices(n)] = -L.sum(axis=1)
+        assert lb.laplacian(g).dtype == np.int64
+        assert np.array_equal(lb.laplacian(g), L)
+
+        other = data.draw(st.permutations(edges))
+        other = other[data.draw(st.integers(0, min(len(other), 2))):]
+        h = lb.build_graph(n, other)
+        same = {(min(map(int, e)), max(map(int, e))) for e in other} == set(
+            canon)
+        assert (g == h) == same
+        assert not same or hash(g) == hash(h)
+
+
 class TestComponents:
     def test_ordering_by_smallest_member(self):
         g = lb.build_graph(5, [(3, 4), (0, 1)])
