@@ -43,8 +43,14 @@ class Graph:
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The canonical edge tuple: (u, v) with u < v, sorted."""
-        return tuple((u, v) for u, mask in enumerate(self.masks)
-                     for v in range(u + 1, self.n) if mask >> v & 1)
+        edges = []
+        for u, mask in enumerate(self.masks):
+            above = mask >> (u + 1)  # neighbour v > u as bit v - u - 1
+            while above:
+                low = above & -above
+                edges.append((u, u + low.bit_length()))
+                above ^= low
+        return tuple(edges)
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
