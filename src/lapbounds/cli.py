@@ -52,14 +52,6 @@ def _fmt_real(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_cell(value):
-    """A CSV cell: true/false for a bool. csv writes any other value itself,
-    None as an empty field and a float as its repr, as _fmt_real does."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return value
-
-
 def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
@@ -95,6 +87,29 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[str, ...]]:
 _Instance = tuple[int, str, int, Callable[[], Graph]]
 
 
+def _dict_template(keys: Sequence[str], indent: str, later: Sequence[str]):
+    """json.dumps(indent=2) of a dict with these keys at this indent, a %s
+    slot for each value, %%s for the keys in later, which a second % fills."""
+    return (f"{indent}{{\n" + ",\n".join(
+        f'{indent}  "{key}": {"%%s" if key in later else "%s"}'
+        for key in keys) + f"\n{indent}}}")
+
+
+# a row of a row report; a fuzz report's violation entry
+_JSON_ROW = _dict_template(CSV_COLUMNS, "  ", BoundResult._fields)
+_JSON_VIOLATION = _dict_template(
+    ("index", "graph_id", "bound_id", "param", "lhs", "rhs", "margin", "n",
+     "m", "edges", "file"), "    ",
+    ("bound_id", "param", "lhs", "rhs", "margin", "file"))
+
+
+def _json_cells(rows: Sequence[tuple]) -> tuple[str, ...]:
+    """The JSON of each cell of rows of scalars, from one C-encoder call:
+    the only strings in a row are bound ids, verdicts and file names made of
+    them, and neither they nor a number, null or bool encode to ", "."""
+    return tuple(json.dumps(rows)[2:-2].replace("], [", ", ").split(", "))
+
+
 class _Record(NamedTuple):
     """What the report needs of one instance, once its graph is dropped."""
 
@@ -104,54 +119,71 @@ class _Record(NamedTuple):
     m: Optional[int]  # None when the instance could not be generated
     results: list[BoundResult]
     # fuzz only: the outcome, "holds" or "fails", of each majorization check
-    # that ran, and the report entries of the VIOLATED verdicts
+    # that ran, and the JSON text of the VIOLATED verdicts' report entries
     majorization: Optional[dict[str, str]] = None
-    violations: tuple[dict, ...] = ()
+    violations: str = ""
 
 
-def _rows_to_csv(rows: list[dict], columns=CSV_COLUMNS) -> str:
+def _json_rows(rec: _Record) -> str:
+    """The record's rows, as json.dumps(indent=2) writes them in a list."""
+    row = _JSON_ROW % (json.dumps(rec.graph_id).replace("%", "%%"),
+                       rec.n, rec.m)
+    return ",\n".join([row] * len(rec.results)) % _json_cells(rec.results)
+
+
+def _json_violations(index: int, graph_id: str, g: Graph,
+                     entries: list[tuple]) -> str:
+    """The fuzz report's violation entries of one graph, each entry's
+    (bound_id, param, lhs, rhs, margin, file) cells given; the graph's edge
+    block is written once and shared by its entries."""
+    edges = json.dumps(g.edges)[2:-2]
+    edges = ("[\n        [\n          " + edges.replace(
+        "], [", "\n        ],\n        [\n          ").replace(
+        ", ", ",\n          ") + "\n        ]\n      ]") if edges else "[]"
+    entry = _JSON_VIOLATION % (
+        index, json.dumps(graph_id).replace("%", "%%"), g.n, g.m, edges)
+    return ",\n".join([entry] * len(entries)) % _json_cells(entries)
+
+
+def _csv_rows(rec: _Record) -> Iterator[tuple]:
+    """The record's rows over CSV_COLUMNS, a bool as true or false."""
+    for r in rec.results:
+        yield (rec.graph_id, rec.n, rec.m, *[
+            "true" if c is True else "false" if c is False else c for c in r])
+
+
+def _rows_to_csv(rows: Iterable[tuple], columns=CSV_COLUMNS) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_fmt_cell(row[col]) for col in columns] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _rows_to_json(rows: list[dict]) -> str:
-    """json.dumps(rows, indent=2), byte for byte, for a list of flat dicts,
-    through json's C encoder, which cannot indent.
+def _emit(args, report: Union[list, dict], violations: Sequence[str] = ()):
+    """Print a report as JSON or as CSV, byte for byte as json.dumps(indent=2)
+    or csv print it with each row a dict.
 
-    The encoder puts each key of a row on its own line with the item
-    separator; only the framing of the rows is added here. An encoded
-    string holds no raw newline, a key starts with a quote and an encoded
-    scalar never ends in "}", so "},\n    {" occurs only between two rows,
-    and a row's body is empty only for an empty dict.
+    A list is a row report (check, sweep, fuzz CSV): each record's rows from
+    _json_rows, or the CSV rows from _csv_rows. A dict is a document (fuzz
+    JSON, invariants), for json.dumps(indent=2) or key-value CSV rows; the
+    fuzz violation entries that _record rendered go into its empty list.
     """
-    if not rows:
-        return "[]"
-    text = json.dumps(rows, separators=(",\n    ", ": "))
-    return "[\n  " + ",\n  ".join(
-        "{\n    " + body + "\n  }" if body else "{}"
-        for body in text[2:-2].split("},\n    {")) + "\n]"
-
-
-def _emit(args, report: Union[list, dict]) -> None:
-    """Print a report as JSON or as CSV.
-
-    A report is a list of rows over CSV_COLUMNS (check, sweep, fuzz CSV),
-    written by _rows_to_json or _rows_to_csv, or a document (fuzz JSON,
-    invariants), written by json.dumps(indent=2) or as key-value CSV rows.
-    """
-    if args.format == "json":
-        print(_rows_to_json(report) if isinstance(report, list)
-              else json.dumps(report, indent=2))
-    elif isinstance(report, list):
-        sys.stdout.write(_rows_to_csv(report))
+    if isinstance(report, list):
+        if args.format == "json":
+            print("[\n" + ",\n".join(report) + "\n]" if report else "[]")
+        else:
+            sys.stdout.write(_rows_to_csv(report))
+    elif args.format == "json":
+        text = json.dumps(report, indent=2)
+        if violations:  # an encoded string escapes the key's quotes
+            text = text.replace('"violations": []', '"violations": [\n'
+                                + ",\n".join(violations) + "\n  ]", 1)
+        print(text)
     else:
         sys.stdout.write(_rows_to_csv(
-            [{"key": key, "value": json.dumps(value)
-              if isinstance(value, (dict, list)) else value}
-             for key, value in report.items()], ("key", "value")))
+            ((key, json.dumps(value) if isinstance(value, (dict, list))
+              else value) for key, value in report.items()), ("key", "value")))
 
 
 def _exit_code(results: Sequence[BoundResult]) -> int:
@@ -215,28 +247,18 @@ def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
     if out_dir is None:
         return _Record(index, graph_id, g.n, g.m, results)
     violated = [r for r in results if r.verdict == VIOLATED]
-    edges = [list(e) for e in g.edges] if violated else None
-    violations = tuple({
-        "index": index,
-        "graph_id": graph_id,
-        "bound_id": r.bound_id,
-        "param": r.param,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "margin": r.margin,
-        "n": g.n,
-        "m": g.m,
-        "edges": edges,  # one list, shared by the graph's entries
-        "file": f"{r.bound_id}_{index}.el",
-    } for r in violated)
+    files = [f"{r.bound_id}_{index}.el" for r in violated]
+    violations = _json_violations(index, graph_id, g, [
+        (r.bound_id, r.param, r.lhs, r.rhs, r.margin, fname)
+        for r, fname in zip(violated, files)]) if violated else ""
     majorization = {
         name: "holds" if check(ctx.degrees, ctx.spec).holds else "fails"
         for name, check in _majorization_checks().items()
         if name != "GRONE" or ctx.gclass.is_connected}
     # several violated parameters of one bound share one file
-    files = dict.fromkeys([v["file"] for v in violations]
-                          + [f"{name}_{index}.el" for name, outcome
-                             in majorization.items() if outcome == "fails"])
+    files = dict.fromkeys(files + [f"{name}_{index}.el" for name, outcome
+                                   in majorization.items()
+                                   if outcome == "fails"])
     if files:
         text = format_edge_list(g)
         for fname in files:
@@ -291,25 +313,31 @@ def _report(args, records: Iterable[_Record],
             fuzz: Optional[dict] = None) -> int:
     """Fold the records into the report, print it, return the exit code.
 
-    Without fuzz (check, sweep, fuzz CSV) the report is the rows. With fuzz
-    (fuzz JSON) it is that aggregate report, whose empty tallies and lists
-    are filled in here.
+    Without fuzz (check, sweep, fuzz CSV) the report is the rows, kept as
+    the JSON text of each record's rows or as CSV rows; no row is ever a
+    dict. With fuzz (fuzz JSON) it is that aggregate report, whose empty
+    tallies and lists are filled in here, all but the violation entries,
+    which stay text.
     """
-    rows: list[dict] = []
+    rows: list = []
+    violations: list[str] = []
     code = 0
     for rec in records:
         # exit codes in rising severity: clean, agreement failure, VIOLATED
         code = max(code, _exit_code(rec.results), key=(0, 3, 2).index)
         if fuzz is None:
-            rows.extend({"graph_id": rec.graph_id, "n": rec.n, "m": rec.m,
-                         **r._asdict()} for r in rec.results)
+            if args.format == "csv":
+                rows.extend(_csv_rows(rec))
+            elif rec.results:
+                rows.append(_json_rows(rec))
             continue
         fuzz["corpus"]["sizes"].append(rec.n)
         if rec.m is None:
             fuzz["corpus"]["generation_failures"].append(
                 {"index": rec.index, "n": rec.n})
             continue
-        fuzz["violations"].extend(rec.violations)
+        if rec.violations:
+            violations.append(rec.violations)
         for r in rec.results:
             fuzz["tallies"][r.bound_id][r.verdict.lower()] += 1
             if not r.agreement:
@@ -323,7 +351,7 @@ def _report(args, records: Iterable[_Record],
                 })
         for name, tally in fuzz["majorization"].items():
             tally[rec.majorization.get(name, "skipped")] += 1
-    _emit(args, rows if fuzz is None else fuzz)
+    _emit(args, rows if fuzz is None else fuzz, violations)
     return code
 
 

@@ -1,4 +1,6 @@
 """Command-line harness: formats, exit codes, determinism, file handling."""
+import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -6,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,8 +23,12 @@ from hypothesis import strategies as st
 
 import lapbounds as lb
 from lapbounds import cli, spectra
-from lapbounds.bounds import BoundResult
+from lapbounds.bounds import (EQUALITY, HOLDS, NOT_APPLICABLE, VIOLATED,
+                              BoundResult)
 from lapbounds.cli import CSV_COLUMNS, MAX_N, _exit_code, main
+
+
+VERDICTS = (HOLDS, EQUALITY, VIOLATED, NOT_APPLICABLE)
 
 
 def run(argv, capsys):
@@ -848,32 +855,112 @@ class TestReportsPinned:
 
 
 class TestRowsToJson:
-    """Row reports are encoded by json's C encoder and still read exactly as
-    json.dumps(rows, indent=2)."""
+    """Reports are encoded from the records by templates and json's C
+    encoder, and still read exactly as json.dumps(indent=2) and csv.writer
+    read with each row or violation entry a dict."""
 
     AWKWARD = st.sampled_from([
         '"', "\\", "\n", "},\n    {", '"},\n    {"', "{", "}", "{}", "[\n  ",
-        "caf\u00e9 \u2211 \U0001f600"])
-    SCALARS = st.one_of(
-        st.text(), AWKWARD, st.integers(), st.none(), st.booleans(),
-        st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+        "café ∑ \U0001f600", "%", "%s", "%%", "%(x)s", ", ",
+        "], [", '", "', '"], ["', '"violations": []', 'café "x", {y}.el'])
+    NUMBERS = st.one_of(
+        st.none(), st.floats(),
+        st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+    RESULTS = st.builds(
+        BoundResult, bound_id=st.sampled_from(lb.BOUND_IDS),
+        param=st.one_of(st.none(), st.integers(), st.floats()),
+        applicable=st.booleans(), lhs=NUMBERS, rhs=NUMBERS, margin=NUMBERS,
+        verdict=st.sampled_from(VERDICTS), predicted_equality=st.booleans(),
+        agreement=st.booleans())
+    RECORDS = st.builds(
+        cli._Record, index=st.integers(min_value=0),
+        graph_id=st.text() | AWKWARD, n=st.integers(min_value=1),
+        m=st.integers(min_value=0), results=st.lists(RESULTS, max_size=5))
 
-    @given(st.lists(st.dictionaries(st.text() | AWKWARD, SCALARS, max_size=6),
-                    max_size=5))
+    @staticmethod
+    def _report(fmt, records):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._report(argparse.Namespace(format=fmt), records)
+        return out.getvalue()
+
+    def test_ids_and_verdicts_never_hold_a_separator(self):
+        """_json_cells splits the C encoder's text on ", ": no bound id,
+        verdict or counterexample file name may hold it."""
+        for name in (*lb.BOUND_IDS, *VERDICTS):
+            assert re.fullmatch("[A-Z0-9_]+", name)
+
+    @given(st.lists(RECORDS, max_size=4))
     @example([])
-    @example([{}])
-    @example([{}, {"a": "},\n    {"}, {}])
-    @settings(max_examples=300)
-    def test_matches_indent_2(self, rows):
-        assert cli._rows_to_json(rows) == json.dumps(rows, indent=2)
+    @example([cli._Record(0, "", 1, 0, [])])
+    @settings(max_examples=200)
+    def test_matches_indent_2(self, records):
+        rows = [{"graph_id": rec.graph_id, "n": rec.n, "m": rec.m,
+                 **r._asdict()} for rec in records for r in rec.results]
+        assert self._report("json", records) == json.dumps(
+            rows, indent=2) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([("true" if cell else "false")
+                          if isinstance(cell, bool) else cell
+                          for cell in row.values()] for row in rows)
+        assert self._report("csv", records) == buf.getvalue()
+
+    GRAPHS = st.integers(1, 7).flatmap(lambda n: st.builds(
+        lb.build_graph, st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=12)))
+    ENTRIES = st.lists(st.tuples(
+        st.sampled_from(lb.BOUND_IDS), RESULTS.map(lambda r: r.param),
+        NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=4)
+
+    @given(st.lists(st.tuples(st.integers(min_value=0), st.text() | AWKWARD,
+                              GRAPHS, ENTRIES), max_size=4),
+           st.text() | AWKWARD, st.lists(st.text() | AWKWARD, max_size=3))
+    @example([], "", [])
+    @settings(max_examples=100)
+    def test_fuzz_document_matches_indent_2(self, graphs, model, ids):
+        """Drawn violation entries, spliced into a fuzz document with the
+        CLI's keys, whose strings are drawn too."""
+        doc = {"config": {"model": model, "bounds": list(lb.BOUND_IDS)},
+               "corpus": {"sizes": [len(ids)], "generation_failures": []},
+               "tallies": {"KF_ZT": {"violated": 1}},
+               "majorization": {"GRONE": {"fails": 0}},
+               "violations": [],
+               "agreement_failures": [{"graph_id": i, "violations": []}
+                                      for i in ids]}
+        texts, entries = [], []
+        for index, graph_id, g, drawn in graphs:
+            cells = [(bid, param, lhs, rhs, margin, f"{bid}_{index}.el")
+                     for bid, param, lhs, rhs, margin in drawn]
+            texts.append(cli._json_violations(index, graph_id, g, cells))
+            edges = [list(e) for e in g.edges]
+            entries.extend({
+                "index": index, "graph_id": graph_id, "bound_id": bid,
+                "param": param, "lhs": lhs, "rhs": rhs, "margin": margin,
+                "n": g.n, "m": g.m, "edges": edges, "file": fname,
+            } for bid, param, lhs, rhs, margin, fname in cells)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(argparse.Namespace(format="json"), doc, texts)
+        assert out.getvalue() == json.dumps(
+            {**doc, "violations": entries}, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--family", "K:3..12"],
         ["sweep", "--family", "S:3..8"],
         ["sweep", "--family", "GNP:5..9:0.5:3"],
         ["check", "--family", "K:4"],
+        ["fuzz", "--seed", "7", "--count", "100", "--model", "gnp"],
+        ["fuzz", "--seed", "7", "--count", "100", "--model", "tree"],
+        ["fuzz", "--seed", "7", "--count", "100", "--model", "clique-union"],
+        ["fuzz", "--seed", "7", "--count", "3", "--p", "0.001",
+         "--n-min", "12", "--n-max", "12"],
     ])
-    def test_cli_reports(self, argv, capsys):
+    def test_cli_reports(self, argv, tmp_path, capsys):
+        if argv[0] == "fuzz":
+            argv = argv + ["--out-dir", str(tmp_path)]
         code, out, _ = run(argv, capsys)
         assert code in (0, 2, 3)
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -881,19 +968,25 @@ class TestRowsToJson:
 
 class TestRowReportsSkipThePythonEncoder:
     """json.dumps(indent=2) runs json.encoder's pure-Python _make_iterencode;
-    row reports must not, documents still do."""
+    row reports must not, documents still do, and no violation entry of a
+    fuzz document goes through it."""
 
     @pytest.fixture
     def iterencodes(self, monkeypatch):
-        calls = []
+        """The object each pure-Python encoding is given."""
+        encoded = []
         original = json.encoder._make_iterencode
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            iterencode = original(*args, **kwargs)
+
+            def recording(o, level):
+                encoded.append(o)
+                return iterencode(o, level)
+            return recording
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
-        return calls
+        return encoded
 
     @pytest.mark.parametrize("argv", [
         ["check", "--family", "K:4"],
@@ -906,15 +999,38 @@ class TestRowReportsSkipThePythonEncoder:
 
     @pytest.mark.parametrize("fmt, calls", [("json", 1), ("csv", 0)])
     def test_fuzz(self, fmt, calls, iterencodes, tmp_path, capsys):
-        """The fuzz JSON report is a document: one pure-Python encoding."""
-        code, _, _ = run(["fuzz", "--count", "10", "--format", fmt,
-                          "--out-dir", str(tmp_path)], capsys)
-        assert code in (0, 2, 3)
+        """The fuzz JSON report is a document: one pure-Python encoding,
+        which its violation entries (4 at the default seed) never reach."""
+        code, out, _ = run(["fuzz", "--count", "10", "--format", fmt,
+                            "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
         assert len(iterencodes) == calls
+        if fmt == "json":
+            assert len(json.loads(out)["violations"]) == 4
+            assert iterencodes[0]["violations"] == []
 
     def test_invariants_document(self, iterencodes, capsys):
         assert run(["invariants", "--family", "K:5"], capsys)[0] == 0
         assert len(iterencodes) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "K:3..64"],
+        ["check", "--family", "GNP:64:0.5:1"],
+    ])
+    def test_no_row_dicts(self, argv, monkeypatch, capsys):
+        """No row becomes a dict on its way into the report."""
+        calls = []
+        original = BoundResult._asdict
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(BoundResult, "_asdict", counting)
+        code, out, _ = run(argv, capsys)
+        assert code in (0, 2, 3)
+        assert json.loads(out)
+        assert calls == []
 
 
 class TestExitCodeLogic:
