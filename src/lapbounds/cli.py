@@ -87,7 +87,8 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[str, ...]]:
 _Instance = tuple[int, str, int, Callable[[], Graph]]
 
 
-def _dict_template(keys: Sequence[str], indent: str, later: Sequence[str]):
+def _dict_template(keys: Sequence[str], indent: str,
+                   later: Sequence[str]) -> str:
     """json.dumps(indent=2) of a dict with these keys at this indent, a %s
     slot for each value, %%s for the keys in later, which a second % fills."""
     return (f"{indent}{{\n" + ",\n".join(
@@ -160,7 +161,7 @@ def _rows_to_csv(rows: Iterable[tuple], columns=CSV_COLUMNS) -> str:
     return buf.getvalue()
 
 
-def _emit(args, report: Union[list, dict], violations: Sequence[str] = ()):
+def _emit(args, report: Union[list, dict], violations=()) -> None:
     """Print a report as JSON or as CSV, byte for byte as json.dumps(indent=2)
     or csv print it with each row a dict.
 
@@ -176,7 +177,7 @@ def _emit(args, report: Union[list, dict], violations: Sequence[str] = ()):
             sys.stdout.write(_rows_to_csv(report))
     elif args.format == "json":
         text = json.dumps(report, indent=2)
-        if violations:  # an encoded string escapes the key's quotes
+        if violations:  # the one such key; a string escapes its quotes
             text = text.replace('"violations": []', '"violations": [\n'
                                 + ",\n".join(violations) + "\n  ]", 1)
         print(text)

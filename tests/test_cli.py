@@ -861,8 +861,8 @@ class TestRowsToJson:
 
     AWKWARD = st.sampled_from([
         '"', "\\", "\n", "},\n    {", '"},\n    {"', "{", "}", "{}", "[\n  ",
-        "café ∑ \U0001f600", "%", "%s", "%%", "%(x)s", ", ",
-        "], [", '", "', '"], ["', '"violations": []', 'café "x", {y}.el'])
+        "caf\u00e9 \u2211 \U0001f600", "%", "%s", "%%", "%(x)s", ", ",
+        "], [", '", "', '"], ["', '"violations": []', 'caf\u00e9 "x", {y}.el'])
     NUMBERS = st.one_of(
         st.none(), st.floats(),
         st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
@@ -885,8 +885,8 @@ class TestRowsToJson:
         return out.getvalue()
 
     def test_ids_and_verdicts_never_hold_a_separator(self):
-        """_json_cells splits the C encoder's text on ", ": no bound id,
-        verdict or counterexample file name may hold it."""
+        """_json_cells splits the C encoder's text on ", ": no bound id or
+        verdict, nor a file name made of a bound id and an index, holds it."""
         for name in (*lb.BOUND_IDS, *VERDICTS):
             assert re.fullmatch("[A-Z0-9_]+", name)
 
