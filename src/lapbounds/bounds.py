@@ -15,19 +15,34 @@ applicability and predicted equality class.
 KF_COMPARE is a comparison record, not a bound: lhs is the KF_NEW right-hand
 side and rhs the KF_ZT right-hand side, so its margin reports which of the two
 Kf lower bounds is larger on this graph. It is never VIOLATED.
+
+Predicted equality. Eight rows are majorization rows: they sum one function f
+over the Laplacian spectrum mu and over an integer sequence c taken from the
+degrees. P1_LOWER, P1_UPPER and LEE_DEGREE take the Grone sequence, P2_LOWER
+and KF_NEW the merged Grone sequence, R1_TREE_HIGH, R1_TREE_LOW and LEE_TREE
+the positive conjugate entries; majorization.py declares each sequence, and
+GraphContext takes it once per graph, as a Comparison. Such a row predicts
+equality exactly when mu, less the zeros c leaves out, is c. When c is
+non-increasing it is majorized by mu (Grone; for the merged sequence, the
+premise of P2_LOWER) or majorizes it (Grone-Merris), and x^2 is strictly
+Schur-convex, so the two are equal exactly when sum c_i^2 = tr L^2 =
+sum d_i^2 + 2m: an integer test. KF_COMPARE's two sides are rationals in the
+degrees, so its equality is decided exactly. The other rows predict a graph
+class.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (BadParameterError, DisconnectedGraphError,
                      SequenceTooShortError, UnknownBoundError)
 from .graphs import (Graph, GraphClass, classify, degree_sequence,
                      conjugate_sequence, first_zagreb)
-from .majorization import merged_grone_sequence
+from .majorization import grone_sequence, merged_grone_sequence, power_sum
 from .spectra import (Spectrum, complement_spectrum, kirchhoff, lee,
                       log_spanning_trees, s_alpha, spectrum)
 
@@ -39,6 +54,22 @@ VIOLATED = "VIOLATED"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 Param = Union[float, int, None]
+
+
+class Comparison(NamedTuple):
+    """A majorization row's sequence c, whether it is non-increasing, and
+    whether the spectrum is c: c non-increasing and sum c_i^2 = tr L^2 =
+    sum d_i^2 + 2m (see the module docstring)."""
+
+    c: tuple[int, ...]
+    monotone: bool
+    equal: bool
+
+    def ends_first(self, f: Callable[[int], float]) -> float:
+        """f(c_1) + (f over c_2..c_{k-1}, summed from 0) + f(c_k), the order
+        the reports were recorded in; f is exp, or a.__rpow__ for x^a."""
+        c = self.c
+        return f(c[0]) + sum(map(f, c[1:-1])) + f(c[-1])
 
 
 class GraphContext:
@@ -85,8 +116,24 @@ class GraphContext:
         return kirchhoff(self.spec)
 
     @cached_property
+    def grone(self) -> Comparison:
+        return self._comparison(*grone_sequence(self.degrees))
+
+    @cached_property
+    def merged(self) -> Comparison:
+        return self._comparison(*merged_grone_sequence(self.degrees))
+
+    @cached_property
+    def conjugate_head(self) -> Comparison:
+        return self._comparison(self.conjugate[:self.degrees[0]], True)
+
+    def _comparison(self, c: tuple[int, ...], monotone: bool) -> Comparison:
+        return Comparison(c, monotone, monotone and sum(map(mul, c, c))
+                          == self.zagreb + 2 * self.graph.m)
+
+    @cached_property
     def kf_new_rhs(self) -> float:
-        return self.graph.n * _p2_rhs(self, -1.0)
+        return self.graph.n * self.merged.ends_first((-1.0).__rpow__)
 
     @cached_property
     def kf_zt_rhs(self) -> float:
@@ -108,10 +155,6 @@ class GraphContext:
     @cached_property
     def zagreb(self) -> int:
         return first_zagreb(self.graph)
-
-    @cached_property
-    def merged_monotone(self) -> bool:
-        return merged_grone_sequence(self.degrees)[1]
 
 
 def _alpha_above_1(a: float) -> bool:
@@ -151,38 +194,8 @@ def _bip_n3(ctx: GraphContext) -> bool:
             and ctx.graph.n >= 3)
 
 
-def _p1_rhs(ctx: GraphContext, a: float) -> float:
-    d = ctx.degrees
-    mid = sum(x ** a for x in d[1:-1])
-    return (d[0] + 1) ** a + mid + float(d[-1] - 1) ** a
-
-
-def _p2_rhs(ctx: GraphContext, a: float) -> float:
-    d = ctx.degrees
-    mid = sum(x ** a for x in d[1:-2])
-    return (d[0] + 1) ** a + mid + float(d[-2] + d[-1] - 1) ** a
-
-
-def _r1_rhs(ctx: GraphContext, a: float) -> float:
-    # only the strictly positive conjugate entries enter, by the summation
-    # limit d_1; safe for negative exponents
-    d1 = ctx.degrees[0]
-    return float(sum(x ** a for x in ctx.conjugate[:d1]))
-
-
 def _rp_rhs(ctx: GraphContext, k: int) -> float:
     return float(sum(x * (1 + x) ** (k - 1) for x in ctx.degrees))
-
-
-def _lee_degree_rhs(ctx: GraphContext) -> float:
-    d = ctx.degrees
-    mid = sum(math.exp(x) for x in d[1:-1])
-    return math.exp(d[0] + 1) + mid + math.exp(d[-1] - 1)
-
-
-def _lee_tree_rhs(ctx: GraphContext) -> float:
-    d1 = ctx.degrees[0]
-    return (ctx.graph.n - d1) + sum(math.exp(x) for x in ctx.conjugate[:d1])
 
 
 def _lee_clique_rhs(ctx: GraphContext) -> float:
@@ -231,12 +244,13 @@ def _lee_r2c_t_rhs(ctx: GraphContext) -> float:
     return 1.0 + math.exp(2.0 * root) + (n - 2) * math.exp(expo)
 
 
-def _eq_star(ctx: GraphContext, param: Param) -> bool:
-    return ctx.gclass.is_star
-
-
-def _eq_star_or_k3(ctx: GraphContext, param: Param) -> bool:
-    return ctx.gclass.is_star or (ctx.gclass.is_complete and ctx.graph.n == 3)
+def _eq_kf_compare(ctx: GraphContext, param: Param) -> bool:
+    # n sum 1/c over the merged sequence against (n - 1) sum 1/d - 1, both
+    # times the common denominator: exact, and cheaper than Fraction
+    n, d, c = ctx.graph.n, ctx.degrees, ctx.merged.c
+    den = math.lcm(*{*d, *c})
+    return (n * sum(map(den.__floordiv__, c))
+            == (n - 1) * sum(map(den.__floordiv__, d)) - den)
 
 
 def _eq_complete_or_star(ctx: GraphContext, param: Param) -> bool:
@@ -292,31 +306,38 @@ def _lhs_lee(ctx: GraphContext, param: Param) -> float:
 
 CATALOG: tuple[BoundSpec, ...] = (
     BoundSpec("P1_LOWER", "lower", "alpha", _alpha_above_1, _connected_n(2),
-              _lhs_s_alpha, _p1_rhs, _eq_star),
+              _lhs_s_alpha, lambda ctx, a: ctx.grone.ends_first(a.__rpow__),
+              lambda ctx, p: ctx.grone.equal),
     BoundSpec("P1_UPPER", "upper", "alpha", _alpha_unit, _connected_n(2),
-              _lhs_s_alpha, _p1_rhs, _eq_star),
+              _lhs_s_alpha, lambda ctx, a: ctx.grone.ends_first(a.__rpow__),
+              lambda ctx, p: ctx.grone.equal),
     BoundSpec("P2_LOWER", "lower", "alpha", _alpha_negative, _connected_n(3),
-              _lhs_s_alpha, _p2_rhs, _eq_star_or_k3,
-              strict_toggle=True),
+              _lhs_s_alpha, lambda ctx, a: ctx.merged.ends_first(a.__rpow__),
+              lambda ctx, p: ctx.merged.equal, strict_toggle=True),
     BoundSpec("KF_NEW", "lower", None, None, _connected_n(3),
               lambda ctx, p: ctx.kirchhoff, lambda ctx, p: ctx.kf_new_rhs,
-              _eq_star_or_k3, strict_toggle=True),
+              lambda ctx, p: ctx.merged.equal, strict_toggle=True),
     BoundSpec("KF_ZT", "lower", None, None, _connected_n(2),
               lambda ctx, p: ctx.kirchhoff, lambda ctx, p: ctx.kf_zt_rhs,
               _eq_complete_multipartite),
     BoundSpec("KF_COMPARE", "compare", None, None, _connected_n(3),
               lambda ctx, p: ctx.kf_new_rhs, lambda ctx, p: ctx.kf_zt_rhs,
-              _eq_star_or_k3),
+              _eq_kf_compare),
     BoundSpec("R1_TREE_HIGH", "upper", "alpha", _alpha_tree_high, _tree,
-              _lhs_s_alpha, _r1_rhs, _eq_star),
+              _lhs_s_alpha, lambda ctx, a: power_sum(ctx.conjugate_head.c, a),
+              lambda ctx, p: ctx.conjugate_head.equal),
     BoundSpec("R1_TREE_LOW", "lower", "alpha", _alpha_unit, _tree,
-              _lhs_s_alpha, _r1_rhs, _eq_star),
+              _lhs_s_alpha, lambda ctx, a: power_sum(ctx.conjugate_head.c, a),
+              lambda ctx, p: ctx.conjugate_head.equal),
     BoundSpec("RP_MOMENT", "lower", "k", None, _always,
               _lhs_s_alpha, _rp_rhs, _eq_rp),
     BoundSpec("LEE_DEGREE", "lower", None, None, _connected_n(2),
-              _lhs_lee, lambda ctx, p: _lee_degree_rhs(ctx), _eq_star),
-    BoundSpec("LEE_TREE", "upper", None, None, _tree,
-              _lhs_lee, lambda ctx, p: _lee_tree_rhs(ctx), _eq_star),
+              _lhs_lee, lambda ctx, p: ctx.grone.ends_first(math.exp),
+              lambda ctx, p: ctx.grone.equal),
+    BoundSpec("LEE_TREE", "upper", None, None, _tree, _lhs_lee,
+              lambda ctx, p: (ctx.graph.n - len(ctx.conjugate_head.c)
+                              + sum(map(math.exp, ctx.conjugate_head.c))),
+              lambda ctx, p: ctx.conjugate_head.equal),
     BoundSpec("LEE_CLIQUE", "lower", None, None, _any_n2,
               _lhs_lee, lambda ctx, p: _lee_clique_rhs(ctx), _eq_clique_union),
     BoundSpec("LEE_R2A_M", "lower", None, None, _connected_n(3),
@@ -419,12 +440,12 @@ def _evaluate(spec: BoundSpec, param: Param, ctx: GraphContext,
     """
     if not spec.applies(ctx):
         return None
-    if strict_applicability and spec.strict_toggle and not ctx.merged_monotone:
+    if strict_applicability and spec.strict_toggle and not ctx.merged.monotone:
         return None
 
     lhs = spec.lhs(ctx, param)
     rhs = spec.rhs(ctx, param)
-    scale = max(1.0, abs(lhs), abs(rhs))
+    scale = max(abs(lhs), abs(rhs))
     if spec.direction in ("lower", "strict_lower", "compare"):
         margin = lhs - rhs
     else:

@@ -167,7 +167,8 @@ def conjugate_sequence(d: Sequence[int]) -> tuple[int, ...]:
 
 def first_zagreb(g: Graph) -> int:
     """Sum of squared vertex degrees."""
-    return sum(d * d for d in map(int.bit_count, g.masks))
+    degrees = list(map(int.bit_count, g.masks))
+    return sum(map(operator.mul, degrees, degrees))
 
 
 def _is_bipartite(g: Graph) -> bool:

@@ -8,6 +8,7 @@ relative one, so integer degree sequences and floating spectra mix safely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, lt
 from typing import Optional, Sequence
 
 from .errors import (BadPinchError, DisconnectedGraphError,
@@ -36,10 +37,10 @@ class MajorizationVerdict:
 
 
 def _require_sorted(x: Sequence[float], name: str) -> None:
-    for i in range(len(x) - 1):
-        if x[i] < x[i + 1]:
-            raise NotSortedError(
-                f"{name} must be non-increasing, ascends at index {i}")
+    if any(map(lt, x, x[1:])):
+        i = next(i for i in range(len(x) - 1) if x[i] < x[i + 1])
+        raise NotSortedError(
+            f"{name} must be non-increasing, ascends at index {i}")
 
 
 def majorizes(x: Sequence[float], y: Sequence[float]) -> MajorizationVerdict:
@@ -79,7 +80,7 @@ def grone_sequence(d: Sequence[int]) -> tuple[tuple[int, ...], bool]:
         raise SequenceTooShortError("need at least two degrees")
     _require_sorted(d, "degree sequence")
     seq = (d[0] + 1,) + tuple(d[1:-1]) + (d[-1] - 1,)
-    mono = all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
+    mono = all(map(ge, seq, seq[1:]))
     return seq, mono
 
 
@@ -94,7 +95,7 @@ def merged_grone_sequence(d: Sequence[int]) -> tuple[tuple[int, ...], bool]:
         raise SequenceTooShortError("need at least three degrees")
     _require_sorted(d, "degree sequence")
     seq = (d[0] + 1,) + tuple(d[1:-2]) + (d[-2] + d[-1] - 1,)
-    mono = all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
+    mono = all(map(ge, seq, seq[1:]))
     return seq, mono
 
 

@@ -844,7 +844,7 @@ class TestReportsPinned:
         (["sweep", "--family", "TREE:4..12:9"],
          "be285f8b70300c9bfd740967f6d7ddabaf3fab867c05b32d243f4e8adff42ae4"),
         (["fuzz", "--seed", "7", "--count", "60", "--model", "gnp"],
-         "62a8e0c85fd02b3d39f7dbf259e5e3ed858bef7101b4155df86c880be496b57e"),
+         "3a0dcf113b304b04a286dc1ddac9c1a561c0c42438b35898e89859fdb647c236"),
         (["fuzz", "--seed", "7", "--count", "60", "--model", "tree"],
          "3810bbf070dc0e1b2bb007dd1eeefd1cc008c403323573c6f0aaf4927371837c"),
         (["fuzz", "--seed", "7", "--count", "60", "--model", "clique-union"],
