@@ -1,9 +1,16 @@
-/* One round-robin Jacobi sweep over a stack of symmetric matrices.
+/* The Jacobi eigensolver of lapbounds.spectra, whole, and the G(n, p) coin
+ * block of lapbounds.families.
  *
- * The compiled form of spectra._numpy_sweep: the same IEEE operations in the
- * same order, so both give the same bits. Build it without fast-math and
- * without contraction (-fno-fast-math -ffp-contract=off), since a fused
- * multiply-add would round once where numpy rounds twice.
+ * jacobi_solve solves a stack of symmetric matrices: it fills the stack from
+ * packed neighbour-mask rows when it is given them, builds the round-robin
+ * schedule, sweeps, tests each matrix for convergence and retires it with its
+ * final diagonal. spectra._numpy_solve is the same solve in numpy, the
+ * fallback where no library can be built and the reference this file is
+ * tested against: both do the same IEEE operations in the same order, so
+ * they give the same bits and retire each matrix after the same sweep. Build
+ * it without fast-math and without contraction (-fno-fast-math
+ * -ffp-contract=off), since a fused multiply-add would round once where numpy
+ * rounds twice, and a reordered sum would round differently.
  *
  * Only the order in which independent entries are visited differs from the
  * numpy round. A round's column rotation changes each entry of columns P_i
@@ -16,19 +23,25 @@
  * The columns are walked as runs: maximal stretches of consecutive pairs of
  * pq in which P steps by +1 or -1 and Q steps the opposite way; a pair that
  * starts no such stretch is a run of one. Pair i of round r of the
- * round-robin schedule is {(r + i) mod M, (r - i) mod M}, so a round splits
+ * round-robin schedule is {(r + i) mod (M - 1), (r - i) mod (M - 1)}, M = n
+ * rounded up to even, except pair 0, which is {r, M - 1}; so a round splits
  * into a few such runs, and in each row a run reads and writes one ascending
  * and one descending unit-stride stream, which the compiler vectorizes. The
- * runs are read from pq itself, so any pq of disjoint pairs works.
+ * runs are read from pq itself, so any pq of disjoint pairs works, and
+ * jacobi_sweep, one sweep over a given pq, is exported so that such
+ * schedules can be tested. On x86-64 it picks its body itself, on each call:
+ * the same sweep compiled for AVX2 where the CPU it runs on has AVX2, the
+ * portable body otherwise, so a library built on one host stays safe to load
+ * on another.
  *
- * jacobi_sweep is the one export. On x86-64 it picks its body itself, on
- * each call: the same sweep compiled for AVX2 where the CPU it runs on has
- * AVX2, the portable body otherwise, so a library built on one host stays
- * safe to load on another.
+ * gnp_rows draws the coins of one G(n, p) attempt from a splitmix64 state,
+ * with the bits of rng.SplitMix64.uniform() < p.
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Every helper is inlined into each body of jacobi_sweep, so that it is
  * compiled for the instruction set of the body it serves. */
@@ -165,3 +178,141 @@ int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
     return sweep(a, b, n, pq, rounds, k);
 }
 #endif
+
+/* Row r of pq, r < n - 1 + n % 2, gets round r's k = n / 2 pairs of the
+ * round-robin schedule above, all P = min, then all Q = max; for an odd n,
+ * pair 0 meets M - 1 = n, the bye, and is dropped. The pq of
+ * spectra._round_robin. */
+static void round_robin(ptrdiff_t n, ptrdiff_t *pq)
+{
+    ptrdiff_t m = n + n % 2, k = n / 2, odd = n % 2;
+    for (ptrdiff_t r = 0; r < m - 1; r++) {
+        ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
+        for (ptrdiff_t i = odd; i < m / 2; i++) {
+            ptrdiff_t u = (r + i) % (m - 1);
+            ptrdiff_t v = i ? (r - i + m - 1) % (m - 1) : m - 1;
+            P[i - odd] = u < v ? u : v;
+            Q[i - odd] = u < v ? v : u;
+        }
+    }
+}
+
+/* count rows of n x n Laplacians from count neighbour masks of
+ * (n + 7) / 8 little-endian bytes each: -1 where bit j is set and 0
+ * elsewhere, then the mask's popcount on the diagonal, as
+ * spectra._Laplacians unpacks them. */
+static void fill_laplacians(double *a, ptrdiff_t count, ptrdiff_t n,
+                            const unsigned char *rows)
+{
+    ptrdiff_t width = (n + 7) / 8;
+    for (ptrdiff_t i = 0; i < count; i++, a += n, rows += width) {
+        int degree = 0;
+        for (ptrdiff_t j = 0; j < n; j++)
+            a[j] = ((rows[j >> 3] >> (j & 7)) & 1) ? -1.0 : 0.0;
+        for (ptrdiff_t w = 0; w < width; w++)
+            for (unsigned bits = rows[w]; bits; bits &= bits - 1)
+                degree++;
+        a[i % n] = degree;
+    }
+}
+
+/* The squares of the n x n matrix x summed left to right, row by row, its
+ * diagonal left out when off is nonzero. */
+static double sum_squares(const double *x, ptrdiff_t n, int off)
+{
+    double s = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        for (ptrdiff_t j = 0; j < n; j++)
+            if (!(off && i == j))
+                s += x[i * n + j] * x[i * n + j];
+    return s;
+}
+
+/* Solves the b symmetric n x n matrices of a, row-major; when rows is not
+ * NULL, a is first filled with the Laplacians of those b * n neighbour
+ * masks. Matrix i's target is rel_tol times the square root of its
+ * sum_squares. It sweeps until the square root of its off-diagonal
+ * sum_squares is at most its target, and then leaves the stack: its
+ * diagonal goes to values[i * n .. i * n + n - 1], and the number of sweeps
+ * it took to sweeps[i]. Returns the number of matrices still above their
+ * target after max_sweeps sweeps, each with sweeps[i] = -1; before any sweep,
+ * -2 when an entry is not finite and -3 when a target overflows; or -1 when
+ * no memory is left. What a holds afterwards is not specified. */
+ptrdiff_t jacobi_solve(double *a, ptrdiff_t b, ptrdiff_t n,
+                       const unsigned char *rows, ptrdiff_t max_sweeps,
+                       double rel_tol, double *values, int *sweeps)
+{
+    ptrdiff_t nn = n * n, k = n / 2, rounds = n - 1 + n % 2;
+    if (rows != NULL)
+        fill_laplacians(a, b * n, n, rows);
+    for (ptrdiff_t i = 0; i < b * nn; i++)
+        if (!isfinite(a[i]))
+            return -2;
+    if (b == 0)
+        return 0;
+    double *target = malloc(b * (sizeof(double) + sizeof(ptrdiff_t))
+                            + rounds * 2 * k * sizeof(ptrdiff_t));
+    if (target == NULL)
+        return -1;
+    ptrdiff_t *id = (ptrdiff_t *)(target + b), *pq = id + b;
+    ptrdiff_t active = b;
+    for (ptrdiff_t j = 0; j < b; j++) {
+        target[j] = rel_tol * sqrt(sum_squares(a + j * nn, n, 0));
+        if (!isfinite(target[j]))
+            active = -3;
+        id[j] = j;
+    }
+    for (ptrdiff_t sweep = 0; active > 0; sweep++) {
+        ptrdiff_t kept = 0;
+        for (ptrdiff_t j = 0; j < active; j++) {
+            double *m = a + j * nn;
+            if (sqrt(sum_squares(m, n, 1)) <= target[j]) {
+                for (ptrdiff_t i = 0; i < n; i++)
+                    values[id[j] * n + i] = m[i * n + i];
+                sweeps[id[j]] = (int)sweep;
+                continue;
+            }
+            if (kept < j)  /* converged matrices leave the stack */
+                memcpy(a + kept * nn, m, nn * sizeof(double));
+            target[kept] = target[j];
+            id[kept++] = id[j];
+        }
+        active = kept;
+        if (active == 0 || sweep >= max_sweeps)
+            break;
+        if (sweep == 0)
+            round_robin(n, pq);
+        if (jacobi_sweep(a, active, n, pq, rounds, k) != 0)
+            active = -1;
+    }
+    for (ptrdiff_t j = 0; j < active; j++)
+        sweeps[id[j]] = -1;
+    free(target);
+    return active;
+}
+
+#define GOLDEN 0x9E3779B97F4A7C15u
+#define MUL1 0xBF58476D1CE4E5B9u
+#define MUL2 0x94D049BB133111EBu
+
+/* The coins of one G(n, p) attempt: pair i in u-major order of the pairs
+ * u < v takes output i of the splitmix64 stream at state, mix(state +
+ * (i + 1) * golden), and is an edge when its 53 high bits times 2^-53 are
+ * below p. Writes the n symmetric neighbour masks to rows, (n + 7) / 8
+ * little-endian bytes each. The stream and constants of rng.py. */
+void gnp_rows(uint64_t state, ptrdiff_t n, double p, unsigned char *rows)
+{
+    ptrdiff_t width = (n + 7) / 8;
+    memset(rows, 0, n * width);
+    for (ptrdiff_t u = 0; u < n; u++)
+        for (ptrdiff_t v = u + 1; v < n; v++) {
+            uint64_t z = state += GOLDEN;
+            z = (z ^ (z >> 30)) * MUL1;
+            z = (z ^ (z >> 27)) * MUL2;
+            z ^= z >> 31;
+            if ((double)(z >> 11) * 0x1p-53 < p) {
+                rows[u * width + (v >> 3)] |= 1u << (v & 7);
+                rows[v * width + (u >> 3)] |= 1u << (u & 7);
+            }
+        }
+}

@@ -17,20 +17,22 @@ which expands to one spec per n. Each kind is declared once, in _KIND_TABLE.
 
 Every generator but random_tree emits each vertex's neighbour mask by bit
 arithmetic, so it builds Graph(n, masks) directly, with none of
-build_graph's per-edge checks. A Prufer decode emits edge pairs, so
-random_tree goes through build_graph.
+build_graph's per-edge checks; gnp_connected reads its masks from the rows
+that the compiled library's coin block writes, or flips its coins one by
+one without the library. A Prufer decode emits edge pairs, so random_tree
+goes through build_graph.
 """
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .errors import ParseError, RetryExhaustedError
 from .graphs import Graph, build_graph
 from .rng import SplitMix64
+from .spectra import _library
 
 GNP_RETRY_CAP = 1000
 
@@ -114,9 +116,11 @@ def random_tree(n: int, seed: int) -> Graph:
 def gnp_connected(n: int, p: float, seed: int) -> Graph:
     """G(n, p) conditioned on connectivity by rejection sampling.
 
-    An attempt flips one coin per pair u < v, in u-major order, as one
-    SplitMix64.uniforms block of the seed's stream, and keeps the pairs whose
-    draw is below p; the next attempt continues the stream. Raises
+    An attempt flips one coin per pair u < v, in u-major order, and keeps the
+    pairs whose uniform() draw of the seed's stream is below p; the next
+    attempt continues the stream. The compiled library draws an attempt as
+    one block, in gnp_rows, and writes it as packed mask rows; without it the
+    coins are drawn one by one, with the same bits. Raises
     RetryExhaustedError after GNP_RETRY_CAP rejected draws.
     """
     if n < 1:
@@ -124,15 +128,23 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     rng = SplitMix64(seed)
-    upper = np.less.outer(np.arange(n), np.arange(n))  # u < v, u-major
+    lib = _library()
+    width = (n + 7) // 8
+    rows = array("B", bytes(n * width))
     for _ in range(GNP_RETRY_CAP):
-        a = np.zeros((n, n), dtype=bool)
-        a[upper] = rng.uniforms(n * (n - 1) // 2) < p
-        a |= a.T
-        rows = np.packbits(a, axis=1, bitorder="little")
-        data, width = rows.tobytes(), rows.shape[1]
-        g = Graph(n, tuple(int.from_bytes(data[i:i + width], "little")
-                           for i in range(0, len(data), width)))
+        if lib is None:
+            masks = [0] * n
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.uniform() < p:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+        else:
+            lib.gnp_rows(rng.skip(n * (n - 1) // 2), n, p,
+                         rows.buffer_info()[0])
+            data = rows.tobytes()
+            masks = [int.from_bytes(data[i:i + width], "little")
+                     for i in range(0, len(data), width)]
+        g = Graph(n, tuple(masks))
         if len(g.components) == 1:
             return g
     raise RetryExhaustedError(

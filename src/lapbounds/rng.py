@@ -3,13 +3,12 @@
 The generator is fixed bit-for-bit so that seeded corpora are reproducible
 across platforms and Python versions; nothing here depends on the stdlib
 `random` module. The stream is counter-based (output i of state s is
-mix(s + i * golden)), so SplitMix64.uniforms computes a block of it with
-numpy uint64 arithmetic; a block holds the same bits as drawing its values
-one by one, and the stream itself is unchanged.
+mix(s + i * golden)), so SplitMix64.skip hands a block of it to be drawn
+elsewhere: the compiled G(n, p) coin block (gnp_rows in _jacobi.c, with these
+constants) draws the same bits as uniform() one by one, and the stream itself
+is unchanged.
 """
 from __future__ import annotations
-
-import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -46,26 +45,13 @@ class SplitMix64:
         """Float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next count uniform() values, as one float64 array.
-
-        numpy uint64 array arithmetic wraps mod 2^64 without a warning, and
-        (z >> 11) * 2^-53 is exact in float64, so the values are bit-identical
-        to count successive uniform() calls. The state advances in Python
-        ints, as next_u64 advances it.
-        """
-        u64 = np.uint64
-        z = np.arange(1, count + 1, dtype=u64)
-        z *= u64(_GOLDEN)
-        z += u64(self._state)
-        self._state = (self._state + count * _GOLDEN) & _MASK64
-        z ^= z >> u64(30)
-        z *= u64(_MUL1)
-        z ^= z >> u64(27)
-        z *= u64(_MUL2)
-        z ^= z >> u64(31)
-        z >>= u64(11)
-        return z * (1.0 / (1 << 53))
+    def skip(self, count: int) -> int:
+        """Moves the stream past its next count outputs and returns the state
+        they are drawn from: output i of them (0-based) is
+        mix(state + (i + 1) * golden)."""
+        state = self._state
+        self._state = (state + count * _GOLDEN) & _MASK64
+        return state
 
     def below(self, bound: int) -> int:
         """Unbiased integer in [0, bound); bound >= 1."""

@@ -3,18 +3,19 @@
 The eigensolver is a Jacobi iteration in the round-robin parallel ordering of
 Brent & Luk (1985), applied to one matrix or to a whole stack of matrices of
 one size at once; Jacobi keeps small eigenvalues accurate relative to their
-size, which s_{-2} needs (Demmel & Veselic 1992). Each sweep of the stack is
-one call of a kernel: the C function in _jacobi.c, compiled with -O3 on the
-first sweep into this package's __pycache__, or, when no library can be
-built or loaded, the same round in numpy. The C sweep walks each round's
-columns as runs of adjacent indices, a lone pair being a run of one, so that
-its rotations stream contiguous memory in vector instructions; the library
-picks its AVX2 body itself where the CPU has AVX2. All of them do the same
-IEEE operations on each entry in the same order, so they give the same bits.
-Each matrix of a stack converges and leaves the stack on its own, so its
-eigenvalues are bit-identical whatever it was stacked with; spectra_of solves
-graphs of one vertex count as one stack, and the CLI's check, sweep and fuzz
-group their graphs by n before they call it.
+size, which s_{-2} needs (Demmel & Veselic 1992). A solve is one call of
+jacobi_solve in _jacobi.c, compiled with -O3 on the first solve into this
+package's __pycache__: it fills the stack from the graphs' neighbour masks,
+sweeps it, and retires each matrix as it converges. Where no library can be
+built or loaded, _numpy_solve does the same in numpy. Both do the same IEEE
+operations on each entry in the same order, and sum their convergence tests
+left to right, with no BLAS, so they give the same bits and retire each
+matrix after the same sweep. Each matrix leaves the stack on its own, so its
+eigenvalues are bit-identical whatever it was stacked with; spectra_of
+solves graphs of one vertex count as one stack, and the CLI's check, sweep
+and fuzz group their graphs by n before they call it. numpy is imported only
+by the fallback, by laplacian and by jacobi_eigenvalues on a numpy input, so
+with the library the CLI runs without it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -22,20 +23,21 @@ never decides multiplicity.
 """
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import math
 import os
-import tempfile
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (DisconnectedGraphError, JacobiConvergenceError,
                      NoNonzeroEigenvaluesError, SpectralInconsistencyError)
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 JACOBI_MAX_SWEEPS = 64
 JACOBI_REL_TOL = 1e-12
@@ -43,18 +45,35 @@ ZERO_SANITY_FACTOR = 1e-8
 TRACE_REL_TOL = 1e-9
 
 
+class _Laplacians:
+    """The Laplacians of graphs of one vertex count n, held as the packed
+    neighbour-mask rows (ceil(n / 8) little-endian bytes each) that
+    jacobi_solve fills its stack from. numpy reads them as the (count, n, n)
+    int64 stack: -1 where a mask bit is set, each mask's popcount on the
+    diagonal."""
+
+    def __init__(self, graphs: Sequence[Graph]):
+        self.n, self.count = graphs[0].n, len(graphs)
+        width = (self.n + 7) // 8
+        self.rows = b"".join(mask.to_bytes(width, "little")
+                             for g in graphs for mask in g.masks)
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+        n = self.n
+        bits = np.unpackbits(np.frombuffer(self.rows, np.uint8).reshape(
+            self.count * n, (n + 7) // 8), axis=1, bitorder="little")
+        L = -bits[:, :n].astype(np.int64).reshape(self.count, n, n)
+        i = np.arange(n)
+        L[:, i, i] = bits.sum(axis=1).reshape(self.count, n)
+        return L if dtype is None else L.astype(dtype)
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Integer Laplacian L = D - A, as int64: A is g's neighbour masks,
-    unpacked by np.unpackbits, and D their popcounts."""
-    n = g.n
-    width = (n + 7) // 8
-    rows = np.frombuffer(b"".join(mask.to_bytes(width, "little")
-                                  for mask in g.masks), np.uint8)
-    L = np.unpackbits(rows.reshape(n, width), axis=1, count=n,
-                      bitorder="little").astype(np.int64)
-    np.negative(L, out=L)
-    np.fill_diagonal(L, list(map(int.bit_count, g.masks)))
-    return L
+    unpacked, and D their popcounts."""
+    import numpy as np
+    return np.asarray(_Laplacians([g]))[0]
 
 
 def _round_robin(n: int) -> np.ndarray:
@@ -63,9 +82,10 @@ def _round_robin(n: int) -> np.ndarray:
     Every pair p < q meets exactly once in n - 1 rounds (n rounds when n is
     odd: the pairing with the bye slot n is dropped, so one index sits out).
     Row r of the (rounds, 2k) np.intp result holds round r's k = n // 2
-    disjoint pairs (P, Q): all P, then all Q. This is the pq array that
-    _jacobi.c's jacobi_sweep takes.
+    disjoint pairs (P, Q): all P, then all Q. _jacobi.c builds the same
+    schedule from the same formula.
     """
+    import numpy as np
     m = n + n % 2
     r = np.arange(m - 1)[:, None]
     i = np.arange(m // 2)
@@ -82,14 +102,15 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
 
     One matrix at a time, each round in numpy: the rotation coefficients of
     all k pairs, then the P and Q columns, then the P and Q rows, then
-    a[P, Q] = a[Q, P] = 0. This is the fallback when _jacobi.c cannot be
-    built or loaded, and the reference that the compiled sweep is tested
-    against bit for bit, its AVX2 body and its portable one, on the
-    round-robin schedule and on any other pq of disjoint pairs. The compiled
-    sweep visits the entries in another order, the columns one run of pairs
-    at a time (a stretch of pairs of adjacent columns, or a lone pair), but
-    each entry goes through the same operations on the same operands.
+    a[P, Q] = a[Q, P] = 0. This is _numpy_solve's sweep, and the reference
+    that _jacobi.c's jacobi_sweep is tested against bit for bit, its AVX2
+    body and its portable one, on the round-robin schedule and on any other
+    pq of disjoint pairs. The compiled sweep visits the entries in another
+    order, the columns one run of pairs at a time (a stretch of pairs of
+    adjacent columns, or a lone pair), but each entry goes through the same
+    operations on the same operands.
     """
+    import numpy as np
     n = a.shape[1]
     k = pq.shape[1] // 2
     sign = np.array([[-1.0], [1.0]])
@@ -120,12 +141,61 @@ def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
             m[p, q] = m[q, p] = 0.0
 
 
+def _sum_squares(xs: list[float]) -> float:
+    """The squares of xs summed left to right, as _jacobi.c sums them."""
+    return reduce(add, map(mul, xs, xs), 0.0)
+
+
+def _numpy_solve(a: array, b: int, n: int, laplacians: Optional[_Laplacians],
+                 values: array, sweeps: array) -> int:
+    """_jacobi.c's jacobi_solve in numpy, with its arguments, results and
+    return value: the solve where the library cannot be built or loaded, and
+    the reference that jacobi_solve is tested against."""
+    import numpy as np
+    x = np.frombuffer(a).reshape(b, n, n)
+    if laplacians is not None:
+        x[...] = laplacians
+    if not np.isfinite(x).all():
+        return -2
+    targets = [JACOBI_REL_TOL * math.sqrt(_sum_squares(m.ravel().tolist()))
+               for m in x]
+    if not all(map(math.isfinite, targets)):
+        return -3
+    out = np.frombuffer(values).reshape(b, n)
+    ids = list(range(b))
+    pq = None
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        keep = []
+        for j, m in enumerate(x):
+            off = m.flatten()
+            off[::n + 1] = 0.0
+            if math.sqrt(_sum_squares(off.tolist())) <= targets[j]:
+                out[ids[j]] = m.diagonal()
+                sweeps[ids[j]] = sweep
+            else:
+                keep.append(j)
+        if not keep:
+            return 0
+        if sweep == JACOBI_MAX_SWEEPS:
+            break
+        if len(keep) < len(x):  # converged matrices leave the stack
+            x = x[keep]
+            ids = [ids[j] for j in keep]
+            targets = [targets[j] for j in keep]
+        if pq is None:
+            pq = _round_robin(n)
+        _numpy_sweep(x, pq)
+    for i in ids:
+        sweeps[i] = -1
+    return len(ids)
+
+
 _CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _compiled_sweep():
-    """_jacobi.c's jacobi_sweep, with _numpy_sweep's signature, or None when
-    the library cannot be built or loaded.
+def _load_library():
+    """_jacobi.c's library, with the argument types of jacobi_solve and
+    gnp_rows set, or None when it cannot be built or loaded.
 
     The library is built once, with sysconfig's CC, into this package's own
     __pycache__ as _jacobi-<sha256 of source, compiler and flags>.so, and
@@ -137,10 +207,11 @@ def _compiled_sweep():
     the CPU it runs on has AVX2, so a checkout shared between hosts stays
     safe.
     """
-    # imported here, so that importing the package pays for none of them
+    # imported here, so that importing the package pays for none of them;
+    # only a build imports subprocess and tempfile
+    import ctypes
     import hashlib
     import shlex
-    import subprocess
     import sysconfig
 
     source = Path(__file__).with_name("_jacobi.c")
@@ -151,14 +222,20 @@ def _compiled_sweep():
                              + "\0".join(command).encode()).hexdigest()
         library = cache / f"_jacobi-{key}.so"
         if not library.exists():
+            import contextlib
+            import subprocess
+            import tempfile
             cache.mkdir(exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix="_jacobi-", suffix=".tmp",
                                        dir=cache)
             os.close(fd)
             try:
-                subprocess.run([*command, "-o", tmp, str(source)], check=True,
-                               stdin=subprocess.DEVNULL, capture_output=True,
-                               timeout=120)
+                try:
+                    subprocess.run([*command, "-o", tmp, str(source)],
+                                   check=True, stdin=subprocess.DEVNULL,
+                                   capture_output=True, timeout=120)
+                except subprocess.SubprocessError:
+                    return None
                 os.replace(tmp, library)
                 for stale in cache.glob("_jacobi-*.so"):
                     if stale != library:
@@ -167,44 +244,66 @@ def _compiled_sweep():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        kernel = ctypes.CDLL(str(library)).jacobi_sweep
-    except (OSError, subprocess.SubprocessError):
+        lib = ctypes.CDLL(str(library))
+    except OSError:
         return None
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                       ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t)
-    kernel.restype = ctypes.c_int
-
-    def sweep(a: np.ndarray, pq: np.ndarray) -> None:
-        if not (a.flags.c_contiguous and a.dtype == np.float64
-                and pq.flags.c_contiguous and pq.dtype == np.intp):
-            raise ValueError("sweep needs C-contiguous float64 and intp")
-        rounds, two_k = pq.shape
-        if kernel(a.ctypes.data, len(a), a.shape[1], pq.ctypes.data, rounds,
-                  two_k // 2):
-            raise MemoryError("no memory for the Jacobi sweep's work arrays")
-
-    return sweep
+    size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    lib.jacobi_solve.argtypes = (ptr, size, size, ctypes.c_char_p, size,
+                                 ctypes.c_double, ptr, ptr)
+    lib.jacobi_solve.restype = size
+    lib.gnp_rows.argtypes = (ctypes.c_uint64, size, ctypes.c_double, ptr)
+    lib.gnp_rows.restype = None
+    return lib
 
 
-# The sweep kernel: _compiled_sweep(), or _numpy_sweep when that is None.
-# Resolved on the first sweep, not at import.
-_sweep = None
+# The library: _load_library(), or False when that is None. Resolved on the
+# first solve or G(n, p) draw, not at import.
+_lib = None
 
 
-def _kernel():
-    """The sweep kernel, built or loaded on the first call."""
-    global _sweep
-    if _sweep is None:
-        _sweep = _compiled_sweep() or _numpy_sweep
-    return _sweep
+def _library():
+    """The compiled library, built or loaded on the first call, or None."""
+    global _lib
+    if _lib is None:
+        _lib = _load_library() or False
+    return _lib or None
 
 
-def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+def _solve(a: array, b: int, n: int,
+           laplacians: Optional[_Laplacians] = None) -> tuple[array, array]:
+    """The final diagonals of the b matrices of order n in the doubles of a,
+    filled from laplacians when given, and the sweeps each matrix took: one
+    jacobi_solve, or _numpy_solve without the library. Raises
+    JacobiConvergenceError when the solve fails."""
+    if a.typecode != "d" or len(a) != b * n * n:
+        raise ValueError("the stack must hold b * n * n doubles")
+    values, sweeps = array("d", [0.0]) * (b * n), array("i", [0]) * b
+    lib = _library()
+    if lib is None:
+        code = _numpy_solve(a, b, n, laplacians, values, sweeps)
+    else:
+        code = lib.jacobi_solve(
+            a.buffer_info()[0], b, n, laplacians and laplacians.rows,
+            JACOBI_MAX_SWEEPS, JACOBI_REL_TOL, values.buffer_info()[0],
+            sweeps.buffer_info()[0])
+    if code == -1:
+        raise MemoryError("no memory for the Jacobi solve")
+    if code:
+        raise JacobiConvergenceError(
+            "matrix has a non-finite entry" if code == -2 else
+            "matrix norm overflows" if code == -3 else
+            f"off-diagonal norm above target after {JACOBI_MAX_SWEEPS} sweeps")
+    return values, sweeps
+
+
+def jacobi_eigenvalues(matrix):
     """Eigenvalues of a symmetric matrix, or of each matrix of a stack.
 
     matrix is one (n, n) matrix, giving an (n,) result, or a (B, n, n) stack,
     giving a (B, n) result whose row i holds the eigenvalues of matrix i, in
-    the order of its final diagonal. A single matrix is a stack of one.
+    the order of its final diagonal. A single matrix is a stack of one. The
+    Laplacians that spectra_of passes give a list of B array('d') rows
+    instead, without numpy.
 
     The parallel ordering of Brent & Luk (1985): a sweep is a round-robin
     schedule of rounds of n // 2 disjoint (p, q) pairs, and each round applies
@@ -213,63 +312,37 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     tau = (a[q, q] - a[p, p]) / (2 a[p, q]) (Golub & Van Loan, section 8.5),
     computed multiplied through by |a[p, q]| so that no intermediate
     overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
-    gives the identity rotation. Each sweep of the stack is one call of the
-    kernel: the compiled _jacobi.c, built on the first sweep, or the numpy
-    round of _numpy_sweep when it cannot be built. Both do the same IEEE
-    operations in the same order, so they give the same bits.
+    gives the identity rotation. The solve is one call of the compiled
+    _jacobi.c, built on the first solve, or _numpy_solve when it cannot be
+    built. Both do the same IEEE operations in the same order, so they give
+    the same bits.
 
     Each matrix sweeps until its own off-diagonal Frobenius norm drops below
     JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),
-    and then leaves the stack, never to be rotated again. The rotations act
-    on each matrix alone, so a matrix's eigenvalues are bit-identical
-    whatever it is stacked with. Raises JacobiConvergenceError when any
-    matrix is still above its target after JACOBI_MAX_SWEEPS sweeps, and
-    before the first sweep when any entry is NaN or infinite or any matrix's
-    Frobenius norm overflows (entries beyond about 1e154): an infinite target
-    would pass the unrotated diagonal off as converged. The overflow raises
-    no RuntimeWarning, only the error. Any memory layout is accepted; the
-    stack is solved as a C-ordered copy.
+    both summed left to right, and then leaves the stack, never to be
+    rotated again. The rotations act on each matrix alone, so a matrix's
+    eigenvalues are bit-identical whatever it is stacked with. Raises
+    JacobiConvergenceError when any matrix is still above its target after
+    JACOBI_MAX_SWEEPS sweeps, and before the first sweep when any entry is
+    NaN or infinite or any matrix's Frobenius norm overflows (entries beyond
+    about 1e154): an infinite target would pass the unrotated diagonal off
+    as converged. Neither raises a RuntimeWarning, only the error. Any memory
+    layout is accepted; the stack is solved as a C-ordered copy.
     """
+    if isinstance(matrix, _Laplacians):
+        b, n = matrix.count, matrix.n
+        values = _solve(array("d", bytes(8 * b * n * n)), b, n, matrix)[0]
+        return [values[i * n:i * n + n] for i in range(b)]
+    import numpy as np
     a = np.array(matrix, dtype=float, order="C")
     single = a.ndim == 2
     if single:
         a = a[None]
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(a).all():
-        raise JacobiConvergenceError("matrix has a non-finite entry")
-    n = a.shape[1]
-    out = np.zeros(a.shape[:2])
-    ids = range(len(a))
-    with np.errstate(over="ignore"):
-        targets = [JACOBI_REL_TOL * float(np.linalg.norm(m)) for m in a]
-    if not all(map(math.isfinite, targets)):
-        raise JacobiConvergenceError("matrix norm overflows")
-    pq = None
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        keep = []
-        for j, m in enumerate(a):
-            # the Frobenius norm of m - diag(m) as np.linalg.norm takes it,
-            # ravel, dot and a correctly rounded sqrt, on the same entries
-            x = m.flatten()
-            x[::n + 1] = 0.0
-            if math.sqrt(x.dot(x)) <= targets[j]:
-                out[ids[j]] = m.diagonal()
-            else:
-                keep.append(j)
-        if not keep:
-            return out[0] if single else out
-        if sweep == JACOBI_MAX_SWEEPS:
-            break
-        if len(keep) < len(a):  # converged matrices leave the stack
-            a = a[keep]
-            ids = [ids[j] for j in keep]
-            targets = [targets[j] for j in keep]
-        if pq is None:
-            pq = _round_robin(n)
-        _kernel()(a, pq)
-    raise JacobiConvergenceError(
-        f"off-diagonal norm above target after {JACOBI_MAX_SWEEPS} sweeps")
+    b, n = a.shape[:2]
+    out = np.array(_solve(array("d", a.tobytes()), b, n)[0]).reshape(b, n)
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -326,8 +399,8 @@ def spectra_of(graphs: Sequence[Graph]) -> list[Spectrum]:
         return []
     if len({g.n for g in graphs}) > 1:
         raise ValueError("spectra_of solves graphs of one vertex count only")
-    vals = jacobi_eigenvalues(np.stack([laplacian(g) for g in graphs]))
-    return [_pin_zeros(sorted(v.tolist(), reverse=True), len(g.components),
+    vals = jacobi_eigenvalues(_Laplacians(graphs))
+    return [_pin_zeros(sorted(v, reverse=True), len(g.components),
                        2.0 * g.m)
             for g, v in zip(graphs, vals)]
 
@@ -423,12 +496,16 @@ def _bareiss_determinant(a: list[list[int]]) -> int:
 def spanning_trees_exact(g: Graph) -> int:
     """Exact spanning-tree count: determinant of the reduced Laplacian.
 
-    The reduced Laplacian (vertex 0's row and column removed) is taken as
-    Python ints, and its determinant by Bareiss elimination; no floating
-    point anywhere. A disconnected graph's reduced Laplacian is singular, so
-    it gives exactly 0; n = 1 gives the empty determinant, 1.
+    The reduced Laplacian (vertex 0's row and column removed) is built as
+    Python ints from g's neighbour masks, and its determinant taken by
+    Bareiss elimination; no floating point anywhere. A disconnected graph's
+    reduced Laplacian is singular, so it gives exactly 0; n = 1 gives the
+    empty determinant, 1.
     """
-    return _bareiss_determinant(laplacian(g)[1:, 1:].tolist())
+    rows = [[-(mask >> j & 1) for j in range(1, g.n)] for mask in g.masks[1:]]
+    for i, (row, mask) in enumerate(zip(rows, g.masks[1:])):
+        row[i] = mask.bit_count()
+    return _bareiss_determinant(rows)
 
 
 def log_spanning_trees(spec: Spectrum) -> float:

@@ -9,8 +9,10 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from collections import Counter
@@ -23,8 +25,8 @@ from hypothesis import strategies as st
 
 import lapbounds as lb
 from lapbounds import cli, spectra
-from lapbounds.bounds import (EQUALITY, HOLDS, NOT_APPLICABLE, VIOLATED,
-                              BoundResult)
+from lapbounds.bounds import (BOUND_IDS, EQUALITY, HOLDS, NOT_APPLICABLE,
+                              VIOLATED, BoundResult)
 from lapbounds.cli import CSV_COLUMNS, MAX_N, _exit_code, main
 
 
@@ -503,14 +505,15 @@ class TestOneSolvePerGraph:
 
     @pytest.fixture
     def laplacians(self, monkeypatch):
+        """The n of every graph whose Laplacian is packed for a solve."""
         sizes = []
-        original = spectra.laplacian
+        original = spectra._Laplacians.__init__
 
-        def counting(g):
-            sizes.append(g.n)
-            return original(g)
+        def counting(self, graphs):
+            sizes.extend(g.n for g in graphs)
+            original(self, graphs)
 
-        monkeypatch.setattr(spectra, "laplacian", counting)
+        monkeypatch.setattr(spectra._Laplacians, "__init__", counting)
         return sizes
 
     @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
@@ -1067,3 +1070,186 @@ class TestConsoleEntry:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)
+
+
+# Imports the package from argv[1], runs main on every argv of the JSON list
+# argv[2] with the reports discarded, and prints the modules that must stay
+# unloaded but were loaded: after the import, and after each call.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import lapbounds.cli as cli
+def loaded(names):
+    return [name for name in names if name in sys.modules]
+print("import", loaded(["numpy", "subprocess"]))
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[0], code, loaded(["numpy", "subprocess"]))
+"""
+
+
+class TestNumpyOffThePath:
+    """With the compiled library, no subcommand imports numpy, and loading
+    the cached library imports no build module."""
+
+    def test_every_subcommand_runs_without_numpy(self, tmp_path):
+        if spectra._library() is None:  # also builds the cached library
+            pytest.skip("the compiled library cannot be built here, so the "
+                        "CLI solves in numpy")
+        out = str(tmp_path / "out")
+        argvs = [["invariants", "--family", "GNP:12:0.5:1"]]
+        for fmt in ("json", "csv"):
+            argvs += [["check", "--family", "S:9", "--format", fmt],
+                      ["sweep", "--family", "K:3..10", "--format", fmt]]
+            argvs += [["fuzz", "--model", model, "--seed", "7", "--count",
+                       "12", "--format", fmt, "--out-dir", out]
+                      for model in ("gnp", "tree", "clique-union")]
+        src = str(Path(lb.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, src, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "import []"
+        assert [line.split(" ", 2)[2] for line in lines[1:]] == \
+            ["[]"] * len(argvs)
+        assert [line.split(" ", 1)[0] for line in lines[1:]] == \
+            [argv[0] for argv in argvs]
+
+
+def _mostly(valid, invalid):
+    """valid, or invalid about one time in eight."""
+    return st.integers(min_value=0, max_value=7).flatmap(
+        lambda i: invalid if i == 3 else valid)
+
+
+_SMALL_N = _mostly(st.integers(min_value=1, max_value=9),
+                   st.sampled_from([0, MAX_N, MAX_N + 1, 100]))
+_N_SLOT = _SMALL_N.map(str) | st.tuples(_SMALL_N, _SMALL_N).map(
+    lambda ab: f"{min(ab)}..{max(ab)}" if ab[0] % 5 else f"{ab[0]}..{ab[1]}")
+_SEED = st.integers(min_value=0, max_value=2 ** 64).map(str)
+_FAMILY = _mostly(st.one_of(
+    st.tuples(st.sampled_from(["K", "S", "P", "C", "Kme"]), _N_SLOT),
+    st.tuples(st.just("Kab"), _SMALL_N.map(str), _SMALL_N.map(str)),
+    st.tuples(st.just("TREE"), _N_SLOT, _SEED),
+    st.tuples(st.just("GNP"), _N_SLOT,
+              _mostly(st.sampled_from(["0.5", "1.0", "0.3"]),
+                      st.sampled_from(["0.001", "0", "1.5", "x"])),
+              _SEED),
+    st.tuples(st.just("CLIQUES"), st.lists(
+        st.integers(min_value=0, max_value=6).map(str), min_size=1,
+        max_size=3).map(",".join)),
+).map(":".join), st.text(alphabet="KSPCGNTREab:.,0123456789x- ",
+                         max_size=12))
+_ALPHAS = st.lists(_mostly(
+    st.sampled_from(["0.5", "-0.5", "2", "1e-9", "-1e-9", "0.999999",
+                     "1.000001", "10", "-10", "200", "-200", "1e300",
+                     "-1e300"]),
+    st.sampled_from(["0", "1", "nan", "inf", "x"])),
+    min_size=1, max_size=3).map(lambda a: "--alphas=" + ",".join(a))
+_KS = st.lists(_mostly(st.sampled_from(["1", "2", "7", "100", "100000"]),
+                       st.sampled_from(["0", "-1", "x"])),
+               min_size=1, max_size=3).map(lambda k: "--ks=" + ",".join(k))
+_BOUNDS = st.lists(_mostly(st.sampled_from(BOUND_IDS),
+                           st.just("NO_SUCH_BOUND")),
+                   min_size=1, max_size=3).map(
+    lambda b: ["--bounds", ",".join(b)])
+
+
+@st.composite
+def _graph_file(draw):
+    """An edge-list file: a header and edge lines, one of which is
+    sometimes replaced by a malformed line."""
+    n = draw(_SMALL_N)
+    pairs = [f"{u} {v}" for u in range(min(n, 9)) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)
+                 if pairs else st.just([]))
+    lines = [f"{n} {len(edges)}", *edges]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))] = \
+            draw(st.sampled_from(["0 0", "9 0", "x y", "0", "-1 2", "2 1 0",
+                                  "", "# note", "1000000000 0"]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _cli_argv(draw):
+    """An argv from the CLI's grammar, valid or not, and the text of the
+    --graph file it names, if any."""
+    command = draw(_mostly(st.sampled_from(["check", "invariants", "sweep",
+                                            "fuzz"]), st.just("nonsense")))
+    argv, graph = [command], None
+    if command in ("check", "invariants"):
+        if draw(st.booleans()):
+            argv += ["--family", draw(_FAMILY)]
+        else:
+            graph = draw(_graph_file())
+            argv += ["--graph", "GRAPH"]
+    elif command == "sweep":
+        argv += ["--family", draw(_FAMILY)]
+    elif command == "fuzz":
+        low, high = sorted(draw(st.tuples(_SMALL_N, _SMALL_N)))
+        argv += ["--count", str(draw(_mostly(st.integers(1, 3),
+                                             st.integers(-1, 0)))),
+                 "--seed", draw(_SEED),
+                 "--model", draw(_mostly(st.sampled_from(
+                     ["gnp", "tree", "clique-union"]), st.just("x"))),
+                 "--p", draw(_mostly(st.sampled_from(["0.5", "1", "0.2"]),
+                                     st.sampled_from(["0.001", "0", "2"]))),
+                 "--n-min", str(max(low, 2)), "--n-max", str(high),
+                 "--out-dir", "OUT"]
+    if draw(st.booleans()):
+        argv.append(draw(_ALPHAS))
+    if draw(st.booleans()):
+        argv.append(draw(_KS))
+    if command != "invariants":
+        if draw(st.booleans()):
+            argv += draw(_BOUNDS)
+        if draw(st.booleans()):
+            argv.append("--strict-applicability")
+    if draw(st.booleans()):
+        argv += ["--format", draw(_mostly(st.sampled_from(["json", "csv"]),
+                                          st.just("xml")))]
+    return argv, graph
+
+
+class TestCliContract:
+    """Nothing the CLI accepts ends in a traceback: every argv from its
+    grammar exits 0, 1, 2 or 3, an exit 1 says why on one error line or
+    with a usage message, and a second run gives the same bytes."""
+
+    @staticmethod
+    def _run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def _tree(root):
+        return sorted((str(p.relative_to(root)), p.read_bytes())
+                      for p in root.rglob("*") if p.is_file())
+
+    @given(_cli_argv())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_codes_errors_and_repeatability(self, drawn):
+        template, graph = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "graph.txt").write_text(graph or "")
+            argv = [str(root / "graph.txt") if a == "GRAPH" else
+                    str(root / "out") if a == "OUT" else a for a in template]
+            runs = []
+            for _ in range(2):
+                runs.append((self._run(argv), self._tree(root / "out")))
+                shutil.rmtree(root / "out", ignore_errors=True)
+        (code, out, err), _ = runs[0]
+        assert code in (0, 1, 2, 3), (argv, err)
+        if code == 1:
+            lines = err.splitlines()
+            assert (len(lines) == 1 and lines[0].startswith("error: ")
+                    or err.startswith("usage: ")
+                    and ": error: " in lines[-1]), (argv, err)
+        assert runs[1] == runs[0], argv

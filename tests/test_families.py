@@ -1,13 +1,14 @@
 """Family generators, the DSL parser and the seeded RNG primitives."""
 import itertools
+import math
+from array import array
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lapbounds as lb
-from lapbounds import ParseError, RetryExhaustedError, families
+from lapbounds import ParseError, RetryExhaustedError, families, spectra
 from lapbounds.rng import SplitMix64, splitmix64
 
 
@@ -50,13 +51,38 @@ class TestSplitMix:
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
     @pytest.mark.parametrize("k", [0, 1, 2, 7, 2016])
     def test_uniforms_block_equals_successive_uniforms(self, seed, k):
-        block, seq = SplitMix64(seed), SplitMix64(seed)
-        got = block.uniforms(k)
-        want = [seq.uniform() for _ in range(k)]
-        assert got.dtype == np.float64 and got.shape == (k,)
-        assert got.view(np.uint64).tolist() == \
-            np.array(want, dtype=np.float64).view(np.uint64).tolist()
-        assert block.next_u64() == seq.next_u64()
+        # the compiled coin block of the smallest G(n, p) attempt with at
+        # least k pairs keeps pair i exactly when the i-th uniform() is below
+        # p; p at and just above drawn values flips a coin on its last bit
+        lib = spectra._library()
+        if lib is None:
+            pytest.skip("the compiled library cannot be built here")
+        n = next(n for n in itertools.count(1) if n * (n - 1) // 2 >= k)
+        width = (n + 7) // 8
+        seq = SplitMix64(seed)
+        draws = [seq.uniform() for _ in range(n * (n - 1) // 2)]
+        after = seq.next_u64()
+        for p in {0.5, 1.0, *draws[:3],
+                  *(math.nextafter(d, 1.0) for d in draws[:3])}:
+            want = array("B", bytes(n * width))
+            pairs = itertools.combinations(range(n), 2)
+            for (u, v), draw in zip(pairs, draws):
+                if draw < p:
+                    want[u * width + v // 8] |= 1 << v % 8
+                    want[v * width + u // 8] |= 1 << u % 8
+            block = SplitMix64(seed)
+            rows = array("B", bytes(n * width))
+            lib.gnp_rows(block.skip(len(draws)), n, p, rows.buffer_info()[0])
+            assert rows == want, p
+            assert block.next_u64() == after
+
+    def test_skip_returns_the_state_and_moves_past_the_block(self):
+        rng, seq = SplitMix64(99), SplitMix64(99)
+        state = rng.skip(5)
+        assert SplitMix64(state).next_u64() == seq.next_u64()
+        for _ in range(4):
+            seq.next_u64()
+        assert rng.next_u64() == seq.next_u64()
 
 
 class TestNamedFamilies:
@@ -223,6 +249,29 @@ class TestRandomFamilies:
                     lb.gnp_connected(n, p, seed)
             else:
                 assert lb.gnp_connected(n, p, seed) == want, seed
+
+    def test_gnp_same_with_and_without_the_library(self, monkeypatch):
+        # a cap of 8 attempts keeps the coin-by-coin fallback quick, and
+        # makes p = 1e-3 exhaust its retries at every n > 2
+        if spectra._library() is None:
+            pytest.skip("the compiled library cannot be built here")
+        monkeypatch.setattr(families, "GNP_RETRY_CAP", 8)
+
+        def draws(lib):
+            monkeypatch.setattr(spectra, "_lib", lib)
+            out = []
+            for n, p, seed in itertools.product(range(1, 65),
+                                                [1e-3, 0.1, 0.5, 1.0],
+                                                [0, 7, 2 ** 64 - 1]):
+                try:
+                    out.append(lb.gnp_connected(n, p, seed))
+                except RetryExhaustedError:
+                    out.append(None)
+            return out
+
+        compiled, fallback = draws(spectra._library()), draws(False)
+        assert compiled == fallback
+        assert 0 < compiled.count(None) < len(compiled)
 
     def test_gnp_stream_continues_across_rejected_attempts(self):
         attempts = []

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import sysconfig
 import warnings
+from array import array
 from itertools import combinations
 from pathlib import Path
 
@@ -163,27 +164,26 @@ class TestJacobi:
                                                      bad):
         # an infinite off-diagonal entry makes the convergence target
         # infinite, so the unrotated diagonal would pass as converged, and a
-        # NaN never meets its target: both are rejected before a sweep
-        sweeps = []
-        monkeypatch.setattr(spectra, "_sweep", lambda a, pq: sweeps.append(a))
+        # NaN never meets its target: both are rejected before a sweep, which
+        # would have rotated the stack the solve was given
         good = np.array([[2.0, 0.5, 0.5], [0.5, 3.0, 1.0], [0.5, 1.0, 1.0]])
         for i, j in [(0, 1), (1, 1)]:
             a = good.copy()
             a[i, j] = a[j, i] = bad
             with pytest.raises(JacobiConvergenceError, match="non-finite"):
                 jacobi_eigenvalues(np.stack([good, a]))
-        assert sweeps == []
+            _assert_raises_unswept(monkeypatch, np.stack([good, a]),
+                                   "non-finite")
 
     def test_overflowing_norm_raises_before_any_sweep(self, monkeypatch):
         # the target 1e-12 * inf is inf, so the unrotated diagonal would
         # pass as converged; the eigenvalues are 5.86e199 and 3.41e200
-        sweeps = []
-        monkeypatch.setattr(spectra, "_sweep", lambda a, pq: sweeps.append(a))
+        a = np.array([[1e200, 1e200], [1e200, 3e200]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(JacobiConvergenceError, match="overflows"):
-                jacobi_eigenvalues(np.array([[1e200, 1e200], [1e200, 3e200]]))
-        assert sweeps == []
+                jacobi_eigenvalues(a)
+            _assert_raises_unswept(monkeypatch, a[None], "overflows")
 
     def test_entries_near_1e150_solve(self):
         rs = np.random.RandomState(150)
@@ -199,8 +199,7 @@ class TestJacobi:
     def test_any_memory_layout(self, request, monkeypatch, kernel):
         # a Fortran-ordered matrix, a transposed view and a Fortran-ordered
         # stack give the bits of the same values in C order
-        sweep = (spectra._numpy_sweep if kernel == "numpy"
-                 else request.getfixturevalue(kernel))
+        lib = None if kernel == "numpy" else request.getfixturevalue(kernel)
         rs = np.random.RandomState(23)
         x = rs.randn(3, 9, 9)
         stack = x + x.transpose(0, 2, 1)
@@ -208,8 +207,8 @@ class TestJacobi:
         for c_order, other in [(m, np.asfortranarray(m)), (m, m.T),
                                (stack, np.asfortranarray(stack))]:
             assert not other.flags.c_contiguous
-            assert _same_bits(_solve_with(monkeypatch, sweep, other),
-                              _solve_with(monkeypatch, sweep, c_order))
+            assert _same_bits(_solve_with(monkeypatch, lib, other),
+                              _solve_with(monkeypatch, lib, c_order))
 
 
 class TestJacobiDeterminism:
@@ -230,6 +229,11 @@ class TestJacobiDeterminism:
 
 def _stack_member(kind, n, seed):
     """Laplacian of one graph of a stack mix at vertex count n."""
+    return lb.laplacian(_stack_graph(kind, n, seed))
+
+
+def _stack_graph(kind, n, seed):
+    """One graph of a stack mix at vertex count n."""
     if kind == "gnp":
         g = lb.gnp_connected(n, 0.5, seed)
     elif kind == "tree":
@@ -246,7 +250,7 @@ def _stack_member(kind, n, seed):
             sizes.append(min(rest, 1 + (seed + len(sizes)) % 5))
             rest -= sizes[-1]
         g = lb.generate(lb.FamilySpec(kind="clique_union", sizes=tuple(sizes)))
-    return lb.laplacian(g)
+    return g
 
 
 @st.composite
@@ -435,17 +439,17 @@ class TestJacobiRoundInPlace:
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """Puts the numpy fallback in the module's kernel slot."""
-    monkeypatch.setattr(spectra, "_sweep", spectra._numpy_sweep)
+    """Solves with the numpy fallback, as where no library can be built."""
+    monkeypatch.setattr(spectra, "_lib", False)
 
 
 @pytest.fixture
 def compiled_kernel():
-    """The compiled sweep; the test is skipped when it cannot be built."""
-    sweep = spectra._compiled_sweep()
-    if sweep is None:
-        pytest.skip("the compiled Jacobi sweep cannot be built here")
-    return sweep
+    """The compiled library; the test is skipped when it cannot be built."""
+    lib = spectra._load_library()
+    if lib is None:
+        pytest.skip("the compiled Jacobi solve cannot be built here")
+    return lib
 
 
 @pytest.mark.usefixtures("numpy_kernel")
@@ -477,48 +481,131 @@ class TestJacobiConvergenceNumpyKernel:
 
 
 @pytest.fixture(scope="session")
-def portable_sweep(tmp_path_factory):
-    """The compiled sweep as a host that is not x86-64 builds it, portable
-    body only: _jacobi.c with defined(__x86_64__) replaced by 0, built and
-    wrapped by _compiled_sweep() from a copy in a temporary directory. None
-    when it cannot be built."""
+def portable_library(tmp_path_factory):
+    """The library as a host that is not x86-64 builds it, portable sweep
+    only: _jacobi.c with defined(__x86_64__) replaced by 0, built and loaded
+    by _load_library() from a copy in a temporary directory. None when it
+    cannot be built."""
     root = tmp_path_factory.mktemp("portable")
     source = Path(spectra.__file__).with_name("_jacobi.c").read_text()
     (root / "_jacobi.c").write_text(
         source.replace("defined(__x86_64__)", "0"))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectra, "__file__", str(root / "spectra.py"))
-        return spectra._compiled_sweep()
+        return spectra._load_library()
 
 
 @pytest.fixture(params=["built", "portable"])
 def compiled_variant(request):
-    """The compiled sweep as _compiled_sweep() builds it here, and its
-    portable body, which hosts without AVX2 run; the test is skipped for one
+    """The library as _load_library() builds it here, and its portable
+    build, whose sweep hosts without AVX2 run; the test is skipped for one
     that cannot be built."""
-    sweep = (spectra._compiled_sweep() if request.param == "built"
-             else request.getfixturevalue("portable_sweep"))
-    if sweep is None:
-        pytest.skip(f"the {request.param} sweep cannot be built here")
-    return sweep
+    lib = (spectra._load_library() if request.param == "built"
+           else request.getfixturevalue("portable_library"))
+    if lib is None:
+        pytest.skip(f"the {request.param} library cannot be built here")
+    return lib
 
 
-def _solve_with(monkeypatch, kernel, matrix):
-    monkeypatch.setattr(spectra, "_sweep", kernel)
+def _solve_with(monkeypatch, lib, matrix):
+    """jacobi_eigenvalues(matrix) with lib's jacobi_solve, or with
+    _numpy_solve when lib is None."""
+    monkeypatch.setattr(spectra, "_lib", lib or False)
     return jacobi_eigenvalues(matrix)
 
 
+def _exits_with(monkeypatch, lib, stack):
+    """The eigenvalue bits and the exit sweep of each matrix, as _solve
+    gives them with lib, or with the fallback when lib is None. stack is a
+    (B, n, n) array, or a list of graphs of one n, whose masks the solve
+    fills its stack from."""
+    monkeypatch.setattr(spectra, "_lib", lib or False)
+    if isinstance(stack, list):
+        b, n = len(stack), stack[0].n
+        a = array("d", bytes(8 * b * n * n))
+        values, sweeps = spectra._solve(a, b, n, spectra._Laplacians(stack))
+    else:
+        b, n = stack.shape[:2]
+        a = array("d", np.ascontiguousarray(stack, dtype=float).tobytes())
+        values, sweeps = spectra._solve(a, b, n)
+    return values.tobytes(), sweeps.tolist()
+
+
+def _assert_raises_unswept(monkeypatch, stack, match):
+    """Each solve, compiled where it can be built and the fallback, raises
+    on stack before its first sweep: the buffer it was given is untouched."""
+    for lib in {spectra._library(), None}:
+        monkeypatch.setattr(spectra, "_lib", lib or False)
+        a = array("d", stack.tobytes())
+        with pytest.raises(JacobiConvergenceError, match=match):
+            spectra._solve(a, *stack.shape[:2])
+        assert a.tobytes() == stack.tobytes(), lib
+
+
+def _sweep_of(lib):
+    """lib's jacobi_sweep, with _numpy_sweep's signature."""
+    def sweep(a, pq):
+        assert a.flags.c_contiguous and a.dtype == np.float64
+        assert pq.flags.c_contiguous and pq.dtype == np.intp
+        assert lib.jacobi_sweep(
+            ctypes.c_void_p(a.ctypes.data), ctypes.c_ssize_t(len(a)),
+            ctypes.c_ssize_t(a.shape[1]), ctypes.c_void_p(pq.ctypes.data),
+            ctypes.c_ssize_t(len(pq)), ctypes.c_ssize_t(pq.shape[1] // 2)) == 0
+    return sweep
+
+
 class TestCompiledKernel:
-    """The compiled sweep gives the numpy fallback's bits."""
+    """The compiled solve gives the numpy fallback's bits, and retires each
+    matrix after the same sweep; its sweep gives _numpy_sweep's bits."""
 
     def test_stacks_of_every_kind(self, monkeypatch, compiled_kernel):
         kinds = ("gnp", "tree", "star", "complete", "edgeless", "clique_union")
         for n in range(2, 65):
-            stack = np.stack([_stack_member(kind, n, 3 * n + 2)
-                              for kind in kinds])
-            assert _same_bits(
-                _solve_with(monkeypatch, compiled_kernel, stack),
-                _solve_with(monkeypatch, spectra._numpy_sweep, stack)), n
+            graphs = [_stack_graph(kind, n, 3 * n + 2) for kind in kinds]
+            stack = np.stack([lb.laplacian(g) for g in graphs])
+            want = _exits_with(monkeypatch, None, stack)
+            assert _exits_with(monkeypatch, compiled_kernel, stack) == want, n
+            # filled from the masks
+            assert _exits_with(monkeypatch, compiled_kernel, graphs) == want
+
+    def test_named_families_from_masks(self, monkeypatch, compiled_kernel):
+        exits = {}
+        for kind in "KSPC":
+            graphs = [fam(f"{kind}:{n}") for n in range(2 + (kind == "C"), 65)]
+            for g in graphs:
+                got = _exits_with(monkeypatch, compiled_kernel, [g])
+                assert got == _exits_with(monkeypatch, None, [g]), g
+                exits[kind, g.n] = got[1][0]
+        # K_64 converges after one sweep, S:40 after eight
+        assert exits["K", 64] == 1 and exits["S", 40] == 8
+
+    def test_max_sweeps_below_the_exit_sweep_raises(self, monkeypatch,
+                                                    compiled_kernel):
+        # S:40 needs 8 sweeps; with 2 allowed both solves give up on it
+        monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 2)
+        for lib in (compiled_kernel, None):
+            monkeypatch.setattr(spectra, "_lib", lib or False)
+            with pytest.raises(JacobiConvergenceError, match="after 2 sweeps"):
+                lb.spectrum(fam("S:40"))
+            with pytest.raises(JacobiConvergenceError, match="after 2 sweeps"):
+                jacobi_eigenvalues(lb.laplacian(fam("S:40")))
+            # the raw solve names S:40 as unconverged and still writes K:40
+            b, n = 2, 40
+            a, values = array("d", bytes(8 * b * n * n)), array("d", [0.0]) * 80
+            sweeps = array("i", [7]) * b
+            laplacians = spectra._Laplacians([fam("S:40"), fam("K:40")])
+            if lib is None:
+                code = spectra._numpy_solve(a, b, n, laplacians, values,
+                                            sweeps)
+            else:
+                code = lib.jacobi_solve(a.buffer_info()[0], b, n,
+                                        laplacians.rows, 2,
+                                        spectra.JACOBI_REL_TOL,
+                                        values.buffer_info()[0],
+                                        sweeps.buffer_info()[0])
+            assert (code, sweeps.tolist()) == (1, [-1, 1])
+            k40, = jacobi_eigenvalues(spectra._Laplacians([fam("K:40")]))
+            assert values[40:].tobytes() == k40.tobytes()
 
     def test_fuzz_small_stacks_at_seed_7(self, monkeypatch, compiled_kernel,
                                          tmp_path, capsys):
@@ -527,7 +614,7 @@ class TestCompiledKernel:
         original = spectra.jacobi_eigenvalues
 
         def recording(matrix):
-            stacks.append(np.array(matrix))
+            stacks.append(matrix)
             return original(matrix)
 
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", recording)
@@ -538,12 +625,15 @@ class TestCompiledKernel:
                           str(n), "--p", "0.5",
                           "--out-dir", str(tmp_path / f"{model}-{n}")])
         capsys.readouterr()
-        assert [s.shape for s in stacks] == [
+        assert [np.shape(s) for s in stacks] == [
             (12, n, n) for _ in range(3) for n in range(4, 13)]
-        for stack in stacks:
-            assert _same_bits(
-                _solve_with(monkeypatch, compiled_kernel, stack),
-                _solve_with(monkeypatch, spectra._numpy_sweep, stack))
+        for laplacians in stacks:
+            stack = np.asarray(laplacians)
+            want = _exits_with(monkeypatch, None, stack)
+            assert _exits_with(monkeypatch, compiled_kernel, stack) == want
+            monkeypatch.setattr(spectra, "_lib", compiled_kernel)
+            assert (b"".join(v.tobytes() for v in original(laplacians))
+                    == want[0])
 
     @pytest.mark.parametrize("bad, i, j", [(np.nan, 0, 0), (np.nan, 1, 2),
                                            (np.inf, 1, 1), (-np.inf, 1, 1),
@@ -558,23 +648,25 @@ class TestCompiledKernel:
         a[i, j] = a[j, i] = bad
         swept = []
         with np.errstate(invalid="ignore"):
-            for kernel in (compiled_kernel, spectra._numpy_sweep):
+            for lib in (compiled_kernel, None):
                 with pytest.raises(JacobiConvergenceError):
-                    _solve_with(monkeypatch, kernel, a)
+                    _solve_with(monkeypatch, lib, a)
                 swept.append(a[None].copy())
-                kernel(swept[-1], _round_robin(4)[:1])
+                sweep = spectra._numpy_sweep if lib is None else _sweep_of(lib)
+                sweep(swept[-1], _round_robin(4)[:1])
         assert np.array_equal(*swept, equal_nan=True)
 
     @pytest.mark.parametrize("b", [1, 3])
     def test_any_schedule_of_disjoint_pairs(self, compiled_variant, b):
         rng = np.random.default_rng(18 + b)
+        sweep = _sweep_of(compiled_variant)
         for n in [2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 40, 64, 65]:
             for k in sorted({1, n // 2, int(rng.integers(1, n // 2 + 1))}):
                 pq = _random_schedule(rng, n, k, rounds=12)
                 x = rng.standard_normal((b, n, n))
                 x += x.transpose(0, 2, 1)
                 swept = [x.copy(), x.copy()]
-                compiled_variant(swept[0], pq)
+                sweep(swept[0], pq)
                 spectra._numpy_sweep(swept[1], pq)
                 assert _same_bits(*swept), (n, k, pq)
 
@@ -586,9 +678,8 @@ class TestCompiledKernel:
         x = rng.standard_normal((3, n, n))
         stack = np.concatenate((x + x.transpose(0, 2, 1),
                                 _stack_member("gnp", n, n)[None]))
-        assert _same_bits(
-            _solve_with(monkeypatch, compiled_variant, stack),
-            _solve_with(monkeypatch, spectra._numpy_sweep, stack))
+        assert (_exits_with(monkeypatch, compiled_variant, stack)
+                == _exits_with(monkeypatch, None, stack))
 
 
 def _random_schedule(rng, n, k, rounds):
@@ -636,13 +727,13 @@ if not spectra.__file__.startswith(sys.argv[1]):
 print("ready", flush=True)
 sys.stdin.readline()
 vals = spectra.jacobi_eigenvalues(np.load(sys.argv[3]))
-kernel = "numpy" if spectra._kernel() is spectra._numpy_sweep else "compiled"
+kernel = "numpy" if spectra._library() is None else "compiled"
 print(kernel, hashlib.sha256(vals.tobytes()).hexdigest(), flush=True)
 """
 
 
 class TestKernelBuild:
-    """The compiled sweep is built on the first solve into the package's
+    """The library is built on the first solve into the package's
     __pycache__; when that fails, the numpy fallback gives the same bits."""
 
     @pytest.fixture
@@ -684,8 +775,8 @@ class TestKernelBuild:
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
         if shutil.which(cc) is None:
             pytest.skip(f"no C compiler {cc!r} on PATH")
-        assert spectra._compiled_sweep() is not None
-        assert spectra._kernel() is not spectra._numpy_sweep
+        assert spectra._load_library() is not None
+        assert spectra._library() is not None
 
     @pytest.mark.parametrize("host", ["this", "not x86-64"])
     def test_source_compiles_without_warnings(self, tmp_path, host):
@@ -707,7 +798,8 @@ class TestKernelBuild:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         lib = ctypes.CDLL(str(library))
-        assert hasattr(lib, "jacobi_sweep")
+        assert all(hasattr(lib, name)
+                   for name in ("jacobi_solve", "jacobi_sweep", "gnp_rows"))
         if host == "not x86-64":  # and no AVX2 code: no 256-bit register
             objdump = shutil.which("objdump")
             if objdump is None:
@@ -763,26 +855,26 @@ class TestKernelBuild:
         (cache / "_jacobi-0.so").write_bytes(b"")
         (cache / "_jacobi-building.tmp").write_bytes(b"")
         monkeypatch.setattr(spectra, "__file__", str(tmp_path / "spectra.py"))
-        assert spectra._compiled_sweep() is not None
-        built = sorted(p.name for p in cache.iterdir())
-        assert len(built) == 2 and built[0].endswith(".so")
-        assert built[0] != "_jacobi-0.so"
-        assert built[1] == "_jacobi-building.tmp"
+        assert spectra._load_library() is not None
+        built = sorted(cache.iterdir(), key=lambda p: p.suffix)
+        assert [p.suffix for p in built] == [".so", ".tmp"]
+        assert built[0].name != "_jacobi-0.so"
+        assert built[1].name == "_jacobi-building.tmp"
 
     def test_missing_compiler_falls_back_in_process(self, tmp_path,
                                                     monkeypatch, capsys):
         # the probes run the fallback in a child process; this runs it here
-        monkeypatch.setattr(spectra, "_sweep", None)
+        monkeypatch.setattr(spectra, "_lib", None)
         argv = ["check", "--family", "GNP:24:0.5:1"]
         expected = (cli.main(argv), capsys.readouterr())
         shutil.copy(Path(spectra.__file__).with_name("_jacobi.c"), tmp_path)
         monkeypatch.setattr(spectra, "__file__", str(tmp_path / "spectra.py"))
         monkeypatch.setitem(sysconfig.get_config_vars(), "CC",
                             "no-such-compiler-lapbounds")
-        assert spectra._compiled_sweep() is None
+        assert spectra._load_library() is None
         assert not list(tmp_path.glob("__pycache__/*.tmp"))
-        monkeypatch.setattr(spectra, "_sweep", None)
-        assert spectra._kernel() is spectra._numpy_sweep
+        monkeypatch.setattr(spectra, "_lib", None)
+        assert spectra._library() is None
         assert (cli.main(argv), capsys.readouterr()) == expected
 
     def test_missing_compiler_falls_back(self, package):
@@ -1075,3 +1167,24 @@ class TestBareissAgainstSymbolic:
         # the determinant route counts spanning trees for disconnected
         # graphs too (it is zero there), so no connectivity guard is needed
         assert lb.spanning_trees_exact(g) == int(reduced.det())
+
+    def test_mask_rows_give_the_numpy_laplacians_count(self):
+        # the reduced Laplacian built from the masks gives the count that
+        # the one cut from laplacian(g) gives, on every atlas graph
+        nx = pytest.importorskip("networkx")
+        for G in nx.graph_atlas_g()[1:]:
+            g = lb.build_graph(G.number_of_nodes(), G.edges())
+            reduced = lb.laplacian(g)[1:, 1:].tolist()
+            assert (lb.spanning_trees_exact(g)
+                    == spectra._bareiss_determinant(reduced)), G.edges()
+
+    def test_named_families_to_64(self):
+        # Cayley's n^(n-2) for K_n, one tree in S_n and P_n, n in C_n; and
+        # 1 for the single vertex, 0 for a disconnected graph
+        for n in range(1, 65):
+            assert lb.spanning_trees_exact(fam(f"K:{n}")) == n ** max(n - 2, 0)
+            assert lb.spanning_trees_exact(fam(f"S:{n}")) == 1
+            assert lb.spanning_trees_exact(fam(f"P:{n}")) == 1
+            if n >= 3:
+                assert lb.spanning_trees_exact(fam(f"C:{n}")) == n
+        assert lb.spanning_trees_exact(fam("CLIQUES:32,32")) == 0
