@@ -33,7 +33,6 @@ class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Union
@@ -280,8 +279,7 @@ def _eq_never(ctx: GraphContext, param: Param) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     """One catalog entry: predicates plus lhs/rhs evaluators."""
 
     bound_id: str
@@ -521,8 +519,7 @@ def evaluate_catalog(g: Graph, alphas: tuple[float, ...],
             for spec, p, not_applicable in plan]
 
 
-@dataclass(frozen=True)
-class KfComparison:
+class KfComparison(NamedTuple):
     """Side-by-side record of the two Kf lower bounds on one graph.
 
     larger is "new", "zt" or "equal", as the KF_COMPARE row decides it; a

@@ -11,7 +11,6 @@ basename, and repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -27,7 +26,7 @@ from .errors import (LapboundsError, NoNonzeroEigenvaluesError, ParseError,
                      RetryExhaustedError)
 from .families import FamilySpec, generate, gnp_connected, iter_family, random_tree
 from .graphs import Graph, format_edge_list, parse_edge_list
-from .majorization import check_grone, check_grone_merris
+from .majorization import majorizes
 from .rng import SplitMix64, splitmix64
 from .spectra import Spectrum, spanning_trees_exact, spectra_of
 
@@ -37,6 +36,8 @@ MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
 FUZZ_CHUNK = 64
 
 CSV_COLUMNS = ("graph_id", "n", "m") + BoundResult._fields
+# the fuzz report's majorization checks, in report order
+MAJORIZATION_CHECKS = ("GRONE", "GRONE_MERRIS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,6 +155,8 @@ def _csv_rows(rec: _Record) -> Iterator[tuple]:
 
 
 def _rows_to_csv(rows: Iterable[tuple], columns=CSV_COLUMNS) -> str:
+    import csv  # only a CSV report loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -231,9 +234,17 @@ def _grids(args) -> tuple:
             _parse_grid(args.ks, "k", int), _parse_bounds(args.bounds))
 
 
-def _majorization_checks() -> dict[str, Callable]:
-    """The fuzz report's majorization checks; GRONE needs a connected graph."""
-    return {"GRONE": check_grone, "GRONE_MERRIS": check_grone_merris}
+def _majorization(ctx: GraphContext) -> dict[str, str]:
+    """The outcome, "holds" or "fails", of each majorization check that runs
+    on ctx's graph: check_grone and check_grone_merris, on the Grone and
+    conjugate sequences ctx already holds. GRONE needs a connected graph."""
+    mu = ctx.spec.mu
+    verdicts = {}
+    if ctx.gclass.is_connected:
+        verdicts["GRONE"] = majorizes(tuple(map(float, ctx.grone.c)), mu)
+    verdicts["GRONE_MERRIS"] = majorizes(mu, tuple(map(float, ctx.conjugate)))
+    return {name: "holds" if verdict.holds else "fails"
+            for name, verdict in verdicts.items()}
 
 
 def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
@@ -252,10 +263,7 @@ def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
     violations = _json_violations(index, graph_id, g, [
         (r.bound_id, r.param, r.lhs, r.rhs, r.margin, fname)
         for r, fname in zip(violated, files)]) if violated else ""
-    majorization = {
-        name: "holds" if check(ctx.degrees, ctx.spec).holds else "fails"
-        for name, check in _majorization_checks().items()
-        if name != "GRONE" or ctx.gclass.is_connected}
+    majorization = _majorization(ctx)
     # several violated parameters of one bound share one file
     files = dict.fromkeys(files + [f"{name}_{index}.el" for name, outcome
                                    in majorization.items()
@@ -466,7 +474,7 @@ def cmd_fuzz(args, parser: _Parser) -> int:
                                                  NOT_APPLICABLE)}
                     for bid in active},
         "majorization": {name: {"holds": 0, "fails": 0, "skipped": 0}
-                         for name in _majorization_checks()},
+                         for name in MAJORIZATION_CHECKS},
         "violations": [],
         "agreement_failures": [],
     }

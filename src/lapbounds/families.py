@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, RetryExhaustedError
@@ -37,8 +36,7 @@ from .spectra import _library
 GNP_RETRY_CAP = 1000
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Parameters for one generated graph."""
 
     kind: str

@@ -17,24 +17,51 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, SelfLoopError, VertexRangeError
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph held as neighbour masks.
 
     The masks must already be canonical: n non-negative ints, bit v of
     masks[u] set exactly when bit u of masks[v] is, no bit u in masks[u]
     and none at n or above. build_graph makes any edge list so.
+
+    A Graph is immutable and compares by value. It is a plain class, not a
+    tuple: it never equals a tuple of its fields, and it can be weakly
+    referenced. The __dict__ slot holds the cached properties.
     """
 
+    __slots__ = ("n", "masks", "__dict__", "__weakref__")
     n: int
     masks: tuple[int, ...]
+
+    def __init__(self, n: int, masks: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", masks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.n, self.masks))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, masks={self.masks!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild it, as __setattr__ refuses
+        return Graph, (self.n, self.masks)
 
     @cached_property
     def m(self) -> int:
@@ -206,8 +233,7 @@ def _is_clique_union(m: int, comps: Sequence[Sequence[int]]) -> bool:
     return m == sum(len(comp) * (len(comp) - 1) // 2 for comp in comps)
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """The structural facts the bound catalog reads, of G and of its
     complement."""
 

@@ -7,9 +7,8 @@ relative one, so integer degree sequences and floating spectra mix safely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge, lt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (BadPinchError, DisconnectedGraphError,
                      DomainViolationError, LengthMismatchError,
@@ -21,8 +20,7 @@ PREFIX_TOL = 1e-9
 SUM_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MajorizationVerdict:
+class MajorizationVerdict(NamedTuple):
     """Outcome of one majorization comparison.
 
     first_failing_prefix is the 1-based index of the first prefix where the

@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (DisconnectedGraphError, JacobiConvergenceError,
                      NoNonzeroEigenvaluesError, SpectralInconsistencyError)
@@ -345,8 +344,7 @@ def jacobi_eigenvalues(matrix):
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Laplacian eigenvalues sorted non-increasing, with structural zeros."""
 
     mu: tuple[float, ...]

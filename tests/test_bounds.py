@@ -644,6 +644,28 @@ class TestOneRowPath:
             r.lhs = 0.0
         assert r == lb.BoundResult(**r._asdict())
 
+    @pytest.mark.parametrize("make", [
+        lambda: fam("K:4"),
+        lambda: lb.classify(fam("K:4")),
+        lambda: lb.spectrum(fam("K:4")),
+        lambda: lb.parse_family("K:4")[0],
+        lambda: CATALOG[0],
+        lambda: lb.kf_compare(fam("K:4")),
+        lambda: lb.check_grone((3, 3, 3, 3), lb.spectrum(fam("K:4"))),
+    ], ids=["Graph", "GraphClass", "Spectrum", "FamilySpec", "BoundSpec",
+            "KfComparison", "MajorizationVerdict"])
+    def test_every_record_is_immutable(self, make):
+        record = make()
+        fields = getattr(record, "_fields", ("n", "masks"))
+        before = [getattr(record, f) for f in fields]
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, f, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, f)
+        assert [getattr(record, f) for f in fields] == before
+        assert record == make() and hash(record) == hash(make())
+
 
 class TestAtlasCensus:
     """The catalog on every atlas graph (n = 1..7) through the lazy

@@ -664,6 +664,53 @@ class TestFactsOncePerGraph:
             assert Counter(map(id, seen)) == Counter(map(id, evaluated))
 
 
+class TestSequencesOncePerGraph:
+    """Each comparison sequence is derived at most once per fuzz graph: the
+    GRONE and GRONE_MERRIS checks read the Grone and conjugate sequences
+    that the catalog's GraphContext already holds."""
+
+    @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
+    def test_fuzz(self, model, tmp_path, capsys, monkeypatch):
+        evaluated = []  # also keeps every graph alive, so no id is reused
+        original_catalog = cli.evaluate_catalog
+
+        def evaluating(g, *args, **kwargs):
+            evaluated.append(g)
+            return original_catalog(g, *args, **kwargs)
+
+        calls = Counter()  # (sequence, id of the graph being evaluated)
+
+        def counting(name, original):
+            def wrapper(d):
+                calls[name, id(evaluated[-1])] += 1
+                return original(d)
+            return wrapper
+
+        for name in ("grone_sequence", "merged_grone_sequence",
+                     "conjugate_sequence"):
+            original = getattr(lb, name)
+            for module_name, module in list(sys.modules.items()):
+                if (module_name == "lapbounds"
+                        or module_name.startswith("lapbounds.")):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr,
+                                                counting(name, original))
+        monkeypatch.setattr(cli, "evaluate_catalog", evaluating)
+        code, _, _ = run(["fuzz", "--seed", "7", "--count", "100",
+                          "--model", model, "--out-dir", str(tmp_path)],
+                         capsys)
+        assert code in (0, 2, 3)
+        assert len(evaluated) == 100
+        assert set(calls.values()) == {1}
+        # GRONE_MERRIS runs on every graph, GRONE on every connected one
+        for name, graphs in (("conjugate_sequence", evaluated),
+                             ("grone_sequence", [g for g in evaluated
+                                                 if len(g.components) == 1])):
+            assert {i for seq, i in calls if seq == name} == set(
+                map(id, graphs))
+
+
 class TestNoBareissInCatalog:
     """The catalog takes the tree count from the spectrum; only invariants,
     which prints the exact integer, runs Bareiss elimination."""
@@ -1073,25 +1120,40 @@ class TestConsoleEntry:
 
 
 # Imports the package from argv[1], runs main on every argv of the JSON list
-# argv[2] with the reports discarded, and prints the modules that must stay
-# unloaded but were loaded: after the import, and after each call.
+# argv[2] with the reports discarded, and prints the watched modules that were
+# not loaded before the import but are loaded after it, and after each call.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
 import lapbounds.cli as cli
-def loaded(names):
-    return [name for name in names if name in sys.modules]
-print("import", loaded(["numpy", "subprocess"]))
+def loaded():
+    return [name for name in ("numpy", "subprocess", "dataclasses", "inspect",
+                              "csv") if name in sys.modules.keys() - before]
+print("import", loaded())
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    print(argv[0], code, loaded(["numpy", "subprocess"]))
+    print(argv[0], code, loaded())
 """
+
+
+def _probe(argvs: list) -> list[str]:
+    src = str(Path(lb.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, src, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 class TestNumpyOffThePath:
     """With the compiled library, no subcommand imports numpy, and loading
-    the cached library imports no build module."""
+    the cached library imports no build module. Importing the CLI loads
+    neither dataclasses nor inspect, and only a CSV report loads csv."""
+
+    def test_import_loads_none_of_them(self):
+        assert _probe([]) == ["import []"]
 
     def test_every_subcommand_runs_without_numpy(self, tmp_path):
         if spectra._library() is None:  # also builds the cached library
@@ -1099,21 +1161,16 @@ class TestNumpyOffThePath:
                         "CLI solves in numpy")
         out = str(tmp_path / "out")
         argvs = [["invariants", "--family", "GNP:12:0.5:1"]]
-        for fmt in ("json", "csv"):
+        for fmt in ("json", "csv"):  # every JSON call before the first CSV one
             argvs += [["check", "--family", "S:9", "--format", fmt],
                       ["sweep", "--family", "K:3..10", "--format", fmt]]
             argvs += [["fuzz", "--model", model, "--seed", "7", "--count",
                        "12", "--format", fmt, "--out-dir", out]
                       for model in ("gnp", "tree", "clique-union")]
-        src = str(Path(lb.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, src, json.dumps(argvs)],
-            capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
+        lines = _probe(argvs)
         assert lines[0] == "import []"
-        assert [line.split(" ", 2)[2] for line in lines[1:]] == \
-            ["[]"] * len(argvs)
+        assert [line.split(" ", 2)[2] for line in lines[1:]] == [
+            "['csv']" if "csv" in argv else "[]" for argv in argvs]
         assert [line.split(" ", 1)[0] for line in lines[1:]] == \
             [argv[0] for argv in argvs]
 

@@ -1,4 +1,6 @@
 """Graph core: construction, components, degrees, recognizers, edge-list IO."""
+import copy
+import pickle
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -154,6 +156,17 @@ class TestRepresentation:
             canon)
         assert (g == h) == same
         assert not same or hash(g) == hash(h)
+
+    def test_value_semantics(self):
+        g = lb.build_graph(3, [(0, 1), (1, 2)])
+        assert repr(g) == "Graph(n=3, masks=(2, 5, 2))"
+        h = lb.Graph(3, (2, 5, 2))
+        assert g == h and hash(g) == hash(h) and g is not h
+        assert g != lb.Graph(3, (2, 5, 0)) and g != lb.build_graph(4, [])
+        # a Graph is not a tuple: it never equals its own fields
+        assert g != (3, (2, 5, 2)) and (3, (2, 5, 2)) != g
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert copy.deepcopy(g) == g
 
 
 class TestComponents:
