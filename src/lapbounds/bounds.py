@@ -436,27 +436,30 @@ def _evaluate(spec: BoundSpec, param: Param, ctx: GraphContext,
     None when the entry does not apply to the graph: the NOT_APPLICABLE row
     depends on (spec, param) alone, so the caller supplies it.
     """
-    if not spec.applies(ctx):
+    # one unpacking: a NamedTuple field read costs more than a local
+    (bound_id, direction, _, _, applies, lhs_of, rhs_of, predicts_equality,
+     strict_toggle) = spec
+    if not applies(ctx):
         return None
-    if strict_applicability and spec.strict_toggle and not ctx.merged.monotone:
+    if strict_applicability and strict_toggle and not ctx.merged.monotone:
         return None
 
-    lhs = spec.lhs(ctx, param)
-    rhs = spec.rhs(ctx, param)
+    lhs = lhs_of(ctx, param)
+    rhs = rhs_of(ctx, param)
     scale = max(abs(lhs), abs(rhs))
-    if spec.direction in ("lower", "strict_lower", "compare"):
+    if direction in ("lower", "strict_lower", "compare"):
         margin = lhs - rhs
     else:
         margin = rhs - lhs
     if abs(lhs - rhs) <= EQUALITY_REL_TOL * scale:
         verdict = EQUALITY
-    elif margin < -EQUALITY_REL_TOL * scale and spec.direction != "compare":
+    elif margin < -EQUALITY_REL_TOL * scale and direction != "compare":
         verdict = VIOLATED
     else:
         verdict = HOLDS
-    predicted = spec.predicts_equality(ctx, param)
+    predicted = predicts_equality(ctx, param)
     agreement = (verdict == EQUALITY) == predicted
-    return BoundResult(bound_id=spec.bound_id, param=param, applicable=True,
+    return BoundResult(bound_id=bound_id, param=param, applicable=True,
                        lhs=lhs, rhs=rhs, margin=margin, verdict=verdict,
                        predicted_equality=predicted, agreement=agreement)
 

@@ -2,7 +2,10 @@
 
 Exit codes for every subcommand: 0 when no verdict is VIOLATED and every
 agreement flag is true, 2 when any verdict is VIOLATED, 3 when an agreement
-failure is the only problem, 1 for usage and parse errors.
+failure is the only problem, 1 for a usage or input error. Two other causes
+also exit 1 for now: a numeric overflow in any row, and a --family G(n, p)
+graph with no connected draw within the retry cap (fuzz lists such an
+instance under corpus.generation_failures instead).
 
 Output is deterministic for a fixed (configuration, seed): no timestamps or
 absolute paths ever enter a report, counterexample files are referenced by
@@ -17,8 +20,8 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import (Callable, Iterable, Iterator, NamedTuple, NoReturn,
+                    Optional, Sequence, Union)
 
 from .bounds import (BOUND_IDS, EQUALITY, HOLDS, NOT_APPLICABLE, VIOLATED,
                      BoundResult, GraphContext, _legal, evaluate_catalog)
@@ -198,12 +201,18 @@ def _exit_code(results: Sequence[BoundResult]) -> int:
     return 0
 
 
-def _check_cap(n: int, what: str, parser: _Parser) -> None:
+def _usage_error(message: str) -> NoReturn:
+    """Exit 1 with the top-level usage and message, as the full parser's
+    error does; only here does a subcommand call build the full parser."""
+    build_parser().error(message)
+
+
+def _check_cap(n: int, what: str) -> None:
     if n > MAX_N:
-        parser.error(f"{what} has {n} vertices, above the cap of {MAX_N}")
+        _usage_error(f"{what} has {n} vertices, above the cap of {MAX_N}")
 
 
-def _checked_specs(args, parser: _Parser, allow_range: bool) -> list[FamilySpec]:
+def _checked_specs(args, allow_range: bool) -> list[FamilySpec]:
     """Parse --family and apply the vertex cap before any graph is built.
 
     A range is expanded lazily, so a huge one stops at its first spec above
@@ -211,20 +220,20 @@ def _checked_specs(args, parser: _Parser, allow_range: bool) -> list[FamilySpec]
     """
     specs = []
     for spec in iter_family(args.family, allow_range=allow_range):
-        _check_cap(spec.order, spec.label(), parser)
+        _check_cap(spec.order, spec.label())
         specs.append(spec)
     return specs
 
 
-def _resolve_input(args, parser: _Parser) -> _Instance:
+def _resolve_input(args) -> _Instance:
     """The one instance that --graph or --family names."""
     if bool(args.graph) == bool(args.family):
-        parser.error("exactly one of --graph and --family is required")
+        _usage_error("exactly one of --graph and --family is required")
     if args.graph:
         g = parse_edge_list(Path(args.graph).read_text(), functools.partial(
-            _check_cap, what=args.graph, parser=parser))
+            _check_cap, what=args.graph))
         return 0, Path(args.graph).name, g.n, lambda: g
-    spec, = _checked_specs(args, parser, allow_range=False)
+    spec, = _checked_specs(args, allow_range=False)
     return 0, args.family.strip(), spec.order, functools.partial(generate, spec)
 
 
@@ -364,8 +373,8 @@ def _report(args, records: Iterable[_Record],
     return code
 
 
-def cmd_invariants(args, parser: _Parser) -> int:
-    _, graph_id, _, build = _resolve_input(args, parser)
+def cmd_invariants(args) -> int:
+    _, graph_id, _, build = _resolve_input(args)
     alphas = _parse_grid(args.alphas, "alpha", float)
     ks = _parse_grid(args.ks, "k", int)
     g = build()
@@ -399,13 +408,13 @@ def cmd_invariants(args, parser: _Parser) -> int:
     return 0
 
 
-def cmd_check(args, parser: _Parser) -> int:
-    instance = _resolve_input(args, parser)
+def cmd_check(args) -> int:
+    instance = _resolve_input(args)
     return _report(args, _records([instance], args, _grids(args)))
 
 
-def cmd_sweep(args, parser: _Parser) -> int:
-    specs = _checked_specs(args, parser, allow_range=True)
+def cmd_sweep(args) -> int:
+    specs = _checked_specs(args, allow_range=True)
     grids = _grids(args)
     return _report(args, _records(
         ((i, spec.label(), spec.order, functools.partial(generate, spec))
@@ -441,15 +450,15 @@ def _fuzz_instances(args) -> Iterator[_Instance]:
             _fuzz_graph, args.model, rng, n, args.p)
 
 
-def cmd_fuzz(args, parser: _Parser) -> int:
+def cmd_fuzz(args) -> int:
     grids = _grids(args)
     alphas, ks, bound_ids = grids
     if args.count < 1:
-        parser.error("--count must be >= 1")
+        _usage_error("--count must be >= 1")
     if not (2 <= args.n_min <= args.n_max <= MAX_N):
-        parser.error(f"need 2 <= n-min <= n-max <= {MAX_N}")
+        _usage_error(f"need 2 <= n-min <= n-max <= {MAX_N}")
     if not (0.0 < args.p <= 1.0):
-        parser.error("--p must lie in (0, 1]")
+        _usage_error("--p must lie in (0, 1]")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = _records(_fuzz_instances(args), args, grids, out_dir)
@@ -481,71 +490,109 @@ def cmd_fuzz(args, parser: _Parser) -> int:
     return _report(args, records, report)
 
 
+def _add_common(p: _Parser) -> None:
+    p.add_argument("--alphas", default="-2,-1,-0.5,0.5,2,3",
+                   help="comma-separated exponent grid (avoid 0 and 1); "
+                        "use --alphas=-2,... for negative leading values")
+    p.add_argument("--ks", default="1,2,3,4",
+                   help="comma-separated integer moment orders, each >= 1")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_catalog_filters(p: _Parser) -> None:
+    p.add_argument("--bounds", help="comma-separated bound ids")
+    p.add_argument("--strict-applicability", action="store_true",
+                   help="mark merged-sequence non-monotone cases "
+                        "NOT_APPLICABLE for P2_LOWER and KF_NEW")
+
+
+def _add_graph_input(p: _Parser) -> None:
+    p.add_argument("--graph", help="path to an edge-list file")
+    p.add_argument("--family", help="family DSL string, e.g. K:4")
+
+
+def _declare_invariants(p: _Parser) -> None:
+    _add_graph_input(p)
+    _add_common(p)
+
+
+def _declare_check(p: _Parser) -> None:
+    _add_graph_input(p)
+    _add_common(p)
+    _add_catalog_filters(p)
+
+
+def _declare_fuzz(p: _Parser) -> None:
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--model", choices=("gnp", "tree", "clique-union"),
+                   default="gnp")
+    p.add_argument("--p", type=float, default=0.5,
+                   help="edge probability for the gnp model")
+    p.add_argument("--n-min", type=int, default=4)
+    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--out-dir", default="counterexamples",
+                   help="directory for violating edge lists")
+    _add_catalog_filters(p)
+
+
+def _declare_sweep(p: _Parser) -> None:
+    p.add_argument("--family", required=True,
+                   help="family DSL string, ranges allowed, e.g. K:3..12")
+    _add_common(p)
+    _add_catalog_filters(p)
+
+
+# each subcommand, in usage order: its help line, the function that
+# declares its options on a parser, and the function that runs it
+SUBCOMMANDS = {
+    "invariants": ("print invariants", _declare_invariants, cmd_invariants),
+    "check": ("evaluate the bound catalog", _declare_check, cmd_check),
+    "fuzz": ("seeded random corpus evaluation", _declare_fuzz, cmd_fuzz),
+    "sweep": ("evaluate a family range", _declare_sweep, cmd_sweep),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lapbounds",
                      description="Laplacian spectral invariants and "
                                  "degree-sequence bound verification")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--alphas", default="-2,-1,-0.5,0.5,2,3",
-                       help="comma-separated exponent grid (avoid 0 and 1); "
-                            "use --alphas=-2,... for negative leading values")
-        p.add_argument("--ks", default="1,2,3,4",
-                       help="comma-separated integer moment orders, each >= 1")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    def add_catalog_filters(p: _Parser) -> None:
-        p.add_argument("--bounds", help="comma-separated bound ids")
-        p.add_argument("--strict-applicability", action="store_true",
-                       help="mark merged-sequence non-monotone cases "
-                            "NOT_APPLICABLE for P2_LOWER and KF_NEW")
-
-    def add_graph_input(p: _Parser) -> None:
-        p.add_argument("--graph", help="path to an edge-list file")
-        p.add_argument("--family", help="family DSL string, e.g. K:4")
-
-    p_inv = sub.add_parser("invariants", help="print invariants")
-    add_graph_input(p_inv)
-    add_common(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
-
-    p_check = sub.add_parser("check", help="evaluate the bound catalog")
-    add_graph_input(p_check)
-    add_common(p_check)
-    add_catalog_filters(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_fuzz = sub.add_parser("fuzz", help="seeded random corpus evaluation")
-    add_common(p_fuzz)
-    p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--count", type=int, default=100)
-    p_fuzz.add_argument("--model", choices=("gnp", "tree", "clique-union"),
-                        default="gnp")
-    p_fuzz.add_argument("--p", type=float, default=0.5,
-                        help="edge probability for the gnp model")
-    p_fuzz.add_argument("--n-min", type=int, default=4)
-    p_fuzz.add_argument("--n-max", type=int, default=12)
-    p_fuzz.add_argument("--out-dir", default="counterexamples",
-                        help="directory for violating edge lists")
-    add_catalog_filters(p_fuzz)
-    p_fuzz.set_defaults(func=cmd_fuzz)
-
-    p_sweep = sub.add_parser("sweep", help="evaluate a family range")
-    p_sweep.add_argument("--family", required=True,
-                         help="family DSL string, ranges allowed, e.g. K:3..12")
-    add_common(p_sweep)
-    add_catalog_filters(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    for command, (help_line, declare, _) in SUBCOMMANDS.items():
+        declare(sub.add_parser(command, help=help_line))
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as build_parser() reads it, building only what that takes.
+
+    When argv[0] names a subcommand, that subcommand's parser alone reads
+    the rest, as the full parser's subparsers action would hand it over;
+    what it leaves is the full parser's unrecognized-arguments error. Any
+    other argv goes to the full parser.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return build_parser().parse_args(argv)
+    command = argv[0]
+    _, declare, _ = SUBCOMMANDS[command]
+    parser = _Parser(prog=f"lapbounds {command}")
+    declare(parser)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = command
+    return args
+
+
+def _run(parse: Callable[[list[str]], argparse.Namespace],
+         argv: Sequence[str]) -> int:
+    """Run the subcommand that parse reads from argv; the exit code.
+    main's parse is _parse; build_parser().parse_args reads argv alike."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args, parser)
+        args = parse(list(argv))
+        _, _, cmd = SUBCOMMANDS[args.command]
+        return cmd(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (LapboundsError, OSError, ValueError) as exc:
@@ -554,6 +601,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OverflowError as exc:  # an exponent grid beyond the float range
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return _run(_parse, sys.argv[1:] if argv is None else argv)
 
 
 def entry() -> None:
