@@ -91,13 +91,22 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[str, ...]]:
 _Instance = tuple[int, str, int, Callable[[], Graph]]
 
 
+def _json_block(items: Sequence[str], indent: str,
+                brackets: str = "[]") -> str:
+    """json.dumps(indent=2) of a list at this indent, given the JSON of its
+    items; with brackets "{}" of a dict, given its '"key": value' members."""
+    if not items:
+        return brackets
+    sep = ",\n  " + indent
+    return f"{brackets[0]}{sep[1:]}{sep.join(items)}\n{indent}{brackets[1]}"
+
+
 def _dict_template(keys: Sequence[str], indent: str,
-                   later: Sequence[str]) -> str:
+                   later: Sequence[str] = ()) -> str:
     """json.dumps(indent=2) of a dict with these keys at this indent, a %s
     slot for each value, %%s for the keys in later, which a second % fills."""
-    return (f"{indent}{{\n" + ",\n".join(
-        f'{indent}  "{key}": {"%%s" if key in later else "%s"}'
-        for key in keys) + f"\n{indent}}}")
+    return _json_block([f'"{key}": {"%%s" if key in later else "%s"}'
+                        for key in keys], indent, "{}")
 
 
 # a row of a row report; a fuzz report's violation entry
@@ -106,6 +115,26 @@ _JSON_VIOLATION = _dict_template(
     ("index", "graph_id", "bound_id", "param", "lhs", "rhs", "margin", "n",
      "m", "edges", "file"), "    ",
     ("bound_id", "param", "lhs", "rhs", "margin", "file"))
+# the counts of one bound's verdicts and of one majorization check's
+# outcomes in a fuzz report
+_TALLY_KEYS = tuple(v.lower() for v in (HOLDS, EQUALITY, VIOLATED,
+                                        NOT_APPLICABLE))
+_MAJORIZATION_KEYS = ("holds", "fails", "skipped")
+_JSON_TALLY = _dict_template(_TALLY_KEYS, "    ")
+_JSON_MAJORIZATION = _dict_template(_MAJORIZATION_KEYS, "    ")
+
+
+def _json_scalars(values: Iterable) -> list[str]:
+    """The JSON of each scalar, from one call of json's C encoder: with
+    ensure_ascii no scalar's JSON holds a newline."""
+    text = json.dumps(list(values), separators=("\n", ":"))[1:-1]
+    return text.split("\n") if text else []
+
+
+def _json_dict(d: dict, indent: str, values: Iterable[str]) -> str:
+    """json.dumps(indent=2) of d at this indent, given its values' JSON."""
+    return _json_block([f"{key}: {value}" for key, value
+                        in zip(_json_scalars(d), values)], indent, "{}")
 
 
 def _json_cells(rows: Sequence[tuple]) -> tuple[str, ...]:
@@ -133,7 +162,7 @@ def _json_rows(rec: _Record) -> str:
     """The record's rows, as json.dumps(indent=2) writes them in a list."""
     row = _JSON_ROW % (json.dumps(rec.graph_id).replace("%", "%%"),
                        rec.n, rec.m)
-    return ",\n".join([row] * len(rec.results)) % _json_cells(rec.results)
+    return ",\n  ".join([row] * len(rec.results)) % _json_cells(rec.results)
 
 
 def _json_violations(index: int, graph_id: str, g: Graph,
@@ -147,7 +176,7 @@ def _json_violations(index: int, graph_id: str, g: Graph,
         ", ", ",\n          ") + "\n        ]\n      ]") if edges else "[]"
     entry = _JSON_VIOLATION % (
         index, json.dumps(graph_id).replace("%", "%%"), g.n, g.m, edges)
-    return ",\n".join([entry] * len(entries)) % _json_cells(entries)
+    return ",\n    ".join([entry] * len(entries)) % _json_cells(entries)
 
 
 def _csv_rows(rec: _Record) -> Iterator[tuple]:
@@ -167,26 +196,54 @@ def _rows_to_csv(rows: Iterable[tuple], columns=CSV_COLUMNS) -> str:
     return buf.getvalue()
 
 
-def _emit(args, report: Union[list, dict], violations=()) -> None:
+def _json_fuzz(report: dict) -> str:
+    """json.dumps(report, indent=2) of cmd_fuzz's report, whose violations
+    list holds the JSON text of its entries (see _json_violations).
+
+    Counts and indices are ints and print as they are, each bound's and
+    check's counts through a fixed template; every key, string and float
+    goes through json's C encoder, so json's pure-Python encoder never runs.
+    """
+    config, corpus, tallies, majorization, violations, failures = \
+        report.values()
+    sizes, generation_failures = corpus.values()
+    return _json_dict(report, "", (
+        _json_dict(config, "  ", (
+            _json_block(_json_scalars(value), "    ")
+            if isinstance(value, list) else json.dumps(value)
+            for value in config.values())),
+        _json_dict(corpus, "  ", (
+            _json_block(list(map(str, sizes)), "    "),
+            _json_block([_json_dict(failure, "      ",
+                                    map(str, failure.values()))
+                         for failure in generation_failures], "    "))),
+        _json_dict(tallies, "  ", [_JSON_TALLY % tuple(counts.values())
+                                   for counts in tallies.values()]),
+        _json_dict(majorization, "  ", [
+            _JSON_MAJORIZATION % tuple(counts.values())
+            for counts in majorization.values()]),
+        _json_block(violations, "  "),
+        _json_block([_json_dict(failure, "    ",
+                                _json_scalars(failure.values()))
+                     for failure in failures], "  ")))
+
+
+def _emit(args, report: Union[list, dict]) -> None:
     """Print a report as JSON or as CSV, byte for byte as json.dumps(indent=2)
     or csv print it with each row a dict.
 
     A list is a row report (check, sweep, fuzz CSV): each record's rows from
-    _json_rows, or the CSV rows from _csv_rows. A dict is a document (fuzz
-    JSON, invariants), for json.dumps(indent=2) or key-value CSV rows; the
-    fuzz violation entries that _record rendered go into its empty list.
+    _json_rows, or the CSV rows from _csv_rows. A dict is the invariants
+    document, for json.dumps(indent=2) or key-value CSV rows; the fuzz JSON
+    report does not come here but is written by _json_fuzz.
     """
     if isinstance(report, list):
         if args.format == "json":
-            print("[\n" + ",\n".join(report) + "\n]" if report else "[]")
+            print(_json_block(report, ""))
         else:
             sys.stdout.write(_rows_to_csv(report))
     elif args.format == "json":
-        text = json.dumps(report, indent=2)
-        if violations:  # the one such key; a string escapes its quotes
-            text = text.replace('"violations": []', '"violations": [\n'
-                                + ",\n".join(violations) + "\n  ]", 1)
-        print(text)
+        print(json.dumps(report, indent=2))
     else:
         sys.stdout.write(_rows_to_csv(
             ((key, json.dumps(value) if isinstance(value, (dict, list))
@@ -334,11 +391,10 @@ def _report(args, records: Iterable[_Record],
     Without fuzz (check, sweep, fuzz CSV) the report is the rows, kept as
     the JSON text of each record's rows or as CSV rows; no row is ever a
     dict. With fuzz (fuzz JSON) it is that aggregate report, whose empty
-    tallies and lists are filled in here, all but the violation entries,
-    which stay text.
+    tallies and lists are filled in here, the violation entries as the JSON
+    text _record made of them.
     """
     rows: list = []
-    violations: list[str] = []
     code = 0
     for rec in records:
         # exit codes in rising severity: clean, agreement failure, VIOLATED
@@ -355,7 +411,7 @@ def _report(args, records: Iterable[_Record],
                 {"index": rec.index, "n": rec.n})
             continue
         if rec.violations:
-            violations.append(rec.violations)
+            fuzz["violations"].append(rec.violations)
         for r in rec.results:
             fuzz["tallies"][r.bound_id][r.verdict.lower()] += 1
             if not r.agreement:
@@ -369,7 +425,10 @@ def _report(args, records: Iterable[_Record],
                 })
         for name, tally in fuzz["majorization"].items():
             tally[rec.majorization.get(name, "skipped")] += 1
-    _emit(args, rows if fuzz is None else fuzz, violations)
+    if fuzz is None:
+        _emit(args, rows)
+    else:
+        print(_json_fuzz(fuzz))
     return code
 
 
@@ -479,10 +538,8 @@ def cmd_fuzz(args) -> int:
             "bounds": list(active),
         },
         "corpus": {"sizes": [], "generation_failures": []},
-        "tallies": {bid: {v.lower(): 0 for v in (HOLDS, EQUALITY, VIOLATED,
-                                                 NOT_APPLICABLE)}
-                    for bid in active},
-        "majorization": {name: {"holds": 0, "fails": 0, "skipped": 0}
+        "tallies": {bid: dict.fromkeys(_TALLY_KEYS, 0) for bid in active},
+        "majorization": {name: dict.fromkeys(_MAJORIZATION_KEYS, 0)
                          for name in MAJORIZATION_CHECKS},
         "violations": [],
         "agreement_failures": [],
@@ -490,68 +547,69 @@ def cmd_fuzz(args) -> int:
     return _report(args, records, report)
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--alphas", default="-2,-1,-0.5,0.5,2,3",
-                   help="comma-separated exponent grid (avoid 0 and 1); "
-                        "use --alphas=-2,... for negative leading values")
-    p.add_argument("--ks", default="1,2,3,4",
-                   help="comma-separated integer moment orders, each >= 1")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+class _Option(NamedTuple):
+    """One option of a subcommand: argparse declares it from these fields,
+    and _read reads it alike. Its dest is the flag's name, "-" read as "_"."""
+
+    flag: str
+    type: Callable[[str], Union[str, int, float]] = str
+    default: object = None
+    choices: Optional[tuple[str, ...]] = None
+    store_true: bool = False
+    required: bool = False
+    help: Optional[str] = None
 
 
-def _add_catalog_filters(p: _Parser) -> None:
-    p.add_argument("--bounds", help="comma-separated bound ids")
-    p.add_argument("--strict-applicability", action="store_true",
-                   help="mark merged-sequence non-monotone cases "
-                        "NOT_APPLICABLE for P2_LOWER and KF_NEW")
+_COMMON = (
+    _Option("--alphas", default="-2,-1,-0.5,0.5,2,3",
+            help="comma-separated exponent grid (avoid 0 and 1); "
+                 "use --alphas=-2,... for negative leading values"),
+    _Option("--ks", default="1,2,3,4",
+            help="comma-separated integer moment orders, each >= 1"),
+    _Option("--format", default="json", choices=("json", "csv")),
+)
+_CATALOG_FILTERS = (
+    _Option("--bounds", help="comma-separated bound ids"),
+    _Option("--strict-applicability", default=False, store_true=True,
+            help="mark merged-sequence non-monotone cases "
+                 "NOT_APPLICABLE for P2_LOWER and KF_NEW"),
+)
+_GRAPH_INPUT = (
+    _Option("--graph", help="path to an edge-list file"),
+    _Option("--family", help="family DSL string, e.g. K:4"),
+)
 
-
-def _add_graph_input(p: _Parser) -> None:
-    p.add_argument("--graph", help="path to an edge-list file")
-    p.add_argument("--family", help="family DSL string, e.g. K:4")
-
-
-def _declare_invariants(p: _Parser) -> None:
-    _add_graph_input(p)
-    _add_common(p)
-
-
-def _declare_check(p: _Parser) -> None:
-    _add_graph_input(p)
-    _add_common(p)
-    _add_catalog_filters(p)
-
-
-def _declare_fuzz(p: _Parser) -> None:
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--model", choices=("gnp", "tree", "clique-union"),
-                   default="gnp")
-    p.add_argument("--p", type=float, default=0.5,
-                   help="edge probability for the gnp model")
-    p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--out-dir", default="counterexamples",
-                   help="directory for violating edge lists")
-    _add_catalog_filters(p)
-
-
-def _declare_sweep(p: _Parser) -> None:
-    p.add_argument("--family", required=True,
-                   help="family DSL string, ranges allowed, e.g. K:3..12")
-    _add_common(p)
-    _add_catalog_filters(p)
-
-
-# each subcommand, in usage order: its help line, the function that
-# declares its options on a parser, and the function that runs it
+# each subcommand, in usage order: its help line, its options in usage
+# order, and the function that runs it
 SUBCOMMANDS = {
-    "invariants": ("print invariants", _declare_invariants, cmd_invariants),
-    "check": ("evaluate the bound catalog", _declare_check, cmd_check),
-    "fuzz": ("seeded random corpus evaluation", _declare_fuzz, cmd_fuzz),
-    "sweep": ("evaluate a family range", _declare_sweep, cmd_sweep),
+    "invariants": ("print invariants", _GRAPH_INPUT + _COMMON,
+                   cmd_invariants),
+    "check": ("evaluate the bound catalog",
+              _GRAPH_INPUT + _COMMON + _CATALOG_FILTERS, cmd_check),
+    "fuzz": ("seeded random corpus evaluation", _COMMON + (
+        _Option("--seed", int, 0),
+        _Option("--count", int, 100),
+        _Option("--model", default="gnp",
+                choices=("gnp", "tree", "clique-union")),
+        _Option("--p", float, 0.5, help="edge probability for the gnp model"),
+        _Option("--n-min", int, 4),
+        _Option("--n-max", int, 12),
+        _Option("--out-dir", default="counterexamples",
+                help="directory for violating edge lists"),
+    ) + _CATALOG_FILTERS, cmd_fuzz),
+    "sweep": ("evaluate a family range", (
+        _Option("--family", required=True,
+                help="family DSL string, ranges allowed, e.g. K:3..12"),
+    ) + _COMMON + _CATALOG_FILTERS, cmd_sweep),
 }
+
+
+def _declare(parser: _Parser, options: Sequence[_Option]) -> None:
+    for opt in options:
+        kind = ({"action": "store_true"} if opt.store_true
+                else {"type": opt.type, "choices": opt.choices})
+        parser.add_argument(opt.flag, default=opt.default,
+                            required=opt.required, help=opt.help, **kind)
 
 
 def build_parser() -> _Parser:
@@ -559,25 +617,66 @@ def build_parser() -> _Parser:
                      description="Laplacian spectral invariants and "
                                  "degree-sequence bound verification")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, declare, _) in SUBCOMMANDS.items():
-        declare(sub.add_parser(command, help=help_line))
+    for command, (help_line, options, _) in SUBCOMMANDS.items():
+        _declare(sub.add_parser(command, help=help_line), options)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv as build_parser() reads it, building only what that takes.
+def _read(options: Sequence[_Option], argv: list[str]) -> Optional[dict]:
+    """The values, by dest, that argparse reads from argv for these options;
+    None unless argv holds only exact flags, each value given as "--flag
+    value" or "--flag=value", not starting with "-", of its option's type
+    and among its choices, no value for a store_true flag, and every
+    required option."""
+    by_flag = {opt.flag: opt for opt in options}
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        opt = by_flag.get(flag)
+        if opt is None or opt.store_true and eq:
+            return None
+        if opt.store_true:
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "-")  # a missing value is refused as "-"
+        if value.startswith("-"):
+            return None
+        try:
+            value = opt.type(value)
+        except ValueError:
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        given[flag] = value
+    if any(opt.required and opt.flag not in given for opt in options):
+        return None
+    return {opt.flag[2:].replace("-", "_"): given.get(opt.flag, opt.default)
+            for opt in options}
 
-    When argv[0] names a subcommand, that subcommand's parser alone reads
-    the rest, as the full parser's subparsers action would hand it over;
-    what it leaves is the full parser's unrecognized-arguments error. Any
-    other argv goes to the full parser.
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as build_parser() reads it; a valid call builds no parser.
+
+    Each option is declared once, in SUBCOMMANDS. When argv[0] names a
+    subcommand, _read reads the rest from that table. What it does not take
+    (an abbreviation, -h, --, a positional, a value its type rejects, ...)
+    goes to that subcommand's parser alone, as the full parser's subparsers
+    action would hand it over; what that parser leaves is the full parser's
+    unrecognized-arguments error. Any other argv goes to the full parser.
+    So argparse is the reference, and renders every help text and usage
+    error.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
         return build_parser().parse_args(argv)
     command = argv[0]
-    _, declare, _ = SUBCOMMANDS[command]
+    _, options, _ = SUBCOMMANDS[command]
+    values = _read(options, argv[1:])
+    if values is not None:
+        return argparse.Namespace(command=command, **values)
     parser = _Parser(prog=f"lapbounds {command}")
-    declare(parser)
+    _declare(parser, options)
     args, extras = parser.parse_known_args(argv[1:])
     if extras:
         _usage_error(f"unrecognized arguments: {' '.join(extras)}")
