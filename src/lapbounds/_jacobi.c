@@ -12,27 +12,38 @@
  * -ffp-contract=off), since a fused multiply-add would round once where numpy
  * rounds twice, and a reordered sum would round differently.
  *
- * Only the order in which independent entries are visited differs from the
- * numpy round. A round's column rotation changes each entry of columns P_i
- * and Q_i from the two entries of its own row in those columns, and no two
- * pairs share a column; its row rotation then changes rows P_i and Q_i from
- * the column-rotated rows P_i and Q_i alone. So the columns may be walked in
- * any order of pairs and rows, and every entry still goes through the same
- * operations on the same operands.
+ * Only the order in which independent pairs and entries are visited differs
+ * from the numpy round, and rotate() holds the operations of every entry.
+ * A round's coefficients c_i and t_i each depend on pair i's three entries
+ * alone. Its column rotation changes each entry of columns P_i and Q_i from
+ * the two entries of its own row in those columns, and no two pairs share a
+ * column; its row rotation then changes rows P_i and Q_i from the
+ * column-rotated rows P_i and Q_i alone. So the pairs and rows may be taken
+ * in any order and grouped in any way, and every pair and entry still goes
+ * through the same operations on the same operands.
  *
- * The columns are walked as runs: maximal stretches of consecutive pairs of
+ * Each round of each matrix then takes three steps. The coefficients are
+ * computed in phases, each over all k pairs: gather half and apq; every
+ * first hypot; den and tt; every second hypot; c and t. So the libm calls
+ * of independent pairs overlap, and the phases between them vectorize. Then
+ * the columns are walked as runs: maximal stretches of consecutive pairs of
  * pq in which P steps by +1 or -1 and Q steps the opposite way; a pair that
  * starts no such stretch is a run of one. Pair i of round r of the
  * round-robin schedule is {(r + i) mod (M - 1), (r - i) mod (M - 1)}, M = n
  * rounded up to even, except pair 0, which is {r, M - 1}; so a round splits
  * into a few such runs, and in each row a run reads and writes one ascending
- * and one descending unit-stride stream, which the compiler vectorizes. The
- * runs are read from pq itself, so any pq of disjoint pairs works, and
+ * and one descending unit-stride stream, which the compiler vectorizes. Each
+ * run walks four rows at a time, so that its c and t are loaded, and its
+ * loop set up, once per four rows, and the last n mod 4 rows one at a time.
+ * Last, the rows of each pair are rotated whole.
+ *
+ * The runs are read from pq itself, so any pq of disjoint pairs works, and
  * jacobi_sweep, one sweep over a given pq, is exported so that such
  * schedules can be tested. On x86-64 it picks its body itself, on each call:
  * the same sweep compiled for AVX2 where the CPU it runs on has AVX2, the
  * portable body otherwise, so a library built on one host stays safe to load
- * on another.
+ * on another. Either body calls libm's hypot one pair at a time: a vector
+ * hypot of libmvec need not round as libm's does.
  *
  * gnp_rows draws the coins of one G(n, p) attempt from a splitmix64 state,
  * with the bits of rng.SplitMix64.uniform() < p.
@@ -51,6 +62,16 @@
 #define INLINE static inline
 #endif
 
+/* The entries *u in column P and *v in column Q of one row, or in row P
+ * and row Q of one column, rotated by c and t: the operations of every
+ * entry of a sweep, whichever loop visits it. */
+INLINE void rotate(double *u, double *v, double c, double t)
+{
+    double xp = *u, xq = *v;
+    *u = xp * c + xq * -t;
+    *v = xq * c + xp * t;
+}
+
 /* u[s * l] and v[-s * l] of one row, for l < len, rotated by c[l] and t[l].
  * s is +1 or -1, and each call passes a constant, so that each inlined copy
  * streams both sides. */
@@ -58,10 +79,25 @@ INLINE void rotate_run(double *restrict u, double *restrict v, ptrdiff_t s,
                        const double *restrict c, const double *restrict t,
                        ptrdiff_t len)
 {
+    for (ptrdiff_t l = 0; l < len; l++)
+        rotate(u + s * l, v - s * l, c[l], t[l]);
+}
+
+/* rotate_run on four rows at once, u0 and v0 in the first and ui and vi
+ * in the i-th row after it, so that c[l] and t[l] are loaded, and the loop
+ * set up, once for four rows. */
+INLINE void rotate_run4(double *restrict u0, double *restrict v0,
+                        double *restrict u1, double *restrict v1,
+                        double *restrict u2, double *restrict v2,
+                        double *restrict u3, double *restrict v3,
+                        ptrdiff_t s, const double *restrict c,
+                        const double *restrict t, ptrdiff_t len)
+{
     for (ptrdiff_t l = 0; l < len; l++) {
-        double xp = u[s * l], xq = v[-s * l];
-        u[s * l] = xp * c[l] + xq * -t[l];
-        v[-s * l] = xq * c[l] + xp * t[l];
+        rotate(u0 + s * l, v0 - s * l, c[l], t[l]);
+        rotate(u1 + s * l, v1 - s * l, c[l], t[l]);
+        rotate(u2 + s * l, v2 - s * l, c[l], t[l]);
+        rotate(u3 + s * l, v3 - s * l, c[l], t[l]);
     }
 }
 
@@ -92,8 +128,18 @@ INLINE void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
     for (ptrdiff_t j = 0; j < nseg; j++) {
         ptrdiff_t i = seg[j], len = seg[j + 1] - i;
         const double *ci = c + i, *ti = t + i;
-        for (double *x = m; x < m + n * n; x += n) {
-            double *u = x + P[i], *v = x + Q[i];
+        ptrdiff_t row = 0;
+        for (; row + 4 <= n; row += 4) {
+            double *u = m + row * n + P[i], *v = m + row * n + Q[i];
+            if (dir[j] > 0)
+                rotate_run4(u, v, u + n, v + n, u + 2 * n, v + 2 * n,
+                            u + 3 * n, v + 3 * n, 1, ci, ti, len);
+            else
+                rotate_run4(u, v, u + n, v + n, u + 2 * n, v + 2 * n,
+                            u + 3 * n, v + 3 * n, -1, ci, ti, len);
+        }
+        for (; row < n; row++) {
+            double *u = m + row * n + P[i], *v = m + row * n + Q[i];
             if (dir[j] > 0)
                 rotate_run(u, v, 1, ci, ti, len);
             else
@@ -106,40 +152,55 @@ INLINE void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
 INLINE void rotate_rows(double *restrict xp, double *restrict xq,
                         ptrdiff_t n, double c, double t)
 {
-    for (ptrdiff_t j = 0; j < n; j++) {
-        double u = xp[j], v = xq[j];
-        xp[j] = u * c + v * -t;
-        xq[j] = v * c + u * t;
+    for (ptrdiff_t j = 0; j < n; j++)
+        rotate(xp + j, xq + j, c, t);
+}
+
+/* The rotation coefficients c[i] and t[i] of the k pairs of one round of
+ * the n x n matrix m, in phases over all pairs, each pair through the same
+ * operations as in _numpy_sweep. Until the last phase, c holds half and t
+ * holds apq, then tt; h is a work array of k doubles. */
+INLINE void coefficients(const double *m, ptrdiff_t n, const ptrdiff_t *P,
+                         const ptrdiff_t *Q, ptrdiff_t k, double *restrict h,
+                         double *restrict c, double *restrict t)
+{
+    for (ptrdiff_t i = 0; i < k; i++) {
+        c[i] = (m[Q[i] * n + Q[i]] - m[P[i] * n + P[i]]) * 0.5;
+        t[i] = m[P[i] * n + Q[i]];
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        h[i] = hypot(c[i], t[i]);
+    for (ptrdiff_t i = 0; i < k; i++) {
+        double den = h[i] + fabs(c[i]);
+        /* den == 0 only when apq == 0 too: t = +-0, the identity. A
+         * comparison, not fmax, so that a NaN propagates. */
+        den = den < 5e-324 ? 5e-324 : den;
+        t[i] = t[i] / copysign(den, c[i]);
+    }
+    for (ptrdiff_t i = 0; i < k; i++)
+        h[i] = hypot(1.0, t[i]);
+    for (ptrdiff_t i = 0; i < k; i++) {
+        c[i] = 1.0 / h[i];
+        t[i] = t[i] * c[i];
     }
 }
 
-/* The work arrays, c, t and the runs, are sized from k and allocated
- * here, which costs less per call than two numpy arrays passed in. */
+/* The work arrays, c, t, h and the runs, are sized from k and allocated
+ * here, which costs less per call than numpy arrays passed in. */
 INLINE int sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
                  ptrdiff_t rounds, ptrdiff_t k)
 {
-    double *c = malloc(2 * k * sizeof(double)
+    double *c = malloc(3 * k * sizeof(double)
                        + (2 * k + 2) * sizeof(ptrdiff_t));
     if (c == NULL)
         return -1;
-    double *t = c + k;
-    ptrdiff_t *seg = (ptrdiff_t *)(t + k), *dir = seg + k + 1;
+    double *t = c + k, *h = t + k;
+    ptrdiff_t *seg = (ptrdiff_t *)(h + k), *dir = seg + k + 1;
     for (ptrdiff_t r = 0; r < rounds; r++) {
         const ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
         ptrdiff_t nseg = find_runs(P, Q, k, seg, dir);
         for (double *m = a; m < a + b * n * n; m += n * n) {
-            for (ptrdiff_t i = 0; i < k; i++) {
-                double app = m[P[i] * n + P[i]], aqq = m[Q[i] * n + Q[i]];
-                double apq = m[P[i] * n + Q[i]];
-                double half = (aqq - app) * 0.5;
-                double den = hypot(half, apq) + fabs(half);
-                /* den == 0 only when apq == 0 too: t = +-0, the identity.
-                 * A comparison, not fmax, so that a NaN propagates. */
-                den = den < 5e-324 ? 5e-324 : den;
-                double tt = apq / copysign(den, half);
-                c[i] = 1.0 / hypot(1.0, tt);
-                t[i] = tt * c[i];
-            }
+            coefficients(m, n, P, Q, k, h, c, t);
             rotate_columns(m, n, P, Q, seg, dir, nseg, c, t);
             for (ptrdiff_t i = 0; i < k; i++) {
                 rotate_rows(m + P[i] * n, m + Q[i] * n, n, c[i], t[i]);

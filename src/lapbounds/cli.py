@@ -44,11 +44,20 @@ MAJORIZATION_CHECKS = ("GRONE", "GRONE_MERRIS")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit 1 (2 is taken by VIOLATED)."""
+    """argparse variant whose usage errors exit 1 (2 is taken by VIOLATED),
+    and which refuses "--opt=--" as a missing value."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops the one "--" it finds among an option's strings,
+        # so "--opt=--" would leave the option holding an empty list
+        values = super()._get_values(action, arg_strings)
+        if action.nargs is None and isinstance(values, list):
+            raise argparse.ArgumentError(action, "expected one argument")
+        return values
 
 
 def _fmt_real(x: float) -> str:
@@ -625,9 +634,9 @@ def build_parser() -> _Parser:
 def _read(options: Sequence[_Option], argv: list[str]) -> Optional[dict]:
     """The values, by dest, that argparse reads from argv for these options;
     None unless argv holds only exact flags, each value given as "--flag
-    value" or "--flag=value", not starting with "-", of its option's type
-    and among its choices, no value for a store_true flag, and every
-    required option."""
+    value", not starting with "-", or as "--flag=value", taken verbatim
+    unless it is "--", of its option's type and among its choices, no value
+    for a store_true flag, and every required option."""
     by_flag = {opt.flag: opt for opt in options}
     given = {}
     tokens = iter(argv)
@@ -641,7 +650,9 @@ def _read(options: Sequence[_Option], argv: list[str]) -> Optional[dict]:
             continue
         if not eq:
             value = next(tokens, "-")  # a missing value is refused as "-"
-        if value.startswith("-"):
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # _Parser refuses it as a missing value
             return None
         try:
             value = opt.type(value)

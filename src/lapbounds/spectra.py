@@ -10,7 +10,10 @@ sweeps it, and retires each matrix as it converges. Where no library can be
 built or loaded, _numpy_solve does the same in numpy. Both do the same IEEE
 operations on each entry in the same order, and sum their convergence tests
 left to right, with no BLAS, so they give the same bits and retire each
-matrix after the same sweep. Each matrix leaves the stack on its own, so its
+matrix after the same sweep. The compiled sweep only visits independent
+work in another order: a round's rotation coefficients in phases over all
+its pairs, with libm's hypot, and its columns in runs of adjacent pairs,
+four rows at a time. Each matrix leaves the stack on its own, so its
 eigenvalues are bit-identical whatever it was stacked with; spectra_of
 solves graphs of one vertex count as one stack, and the CLI's check, sweep
 and fuzz group their graphs by n before they call it. numpy is imported only

@@ -1228,14 +1228,24 @@ _ALPHAS = st.lists(_mostly(
                      "1.000001", "10", "-10", "200", "-200", "1e300",
                      "-1e300"]),
     st.sampled_from(["0", "1", "nan", "inf", "x"])),
-    min_size=1, max_size=3).map(lambda a: "--alphas=" + ",".join(a))
+    min_size=1, max_size=3).map(",".join)
 _KS = st.lists(_mostly(st.sampled_from(["1", "2", "7", "100", "100000"]),
                        st.sampled_from(["0", "-1", "x"])),
-               min_size=1, max_size=3).map(lambda k: "--ks=" + ",".join(k))
+               min_size=1, max_size=3).map(",".join)
 _BOUNDS = st.lists(_mostly(st.sampled_from(BOUND_IDS),
                            st.just("NO_SUCH_BOUND")),
-                   min_size=1, max_size=3).map(
-    lambda b: ["--bounds", ",".join(b)])
+                   min_size=1, max_size=3).map(",".join)
+# values that argparse reads apart: "--" alone, which it drops, and values
+# with a leading "-", which it takes as a flag unless they follow "="
+_DASHED = st.sampled_from(["--", "-", "-1", "-0.5", "-2,-1", "-x", "--ks"])
+
+
+@st.composite
+def _option(draw, flag, values, dashed=True):
+    """flag and a value drawn from values, as "flag value" or "flag=value";
+    with dashed, the value is sometimes one of _DASHED instead."""
+    value = draw(_mostly(values, _DASHED) if dashed else values)
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
 
 
 @st.composite
@@ -1263,36 +1273,49 @@ def _cli_argv(draw):
     argv, graph = [command], None
     if command in ("check", "invariants"):
         if draw(st.booleans()):
-            argv += ["--family", draw(_FAMILY)]
+            argv += draw(_option("--family", _FAMILY))
         else:
             graph = draw(_graph_file())
-            argv += ["--graph", "GRAPH"]
+            argv += draw(_option("--graph", st.just("GRAPH"), dashed=False))
     elif command == "sweep":
-        argv += ["--family", draw(_FAMILY)]
+        argv += draw(_option("--family", _FAMILY))
     elif command == "fuzz":
         low, high = sorted(draw(st.tuples(_SMALL_N, _SMALL_N)))
-        argv += ["--count", str(draw(_mostly(st.integers(1, 3),
-                                             st.integers(-1, 0)))),
-                 "--seed", draw(_SEED),
-                 "--model", draw(_mostly(st.sampled_from(
-                     ["gnp", "tree", "clique-union"]), st.just("x"))),
-                 "--p", draw(_mostly(st.sampled_from(["0.5", "1", "0.2"]),
-                                     st.sampled_from(["0.001", "0", "2"]))),
-                 "--n-min", str(max(low, 2)), "--n-max", str(high),
-                 "--out-dir", "OUT"]
+        for flag, values in [
+                ("--count", _mostly(st.integers(1, 3), st.integers(-1, 0))),
+                ("--seed", _SEED),
+                ("--model", _mostly(st.sampled_from(
+                    ["gnp", "tree", "clique-union"]), st.just("x"))),
+                ("--p", _mostly(st.sampled_from(["0.5", "1", "0.2"]),
+                                st.sampled_from(["0.001", "0", "2"]))),
+                ("--n-min", st.just(max(low, 2))),
+                ("--n-max", st.just(high))]:
+            argv += draw(_option(flag, values.map(str)))
+        # no dashed value here: "--out-dir=-x" would write to the cwd
+        argv += draw(_option("--out-dir", st.just("OUT"), dashed=False))
     if draw(st.booleans()):
-        argv.append(draw(_ALPHAS))
+        argv += draw(_option("--alphas", _ALPHAS))
     if draw(st.booleans()):
-        argv.append(draw(_KS))
+        argv += draw(_option("--ks", _KS))
     if command != "invariants":
         if draw(st.booleans()):
-            argv += draw(_BOUNDS)
+            argv += draw(_option("--bounds", _BOUNDS))
         if draw(st.booleans()):
             argv.append("--strict-applicability")
     if draw(st.booleans()):
-        argv += ["--format", draw(_mostly(st.sampled_from(["json", "csv"]),
-                                          st.just("xml")))]
+        argv += draw(_option("--format", _mostly(
+            st.sampled_from(["json", "csv"]), st.just("xml"))))
+    if draw(_mostly(st.just(False), st.just(True))):  # a lone "--"
+        argv.insert(draw(st.integers(1, len(argv))), "--")
     return argv, graph
+
+
+def _in_dir(template, root):
+    """template with GRAPH and OUT, alone or after "--flag=", replaced by
+    the paths of graph.txt and out in root."""
+    paths = {"GRAPH": str(root / "graph.txt"), "OUT": str(root / "out")}
+    return [flag + eq + paths.get(value, value)
+            for flag, eq, value in (a.rpartition("=") for a in template)]
 
 
 class TestCliContract:
@@ -1320,8 +1343,7 @@ class TestCliContract:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "graph.txt").write_text(graph or "")
-            argv = [str(root / "graph.txt") if a == "GRAPH" else
-                    str(root / "out") if a == "OUT" else a for a in template]
+            argv = _in_dir(template, root)
             runs = []
             for _ in range(2):
                 runs.append((self._run(argv), self._tree(root / "out")))
@@ -1334,6 +1356,26 @@ class TestCliContract:
                     or err.startswith("usage: ")
                     and ": error: " in lines[-1]), (argv, err)
         assert runs[1] == runs[0], argv
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "K:3", "--alphas=--"],
+        ["check", "--family", "K:4", "--bounds=--"],
+        ["sweep", "--family=--"],
+        ["fuzz", "--count", "1", "--p=--"],
+        ["fuzz", "--count", "1", "--model=--"],
+    ], ids=" ".join)
+    def test_an_option_given_as_eq_dashdash_has_no_value(self, argv,
+                                                         capsys, tmp_path,
+                                                         monkeypatch):
+        # argparse drops the "--", which would leave the option holding []
+        monkeypatch.chdir(tmp_path)  # where fuzz would write counterexamples
+        code, out, err = run(argv, capsys)
+        flag = next(a for a in argv if a.endswith("=--"))[:-3]
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: ")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"lapbounds {argv[0]}: error: argument {flag}: expected one "
+            "argument"]
 
 
 def _full_parse(argv):
@@ -1385,6 +1427,15 @@ class TestOneSubcommandParser:
         ["fuzz", "--count", "2", "--p", "1e-3", "--n-max", "5",
          "--out-dir", "OUT"],
         ["sweep", "--alphas", "2"],
+        ["sweep", "--family", "K:3", "--alphas=--"],
+        ["check", "--family", "K:4", "--bounds=--"],
+        ["sweep", "--family=--"],
+        ["fuzz", "--count", "1", "--p=--", "--out-dir", "OUT"],
+        ["fuzz", "--count", "1", "--model=--", "--out-dir", "OUT"],
+        ["fuzz", "--count", "1", "--out-dir=--"],
+        ["sweep", "--family", "K:3", "--alphas", "--"],
+        ["sweep", "--family", "K:3", "--alphas", "--", "2"],
+        ["fuzz", "--count", "2", "--p=-0.5", "--out-dir", "OUT"],
     ]
 
     @staticmethod
@@ -1392,11 +1443,7 @@ class TestOneSubcommandParser:
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             (root / "graph.txt").write_text(graph or "")
-            paths = {"GRAPH": str(root / "graph.txt"),
-                     "OUT": str(root / "out")}
-            # GRAPH and OUT stand alone or after "--flag="
-            argv = [flag + eq + paths.get(value, value) for flag, eq, value
-                    in (a.rpartition("=") for a in template)]
+            argv = _in_dir(template, root)
             runs = []
             for call in (main, functools.partial(cli._run, _full_parse)):
                 out, err = io.StringIO(), io.StringIO()
@@ -1435,6 +1482,8 @@ class TestOneSubcommandParser:
         ["sweep", "--family", "K:3"],
         ["check", "--family", "K:4"],
         ["fuzz", "--seed", "7", "--count", "3", "--out-dir", "OUT"],
+        pytest.param(["sweep", "--family", "K:3", "--alphas=-2,-1"],
+                     id="sweep --alphas=-2,-1"),
     ], ids=lambda argv: argv[0])
     def test_a_valid_call_builds_one_parser(self, argv, progs, tmp_path,
                                             capsys):

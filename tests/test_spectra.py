@@ -809,8 +809,8 @@ class TestKernelBuild:
             assert "%ymm" not in code.stdout
 
     def test_rotation_loops_are_vectorized(self, tmp_path):
-        # the sweep's speed rests on gcc vectorizing both rotation loops;
-        # an edit that turns either back into scalar code, or into a loop
+        # the sweep's speed rests on gcc vectorizing the rotation loops; an
+        # edit that turns one back into scalar code, or into a loop
         # checked for aliasing at run time, changes no bit and would pass
         # every other test
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -823,7 +823,7 @@ class TestKernelBuild:
         source = Path(spectra.__file__).with_name("_jacobi.c")
         lines = source.read_text().splitlines()
         loops = {}
-        for helper in ("rotate_run", "rotate_rows"):
+        for helper in ("rotate_run", "rotate_run4", "rotate_rows"):
             start = next(i for i, line in enumerate(lines)
                          if line.startswith(f"INLINE void {helper}("))
             loops[helper] = next(i + 1 for i in range(start, len(lines))
@@ -844,6 +844,25 @@ class TestKernelBuild:
                            for r in report), helper
             assert not any("versioned for vectorization because of possible "
                            "aliasing" in r for r in report), helper
+
+    def test_hypot_is_libm_scalar_hypot(self):
+        # gcc may call a libmvec vector variant (_ZGV...) for a loop of
+        # libm calls; its hypot need not round as libm's does, and the
+        # coefficient phases would then lose the fallback's bits
+        lib = spectra._load_library()
+        if lib is None:
+            pytest.skip("the library cannot be built here")
+        tool = shutil.which("nm") or shutil.which("objdump")
+        if tool is None:
+            pytest.skip("no nm or objdump on PATH")
+        flag = "-D" if Path(tool).name == "nm" else "-T"
+        table = subprocess.run([tool, flag, lib._name], check=True,
+                               capture_output=True, text=True,
+                               timeout=60).stdout
+        names = {line.split()[-1].split("@")[0]
+                 for line in table.splitlines() if line.strip()}
+        assert "hypot" in names
+        assert not [name for name in names if name.startswith("_ZGV")]
 
     def test_build_removes_stale_libraries(self, tmp_path, monkeypatch,
                                            compiled_kernel):
