@@ -15,7 +15,8 @@ from .errors import (BadParameterError, BadPinchError, DisconnectedGraphError,
                      LapboundsError, LengthMismatchError,
                      NoNonzeroEigenvaluesError, NotSortedError, ParseError,
                      RetryExhaustedError, SelfLoopError,
-                     SequenceTooShortError, SpectralInconsistencyError,
+                     SequenceTooShortError, SolverBuildError,
+                     SpectralInconsistencyError,
                      UnknownBoundError, VertexRangeError)
 from .families import (FamilySpec, generate, gnp_connected, iter_family,
                        parse_family, random_tree)
@@ -41,7 +42,7 @@ __all__ = [
     "DomainViolationError", "JacobiConvergenceError", "LapboundsError",
     "LengthMismatchError", "NoNonzeroEigenvaluesError", "NotSortedError",
     "ParseError", "RetryExhaustedError", "SelfLoopError",
-    "SequenceTooShortError", "SpectralInconsistencyError",
+    "SequenceTooShortError", "SolverBuildError", "SpectralInconsistencyError",
     "UnknownBoundError", "VertexRangeError",
     "FamilySpec", "generate", "gnp_connected", "iter_family", "parse_family",
     "random_tree",

@@ -4,20 +4,20 @@
  * jacobi_solve solves a stack of symmetric matrices: it fills the stack from
  * packed neighbour-mask rows when it is given them, builds the round-robin
  * schedule, sweeps, tests each matrix for convergence and retires it with its
- * final diagonal. spectra._numpy_solve is the same solve in numpy, the
- * fallback where no library can be built and the reference this file is
- * tested against: both do the same IEEE operations in the same order, so
- * they give the same bits and retire each matrix after the same sweep. Build
- * it without fast-math and without contraction (-fno-fast-math
- * -ffp-contract=off), since a fused multiply-add would round once where numpy
- * rounds twice, and a reordered sum would round differently.
+ * final diagonal. It is the only solver: the tests check it against the
+ * same solve written in numpy (numpy_solve in tests/jacobi_oracle.py), and
+ * both do the same IEEE operations in the same order, so they give the same
+ * bits and retire each matrix after the same sweep. Build it without
+ * fast-math and without contraction (-fno-fast-math -ffp-contract=off),
+ * since a fused multiply-add would round once where numpy rounds twice, and
+ * a reordered sum would round differently.
  *
  * Only the order in which independent pairs and entries are visited differs
- * from the numpy round, and rotate() holds the operations of every entry.
- * A round's coefficients c_i and t_i each depend on pair i's three entries
- * alone. Its column rotation changes each entry of columns P_i and Q_i from
- * the two entries of its own row in those columns, and no two pairs share a
- * column; its row rotation then changes rows P_i and Q_i from the
+ * from the oracle's numpy round, and rotate() holds the operations of every
+ * entry. A round's coefficients c_i and t_i each depend on pair i's three
+ * entries alone. Its column rotation changes each entry of columns P_i and
+ * Q_i from the two entries of its own row in those columns, and no two pairs
+ * share a column; its row rotation then changes rows P_i and Q_i from the
  * column-rotated rows P_i and Q_i alone. So the pairs and rows may be taken
  * in any order and grouped in any way, and every pair and entry still goes
  * through the same operations on the same operands.
@@ -158,8 +158,8 @@ INLINE void rotate_rows(double *restrict xp, double *restrict xq,
 
 /* The rotation coefficients c[i] and t[i] of the k pairs of one round of
  * the n x n matrix m, in phases over all pairs, each pair through the same
- * operations as in _numpy_sweep. Until the last phase, c holds half and t
- * holds apq, then tt; h is a work array of k doubles. */
+ * operations as in the oracle's numpy_sweep. Until the last phase, c holds
+ * half and t holds apq, then tt; h is a work array of k doubles. */
 INLINE void coefficients(const double *m, ptrdiff_t n, const ptrdiff_t *P,
                          const ptrdiff_t *Q, ptrdiff_t k, double *restrict h,
                          double *restrict c, double *restrict t)
@@ -242,8 +242,8 @@ int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
 
 /* Row r of pq, r < n - 1 + n % 2, gets round r's k = n / 2 pairs of the
  * round-robin schedule above, all P = min, then all Q = max; for an odd n,
- * pair 0 meets M - 1 = n, the bye, and is dropped. The pq of
- * spectra._round_robin. */
+ * pair 0 meets M - 1 = n, the bye, and is dropped. The pq of the
+ * oracle's round_robin. */
 static void round_robin(ptrdiff_t n, ptrdiff_t *pq)
 {
     ptrdiff_t m = n + n % 2, k = n / 2, odd = n % 2;

@@ -112,7 +112,11 @@ class GraphContext:
 
     @cached_property
     def kirchhoff(self) -> float:
-        return kirchhoff(self.spec)
+        """kirchhoff(spec), from the s_{-1} that the rows share."""
+        spec = self.spec
+        if spec.component_count == 1 and spec.n > 1:
+            return spec.n * self.s_alpha(-1.0)
+        return kirchhoff(spec)  # raises, or gives 0.0 for n = 1
 
     @cached_property
     def grone(self) -> Comparison:

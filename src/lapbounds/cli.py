@@ -2,10 +2,12 @@
 
 Exit codes for every subcommand: 0 when no verdict is VIOLATED and every
 agreement flag is true, 2 when any verdict is VIOLATED, 3 when an agreement
-failure is the only problem, 1 for a usage or input error. Two other causes
-also exit 1 for now: a numeric overflow in any row, and a --family G(n, p)
-graph with no connected draw within the retry cap (fuzz lists such an
-instance under corpus.generation_failures instead).
+failure is the only problem, 1 for a usage or input error. Three other
+causes also exit 1: a numeric overflow in any row, a --family G(n, p) graph
+with no connected draw within the retry cap (fuzz lists such an instance
+under corpus.generation_failures instead), and a Jacobi solver that cannot
+be built (no C compiler, a compiler error, or a __pycache__ that cannot be
+written), whose error line names the compiler command.
 
 Output is deterministic for a fixed (configuration, seed): no timestamps or
 absolute paths ever enter a report, counterexample files are referenced by
@@ -13,15 +15,15 @@ basename, and repeated runs are byte-identical.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import itertools
 import json
 import sys
+import types
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, NamedTuple, NoReturn,
-                    Optional, Sequence, Union)
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
+                    NoReturn, Optional, Sequence, Union)
 
 from .bounds import (BOUND_IDS, EQUALITY, HOLDS, NOT_APPLICABLE, VIOLATED,
                      BoundResult, GraphContext, _legal, evaluate_catalog)
@@ -33,6 +35,9 @@ from .majorization import majorizes
 from .rng import SplitMix64, splitmix64
 from .spectra import Spectrum, spanning_trees_exact, spectra_of
 
+if TYPE_CHECKING:
+    import argparse
+
 MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
 # check, sweep and fuzz solve this many consecutive instances at a time, the
 # graphs of one n as one stack; only one n-group of a chunk is alive at once
@@ -41,23 +46,6 @@ FUZZ_CHUNK = 64
 CSV_COLUMNS = ("graph_id", "n", "m") + BoundResult._fields
 # the fuzz report's majorization checks, in report order
 MAJORIZATION_CHECKS = ("GRONE", "GRONE_MERRIS")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit 1 (2 is taken by VIOLATED),
-    and which refuses "--opt=--" as a missing value."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-    def _get_values(self, action, arg_strings):
-        # argparse drops the one "--" it finds among an option's strings,
-        # so "--opt=--" would leave the option holding an empty list
-        values = super()._get_values(action, arg_strings)
-        if action.nargs is None and isinstance(values, list):
-            raise argparse.ArgumentError(action, "expected one argument")
-        return values
 
 
 def _fmt_real(x: float) -> str:
@@ -613,7 +601,32 @@ SUBCOMMANDS = {
 }
 
 
-def _declare(parser: _Parser, options: Sequence[_Option]) -> None:
+@functools.cache
+def _parser_class() -> type[argparse.ArgumentParser]:
+    """The CLI's argparse variant, defined when the first parser is built:
+    only help texts and usage errors need argparse, so a valid call never
+    imports it. Its usage errors exit 1 (2 is taken by VIOLATED), and it
+    refuses "--opt=--" as a missing value."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+        def _get_values(self, action, arg_strings):
+            # argparse drops the one "--" it finds among an option's
+            # strings, so "--opt=--" would leave the option holding []
+            values = super()._get_values(action, arg_strings)
+            if action.nargs is None and isinstance(values, list):
+                raise argparse.ArgumentError(action, "expected one argument")
+            return values
+
+    return _Parser
+
+
+def _declare(parser: argparse.ArgumentParser,
+             options: Sequence[_Option]) -> None:
     for opt in options:
         kind = ({"action": "store_true"} if opt.store_true
                 else {"type": opt.type, "choices": opt.choices})
@@ -621,10 +634,10 @@ def _declare(parser: _Parser, options: Sequence[_Option]) -> None:
                             required=opt.required, help=opt.help, **kind)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="lapbounds",
-                     description="Laplacian spectral invariants and "
-                                 "degree-sequence bound verification")
+def build_parser() -> argparse.ArgumentParser:
+    parser = _parser_class()(prog="lapbounds",
+                             description="Laplacian spectral invariants and "
+                                         "degree-sequence bound verification")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, options, _) in SUBCOMMANDS.items():
         _declare(sub.add_parser(command, help=help_line), options)
@@ -667,7 +680,7 @@ def _read(options: Sequence[_Option], argv: list[str]) -> Optional[dict]:
             for opt in options}
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> types.SimpleNamespace | argparse.Namespace:
     """argv as build_parser() reads it; a valid call builds no parser.
 
     Each option is declared once, in SUBCOMMANDS. When argv[0] names a
@@ -685,8 +698,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     _, options, _ = SUBCOMMANDS[command]
     values = _read(options, argv[1:])
     if values is not None:
-        return argparse.Namespace(command=command, **values)
-    parser = _Parser(prog=f"lapbounds {command}")
+        return types.SimpleNamespace(command=command, **values)
+    parser = _parser_class()(prog=f"lapbounds {command}")
     _declare(parser, options)
     args, extras = parser.parse_known_args(argv[1:])
     if extras:

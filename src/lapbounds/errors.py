@@ -34,6 +34,11 @@ class JacobiConvergenceError(LapboundsError):
     the matrix has a non-finite entry, so no target can be met."""
 
 
+class SolverBuildError(LapboundsError):
+    """The compiled Jacobi solver could not be built or loaded: no C
+    compiler, a compiler error, or a __pycache__ that cannot be written."""
+
+
 class SpectralInconsistencyError(LapboundsError):
     """Computed eigenvalues contradict a structural fact about the graph."""
 

@@ -18,9 +18,8 @@ which expands to one spec per n. Each kind is declared once, in _KIND_TABLE.
 Every generator but random_tree emits each vertex's neighbour mask by bit
 arithmetic, so it builds Graph(n, masks) directly, with none of
 build_graph's per-edge checks; gnp_connected reads its masks from the rows
-that the compiled library's coin block writes, or flips its coins one by
-one without the library. A Prufer decode emits edge pairs, so random_tree
-goes through build_graph.
+that the compiled library's coin block writes. A Prufer decode emits edge
+pairs, so random_tree goes through build_graph.
 """
 from __future__ import annotations
 
@@ -117,9 +116,9 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
     An attempt flips one coin per pair u < v, in u-major order, and keeps the
     pairs whose uniform() draw of the seed's stream is below p; the next
     attempt continues the stream. The compiled library draws an attempt as
-    one block, in gnp_rows, and writes it as packed mask rows; without it the
-    coins are drawn one by one, with the same bits. Raises
-    RetryExhaustedError after GNP_RETRY_CAP rejected draws.
+    one block, in gnp_rows, and writes it as packed mask rows. Raises
+    RetryExhaustedError after GNP_RETRY_CAP rejected draws, and
+    SolverBuildError when the library cannot be built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -130,18 +129,10 @@ def gnp_connected(n: int, p: float, seed: int) -> Graph:
     width = (n + 7) // 8
     rows = array("B", bytes(n * width))
     for _ in range(GNP_RETRY_CAP):
-        if lib is None:
-            masks = [0] * n
-            for u, v in itertools.combinations(range(n), 2):
-                if rng.uniform() < p:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-        else:
-            lib.gnp_rows(rng.skip(n * (n - 1) // 2), n, p,
-                         rows.buffer_info()[0])
-            data = rows.tobytes()
-            masks = [int.from_bytes(data[i:i + width], "little")
-                     for i in range(0, len(data), width)]
+        lib.gnp_rows(rng.skip(n * (n - 1) // 2), n, p, rows.buffer_info()[0])
+        data = rows.tobytes()
+        masks = [int.from_bytes(data[i:i + width], "little")
+                 for i in range(0, len(data), width)]
         g = Graph(n, tuple(masks))
         if len(g.components) == 1:
             return g

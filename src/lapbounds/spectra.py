@@ -6,19 +6,14 @@ one size at once; Jacobi keeps small eigenvalues accurate relative to their
 size, which s_{-2} needs (Demmel & Veselic 1992). A solve is one call of
 jacobi_solve in _jacobi.c, compiled with -O3 on the first solve into this
 package's __pycache__: it fills the stack from the graphs' neighbour masks,
-sweeps it, and retires each matrix as it converges. Where no library can be
-built or loaded, _numpy_solve does the same in numpy. Both do the same IEEE
-operations on each entry in the same order, and sum their convergence tests
-left to right, with no BLAS, so they give the same bits and retire each
-matrix after the same sweep. The compiled sweep only visits independent
-work in another order: a round's rotation coefficients in phases over all
-its pairs, with libm's hypot, and its columns in runs of adjacent pairs,
-four rows at a time. Each matrix leaves the stack on its own, so its
-eigenvalues are bit-identical whatever it was stacked with; spectra_of
-solves graphs of one vertex count as one stack, and the CLI's check, sweep
-and fuzz group their graphs by n before they call it. numpy is imported only
-by the fallback, by laplacian and by jacobi_eigenvalues on a numpy input, so
-with the library the CLI runs without it.
+sweeps it, and retires each matrix as it converges. It sums its convergence
+tests left to right, with no BLAS, and each matrix leaves the stack on its
+own, so its eigenvalues are bit-identical whatever it was stacked with;
+spectra_of solves graphs of one vertex count as one stack, and the CLI's
+check, sweep and fuzz group their graphs by n before they call it. Where the
+library cannot be built, the first solve raises SolverBuildError. numpy is
+imported only by laplacian and by jacobi_eigenvalues on a numpy input, so
+the CLI runs without it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -29,13 +24,12 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from functools import reduce
-from operator import add, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (DisconnectedGraphError, JacobiConvergenceError,
-                     NoNonzeroEigenvaluesError, SpectralInconsistencyError)
+                     NoNonzeroEigenvaluesError, SolverBuildError,
+                     SpectralInconsistencyError)
 from .graphs import Graph
 
 if TYPE_CHECKING:
@@ -78,126 +72,14 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.asarray(_Laplacians([g]))[0]
 
 
-def _round_robin(n: int) -> np.ndarray:
-    """Chess-tournament schedule for one parallel Jacobi sweep.
-
-    Every pair p < q meets exactly once in n - 1 rounds (n rounds when n is
-    odd: the pairing with the bye slot n is dropped, so one index sits out).
-    Row r of the (rounds, 2k) np.intp result holds round r's k = n // 2
-    disjoint pairs (P, Q): all P, then all Q. _jacobi.c builds the same
-    schedule from the same formula.
-    """
-    import numpy as np
-    m = n + n % 2
-    r = np.arange(m - 1)[:, None]
-    i = np.arange(m // 2)
-    u, v = (r + i) % (m - 1), (r - i) % (m - 1)
-    v[:, 0] = m - 1  # r meets the last index; for odd n the bye, dropped
-    if n % 2:
-        u, v = u[:, 1:], v[:, 1:]
-    return np.concatenate((np.minimum(u, v), np.maximum(u, v)),
-                          axis=1).astype(np.intp)
-
-
-def _numpy_sweep(a: np.ndarray, pq: np.ndarray) -> None:
-    """One sweep of every matrix of the contiguous (b, n, n) stack a, in place.
-
-    One matrix at a time, each round in numpy: the rotation coefficients of
-    all k pairs, then the P and Q columns, then the P and Q rows, then
-    a[P, Q] = a[Q, P] = 0. This is _numpy_solve's sweep, and the reference
-    that _jacobi.c's jacobi_sweep is tested against bit for bit, its AVX2
-    body and its portable one, on the round-robin schedule and on any other
-    pq of disjoint pairs. The compiled sweep visits the entries in another
-    order, the columns one run of pairs at a time (a stretch of pairs of
-    adjacent columns, or a lone pair), but each entry goes through the same
-    operations on the same operands.
-    """
-    import numpy as np
-    n = a.shape[1]
-    k = pq.shape[1] // 2
-    sign = np.array([[-1.0], [1.0]])
-    for m in a:
-        for pair in pq:
-            p, q = pair[:k], pair[k:]
-            app, aqq, apq = m[p, p], m[q, q], m[p, q]
-            half = aqq - app
-            half *= 0.5
-            den = np.hypot(half, apq)
-            den += np.abs(half)
-            # den == 0 only when apq == 0 too; den is then raised to the
-            # smallest subnormal, so t = apq / den = +-0, the identity rotation
-            np.maximum(den, 5e-324, out=den)
-            t = apq / np.copysign(den, half, out=den)
-            c = np.hypot(1.0, t)
-            np.divide(1.0, c, out=c)
-            t *= c
-            s = sign * t
-            cols = m[:, pair].reshape(n, 2, k)
-            new = cols * c
-            new += cols[:, ::-1] * s
-            m[:, pair] = new.reshape(n, 2 * k)
-            rows = m.take(pair, axis=0).reshape(2, k, n)
-            new = rows * c[:, None]
-            new += rows[::-1] * s[:, :, None]
-            m[pair] = new.reshape(2 * k, n)
-            m[p, q] = m[q, p] = 0.0
-
-
-def _sum_squares(xs: list[float]) -> float:
-    """The squares of xs summed left to right, as _jacobi.c sums them."""
-    return reduce(add, map(mul, xs, xs), 0.0)
-
-
-def _numpy_solve(a: array, b: int, n: int, laplacians: Optional[_Laplacians],
-                 values: array, sweeps: array) -> int:
-    """_jacobi.c's jacobi_solve in numpy, with its arguments, results and
-    return value: the solve where the library cannot be built or loaded, and
-    the reference that jacobi_solve is tested against."""
-    import numpy as np
-    x = np.frombuffer(a).reshape(b, n, n)
-    if laplacians is not None:
-        x[...] = laplacians
-    if not np.isfinite(x).all():
-        return -2
-    targets = [JACOBI_REL_TOL * math.sqrt(_sum_squares(m.ravel().tolist()))
-               for m in x]
-    if not all(map(math.isfinite, targets)):
-        return -3
-    out = np.frombuffer(values).reshape(b, n)
-    ids = list(range(b))
-    pq = None
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        keep = []
-        for j, m in enumerate(x):
-            off = m.flatten()
-            off[::n + 1] = 0.0
-            if math.sqrt(_sum_squares(off.tolist())) <= targets[j]:
-                out[ids[j]] = m.diagonal()
-                sweeps[ids[j]] = sweep
-            else:
-                keep.append(j)
-        if not keep:
-            return 0
-        if sweep == JACOBI_MAX_SWEEPS:
-            break
-        if len(keep) < len(x):  # converged matrices leave the stack
-            x = x[keep]
-            ids = [ids[j] for j in keep]
-            targets = [targets[j] for j in keep]
-        if pq is None:
-            pq = _round_robin(n)
-        _numpy_sweep(x, pq)
-    for i in ids:
-        sweeps[i] = -1
-    return len(ids)
-
-
 _CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _load_library():
     """_jacobi.c's library, with the argument types of jacobi_solve and
-    gnp_rows set, or None when it cannot be built or loaded.
+    gnp_rows set. Raises SolverBuildError, naming the compiler command and
+    what went wrong (its stderr, for a compiler error), when the library
+    cannot be built or loaded.
 
     The library is built once, with sysconfig's CC, into this package's own
     __pycache__ as _jacobi-<sha256 of source, compiler and flags>.so, and
@@ -219,6 +101,11 @@ def _load_library():
     source = Path(__file__).with_name("_jacobi.c")
     cache = source.with_name("__pycache__")
     command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS]
+
+    def failed(reason) -> SolverBuildError:
+        return SolverBuildError("cannot build or load the Jacobi solver "
+                                f"with {shlex.join(command)}: {reason}")
+
     try:
         key = hashlib.sha256(source.read_bytes()
                              + "\0".join(command).encode()).hexdigest()
@@ -233,11 +120,15 @@ def _load_library():
             os.close(fd)
             try:
                 try:
-                    subprocess.run([*command, "-o", tmp, str(source)],
-                                   check=True, stdin=subprocess.DEVNULL,
-                                   capture_output=True, timeout=120)
-                except subprocess.SubprocessError:
-                    return None
+                    done = subprocess.run(
+                        [*command, "-o", tmp, str(source)],
+                        stdin=subprocess.DEVNULL, capture_output=True,
+                        text=True, errors="replace", timeout=120)
+                except subprocess.TimeoutExpired as exc:
+                    raise failed(exc) from exc
+                if done.returncode:
+                    raise failed(f"exit status {done.returncode}\n"
+                                 f"{done.stderr.rstrip()}")
                 os.replace(tmp, library)
                 for stale in cache.glob("_jacobi-*.so"):
                     if stale != library:
@@ -247,8 +138,8 @@ def _load_library():
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         lib = ctypes.CDLL(str(library))
-    except OSError:
-        return None
+    except OSError as exc:
+        raise failed(exc) from exc
     size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
     lib.jacobi_solve.argtypes = (ptr, size, size, ctypes.c_char_p, size,
                                  ctypes.c_double, ptr, ptr)
@@ -258,36 +149,32 @@ def _load_library():
     return lib
 
 
-# The library: _load_library(), or False when that is None. Resolved on the
-# first solve or G(n, p) draw, not at import.
+# The library, once _load_library() has returned it; the first solve or
+# G(n, p) draw loads it, not the import.
 _lib = None
 
 
 def _library():
-    """The compiled library, built or loaded on the first call, or None."""
+    """The compiled library, built or loaded on the first call."""
     global _lib
     if _lib is None:
-        _lib = _load_library() or False
-    return _lib or None
+        _lib = _load_library()
+    return _lib
 
 
 def _solve(a: array, b: int, n: int,
            laplacians: Optional[_Laplacians] = None) -> tuple[array, array]:
     """The final diagonals of the b matrices of order n in the doubles of a,
     filled from laplacians when given, and the sweeps each matrix took: one
-    jacobi_solve, or _numpy_solve without the library. Raises
-    JacobiConvergenceError when the solve fails."""
+    jacobi_solve. Raises JacobiConvergenceError when the solve fails, and
+    SolverBuildError when the library cannot be built."""
     if a.typecode != "d" or len(a) != b * n * n:
         raise ValueError("the stack must hold b * n * n doubles")
     values, sweeps = array("d", [0.0]) * (b * n), array("i", [0]) * b
-    lib = _library()
-    if lib is None:
-        code = _numpy_solve(a, b, n, laplacians, values, sweeps)
-    else:
-        code = lib.jacobi_solve(
-            a.buffer_info()[0], b, n, laplacians and laplacians.rows,
-            JACOBI_MAX_SWEEPS, JACOBI_REL_TOL, values.buffer_info()[0],
-            sweeps.buffer_info()[0])
+    code = _library().jacobi_solve(
+        a.buffer_info()[0], b, n, laplacians and laplacians.rows,
+        JACOBI_MAX_SWEEPS, JACOBI_REL_TOL, values.buffer_info()[0],
+        sweeps.buffer_info()[0])
     if code == -1:
         raise MemoryError("no memory for the Jacobi solve")
     if code:
@@ -315,9 +202,8 @@ def jacobi_eigenvalues(matrix):
     computed multiplied through by |a[p, q]| so that no intermediate
     overflows: t tends to 1 / (2 tau) for a tiny a[p, q], and a[p, q] == 0
     gives the identity rotation. The solve is one call of the compiled
-    _jacobi.c, built on the first solve, or _numpy_solve when it cannot be
-    built. Both do the same IEEE operations in the same order, so they give
-    the same bits.
+    _jacobi.c, built on the first solve; SolverBuildError is raised when it
+    cannot be built.
 
     Each matrix sweeps until its own off-diagonal Frobenius norm drops below
     JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),

@@ -605,8 +605,13 @@ class TestOneRowPath:
 
         monkeypatch.setattr(bounds, "s_alpha",
                             counting("s_alpha", bounds.s_alpha))
-        monkeypatch.setattr(bounds, "kirchhoff",
-                            counting("kirchhoff", bounds.kirchhoff))
+        # the Kirchhoff index reads the shared s_{-1}: neither
+        # spectra.kirchhoff nor any other spectra function sums it again
+        spectra = lb.spectra
+        monkeypatch.setattr(spectra, "kirchhoff",
+                            counting("kirchhoff", spectra.kirchhoff))
+        monkeypatch.setattr(spectra, "s_alpha",
+                            counting("s_alpha", spectra.s_alpha))
         # each comparison sequence is derived once, whatever reads it
         sequences = ("grone_sequence", "merged_grone_sequence",
                      "conjugate_sequence")
@@ -623,7 +628,7 @@ class TestOneRowPath:
                 "R1_TREE_HIGH", "R1_TREE_LOW", "RP_MOMENT", "LEE_DEGREE",
                 "LEE_TREE"}
             assert Counter(calls) == Counter(
-                [("kirchhoff",)] + [(name,) for name in sequences]
+                [(name,) for name in sequences]
                 + [("s_alpha", a) for a in {*ALPHAS, *map(float, KS)}]), label
 
     def test_duplicate_grid_entries_give_one_row(self):

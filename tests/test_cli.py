@@ -1153,7 +1153,8 @@ before = set(sys.modules)
 import lapbounds.cli as cli
 def loaded():
     return [name for name in ("numpy", "subprocess", "dataclasses", "inspect",
-                              "csv") if name in sys.modules.keys() - before]
+                              "csv", "argparse", "gettext")
+            if name in sys.modules.keys() - before]
 print("import", loaded())
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1172,17 +1173,15 @@ def _probe(argvs: list) -> list[str]:
 
 
 class TestNumpyOffThePath:
-    """With the compiled library, no subcommand imports numpy, and loading
-    the cached library imports no build module. Importing the CLI loads
-    neither dataclasses nor inspect, and only a CSV report loads csv."""
+    """No subcommand imports numpy, and loading the cached library imports
+    no build module. Importing the CLI loads neither dataclasses, inspect,
+    argparse nor gettext, and only a CSV report loads csv."""
 
     def test_import_loads_none_of_them(self):
         assert _probe([]) == ["import []"]
 
     def test_every_subcommand_runs_without_numpy(self, tmp_path):
-        if spectra._library() is None:  # also builds the cached library
-            pytest.skip("the compiled library cannot be built here, so the "
-                        "CLI solves in numpy")
+        spectra._library()  # builds the cached library the probe loads
         out = str(tmp_path / "out")
         argvs = [["invariants", "--family", "GNP:12:0.5:1"]]
         for fmt in ("json", "csv"):  # every JSON call before the first CSV one
@@ -1468,14 +1467,17 @@ class TestOneSubcommandParser:
 
     @pytest.fixture
     def progs(self, monkeypatch):
-        """The prog of each parser the CLI constructs, in order."""
+        """The prog of each parser the CLI constructs, in order: each
+        parser of the class that cli defines, not those of other code."""
         progs = []
+        original = argparse.ArgumentParser.__init__
 
         def init(parser, *args, **kwargs):
-            progs.append(kwargs.get("prog"))
-            argparse.ArgumentParser.__init__(parser, *args, **kwargs)
+            if type(parser).__module__ == cli.__name__:
+                progs.append(kwargs.get("prog"))
+            original(parser, *args, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", init)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
         return progs
 
     @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lapbounds as lb
 from lapbounds import ParseError, RetryExhaustedError, families, spectra
 from lapbounds.rng import SplitMix64, splitmix64
+from jacobi_oracle import ORACLE
 
 
 def fam(text):
@@ -53,10 +54,8 @@ class TestSplitMix:
     def test_uniforms_block_equals_successive_uniforms(self, seed, k):
         # the compiled coin block of the smallest G(n, p) attempt with at
         # least k pairs keeps pair i exactly when the i-th uniform() is below
-        # p; p at and just above drawn values flips a coin on its last bit
-        lib = spectra._library()
-        if lib is None:
-            pytest.skip("the compiled library cannot be built here")
+        # p; p at and just above drawn values flips a coin on its last bit;
+        # so does the oracle's, which tests put in the library's place
         n = next(n for n in itertools.count(1) if n * (n - 1) // 2 >= k)
         width = (n + 7) // 8
         seq = SplitMix64(seed)
@@ -70,11 +69,13 @@ class TestSplitMix:
                 if draw < p:
                     want[u * width + v // 8] |= 1 << v % 8
                     want[v * width + u // 8] |= 1 << u % 8
-            block = SplitMix64(seed)
-            rows = array("B", bytes(n * width))
-            lib.gnp_rows(block.skip(len(draws)), n, p, rows.buffer_info()[0])
-            assert rows == want, p
-            assert block.next_u64() == after
+            for lib in (spectra._library(), ORACLE):
+                block = SplitMix64(seed)
+                rows = array("B", b"\xff" * (n * width))
+                lib.gnp_rows(block.skip(len(draws)), n, p,
+                             rows.buffer_info()[0])
+                assert rows == want, (p, lib)
+                assert block.next_u64() == after
 
     def test_skip_returns_the_state_and_moves_past_the_block(self):
         rng, seq = SplitMix64(99), SplitMix64(99)
@@ -251,26 +252,19 @@ class TestRandomFamilies:
                 assert lb.gnp_connected(n, p, seed) == want, seed
 
     def test_gnp_same_with_and_without_the_library(self, monkeypatch):
-        # a cap of 8 attempts keeps the coin-by-coin fallback quick, and
+        # a cap of 8 attempts keeps the coin-by-coin oracle quick, and
         # makes p = 1e-3 exhaust its retries at every n > 2
-        if spectra._library() is None:
-            pytest.skip("the compiled library cannot be built here")
         monkeypatch.setattr(families, "GNP_RETRY_CAP", 8)
-
-        def draws(lib):
-            monkeypatch.setattr(spectra, "_lib", lib)
-            out = []
-            for n, p, seed in itertools.product(range(1, 65),
-                                                [1e-3, 0.1, 0.5, 1.0],
-                                                [0, 7, 2 ** 64 - 1]):
-                try:
-                    out.append(lb.gnp_connected(n, p, seed))
-                except RetryExhaustedError:
-                    out.append(None)
-            return out
-
-        compiled, fallback = draws(spectra._library()), draws(False)
-        assert compiled == fallback
+        compiled, coin_by_coin = [], []
+        for n, p, seed in itertools.product(range(1, 65),
+                                            [1e-3, 0.1, 0.5, 1.0],
+                                            [0, 7, 2 ** 64 - 1]):
+            try:
+                compiled.append(lb.gnp_connected(n, p, seed))
+            except RetryExhaustedError:
+                compiled.append(None)
+            coin_by_coin.append(_coin_by_coin_gnp(n, p, seed)[0])
+        assert compiled == coin_by_coin
         assert 0 < compiled.count(None) < len(compiled)
 
     def test_gnp_stream_continues_across_rejected_attempts(self):

@@ -28,9 +28,10 @@ import lapbounds as lb
 from lapbounds import (DisconnectedGraphError, JacobiConvergenceError,
                        NoNonzeroEigenvaluesError, SpectralInconsistencyError,
                        cli, spectra)
-from lapbounds.spectra import _round_robin, jacobi_eigenvalues
+from lapbounds.spectra import jacobi_eigenvalues
 from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
                       named_corpus, tree_corpus)
+from jacobi_oracle import ORACLE, numpy_sweep, round_robin
 
 
 def fam(text):
@@ -107,7 +108,7 @@ class TestJacobi:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 64, 65])
     def test_schedule_meets_every_pair_once(self, n):
-        pq = _round_robin(n)
+        pq = round_robin(n)
         k = n // 2
         assert pq.shape == (n - 1 + n % 2, 2 * k)
         P, Q = pq[:, :k], pq[:, k:]
@@ -199,7 +200,7 @@ class TestJacobi:
     def test_any_memory_layout(self, request, monkeypatch, kernel):
         # a Fortran-ordered matrix, a transposed view and a Fortran-ordered
         # stack give the bits of the same values in C order
-        lib = None if kernel == "numpy" else request.getfixturevalue(kernel)
+        lib = ORACLE if kernel == "numpy" else request.getfixturevalue(kernel)
         rs = np.random.RandomState(23)
         x = rs.randn(3, 9, 9)
         stack = x + x.transpose(0, 2, 1)
@@ -439,22 +440,19 @@ class TestJacobiRoundInPlace:
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """Solves with the numpy fallback, as where no library can be built."""
-    monkeypatch.setattr(spectra, "_lib", False)
+    """Solves and draws with the numpy oracle in the library's place."""
+    monkeypatch.setattr(spectra, "_lib", ORACLE)
 
 
 @pytest.fixture
 def compiled_kernel():
-    """The compiled library; the test is skipped when it cannot be built."""
-    lib = spectra._load_library()
-    if lib is None:
-        pytest.skip("the compiled Jacobi solve cannot be built here")
-    return lib
+    """The compiled library."""
+    return spectra._load_library()
 
 
 @pytest.mark.usefixtures("numpy_kernel")
 class TestJacobiStackNumpyKernel(TestJacobiStack):
-    """TestJacobiStack under the numpy fallback."""
+    """TestJacobiStack under the numpy oracle."""
 
     # Hypothesis runs a given test from one class only, so it is wrapped
     # anew; the inner test keeps its settings
@@ -464,17 +462,17 @@ class TestJacobiStackNumpyKernel(TestJacobiStack):
 
 @pytest.mark.usefixtures("numpy_kernel")
 class TestJacobiDeterminismNumpyKernel(TestJacobiDeterminism):
-    """TestJacobiDeterminism under the numpy fallback."""
+    """TestJacobiDeterminism under the numpy oracle."""
 
 
 @pytest.mark.usefixtures("numpy_kernel")
 class TestJacobiRoundInPlaceNumpyKernel(TestJacobiRoundInPlace):
-    """TestJacobiRoundInPlace under the numpy fallback."""
+    """TestJacobiRoundInPlace under the numpy oracle."""
 
 
 @pytest.mark.usefixtures("numpy_kernel")
 class TestJacobiConvergenceNumpyKernel:
-    """TestJacobi's convergence-error test under the numpy fallback."""
+    """TestJacobi's convergence-error test under the numpy oracle."""
 
     test_convergence_error_after_max_sweeps = (
         TestJacobi.test_convergence_error_after_max_sweeps)
@@ -484,8 +482,7 @@ class TestJacobiConvergenceNumpyKernel:
 def portable_library(tmp_path_factory):
     """The library as a host that is not x86-64 builds it, portable sweep
     only: _jacobi.c with defined(__x86_64__) replaced by 0, built and loaded
-    by _load_library() from a copy in a temporary directory. None when it
-    cannot be built."""
+    by _load_library() from a copy in a temporary directory."""
     root = tmp_path_factory.mktemp("portable")
     source = Path(spectra.__file__).with_name("_jacobi.c").read_text()
     (root / "_jacobi.c").write_text(
@@ -498,28 +495,24 @@ def portable_library(tmp_path_factory):
 @pytest.fixture(params=["built", "portable"])
 def compiled_variant(request):
     """The library as _load_library() builds it here, and its portable
-    build, whose sweep hosts without AVX2 run; the test is skipped for one
-    that cannot be built."""
-    lib = (spectra._load_library() if request.param == "built"
-           else request.getfixturevalue("portable_library"))
-    if lib is None:
-        pytest.skip(f"the {request.param} library cannot be built here")
-    return lib
+    build, whose sweep hosts without AVX2 run."""
+    return (spectra._load_library() if request.param == "built"
+            else request.getfixturevalue("portable_library"))
 
 
 def _solve_with(monkeypatch, lib, matrix):
-    """jacobi_eigenvalues(matrix) with lib's jacobi_solve, or with
-    _numpy_solve when lib is None."""
-    monkeypatch.setattr(spectra, "_lib", lib or False)
+    """jacobi_eigenvalues(matrix) with lib's jacobi_solve; lib is a
+    compiled library or ORACLE."""
+    monkeypatch.setattr(spectra, "_lib", lib)
     return jacobi_eigenvalues(matrix)
 
 
 def _exits_with(monkeypatch, lib, stack):
     """The eigenvalue bits and the exit sweep of each matrix, as _solve
-    gives them with lib, or with the fallback when lib is None. stack is a
-    (B, n, n) array, or a list of graphs of one n, whose masks the solve
-    fills its stack from."""
-    monkeypatch.setattr(spectra, "_lib", lib or False)
+    gives them with lib, a compiled library or ORACLE. stack is a (B, n, n)
+    array, or a list of graphs of one n, whose masks the solve fills its
+    stack from."""
+    monkeypatch.setattr(spectra, "_lib", lib)
     if isinstance(stack, list):
         b, n = len(stack), stack[0].n
         a = array("d", bytes(8 * b * n * n))
@@ -532,10 +525,10 @@ def _exits_with(monkeypatch, lib, stack):
 
 
 def _assert_raises_unswept(monkeypatch, stack, match):
-    """Each solve, compiled where it can be built and the fallback, raises
-    on stack before its first sweep: the buffer it was given is untouched."""
-    for lib in {spectra._library(), None}:
-        monkeypatch.setattr(spectra, "_lib", lib or False)
+    """The compiled solve and the oracle each raise on stack before their
+    first sweep: the buffer each was given is untouched."""
+    for lib in (spectra._library(), ORACLE):
+        monkeypatch.setattr(spectra, "_lib", lib)
         a = array("d", stack.tobytes())
         with pytest.raises(JacobiConvergenceError, match=match):
             spectra._solve(a, *stack.shape[:2])
@@ -543,7 +536,7 @@ def _assert_raises_unswept(monkeypatch, stack, match):
 
 
 def _sweep_of(lib):
-    """lib's jacobi_sweep, with _numpy_sweep's signature."""
+    """lib's jacobi_sweep, with numpy_sweep's signature."""
     def sweep(a, pq):
         assert a.flags.c_contiguous and a.dtype == np.float64
         assert pq.flags.c_contiguous and pq.dtype == np.intp
@@ -555,15 +548,15 @@ def _sweep_of(lib):
 
 
 class TestCompiledKernel:
-    """The compiled solve gives the numpy fallback's bits, and retires each
-    matrix after the same sweep; its sweep gives _numpy_sweep's bits."""
+    """The compiled solve gives the numpy oracle's bits, and retires each
+    matrix after the same sweep; its sweep gives numpy_sweep's bits."""
 
     def test_stacks_of_every_kind(self, monkeypatch, compiled_kernel):
         kinds = ("gnp", "tree", "star", "complete", "edgeless", "clique_union")
         for n in range(2, 65):
             graphs = [_stack_graph(kind, n, 3 * n + 2) for kind in kinds]
             stack = np.stack([lb.laplacian(g) for g in graphs])
-            want = _exits_with(monkeypatch, None, stack)
+            want = _exits_with(monkeypatch, ORACLE, stack)
             assert _exits_with(monkeypatch, compiled_kernel, stack) == want, n
             # filled from the masks
             assert _exits_with(monkeypatch, compiled_kernel, graphs) == want
@@ -574,7 +567,7 @@ class TestCompiledKernel:
             graphs = [fam(f"{kind}:{n}") for n in range(2 + (kind == "C"), 65)]
             for g in graphs:
                 got = _exits_with(monkeypatch, compiled_kernel, [g])
-                assert got == _exits_with(monkeypatch, None, [g]), g
+                assert got == _exits_with(monkeypatch, ORACLE, [g]), g
                 exits[kind, g.n] = got[1][0]
         # K_64 converges after one sweep, S:40 after eight
         assert exits["K", 64] == 1 and exits["S", 40] == 8
@@ -583,8 +576,8 @@ class TestCompiledKernel:
                                                     compiled_kernel):
         # S:40 needs 8 sweeps; with 2 allowed both solves give up on it
         monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 2)
-        for lib in (compiled_kernel, None):
-            monkeypatch.setattr(spectra, "_lib", lib or False)
+        for lib in (compiled_kernel, ORACLE):
+            monkeypatch.setattr(spectra, "_lib", lib)
             with pytest.raises(JacobiConvergenceError, match="after 2 sweeps"):
                 lb.spectrum(fam("S:40"))
             with pytest.raises(JacobiConvergenceError, match="after 2 sweeps"):
@@ -594,15 +587,11 @@ class TestCompiledKernel:
             a, values = array("d", bytes(8 * b * n * n)), array("d", [0.0]) * 80
             sweeps = array("i", [7]) * b
             laplacians = spectra._Laplacians([fam("S:40"), fam("K:40")])
-            if lib is None:
-                code = spectra._numpy_solve(a, b, n, laplacians, values,
-                                            sweeps)
-            else:
-                code = lib.jacobi_solve(a.buffer_info()[0], b, n,
-                                        laplacians.rows, 2,
-                                        spectra.JACOBI_REL_TOL,
-                                        values.buffer_info()[0],
-                                        sweeps.buffer_info()[0])
+            code = lib.jacobi_solve(a.buffer_info()[0], b, n,
+                                    laplacians.rows, 2,
+                                    spectra.JACOBI_REL_TOL,
+                                    values.buffer_info()[0],
+                                    sweeps.buffer_info()[0])
             assert (code, sweeps.tolist()) == (1, [-1, 1])
             k40, = jacobi_eigenvalues(spectra._Laplacians([fam("K:40")]))
             assert values[40:].tobytes() == k40.tobytes()
@@ -629,7 +618,7 @@ class TestCompiledKernel:
             (12, n, n) for _ in range(3) for n in range(4, 13)]
         for laplacians in stacks:
             stack = np.asarray(laplacians)
-            want = _exits_with(monkeypatch, None, stack)
+            want = _exits_with(monkeypatch, ORACLE, stack)
             assert _exits_with(monkeypatch, compiled_kernel, stack) == want
             monkeypatch.setattr(spectra, "_lib", compiled_kernel)
             assert (b"".join(v.tobytes() for v in original(laplacians))
@@ -648,12 +637,12 @@ class TestCompiledKernel:
         a[i, j] = a[j, i] = bad
         swept = []
         with np.errstate(invalid="ignore"):
-            for lib in (compiled_kernel, None):
+            for lib in (compiled_kernel, ORACLE):
                 with pytest.raises(JacobiConvergenceError):
                     _solve_with(monkeypatch, lib, a)
                 swept.append(a[None].copy())
-                sweep = spectra._numpy_sweep if lib is None else _sweep_of(lib)
-                sweep(swept[-1], _round_robin(4)[:1])
+                sweep = numpy_sweep if lib is ORACLE else _sweep_of(lib)
+                sweep(swept[-1], round_robin(4)[:1])
         assert np.array_equal(*swept, equal_nan=True)
 
     @pytest.mark.parametrize("b", [1, 3])
@@ -667,7 +656,7 @@ class TestCompiledKernel:
                 x += x.transpose(0, 2, 1)
                 swept = [x.copy(), x.copy()]
                 sweep(swept[0], pq)
-                spectra._numpy_sweep(swept[1], pq)
+                numpy_sweep(swept[1], pq)
                 assert _same_bits(*swept), (n, k, pq)
 
     @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 65, 66, 97, 128,
@@ -679,7 +668,7 @@ class TestCompiledKernel:
         stack = np.concatenate((x + x.transpose(0, 2, 1),
                                 _stack_member("gnp", n, n)[None]))
         assert (_exits_with(monkeypatch, compiled_variant, stack)
-                == _exits_with(monkeypatch, None, stack))
+                == _exits_with(monkeypatch, ORACLE, stack))
 
 
 def _random_schedule(rng, n, k, rounds):
@@ -712,29 +701,55 @@ def _random_schedule(rng, n, k, rounds):
 
 
 # Solves one stack in a fresh interpreter that imports the package from the
-# directory argv[1]; argv[2] is a C compiler command, or "" for sysconfig's.
-# Prints "ready", waits for a line on stdin, then prints which kernel ran and
+# directory argv[1]. Prints "ready", waits for a line on stdin, then prints
 # the sha256 of the eigenvalues' bits.
 _BUILD_PROBE = """
-import hashlib, sys, sysconfig
+import hashlib, sys
 sys.path.insert(0, sys.argv[1])
-if sys.argv[2]:
-    sysconfig.get_config_vars()["CC"] = sys.argv[2]
 import numpy as np
 from lapbounds import spectra
 if not spectra.__file__.startswith(sys.argv[1]):
     sys.exit("imported " + spectra.__file__)
 print("ready", flush=True)
 sys.stdin.readline()
-vals = spectra.jacobi_eigenvalues(np.load(sys.argv[3]))
-kernel = "numpy" if spectra._library() is None else "compiled"
-print(kernel, hashlib.sha256(vals.tobytes()).hexdigest(), flush=True)
+vals = spectra.jacobi_eigenvalues(np.load(sys.argv[2]))
+print(hashlib.sha256(vals.tobytes()).hexdigest(), flush=True)
 """
+
+# Runs the CLI in a fresh interpreter that imports the package from the
+# directory argv[1], with sysconfig's CC set to argv[2] unless it is "", on
+# the argv that follows; exits with the CLI's exit code.
+_CLI_PROBE = """
+import sys, sysconfig
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2]:
+    sysconfig.get_config_vars()["CC"] = sys.argv[2]
+from lapbounds import cli
+if not cli.__file__.startswith(sys.argv[1]):
+    sys.exit("imported " + cli.__file__)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+_NO_COMPILER = "no-such-compiler-lapbounds"
+
+
+def _build_failure(code, out, err, compiler, cache):
+    """The stderr lines after the error: line of a check that failed to
+    build the library: check exited 1, printed one error: line, naming the
+    compiler, and no traceback, and left no library and no .tmp file in the
+    cache directory."""
+    assert (code, out) == (1, ""), err
+    first, *rest = err.splitlines()
+    assert first.startswith("error: ") and compiler in first, err
+    assert not [line for line in rest if line.startswith("error:")], err
+    assert "Traceback" not in err
+    assert not list(cache.glob("_jacobi*"))
+    return rest
 
 
 class TestKernelBuild:
     """The library is built on the first solve into the package's
-    __pycache__; when that fails, the numpy fallback gives the same bits."""
+    __pycache__; when that fails, the CLI exits 1 with one error: line."""
 
     @pytest.fixture
     def package(self, tmp_path):
@@ -748,11 +763,11 @@ class TestKernelBuild:
         return tmp_path, digest.hexdigest()
 
     @staticmethod
-    def _probes(root, count, compiler=""):
+    def _probes(root, count):
         """Start count probes, let them solve at once, return their output."""
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         procs = [subprocess.Popen(
-            [sys.executable, "-c", _BUILD_PROBE, str(root), compiler,
+            [sys.executable, "-c", _BUILD_PROBE, str(root),
              str(root / "stack.npy")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, env=env)
@@ -770,6 +785,18 @@ class TestKernelBuild:
                 proc.wait(timeout=10)
         assert [proc.returncode for proc in procs] == [0] * count
         return results
+
+    @staticmethod
+    def _check_k4(root, compiler=""):
+        """Exit code, stdout and stderr of check --family K:4 run by the
+        package copy under root."""
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_PROBE, str(root), compiler,
+             "check", "--family", "K:4"],
+            stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
 
     def test_compiled_kernel_runs_when_a_compiler_is_on_path(self):
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
@@ -848,10 +875,8 @@ class TestKernelBuild:
     def test_hypot_is_libm_scalar_hypot(self):
         # gcc may call a libmvec vector variant (_ZGV...) for a loop of
         # libm calls; its hypot need not round as libm's does, and the
-        # coefficient phases would then lose the fallback's bits
+        # coefficient phases would then lose the oracle's bits
         lib = spectra._load_library()
-        if lib is None:
-            pytest.skip("the library cannot be built here")
         tool = shutil.which("nm") or shutil.which("objdump")
         if tool is None:
             pytest.skip("no nm or objdump on PATH")
@@ -880,39 +905,56 @@ class TestKernelBuild:
         assert built[0].name != "_jacobi-0.so"
         assert built[1].name == "_jacobi-building.tmp"
 
-    def test_missing_compiler_falls_back_in_process(self, tmp_path,
-                                                    monkeypatch, capsys):
-        # the probes run the fallback in a child process; this runs it here
-        monkeypatch.setattr(spectra, "_lib", None)
-        argv = ["check", "--family", "GNP:24:0.5:1"]
-        expected = (cli.main(argv), capsys.readouterr())
+    @staticmethod
+    def _check_k4_here(tmp_path, monkeypatch, capsys, compiler):
+        """Exit code, stdout and stderr of check --family K:4 run in this
+        process, building from a copy of _jacobi.c in tmp_path with
+        sysconfig's CC set to compiler."""
         shutil.copy(Path(spectra.__file__).with_name("_jacobi.c"), tmp_path)
         monkeypatch.setattr(spectra, "__file__", str(tmp_path / "spectra.py"))
-        monkeypatch.setitem(sysconfig.get_config_vars(), "CC",
-                            "no-such-compiler-lapbounds")
-        assert spectra._load_library() is None
-        assert not list(tmp_path.glob("__pycache__/*.tmp"))
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC", compiler)
         monkeypatch.setattr(spectra, "_lib", None)
-        assert spectra._library() is None
-        assert (cli.main(argv), capsys.readouterr()) == expected
+        code = cli.main(["check", "--family", "K:4"])
+        return (code, *capsys.readouterr())
 
-    def test_missing_compiler_falls_back(self, package):
-        root, digest = package
-        (out, err), = self._probes(root, 1, "no-such-compiler-lapbounds")
-        assert (out, err) == (f"numpy {digest}\n", "")
-        assert not list((root / "lapbounds" / "__pycache__").glob("_jacobi*"))
+    def test_missing_compiler_fails_in_process(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the probes run the CLI in a child process; this runs it here
+        run = self._check_k4_here(tmp_path, monkeypatch, capsys,
+                                  _NO_COMPILER)
+        assert _build_failure(*run, _NO_COMPILER,
+                              tmp_path / "__pycache__") == []
+        with pytest.raises(lb.SolverBuildError, match=_NO_COMPILER):
+            spectra._library()
 
-    def test_unwritable_pycache_falls_back(self, package):
-        root, digest = package
+    def test_compiler_error_gives_its_stderr(self, tmp_path, monkeypatch,
+                                             capsys):
+        compiler = shlex.join([
+            *shlex.split(sysconfig.get_config_var("CC") or "cc"),
+            "-include", "no-such-header-lapbounds.h"])
+        run = self._check_k4_here(tmp_path, monkeypatch, capsys, compiler)
+        stderr = _build_failure(*run, compiler, tmp_path / "__pycache__")
+        assert "no-such-header-lapbounds.h" in "\n".join(stderr)
+
+    def test_missing_compiler_fails(self, package):
+        root, _ = package
+        cache = root / "lapbounds" / "__pycache__"
+        assert _build_failure(*self._check_k4(root, _NO_COMPILER),
+                              _NO_COMPILER, cache) == []
+
+    def test_unwritable_pycache_fails(self, package):
+        root, _ = package
         # a file where the directory should be: not writable, even for root
-        (root / "lapbounds" / "__pycache__").write_text("")
-        (out, err), = self._probes(root, 1)
-        assert (out, err) == (f"numpy {digest}\n", "")
+        cache = root / "lapbounds" / "__pycache__"
+        cache.write_text("")
+        compiler = shlex.join(shlex.split(
+            sysconfig.get_config_var("CC") or "cc"))
+        assert _build_failure(*self._check_k4(root), compiler, cache) == []
 
     def test_concurrent_cold_builds_both_load(self, package, compiled_kernel):
         root, digest = package
         results = self._probes(root, 2)
-        assert results == [(f"compiled {digest}\n", "")] * 2
+        assert results == [(f"{digest}\n", "")] * 2
         built = sorted(p.name for p in (root / "lapbounds"
                                          / "__pycache__").iterdir())
         assert len(built) == 1 and built[0].startswith("_jacobi-")
