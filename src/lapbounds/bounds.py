@@ -76,7 +76,7 @@ class GraphContext:
 
     Every invariant a catalog row reads is computed here, once per graph:
     the rows only combine them. spec, when given, is g's spectrum solved
-    beforehand (the CLI solves the graphs of one n together with spectra_of);
+    beforehand (the CLI solves a chunk of graphs together with spectra_of);
     otherwise it is solved on first use.
     """
 

@@ -31,7 +31,7 @@ from .errors import (LapboundsError, NoNonzeroEigenvaluesError, ParseError,
                      RetryExhaustedError)
 from .families import FamilySpec, generate, gnp_connected, iter_family, random_tree
 from .graphs import Graph, format_edge_list, parse_edge_list
-from .majorization import majorizes
+from .majorization import check_grone, check_grone_merris
 from .rng import SplitMix64, splitmix64
 from .spectra import Spectrum, spanning_trees_exact, spectra_of
 
@@ -39,8 +39,9 @@ if TYPE_CHECKING:
     import argparse
 
 MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
-# check, sweep and fuzz solve this many consecutive instances at a time, the
-# graphs of one n as one stack; only one n-group of a chunk is alive at once
+# check, sweep and fuzz build and solve this many consecutive instances at a
+# time, in one spectra_of call (one stack per n inside it); only one chunk's
+# graphs are alive at once
 FUZZ_CHUNK = 64
 
 CSV_COLUMNS = ("graph_id", "n", "m") + BoundResult._fields
@@ -83,8 +84,8 @@ def _parse_bounds(text: Optional[str]) -> Optional[tuple[str, ...]]:
     return ids
 
 
-# an instance is (index, graph_id, n, build): its vertex count is known
-# before build() makes the graph
+# an instance is (index, graph_id, n, build): the report gives n for an
+# instance that build() cannot generate
 _Instance = tuple[int, str, int, Callable[[], Graph]]
 
 
@@ -299,13 +300,11 @@ def _grids(args) -> tuple:
 
 def _majorization(ctx: GraphContext) -> dict[str, str]:
     """The outcome, "holds" or "fails", of each majorization check that runs
-    on ctx's graph: check_grone and check_grone_merris, on the Grone and
-    conjugate sequences ctx already holds. GRONE needs a connected graph."""
-    mu = ctx.spec.mu
+    on ctx's graph; GRONE needs a connected graph."""
     verdicts = {}
     if ctx.gclass.is_connected:
-        verdicts["GRONE"] = majorizes(tuple(map(float, ctx.grone.c)), mu)
-    verdicts["GRONE_MERRIS"] = majorizes(mu, tuple(map(float, ctx.conjugate)))
+        verdicts["GRONE"] = check_grone(ctx.degrees, ctx.spec)
+    verdicts["GRONE_MERRIS"] = check_grone_merris(ctx.degrees, ctx.spec)
     return {name: "holds" if verdict.holds else "fails"
             for name, verdict in verdicts.items()}
 
@@ -339,46 +338,33 @@ def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
                    violations)
 
 
-def _solve_group(group: list[_Instance], args, grids,
-                 out_dir: Optional[Path]) -> list[_Record]:
-    """Build the graphs of one n, solve them as one stack and evaluate them;
-    the graphs die when this returns.
-
-    With out_dir (fuzz) an instance that cannot be generated gives a record
-    without m; otherwise its RetryExhaustedError ends the run.
-    """
-    records, built = [], []
-    for index, graph_id, n, build in group:
-        try:
-            built.append((index, graph_id, build()))
-        except RetryExhaustedError:
-            if out_dir is None:
-                raise
-            records.append(_Record(index, graph_id, n, None, []))
-    spectra = spectra_of([g for _, _, g in built])
-    for (index, graph_id, g), spec in zip(built, spectra):
-        records.append(_record(index, graph_id, g, spec, args, grids, out_dir))
-    return records
-
-
 def _records(instances: Iterable[_Instance], args, grids,
              out_dir: Optional[Path] = None) -> Iterator[_Record]:
     """The solve stage: one record per instance, in index order.
 
-    Instances are taken FUZZ_CHUNK at a time. Within a chunk the graphs of
-    one n are built, solved together by spectra_of, evaluated and dropped
-    before the next n is built, so only one n-group of graphs is alive.
-    Groups go by declared n: a built graph of another n ends the run with
-    spectra_of's ValueError.
+    Instances are taken FUZZ_CHUNK at a time: a chunk's graphs are built,
+    solved together by one spectra_of call and evaluated one by one, and
+    dropped before the next chunk is built. With out_dir (fuzz) an instance
+    that cannot be generated gives a record without m; otherwise its
+    RetryExhaustedError ends the run.
     """
     instances = iter(instances)
     while chunk := list(itertools.islice(instances, FUZZ_CHUNK)):
-        groups: dict[int, list[_Instance]] = {}  # keyed by n
-        for instance in chunk:
-            groups.setdefault(instance[2], []).append(instance)
-        records = {rec.index: rec for group in groups.values()
-                   for rec in _solve_group(group, args, grids, out_dir)}
-        yield from (records[index] for index, *_ in chunk)
+        graphs: list[Optional[Graph]] = []
+        for *_, build in chunk:
+            try:
+                graphs.append(build())
+            except RetryExhaustedError:
+                if out_dir is None:
+                    raise
+                graphs.append(None)
+        spectra = iter(spectra_of([g for g in graphs if g is not None]))
+        # a generator expression: no loop variable keeps the chunk's last
+        # graph alive while the next chunk is built
+        yield from (_Record(index, graph_id, n, None, []) if g is None else
+                    _record(index, graph_id, g, next(spectra), args, grids,
+                            out_dir)
+                    for (index, graph_id, n, _), g in zip(chunk, graphs))
 
 
 def _report(args, records: Iterable[_Record],

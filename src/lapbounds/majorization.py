@@ -7,6 +7,7 @@ relative one, so integer degree sequences and floating spectra mix safely.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import ge, lt
 from typing import NamedTuple, Optional, Sequence
 
@@ -49,25 +50,20 @@ def majorizes(x: Sequence[float], y: Sequence[float]) -> MajorizationVerdict:
         raise SequenceTooShortError("empty sequences cannot be compared")
     _require_sorted(x, "x")
     _require_sorted(y, "y")
-    px: list[float] = []
-    py: list[float] = []
-    run_x = run_y = 0.0
-    first_fail: Optional[int] = None
-    for i, (a, b) in enumerate(zip(x, y)):
-        run_x += a
-        run_y += b
-        px.append(run_x)
-        py.append(run_y)
-        if first_fail is None and i < len(x) - 1 and run_x > run_y + PREFIX_TOL:
-            first_fail = i + 1
+    # prefix sums added left to right from 0.0; the last one, the total,
+    # is compared below with a relative tolerance instead
+    px = tuple(accumulate(x, initial=0.0))[1:]
+    py = tuple(accumulate(y, initial=0.0))[1:]
+    first_fail = next((i for i, (a, b) in enumerate(zip(px[:-1], py), 1)
+                       if a > b + PREFIX_TOL), None)
     total = max(1.0, abs(px[-1]))
     sums_equal = abs(px[-1] - py[-1]) <= SUM_REL_TOL * total
     holds = first_fail is None and sums_equal
     return MajorizationVerdict(
         holds=holds,
         first_failing_prefix=first_fail,
-        prefix_sums_x=tuple(px),
-        prefix_sums_y=tuple(py),
+        prefix_sums_x=px,
+        prefix_sums_y=py,
         sums_equal=sums_equal,
     )
 
@@ -104,14 +100,14 @@ def check_grone(degrees: Sequence[int],
         raise DisconnectedGraphError("comparison needs a connected graph")
     # d_1 + 1 > d_1 >= ... >= d_n > d_n - 1: already non-increasing
     seq, _ = grone_sequence(degrees)
-    return majorizes(tuple(float(v) for v in seq), spec.mu)
+    return majorizes(tuple(map(float, seq)), spec.mu)
 
 
 def check_grone_merris(degrees: Sequence[int],
                        spec: Spectrum) -> MajorizationVerdict:
     """Spectrum against the conjugate degree sequence (any graph)."""
     conj = conjugate_sequence(degrees)
-    return majorizes(spec.mu, tuple(float(v) for v in conj))
+    return majorizes(spec.mu, tuple(map(float, conj)))
 
 
 def power_sum(x: Sequence[float], alpha: float) -> float:

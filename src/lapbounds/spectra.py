@@ -9,11 +9,10 @@ package's __pycache__: it fills the stack from the graphs' neighbour masks,
 sweeps it, and retires each matrix as it converges. It sums its convergence
 tests left to right, with no BLAS, and each matrix leaves the stack on its
 own, so its eigenvalues are bit-identical whatever it was stacked with;
-spectra_of solves graphs of one vertex count as one stack, and the CLI's
-check, sweep and fuzz group their graphs by n before they call it. Where the
-library cannot be built, the first solve raises SolverBuildError. numpy is
-imported only by laplacian and by jacobi_eigenvalues on a numpy input, so
-the CLI runs without it.
+spectra_of takes graphs of any vertex counts and solves one stack per n.
+Where the library cannot be built, the first solve raises SolverBuildError.
+numpy is imported only by laplacian and by jacobi_eigenvalues on a numpy
+input, so the CLI runs without it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -42,7 +41,7 @@ TRACE_REL_TOL = 1e-9
 
 
 class _Laplacians:
-    """The Laplacians of graphs of one vertex count n, held as the packed
+    """The Laplacians of graphs that all have n vertices, held as the packed
     neighbour-mask rows (ceil(n / 8) little-endian bytes each) that
     jacobi_solve fills its stack from. numpy reads them as the (count, n, n)
     int64 stack: -1 where a mask bit is set, each mask's popcount on the
@@ -85,11 +84,12 @@ def _load_library():
     __pycache__ as _jacobi-<sha256 of source, compiler and flags>.so, and
     loaded only from there. It is compiled to a fresh mkstemp name in that
     directory and moved into place with os.replace, so processes that build
-    at once each load a complete library. A build then unlinks the libraries
-    of every other key (a process that loaded one keeps it mapped), so the
-    cache holds one library. The library picks its AVX2 body itself, where
-    the CPU it runs on has AVX2, so a checkout shared between hosts stays
-    safe.
+    at once each load a complete library. A cached library that cannot be
+    loaded (a damaged file) is built again, once. A build then unlinks the
+    libraries of every other key (a process that loaded one keeps it
+    mapped), so the cache holds one library. The library picks its AVX2 body
+    itself, where the CPU it runs on has AVX2, so a checkout shared between
+    hosts stays safe.
     """
     # imported here, so that importing the package pays for none of them;
     # only a build imports subprocess and tempfile
@@ -110,7 +110,9 @@ def _load_library():
         key = hashlib.sha256(source.read_bytes()
                              + "\0".join(command).encode()).hexdigest()
         library = cache / f"_jacobi-{key}.so"
-        if not library.exists():
+        try:
+            lib = ctypes.CDLL(str(library))
+        except OSError:  # not built yet, or damaged: build it, once
             import contextlib
             import subprocess
             import tempfile
@@ -137,7 +139,7 @@ def _load_library():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        lib = ctypes.CDLL(str(library))
+            lib = ctypes.CDLL(str(library))
     except OSError as exc:
         raise failed(exc) from exc
     size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
@@ -275,21 +277,24 @@ def _pin_zeros(vals: list[float], cc: int, two_m: float) -> Spectrum:
 
 
 def spectra_of(graphs: Sequence[Graph]) -> list[Spectrum]:
-    """Laplacian spectra of graphs of one vertex count, in order; one exact
+    """Laplacian spectra of graphs of any vertex counts, in order; one exact
     zero per component.
 
-    The Laplacians are solved as one stack, in one jacobi_eigenvalues call.
-    A graph's eigenvalues do not depend on the graphs it is stacked with.
-    Raises ValueError when the graphs do not all have the same n.
+    The graphs of each vertex count are solved as one stack, in one
+    jacobi_eigenvalues call, the counts in the order they first appear. A
+    graph's eigenvalues do not depend on the graphs it is stacked with.
     """
-    if not graphs:
-        return []
-    if len({g.n for g in graphs}) > 1:
-        raise ValueError("spectra_of solves graphs of one vertex count only")
-    vals = jacobi_eigenvalues(_Laplacians(graphs))
-    return [_pin_zeros(sorted(v, reverse=True), len(g.components),
-                       2.0 * g.m)
-            for g, v in zip(graphs, vals)]
+    stacks: dict[int, list[int]] = {}  # the graphs' positions, by n
+    for i, g in enumerate(graphs):
+        stacks.setdefault(g.n, []).append(i)
+    out: list = [None] * len(graphs)
+    for positions in stacks.values():
+        stack = [graphs[i] for i in positions]
+        vals = jacobi_eigenvalues(_Laplacians(stack))
+        for i, g, v in zip(positions, stack, vals):
+            out[i] = _pin_zeros(sorted(v, reverse=True), len(g.components),
+                                2.0 * g.m)
+    return out
 
 
 def spectrum(g: Graph) -> Spectrum:

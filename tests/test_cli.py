@@ -666,9 +666,9 @@ class TestFactsOncePerGraph:
 
 
 class TestSequencesOncePerGraph:
-    """Each comparison sequence is derived at most once per fuzz graph: the
-    GRONE and GRONE_MERRIS checks read the Grone and conjugate sequences
-    that the catalog's GraphContext already holds."""
+    """Each comparison sequence is derived at most once per fuzz graph by
+    each of its owners: the catalog's GraphContext, and the check_grone or
+    check_grone_merris that the fuzz report runs, which derives its own."""
 
     @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
     def test_fuzz(self, model, tmp_path, capsys, monkeypatch):
@@ -679,12 +679,23 @@ class TestSequencesOncePerGraph:
             evaluated.append(g)
             return original_catalog(g, *args, **kwargs)
 
-        calls = Counter()  # (sequence, id of the graph being evaluated)
+        owner = ["catalog"]  # the catalog, or the check that is running
+        # (sequence, id of the graph being evaluated, owner)
+        calls = Counter()
 
         def counting(name, original):
             def wrapper(d):
-                calls[name, id(evaluated[-1])] += 1
+                calls[name, id(evaluated[-1]), owner[-1]] += 1
                 return original(d)
+            return wrapper
+
+        def checking(check):
+            def wrapper(*args):
+                owner.append(check.__name__)
+                try:
+                    return check(*args)
+                finally:
+                    owner.pop()
             return wrapper
 
         for name in ("grone_sequence", "merged_grone_sequence",
@@ -697,6 +708,8 @@ class TestSequencesOncePerGraph:
                         if value is original:
                             monkeypatch.setattr(module, attr,
                                                 counting(name, original))
+        for name in ("check_grone", "check_grone_merris"):
+            monkeypatch.setattr(cli, name, checking(getattr(cli, name)))
         monkeypatch.setattr(cli, "evaluate_catalog", evaluating)
         code, _, _ = run(["fuzz", "--seed", "7", "--count", "100",
                           "--model", model, "--out-dir", str(tmp_path)],
@@ -705,11 +718,12 @@ class TestSequencesOncePerGraph:
         assert len(evaluated) == 100
         assert set(calls.values()) == {1}
         # GRONE_MERRIS runs on every graph, GRONE on every connected one
-        for name, graphs in (("conjugate_sequence", evaluated),
-                             ("grone_sequence", [g for g in evaluated
-                                                 if len(g.components) == 1])):
-            assert {i for seq, i in calls if seq == name} == set(
-                map(id, graphs))
+        connected = [g for g in evaluated if len(g.components) == 1]
+        for check, name, graphs in (
+                ("check_grone_merris", "conjugate_sequence", evaluated),
+                ("check_grone", "grone_sequence", connected)):
+            assert {key[:2] for key in calls if key[2] == check} == {
+                (name, id(g)) for g in graphs}
 
 
 class TestNoBareissInCatalog:
@@ -795,6 +809,29 @@ class TestFuzzChunks:
             outputs.add((code, *texts, files))
         assert len(outputs) == 1
 
+    def test_mixed_chunk_with_failures_keeps_index_order(self, tmp_path,
+                                                         capsys, monkeypatch):
+        """Chunks that mix n and hold generation failures give their
+        records in index order, in JSON and in CSV."""
+        monkeypatch.setattr(cli, "FUZZ_CHUNK", 7)
+        argv = ["fuzz", "--seed", "7", "--count", "20", "--model", "gnp",
+                "--p", "0.07", "--n-min", "4", "--n-max", "16",
+                "--out-dir", str(tmp_path)]
+        declared = [n for _, _, n, _ in cli._fuzz_instances(cli._parse(argv))]
+        assert len(set(declared[:7])) > 1
+        _, out, _ = run(argv, capsys)
+        report = json.loads(out)
+        assert report["corpus"]["sizes"] == declared
+        failed = [f["index"] for f in report["corpus"]["generation_failures"]]
+        assert failed == [0, 4, 8]
+        violated = [v["index"] for v in report["violations"]]
+        assert violated and violated == sorted(violated)
+        assert not set(violated) & set(failed)
+        _, out, _ = run(argv + ["--format", "csv"], capsys)
+        rows = [line.split(",", 1)[0] for line in out.splitlines()[1:]]
+        indices = list(dict.fromkeys(int(gid[4:]) for gid in rows))
+        assert indices == [i for i in range(20) if i not in failed]
+
     def test_stacked_violation_replays_exactly(self, tmp_path, capsys):
         """A violation solved in a stack gives the same lhs and rhs, to the
         bit, when its graph is checked alone."""
@@ -815,9 +852,9 @@ class TestFuzzChunks:
 
 
 class TestLiveGraphsBounded:
-    """At every eigensolver call no more graphs are alive than the stack it
-    solves: the graphs of one n are built, solved and dropped before the
-    next n's are built."""
+    """At every spectra_of call no more graphs are alive than it solves: a
+    chunk's graphs are built, solved and dropped before the next chunk's are
+    built."""
 
     @pytest.mark.parametrize("argv", [
         ["fuzz", "--seed", "7", "--count", "100"],
@@ -835,16 +872,16 @@ class TestLiveGraphsBounded:
         # every Graph, whether build_graph checked its edges or a generator
         # constructed it directly
         monkeypatch.setattr(lb.Graph, "__init__", building)
+        monkeypatch.setattr(cli, "FUZZ_CHUNK", 7)  # several chunks a run
         calls = []
-        original = spectra.jacobi_eigenvalues
+        original = cli.spectra_of
 
-        def solving(matrix):
-            shape = np.shape(matrix)
-            stack = shape[0] if len(shape) == 3 else 1
-            calls.append((sum(ref() is not None for ref in built), stack))
-            return original(matrix)
+        def solving(graphs):
+            calls.append((sum(ref() is not None for ref in built),
+                          len(graphs)))
+            return original(graphs)
 
-        monkeypatch.setattr(spectra, "jacobi_eigenvalues", solving)
+        monkeypatch.setattr(cli, "spectra_of", solving)
         if argv[0] == "fuzz":
             argv = argv + ["--out-dir", str(tmp_path)]
         code, _, _ = run(argv, capsys)

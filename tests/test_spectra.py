@@ -303,8 +303,12 @@ class TestJacobiStack:
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
         assert lb.spectra_of(graphs) == alone
         assert shapes == [(3, 6, 6)]
-        with pytest.raises(ValueError, match="one vertex count"):
-            lb.spectra_of([fam("S:6"), fam("S:7")])
+        # mixed n: one stack per n, in the order each n first appears
+        shapes.clear()
+        mixed = [fam(label) for label in ("S:6", "S:7", "P:6", "K:7", "K:1")]
+        solved = lb.spectra_of(mixed)
+        assert shapes == [(2, 6, 6), (2, 7, 7), (1, 1, 1)]
+        assert solved == [lb.spectrum(g) for g in mixed]
 
     def test_one_by_one_stack(self):
         stack = np.array([[[5.0]], [[0.0]], [[-2.5]]])
@@ -916,6 +920,23 @@ class TestKernelBuild:
         monkeypatch.setattr(spectra, "_lib", None)
         code = cli.main(["check", "--family", "K:4"])
         return (code, *capsys.readouterr())
+
+    def test_damaged_library_is_rebuilt(self, package, monkeypatch, capsys):
+        # the first build runs in a child, so this process never maps the
+        # file that is then truncated
+        root, _ = package
+        first = self._check_k4(root)
+        assert first[0] in (0, 2, 3) and first[2] == ""
+        library, = (root / "lapbounds" / "__pycache__").glob("_jacobi*")
+        with library.open("r+b") as f:
+            f.truncate(100)
+        with pytest.raises(OSError):
+            ctypes.CDLL(str(library))
+        assert self._check_k4_here(
+            root / "lapbounds", monkeypatch, capsys,
+            sysconfig.get_config_var("CC") or "cc") == first
+        assert list(library.parent.glob("_jacobi*")) == [library]
+        assert ctypes.CDLL(str(library)).jacobi_solve
 
     def test_missing_compiler_fails_in_process(self, tmp_path, monkeypatch,
                                                capsys):
