@@ -5,11 +5,15 @@ Brent & Luk (1985), applied to one matrix or to a whole stack of matrices of
 one size at once; Jacobi keeps small eigenvalues accurate relative to their
 size, which s_{-2} needs (Demmel & Veselic 1992). A solve is one call of
 jacobi_solve in _jacobi.c, compiled with -O3 on the first solve into this
-package's __pycache__: it fills the stack from the graphs' neighbour masks,
-sweeps it, and retires each matrix as it converges. It sums its convergence
-tests left to right, with no BLAS, and each matrix leaves the stack on its
-own, so its eigenvalues are bit-identical whatever it was stacked with;
-spectra_of takes graphs of any vertex counts and solves one stack per n.
+package's __pycache__: it fills a 64-byte aligned stack of its own from the
+graphs' neighbour masks (or copies a numpy input into it), sweeps it, and
+retires each matrix as it converges. It sums its convergence tests left to
+right, with no BLAS, and each matrix leaves the stack on its own, so its
+eigenvalues are bit-identical whatever it was stacked with; spectra_of takes
+graphs of any vertex counts and solves one stack per n. Its rotations take
+hypot by glibc's algorithm (2.35 and later), inlined, on every pair in that
+algorithm's common range, whatever the host's libm; only the pairs outside
+it call the libm's hypot.
 Where the library cannot be built, the first solve raises SolverBuildError.
 numpy is imported only by laplacian and by jacobi_eigenvalues on a numpy
 input, so the CLI runs without it.
@@ -71,7 +75,8 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.asarray(_Laplacians([g]))[0]
 
 
-_CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno",
+           "-shared", "-fPIC")
 
 
 def _load_library():
@@ -164,19 +169,21 @@ def _library():
     return _lib
 
 
-def _solve(a: array, b: int, n: int,
+def _solve(a: Optional[array], b: int, n: int,
            laplacians: Optional[_Laplacians] = None) -> tuple[array, array]:
-    """The final diagonals of the b matrices of order n in the doubles of a,
-    filled from laplacians when given, and the sweeps each matrix took: one
-    jacobi_solve. Raises JacobiConvergenceError when the solve fails, and
-    SolverBuildError when the library cannot be built."""
-    if a.typecode != "d" or len(a) != b * n * n:
+    """The final diagonals of the b matrices of order n, read from the
+    doubles of a or, with a None, filled from laplacians, and the sweeps
+    each matrix took: one jacobi_solve, which solves on a stack of its own
+    and leaves a as it was. Raises JacobiConvergenceError when the solve
+    fails, and SolverBuildError when the library cannot be built."""
+    if laplacians is None and (a is None or a.typecode != "d"
+                               or len(a) != b * n * n):
         raise ValueError("the stack must hold b * n * n doubles")
     values, sweeps = array("d", [0.0]) * (b * n), array("i", [0]) * b
     code = _library().jacobi_solve(
-        a.buffer_info()[0], b, n, laplacians and laplacians.rows,
-        JACOBI_MAX_SWEEPS, JACOBI_REL_TOL, values.buffer_info()[0],
-        sweeps.buffer_info()[0])
+        None if a is None else a.buffer_info()[0], b, n,
+        laplacians and laplacians.rows, JACOBI_MAX_SWEEPS, JACOBI_REL_TOL,
+        values.buffer_info()[0], sweeps.buffer_info()[0])
     if code == -1:
         raise MemoryError("no memory for the Jacobi solve")
     if code:
@@ -217,11 +224,12 @@ def jacobi_eigenvalues(matrix):
     NaN or infinite or any matrix's Frobenius norm overflows (entries beyond
     about 1e154): an infinite target would pass the unrotated diagonal off
     as converged. Neither raises a RuntimeWarning, only the error. Any memory
-    layout is accepted; the stack is solved as a C-ordered copy.
+    layout is accepted, and matrix is never written: the solve copies its
+    entries into a 64-byte aligned stack of its own.
     """
     if isinstance(matrix, _Laplacians):
         b, n = matrix.count, matrix.n
-        values = _solve(array("d", bytes(8 * b * n * n)), b, n, matrix)[0]
+        values = _solve(None, b, n, matrix)[0]
         return [values[i * n:i * n + n] for i in range(b)]
     import numpy as np
     a = np.array(matrix, dtype=float, order="C")

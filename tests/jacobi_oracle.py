@@ -154,7 +154,9 @@ class _Library:
 
     @staticmethod
     def jacobi_solve(a, b, n, rows, max_sweeps, rel_tol, values, sweeps):
-        x = _at(a, ctypes.c_double, b * n * n).reshape(b, n, n)
+        # like the library, it solves a copy: a is read only, None with rows
+        x = (np.empty((b, n, n)) if a is None else
+             _at(a, ctypes.c_double, b * n * n).reshape(b, n, n).copy())
         out = _at(values, ctypes.c_double, b * n).reshape(b, n)
         return numpy_solve(x, rows, max_sweeps, rel_tol, out,
                            _at(sweeps, ctypes.c_int, b))

@@ -519,8 +519,8 @@ def _exits_with(monkeypatch, lib, stack):
     monkeypatch.setattr(spectra, "_lib", lib)
     if isinstance(stack, list):
         b, n = len(stack), stack[0].n
-        a = array("d", bytes(8 * b * n * n))
-        values, sweeps = spectra._solve(a, b, n, spectra._Laplacians(stack))
+        values, sweeps = spectra._solve(None, b, n,
+                                        spectra._Laplacians(stack))
     else:
         b, n = stack.shape[:2]
         a = array("d", np.ascontiguousarray(stack, dtype=float).tobytes())
@@ -588,11 +588,9 @@ class TestCompiledKernel:
                 jacobi_eigenvalues(lb.laplacian(fam("S:40")))
             # the raw solve names S:40 as unconverged and still writes K:40
             b, n = 2, 40
-            a, values = array("d", bytes(8 * b * n * n)), array("d", [0.0]) * 80
-            sweeps = array("i", [7]) * b
+            values, sweeps = array("d", [0.0]) * 80, array("i", [7]) * b
             laplacians = spectra._Laplacians([fam("S:40"), fam("K:40")])
-            code = lib.jacobi_solve(a.buffer_info()[0], b, n,
-                                    laplacians.rows, 2,
+            code = lib.jacobi_solve(None, b, n, laplacians.rows, 2,
                                     spectra.JACOBI_REL_TOL,
                                     values.buffer_info()[0],
                                     sweeps.buffer_info()[0])
@@ -673,6 +671,71 @@ class TestCompiledKernel:
                                 _stack_member("gnp", n, n)[None]))
         assert (_exits_with(monkeypatch, compiled_variant, stack)
                 == _exits_with(monkeypatch, ORACLE, stack))
+
+    def test_input_at_any_offset_is_read_only(self, monkeypatch,
+                                               compiled_kernel):
+        # the solve copies its input to a 64-byte aligned stack of its own,
+        # so where the input sits changes no bit, and the input is unchanged
+        stack = np.stack([_stack_member(kind, 33, 4) for kind in
+                          ("gnp", "tree", "clique_union")]).astype(float)
+        want = _exits_with(monkeypatch, ORACLE, stack)
+        base = np.zeros(stack.nbytes + 128, np.uint8)
+        start = -base.ctypes.data % 64
+        for offset in (0, 8, 16, 24, 32, 48):
+            at = start + offset
+            placed = base[at:at + stack.nbytes].view(float).reshape(
+                stack.shape)
+            placed[...] = stack
+            assert placed.ctypes.data % 64 == offset
+            monkeypatch.setattr(spectra, "_lib", compiled_kernel)
+            assert _same_bits(jacobi_eigenvalues(placed),
+                              np.frombuffer(want[0]).reshape(3, 33)), offset
+            values, sweeps = np.zeros((3, 33)), np.zeros(3, np.intc)
+            assert compiled_kernel.jacobi_solve(
+                placed.ctypes.data, 3, 33, None, spectra.JACOBI_MAX_SWEEPS,
+                spectra.JACOBI_REL_TOL, values.ctypes.data,
+                sweeps.ctypes.data) == 0
+            assert (values.tobytes(), sweeps.tolist()) == want, offset
+            assert _same_bits(placed, stack), offset
+
+    def test_early_returns_free_the_stack(self):
+        # 100,000 solves of each kind that returns before a sweep, in a
+        # child process: a leaked stack of one 8 x 8 matrix would add more
+        # than 50 MB to its peak resident set
+        done = subprocess.run(
+            [sys.executable, "-c", _LEAK_PROBE], capture_output=True,
+            text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(Path(spectra.__file__)
+                                                 .parent.parent)})
+        assert done.returncode == 0, done.stderr
+        codes, grown = done.stdout.split()
+        assert codes == "-3,-2,0"
+        assert int(grown) < 5 * 1024  # KiB
+
+
+# Runs 100,000 solves of an 8 x 8 stack with a NaN (-2), of one whose norm
+# overflows (-3) and of an empty stack (b = 0), after a warm-up of 1,000 of
+# each; prints the return codes and the growth of ru_maxrss in KiB.
+_LEAK_PROBE = """
+import resource
+from array import array
+from lapbounds import spectra
+lib = spectra._library()
+nan, huge = array("d", [1.0]) * 64, array("d", [1e200]) * 64
+nan[9] = float("nan")
+values, sweeps = array("d", [0.0]) * 8, array("i", [0])
+out = values.buffer_info()[0], sweeps.buffer_info()[0]
+
+def solves(count):
+    return {lib.jacobi_solve(a.buffer_info()[0], b, 8, None, 64, 1e-12, *out)
+            for a, b in ((nan, 1), (huge, 1), (nan, 0)) for _ in range(count)}
+
+solves(1000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+codes = sorted(solves(100000))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(",".join(map(str, codes)), after - before)
+"""
 
 
 def _random_schedule(rng, n, k, rounds):
@@ -813,7 +876,8 @@ class TestKernelBuild:
     def test_source_compiles_without_warnings(self, tmp_path, host):
         # the library's own build tolerates warnings; this keeps the source
         # clean of them under the library's flags, also where the AVX2
-        # variant is left out and only the plain sweep is built
+        # variant is left out and only the plain sweep is built, and under
+        # strict C11, which declares aligned_alloc
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
         if shutil.which(cc[0]) is None:
             pytest.skip(f"no C compiler {cc[0]!r} on PATH")
@@ -823,11 +887,12 @@ class TestKernelBuild:
             source = source.replace("defined(__x86_64__)", "0")
         (tmp_path / "_jacobi.c").write_text(source)
         library = tmp_path / "_jacobi.so"
-        done = subprocess.run(
-            [*cc, *spectra._CFLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", str(library), str(tmp_path / "_jacobi.c")],
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        for std in ([], ["-std=c11"]):
+            done = subprocess.run(
+                [*cc, *spectra._CFLAGS, *std, "-Wall", "-Wextra", "-Werror",
+                 "-o", str(library), str(tmp_path / "_jacobi.c")],
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (std, done.stderr)
         lib = ctypes.CDLL(str(library))
         assert all(hasattr(lib, name)
                    for name in ("jacobi_solve", "jacobi_sweep", "gnp_rows"))
@@ -840,10 +905,11 @@ class TestKernelBuild:
             assert "%ymm" not in code.stdout
 
     def test_rotation_loops_are_vectorized(self, tmp_path):
-        # the sweep's speed rests on gcc vectorizing the rotation loops; an
-        # edit that turns one back into scalar code, or into a loop
-        # checked for aliasing at run time, changes no bit and would pass
-        # every other test
+        # the sweep's speed rests on gcc vectorizing the rotation loops and
+        # the loop of hypots, at both of its calls in coefficients; an edit
+        # that turns one back into scalar code, or into a loop checked for
+        # aliasing at run time, changes no bit and would pass every other
+        # test
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
         if shutil.which(cc[0]) is None:
             pytest.skip(f"no C compiler {cc[0]!r} on PATH")
@@ -854,7 +920,9 @@ class TestKernelBuild:
         source = Path(spectra.__file__).with_name("_jacobi.c")
         lines = source.read_text().splitlines()
         loops = {}
-        for helper in ("rotate_run", "rotate_run4", "rotate_rows"):
+        calls = {"rotate_run": 1, "rotate_run4": 1, "rotate_rows": 1,
+                 "hypots": 2}
+        for helper in calls:
             start = next(i for i, line in enumerate(lines)
                          if line.startswith(f"INLINE void {helper}("))
             loops[helper] = next(i + 1 for i in range(start, len(lines))
@@ -869,10 +937,11 @@ class TestKernelBuild:
         for helper, line in loops.items():
             report = [r for r in done.stderr.splitlines()
                       if f"_jacobi.c:{line}:" in r]
-            assert any("loop vectorized" in r for r in report), helper
+            assert sum("loop vectorized" in r
+                       for r in report) >= calls[helper], helper
             if target.startswith("x86_64"):  # the AVX2 body
-                assert any("using 32 byte vectors" in r
-                           for r in report), helper
+                assert sum("using 32 byte vectors" in r
+                           for r in report) >= calls[helper], helper
             assert not any("versioned for vectorization because of possible "
                            "aliasing" in r for r in report), helper
 
@@ -892,6 +961,19 @@ class TestKernelBuild:
                  for line in table.splitlines() if line.strip()}
         assert "hypot" in names
         assert not [name for name in names if name.startswith("_ZGV")]
+
+    def test_library_exports_its_three_functions(self):
+        # the inlined hypot and every other helper stay out of the ABI
+        lib = spectra._load_library()
+        nm = shutil.which("nm")
+        if nm is None:
+            pytest.skip("no nm on PATH")
+        table = subprocess.run([nm, "-D", "--defined-only", lib._name],
+                               check=True, capture_output=True, text=True,
+                               timeout=60).stdout
+        assert sorted(line.split()[-1] for line in table.splitlines()
+                      if line.split()[1] == "T") == [
+            "gnp_rows", "jacobi_solve", "jacobi_sweep"]
 
     def test_build_removes_stale_libraries(self, tmp_path, monkeypatch,
                                            compiled_kernel):
@@ -980,6 +1062,161 @@ class TestKernelBuild:
                                          / "__pycache__").iterdir())
         assert len(built) == 1 and built[0].startswith("_jacobi-")
         assert built[0].endswith(".so")
+
+
+# _jacobi.c's hypots on count pairs, k at a time, as coefficients calls
+# it: h[i] = hypot(x[i], y[i]), or hypot(1, y[i]) when x is NULL; portable,
+# and on x86-64 also built for AVX2.
+_HYPOT_PROGRAM = """
+#include "_jacobi.c"
+
+static const double unit = 1.0;
+
+INLINE void batches(double *h, const double *x, const double *y,
+                    ptrdiff_t count, ptrdiff_t k)
+{
+    for (ptrdiff_t i = 0; i < count; i += k) {
+        ptrdiff_t len = count - i < k ? count - i : k;
+        if (x == NULL)
+            hypots(h + i, &unit, 0, y + i, len);
+        else
+            hypots(h + i, x + i, 1, y + i, len);
+    }
+}
+
+void hypots_portable(double *h, const double *x, const double *y,
+                     ptrdiff_t count, ptrdiff_t k)
+{
+    batches(h, x, y, count, k);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("avx2")))
+void hypots_avx2(double *h, const double *x, const double *y,
+                 ptrdiff_t count, ptrdiff_t k)
+{
+    batches(h, x, y, count, k);
+}
+
+int has_avx2(void)
+{
+    return __builtin_cpu_supports("avx2");
+}
+#endif
+"""
+
+_PAIRS = 1_000_000
+
+
+def _doubles(rng, lo, hi, count=_PAIRS):
+    """count doubles of random sign, 1 + u times 2^e with e in lo..hi."""
+    return (np.ldexp(1.0 + rng.random(count), rng.integers(lo, hi + 1, count))
+            * rng.choice([-1.0, 1.0], count))
+
+
+def _near(rng, power, count=_PAIRS):
+    """2^power, a quarter of them exactly and the rest times 0.5..2, each
+    moved by -2..2 ulps at random."""
+    x = np.ldexp(np.where(rng.random(count) < 0.25, 1.0,
+                          rng.uniform(0.5, 2.0, count)), power)
+    return _steps(rng, x, count)
+
+
+def _steps(rng, x, count=_PAIRS):
+    """x moved by -2..2 ulps, at random."""
+    for _ in range(2):
+        x = np.where(rng.random(count) < 0.5, x,
+                     np.nextafter(x, np.where(rng.random(count) < 0.5,
+                                              np.inf, -np.inf)))
+    return x
+
+
+def _hypot_pairs(kind, rng):
+    """_PAIRS seeded (x, y) of one class; x None means x = 1."""
+    count = _PAIRS
+    if kind == "zeros":  # +-0 beside anything, and both zero
+        x = rng.choice([0.0, -0.0], count)
+        y = np.where(rng.random(count) < 0.1, -x, _doubles(rng, -1074, 1023))
+    elif kind == "subnormal":  # each, or both, below 2^-1022
+        x = (rng.integers(1, 1 << 52, count, dtype=np.uint64).view(float)
+             * rng.choice([-1.0, 1.0], count))
+        y = np.where(rng.random(count) < 0.5, x[::-1],
+                     _doubles(rng, -1074, 1023))
+    elif kind == "tiny":  # the smaller each side of 2^-459, not negligible
+        y = _near(rng, -459)
+        x = y * rng.uniform(1.0, 2.0 ** 53, count)
+    elif kind == "huge":  # the larger each side of 2^511
+        x = _near(rng, 511)
+        y = x * np.ldexp(1.0, -rng.integers(0, 60, count))
+    elif kind == "negligible":  # hi / lo at 2^54 +- 1 and 2 ulps
+        y = _doubles(rng, -1000, 900)
+        x = _steps(rng, y * 2.0 ** 54)
+    elif kind == "equal":
+        x = _doubles(rng, -1074, 1023)
+        y = x * rng.choice([-1.0, 1.0], count)
+    elif kind == "one":  # hypot(1, t), t tiny to 1, as the second phase
+        x, y = None, _doubles(rng, -1074, 0)
+    elif kind == "non-finite":  # +-inf and NaNs, quiet and signaling
+        x = rng.choice([np.inf, -np.inf, np.nan, -np.nan], count)
+        x[::3] = (rng.integers(0x7FF0_0000_0000_0001, 0x7FFF_FFFF_FFFF_FFFF,
+                               count, dtype=np.uint64)[::3].view(float))
+        y = np.where(rng.random(count) < 0.2, x[::-1],
+                     _doubles(rng, -1074, 1023))
+    elif kind == "any":  # every exponent, and arbitrary bit patterns
+        x = _doubles(rng, -1074, 1023)
+        y = rng.integers(0, 1 << 64, count, dtype=np.uint64).view(float)
+    if x is not None:  # either argument first
+        swap = rng.random(count) < 0.5
+        x, y = np.where(swap, y, x), np.where(swap, x, y)
+    return x, y
+
+
+class TestInlineHypot:
+    """_jacobi.c's inlined hypot gives the bits of the host libm's hypot.
+
+    The reference is np.hypot, which calls libm's hypot on each element, as
+    jacobi_oracle.py does; math.hypot is CPython's own, correctly rounded
+    algorithm, and differs from libm's. The inlined one follows glibc's
+    (2.35 and later, without FMA), so on another libm these tests show
+    where the two differ."""
+
+    @pytest.fixture(scope="class")
+    def bodies(self, tmp_path_factory):
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        if shutil.which(cc[0]) is None:
+            pytest.skip(f"no C compiler {cc[0]!r} on PATH")
+        root = tmp_path_factory.mktemp("hypot")
+        (root / "hypots.c").write_text(_HYPOT_PROGRAM)
+        library = root / "hypots.so"
+        subprocess.run(
+            [*cc, *spectra._CFLAGS, "-I",
+             str(Path(spectra.__file__).parent), "-o", str(library),
+             str(root / "hypots.c")], check=True, timeout=120)
+        lib = ctypes.CDLL(str(library))
+        bodies = [lib.hypots_portable]
+        if hasattr(lib, "has_avx2") and lib.has_avx2():
+            bodies.append(lib.hypots_avx2)
+        for body in bodies:
+            body.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_ssize_t,) * 2
+        return bodies
+
+    @pytest.mark.parametrize("kind", ["zeros", "subnormal", "tiny", "huge",
+                                      "negligible", "equal", "one",
+                                      "non-finite", "any"])
+    def test_bits_of_libm(self, bodies, kind):
+        rng = np.random.default_rng(list(map(ord, kind)))
+        x, y = _hypot_pairs(kind, rng)
+        with np.errstate(all="ignore"):
+            want = np.hypot(1.0 if x is None else x, y).view(np.int64)
+        for body in bodies:
+            for k in (32, 7):  # n = 64's rounds, and a ragged remainder
+                h = np.empty_like(y)
+                body(h.ctypes.data, None if x is None else x.ctypes.data,
+                     y.ctypes.data, len(y), k)
+                bad = np.flatnonzero(h.view(np.int64) != want)
+                assert not len(bad), (body.__name__, k, [
+                    (float.hex(float(1.0 if x is None else x[i])),
+                     float.hex(float(y[i]))) for i in bad[:5]])
 
 
 class TestSpectrum:
