@@ -263,7 +263,8 @@ INLINE void coefficients(const double *m, ptrdiff_t n, const ptrdiff_t *P,
 }
 
 /* The work arrays, c, t, h and the runs, are sized from k and allocated
- * here, which costs less per call than numpy arrays passed in. */
+ * here, not in jacobi_solve's block: jacobi_sweep is also called alone, by
+ * the schedule tests. */
 INLINE int sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
                  ptrdiff_t rounds, ptrdiff_t k)
 {

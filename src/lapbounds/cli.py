@@ -122,24 +122,17 @@ _JSON_TALLY = _dict_template(_TALLY_KEYS, "    ")
 _JSON_MAJORIZATION = _dict_template(_MAJORIZATION_KEYS, "    ")
 
 
-def _json_scalars(values: Iterable) -> list[str]:
+def _json_scalars(values: Iterable) -> tuple[str, ...]:
     """The JSON of each scalar, from one call of json's C encoder: with
     ensure_ascii no scalar's JSON holds a newline."""
     text = json.dumps(list(values), separators=("\n", ":"))[1:-1]
-    return text.split("\n") if text else []
+    return tuple(text.split("\n")) if text else ()
 
 
 def _json_dict(d: dict, indent: str, values: Iterable[str]) -> str:
     """json.dumps(indent=2) of d at this indent, given its values' JSON."""
     return _json_block([f"{key}: {value}" for key, value
                         in zip(_json_scalars(d), values)], indent, "{}")
-
-
-def _json_cells(rows: Sequence[tuple]) -> tuple[str, ...]:
-    """The JSON of each cell of rows of scalars, from one C-encoder call:
-    the only strings in a row are bound ids, verdicts and file names made of
-    them, and neither they nor a number, null or bool encode to ", "."""
-    return tuple(json.dumps(rows)[2:-2].replace("], [", ", ").split(", "))
 
 
 class _Record(NamedTuple):
@@ -160,7 +153,8 @@ def _json_rows(rec: _Record) -> str:
     """The record's rows, as json.dumps(indent=2) writes them in a list."""
     row = _JSON_ROW % (json.dumps(rec.graph_id).replace("%", "%%"),
                        rec.n, rec.m)
-    return ",\n  ".join([row] * len(rec.results)) % _json_cells(rec.results)
+    return ",\n  ".join([row] * len(rec.results)) % _json_scalars(
+        itertools.chain.from_iterable(rec.results))
 
 
 def _json_violations(index: int, graph_id: str, g: Graph,
@@ -174,7 +168,8 @@ def _json_violations(index: int, graph_id: str, g: Graph,
         ", ", ",\n          ") + "\n        ]\n      ]") if edges else "[]"
     entry = _JSON_VIOLATION % (
         index, json.dumps(graph_id).replace("%", "%%"), g.n, g.m, edges)
-    return ",\n    ".join([entry] * len(entries)) % _json_cells(entries)
+    return ",\n    ".join([entry] * len(entries)) % _json_scalars(
+        itertools.chain.from_iterable(entries))
 
 
 def _csv_rows(rec: _Record) -> Iterator[tuple]:
@@ -226,28 +221,6 @@ def _json_fuzz(report: dict) -> str:
                      for failure in failures], "  ")))
 
 
-def _emit(args, report: Union[list, dict]) -> None:
-    """Print a report as JSON or as CSV, byte for byte as json.dumps(indent=2)
-    or csv print it with each row a dict.
-
-    A list is a row report (check, sweep, fuzz CSV): each record's rows from
-    _json_rows, or the CSV rows from _csv_rows. A dict is the invariants
-    document, for json.dumps(indent=2) or key-value CSV rows; the fuzz JSON
-    report does not come here but is written by _json_fuzz.
-    """
-    if isinstance(report, list):
-        if args.format == "json":
-            print(_json_block(report, ""))
-        else:
-            sys.stdout.write(_rows_to_csv(report))
-    elif args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        sys.stdout.write(_rows_to_csv(
-            ((key, json.dumps(value) if isinstance(value, (dict, list))
-              else value) for key, value in report.items()), ("key", "value")))
-
-
 def _exit_code(results: Sequence[BoundResult]) -> int:
     if any(r.verdict == VIOLATED for r in results):
         return 2
@@ -258,7 +231,7 @@ def _exit_code(results: Sequence[BoundResult]) -> int:
 
 def _usage_error(message: str) -> NoReturn:
     """Exit 1 with the top-level usage and message, as the full parser's
-    error does; only here does a subcommand call build the full parser."""
+    error does."""
     build_parser().error(message)
 
 
@@ -408,10 +381,12 @@ def _report(args, records: Iterable[_Record],
                 })
         for name, tally in fuzz["majorization"].items():
             tally[rec.majorization.get(name, "skipped")] += 1
-    if fuzz is None:
-        _emit(args, rows)
-    else:
+    if fuzz is not None:
         print(_json_fuzz(fuzz))
+    elif args.format == "json":
+        print(_json_block(rows, ""))
+    else:
+        sys.stdout.write(_rows_to_csv(rows))
     return code
 
 
@@ -431,7 +406,7 @@ def cmd_invariants(args) -> int:
             s_vals[_fmt_real(a)] = None
     t_vals = {str(k): ctx.s_alpha(k) for k in sorted(ks)}
 
-    _emit(args, {
+    doc = {
         "graph_id": graph_id,
         "n": g.n,
         "m": g.m,
@@ -446,7 +421,13 @@ def cmd_invariants(args) -> int:
         "lee": ctx.lee_value,
         "first_zagreb": ctx.zagreb,
         "spanning_trees": str(spanning_trees_exact(g)),
-    })
+    }
+    if args.format == "json":
+        print(json.dumps(doc, indent=2))
+    else:
+        sys.stdout.write(_rows_to_csv(
+            ((key, json.dumps(value) if isinstance(value, (dict, list))
+              else value) for key, value in doc.items()), ("key", "value")))
     return 0
 
 
@@ -670,28 +651,17 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | argparse.Namespace:
     """argv as build_parser() reads it; a valid call builds no parser.
 
     Each option is declared once, in SUBCOMMANDS. When argv[0] names a
-    subcommand, _read reads the rest from that table. What it does not take
-    (an abbreviation, -h, --, a positional, a value its type rejects, ...)
-    goes to that subcommand's parser alone, as the full parser's subparsers
-    action would hand it over; what that parser leaves is the full parser's
-    unrecognized-arguments error. Any other argv goes to the full parser.
-    So argparse is the reference, and renders every help text and usage
-    error.
+    subcommand, _read reads the rest from that table. Any argv it does not
+    take (an abbreviation, -h, --, a positional, a value its type rejects,
+    no subcommand, ...) goes to the full parser, so argparse is the
+    reference, and renders every help text and usage error.
     """
-    if not argv or argv[0] not in SUBCOMMANDS:
+    values = None
+    if argv and argv[0] in SUBCOMMANDS:
+        values = _read(SUBCOMMANDS[argv[0]][1], argv[1:])
+    if values is None:
         return build_parser().parse_args(argv)
-    command = argv[0]
-    _, options, _ = SUBCOMMANDS[command]
-    values = _read(options, argv[1:])
-    if values is not None:
-        return types.SimpleNamespace(command=command, **values)
-    parser = _parser_class()(prog=f"lapbounds {command}")
-    _declare(parser, options)
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = command
-    return args
+    return types.SimpleNamespace(command=argv[0], **values)
 
 
 def _run(parse: Callable[[list[str]], argparse.Namespace],

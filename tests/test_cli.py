@@ -9,7 +9,6 @@ import io
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -958,18 +957,19 @@ class TestRowsToJson:
         '"', "\\", "\n", "},\n    {", '"},\n    {"', "{", "}", "{}", "[\n  ",
         "caf\u00e9 \u2211 \U0001f600", "%", "%s", "%%", "%(x)s", ", ",
         "], [", '", "', '"], ["', '"violations": []', 'caf\u00e9 "x", {y}.el'])
+    STRINGS = st.text() | AWKWARD
     NUMBERS = st.one_of(
         st.none(), st.floats(),
         st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
     RESULTS = st.builds(
-        BoundResult, bound_id=st.sampled_from(lb.BOUND_IDS),
+        BoundResult, bound_id=STRINGS,
         param=st.one_of(st.none(), st.integers(), st.floats()),
         applicable=st.booleans(), lhs=NUMBERS, rhs=NUMBERS, margin=NUMBERS,
-        verdict=st.sampled_from(VERDICTS), predicted_equality=st.booleans(),
+        verdict=STRINGS, predicted_equality=st.booleans(),
         agreement=st.booleans())
     RECORDS = st.builds(
         cli._Record, index=st.integers(min_value=0),
-        graph_id=st.text() | AWKWARD, n=st.integers(min_value=1),
+        graph_id=STRINGS, n=st.integers(min_value=1),
         m=st.integers(min_value=0), results=st.lists(RESULTS, max_size=5))
 
     @staticmethod
@@ -978,12 +978,6 @@ class TestRowsToJson:
         with contextlib.redirect_stdout(out):
             cli._report(argparse.Namespace(format=fmt), records)
         return out.getvalue()
-
-    def test_ids_and_verdicts_never_hold_a_separator(self):
-        """_json_cells splits the C encoder's text on ", ": no bound id or
-        verdict, nor a file name made of a bound id and an index, holds it."""
-        for name in (*lb.BOUND_IDS, *VERDICTS):
-            assert re.fullmatch("[A-Z0-9_]+", name)
 
     @given(st.lists(RECORDS, max_size=4))
     @example([])
@@ -1007,9 +1001,8 @@ class TestRowsToJson:
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                  .filter(lambda e: e[0] != e[1]), max_size=12)))
     ENTRIES = st.lists(st.tuples(
-        st.sampled_from(lb.BOUND_IDS), RESULTS.map(lambda r: r.param),
+        STRINGS, RESULTS.map(lambda r: r.param),
         NUMBERS, NUMBERS, NUMBERS), min_size=1, max_size=4)
-    STRINGS = st.text() | AWKWARD
     COUNTS = st.integers(min_value=0)
     FLOATS = st.floats() | st.sampled_from([-0.0, math.nan, math.inf,
                                             -math.inf])
@@ -1044,7 +1037,8 @@ class TestRowsToJson:
     def test_fuzz_document_matches_indent_2(self, doc, graphs):
         """A fuzz report of the CLI's shape, every key of it, with drawn
         strings (model, bound lists, graph ids), numbers and counts, and
-        drawn violation entries, which _record turns into JSON text."""
+        drawn violation entries, their bound ids and file names any string,
+        which _record turns into JSON text."""
         texts, entries = [], []
         for index, graph_id, g, drawn in graphs:
             cells = [(bid, param, lhs, rhs, margin, f"{bid}_{index}.el")
@@ -1420,9 +1414,9 @@ def _full_parse(argv):
 
 class TestOneSubcommandParser:
     """A call whose argv[0] names a subcommand is read from its option
-    table, or by that subcommand's parser alone, and gives the bytes the
-    full parser gives: the same exit code, stdout, stderr and --out-dir
-    tree for every argv."""
+    table, or else by the full parser, and gives the bytes the full parser
+    gives: the same exit code, stdout, stderr and --out-dir tree for every
+    argv."""
 
     EDGE_ARGVS = [
         [], ["-h"], ["--he"], ["bogus"],
@@ -1530,6 +1524,21 @@ class TestOneSubcommandParser:
         argv = [str(tmp_path) if a == "OUT" else a for a in argv]
         assert run(argv, capsys)[0] in (0, 2, 3)
         assert progs == []
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--cou", "1", "--out-dir", "OUT"],
+        ["sweep", "--fam", "K:3"],
+        ["fuzz", "-h"],
+    ], ids=" ".join)
+    def test_a_refused_call_builds_the_full_parser(self, argv, progs,
+                                                   tmp_path, capsys):
+        """What the option reader refuses goes to the full parser, which
+        builds every subcommand's parser, and to no parser of its own."""
+        argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+        assert run(argv, capsys)[0] == 0
+        assert progs == ["lapbounds", "lapbounds invariants",
+                         "lapbounds check", "lapbounds fuzz",
+                         "lapbounds sweep"]
 
     def test_a_usage_error_builds_the_top_level_parser(self, progs, tmp_path,
                                                        capsys):
