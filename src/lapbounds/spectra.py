@@ -6,17 +6,14 @@ one size at once; Jacobi keeps small eigenvalues accurate relative to their
 size, which s_{-2} needs (Demmel & Veselic 1992). A solve is one call of
 jacobi_solve in _jacobi.c, compiled with -O3 on the first solve into this
 package's __pycache__: it fills a 64-byte aligned stack of its own from the
-graphs' neighbour masks (or copies a numpy input into it), sweeps it, and
-retires each matrix as it converges. It sums its convergence tests left to
-right, with no BLAS, and each matrix leaves the stack on its own, so its
-eigenvalues are bit-identical whatever it was stacked with; spectra_of takes
-graphs of any vertex counts and solves one stack per n. Its rotations take
-hypot by glibc's algorithm (2.35 and later), inlined, on every pair in that
-algorithm's common range, whatever the host's libm; only the pairs outside
-it call the libm's hypot.
+graphs' neighbour masks, sweeps it, and retires each matrix as it converges.
+It sums its convergence tests left to right, with no BLAS, and each matrix
+leaves the stack on its own, so its eigenvalues are bit-identical whatever
+it was stacked with; spectra_of takes graphs of any vertex counts and solves
+one stack per n. Its rotations take hypot by glibc's algorithm (2.35 and
+later), inlined, on every pair in that algorithm's common range, whatever
+the host's libm; only the pairs outside it call the libm's hypot.
 Where the library cannot be built, the first solve raises SolverBuildError.
-numpy is imported only by laplacian and by jacobi_eigenvalues on a numpy
-input, so the CLI runs without it.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
 a sanity threshold before being replaced by exact zeros. Thresholding alone
@@ -27,16 +24,14 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (DisconnectedGraphError, JacobiConvergenceError,
                      NoNonzeroEigenvaluesError, SolverBuildError,
                      SpectralInconsistencyError)
 from .graphs import Graph
-
-if TYPE_CHECKING:
-    import numpy as np
 
 JACOBI_MAX_SWEEPS = 64
 JACOBI_REL_TOL = 1e-12
@@ -47,9 +42,8 @@ TRACE_REL_TOL = 1e-9
 class _Laplacians:
     """The Laplacians of graphs that all have n vertices, held as the packed
     neighbour-mask rows (ceil(n / 8) little-endian bytes each) that
-    jacobi_solve fills its stack from. numpy reads them as the (count, n, n)
-    int64 stack: -1 where a mask bit is set, each mask's popcount on the
-    diagonal."""
+    jacobi_solve fills its stack from, as laplacian fills its rows: -1 where
+    a mask bit is set, each mask's popcount on the diagonal."""
 
     def __init__(self, graphs: Sequence[Graph]):
         self.n, self.count = graphs[0].n, len(graphs)
@@ -57,22 +51,14 @@ class _Laplacians:
         self.rows = b"".join(mask.to_bytes(width, "little")
                              for g in graphs for mask in g.masks)
 
-    def __array__(self, dtype=None, copy=None):
-        import numpy as np
-        n = self.n
-        bits = np.unpackbits(np.frombuffer(self.rows, np.uint8).reshape(
-            self.count * n, (n + 7) // 8), axis=1, bitorder="little")
-        L = -bits[:, :n].astype(np.int64).reshape(self.count, n, n)
-        i = np.arange(n)
-        L[:, i, i] = bits.sum(axis=1).reshape(self.count, n)
-        return L if dtype is None else L.astype(dtype)
 
-
-def laplacian(g: Graph) -> np.ndarray:
-    """Integer Laplacian L = D - A, as int64: A is g's neighbour masks,
-    unpacked, and D their popcounts."""
-    import numpy as np
-    return np.asarray(_Laplacians([g]))[0]
+def laplacian(g: Graph) -> list[list[int]]:
+    """Integer Laplacian L = D - A, as n rows of ints: -1 where bit j of
+    g.masks[i] is set, and the popcount of g.masks[i] on the diagonal."""
+    rows = [[-(mask >> j & 1) for j in range(g.n)] for mask in g.masks]
+    for i, (row, mask) in enumerate(zip(rows, g.masks)):
+        row[i] = mask.bit_count()
+    return rows
 
 
 _CFLAGS = ("-O3", "-fno-fast-math", "-ffp-contract=off", "-fno-math-errno",
@@ -195,13 +181,14 @@ def _solve(a: Optional[array], b: int, n: int,
 
 
 def jacobi_eigenvalues(matrix):
-    """Eigenvalues of a symmetric matrix, or of each matrix of a stack.
+    """Eigenvalues of a symmetric matrix, or of each Laplacian of a stack.
 
-    matrix is one (n, n) matrix, giving an (n,) result, or a (B, n, n) stack,
-    giving a (B, n) result whose row i holds the eigenvalues of matrix i, in
-    the order of its final diagonal. A single matrix is a stack of one. The
-    Laplacians that spectra_of passes give a list of B array('d') rows
-    instead, without numpy.
+    matrix is either the _Laplacians stack that spectra_of passes, giving a
+    list of B array('d') rows, row i holding the eigenvalues of Laplacian i,
+    or one square matrix given as its n rows (lists of numbers, laplacian(g)
+    or a 2-D numpy array, read by iteration), giving an array('d') of n. Each
+    holds its matrix's final diagonal, in order. A matrix whose rows are not
+    all n long raises ValueError.
 
     The parallel ordering of Brent & Luk (1985): a sweep is a round-robin
     schedule of rounds of n // 2 disjoint (p, q) pairs, and each round applies
@@ -223,24 +210,18 @@ def jacobi_eigenvalues(matrix):
     JACOBI_MAX_SWEEPS sweeps, and before the first sweep when any entry is
     NaN or infinite or any matrix's Frobenius norm overflows (entries beyond
     about 1e154): an infinite target would pass the unrotated diagonal off
-    as converged. Neither raises a RuntimeWarning, only the error. Any memory
-    layout is accepted, and matrix is never written: the solve copies its
-    entries into a 64-byte aligned stack of its own.
+    as converged. Neither raises a RuntimeWarning, only the error. matrix is
+    never written: the solve fills a 64-byte aligned stack of its own.
     """
     if isinstance(matrix, _Laplacians):
         b, n = matrix.count, matrix.n
         values = _solve(None, b, n, matrix)[0]
         return [values[i * n:i * n + n] for i in range(b)]
-    import numpy as np
-    a = np.array(matrix, dtype=float, order="C")
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+    rows = list(matrix)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    b, n = a.shape[:2]
-    out = np.array(_solve(array("d", a.tobytes()), b, n)[0]).reshape(b, n)
-    return out[0] if single else out
+    return _solve(array("d", chain.from_iterable(rows)), 1, n)[0]
 
 
 class Spectrum(NamedTuple):
@@ -396,16 +377,13 @@ def _bareiss_determinant(a: list[list[int]]) -> int:
 def spanning_trees_exact(g: Graph) -> int:
     """Exact spanning-tree count: determinant of the reduced Laplacian.
 
-    The reduced Laplacian (vertex 0's row and column removed) is built as
-    Python ints from g's neighbour masks, and its determinant taken by
-    Bareiss elimination; no floating point anywhere. A disconnected graph's
-    reduced Laplacian is singular, so it gives exactly 0; n = 1 gives the
-    empty determinant, 1.
+    The reduced Laplacian (vertex 0's row and column removed) is cut from
+    laplacian(g), Python ints, and its determinant taken by Bareiss
+    elimination; no floating point anywhere. A disconnected graph's reduced
+    Laplacian is singular, so it gives exactly 0; n = 1 gives the empty
+    determinant, 1.
     """
-    rows = [[-(mask >> j & 1) for j in range(1, g.n)] for mask in g.masks[1:]]
-    for i, (row, mask) in enumerate(zip(rows, g.masks[1:])):
-        row[i] = mask.bit_count()
-    return _bareiss_determinant(rows)
+    return _bareiss_determinant([row[1:] for row in laplacian(g)[1:]])
 
 
 def log_spanning_trees(spec: Spectrum) -> float:

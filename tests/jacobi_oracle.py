@@ -3,7 +3,9 @@ in numpy and plain Python: the oracle that _jacobi.c is tested against.
 
 ORACLE stands in for the library that spectra._library() returns, with the
 signatures of its jacobi_solve and gnp_rows, so a test puts it in
-spectra._lib to run every solve and draw through the oracle. numpy_solve and
+spectra._lib to run every solve and draw through the oracle; solve_stack
+solves a (b, n, n) numpy stack with whichever of the two spectra._lib
+holds. numpy_solve and
 numpy_sweep do the same IEEE operations on each entry in the same order as
 jacobi_solve and jacobi_sweep, and sum their convergence tests left to
 right, with no BLAS, so the two give the same bits and retire each matrix
@@ -12,11 +14,13 @@ order, where the library draws the block at once.
 """
 import ctypes
 import math
+from array import array
 from functools import reduce
 from operator import add, mul
 
 import numpy as np
 
+from lapbounds import spectra
 from lapbounds.rng import SplitMix64
 
 
@@ -88,7 +92,7 @@ def _sum_squares(xs):
     return reduce(add, map(mul, xs, xs), 0.0)
 
 
-def _laplacians(rows, b, n):
+def laplacian_stack(rows, b, n):
     """The (b, n, n) Laplacians of b graphs' packed neighbour-mask rows,
     ceil(n / 8) little-endian bytes each, as int64: -1 where a bit is set,
     each row's popcount on the diagonal."""
@@ -107,7 +111,7 @@ def numpy_solve(x, rows, max_sweeps, rel_tol, values, sweeps):
     number of matrices that did not converge, whose sweeps read -1."""
     b, n = x.shape[:2]
     if rows is not None:
-        x[...] = _laplacians(rows, b, n)
+        x[...] = laplacian_stack(rows, b, n)
     if not np.isfinite(x).all():
         return -2
     targets = [rel_tol * math.sqrt(_sum_squares(m.ravel().tolist()))
@@ -175,3 +179,16 @@ class _Library:
 
 
 ORACLE = _Library()
+
+
+def solve_stack(a):
+    """The eigenvalues of each matrix of the (b, n, n) stack a, as a (b, n)
+    array whose row i holds those of a[i] in the order of its final
+    diagonal: one spectra._solve of a's doubles in C order, on the library
+    or on ORACLE, whichever spectra._lib holds. Raises ValueError when a is
+    not a stack of square matrices."""
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("not a stack of square matrices")
+    b, n = a.shape[:2]
+    values = spectra._solve(array("d", a.astype(float).tobytes()), b, n)[0]
+    return np.array(values).reshape(b, n)

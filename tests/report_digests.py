@@ -33,6 +33,11 @@ CALLS = [
     "check --family GNP:64:0.01:1",
     "invariants --family P:6",
     "invariants --family P:6 --format csv",
+    "invariants --family K:64",
+    "invariants --family GNP:64:0.5:1",
+    "invariants --family GNP:64:0.5:1 --format csv",
+    "invariants --family CLIQUES:3,2",
+    "invariants --family K:1",
     "-h",
     "bogus",
     "sweep",

@@ -18,7 +18,6 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -477,13 +476,12 @@ class TestOneSolvePerGraph:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The n of every matrix solved, a stack counting each member."""
+        """The n of every Laplacian solved, a stack counting each member."""
         sizes = []
         original = spectra.jacobi_eigenvalues
 
         def counting(matrix):
-            shape = np.shape(matrix)
-            sizes.extend([shape[-1]] * (shape[0] if len(shape) == 3 else 1))
+            sizes.extend([matrix.n] * matrix.count)
             return original(matrix)
 
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
@@ -496,8 +494,7 @@ class TestOneSolvePerGraph:
         original = spectra.jacobi_eigenvalues
 
         def counting(matrix):
-            shape = np.shape(matrix)
-            calls.append((shape[0] if len(shape) == 3 else 1, shape[-1]))
+            calls.append((matrix.count, matrix.n))
             return original(matrix)
 
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)

@@ -146,8 +146,8 @@ class TestRepresentation:
         for u, v in canon:
             L[u, v] = L[v, u] = -1
         L[np.diag_indices(n)] = -L.sum(axis=1)
-        assert lb.laplacian(g).dtype == np.int64
-        assert np.array_equal(lb.laplacian(g), L)
+        assert lb.laplacian(g) == L.tolist()
+        assert all(type(x) is int for row in lb.laplacian(g) for x in row)
 
         other = data.draw(st.permutations(edges))
         other = other[data.draw(st.integers(0, min(len(other), 2))):]
@@ -313,8 +313,8 @@ class TestMasksMatchTheSetCode:
         L = np.diag([len(s) for s in adj])
         for u, v in g.edges:
             L[u, v] = L[v, u] = -1
-        assert lb.laplacian(g).dtype == np.int64
-        assert np.array_equal(lb.laplacian(g), L)
+        assert lb.laplacian(g) == L.tolist()
+        assert all(type(x) is int for row in lb.laplacian(g) for x in row)
 
     def test_masks_are_the_neighbour_bits(self):
         assert fam("P:3").masks == (0b010, 0b101, 0b010)

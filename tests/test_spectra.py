@@ -31,7 +31,8 @@ from lapbounds import (DisconnectedGraphError, JacobiConvergenceError,
 from lapbounds.spectra import jacobi_eigenvalues
 from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
                       named_corpus, tree_corpus)
-from jacobi_oracle import ORACLE, numpy_sweep, round_robin
+from jacobi_oracle import (ORACLE, laplacian_stack, numpy_sweep, round_robin,
+                           solve_stack)
 
 
 def fam(text):
@@ -44,7 +45,7 @@ def eigvalsh_oracle(g):
 
 
 def sympy_oracle(g):
-    M = sympy.Matrix(lb.laplacian(g).tolist())
+    M = sympy.Matrix(lb.laplacian(g))
     out = []
     for val, mult in M.eigenvals().items():
         out.extend([float(val)] * mult)
@@ -72,8 +73,20 @@ class TestJacobi:
         assert list(jacobi_eigenvalues(np.zeros((4, 4)))) == [0.0] * 4
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.zeros((2, 3)))
+        for matrix in (np.zeros((2, 3)), np.zeros((3, 2)),
+                       [[1.0, 2.0], [3.0]]):
+            with pytest.raises(ValueError, match="square"):
+                jacobi_eigenvalues(matrix)
+
+    def test_rows_of_any_kind_give_the_same_bits(self):
+        # laplacian(g)'s int lists, int64 and float64 arrays and float
+        # tuples are read alike, entry by entry
+        L = lb.laplacian(fam("GNP:24:0.5:1"))
+        want = jacobi_eigenvalues(L)
+        assert isinstance(want, array) and want.typecode == "d"
+        for rows in (np.array(L), np.array(L, dtype=float),
+                     [tuple(map(float, row)) for row in L]):
+            assert jacobi_eigenvalues(rows).tobytes() == want.tobytes()
 
     def test_two_by_two_exact(self):
         # eigenvalues of [[2, 1], [1, 2]] are 1 and 3
@@ -153,7 +166,7 @@ class TestJacobi:
     def test_trace_preserved(self, label):
         a = np.asarray(lb.laplacian(fam(label)), dtype=float)
         vals = jacobi_eigenvalues(a)
-        assert abs(vals.sum() - np.trace(a)) <= 1e-12 * np.linalg.norm(a)
+        assert abs(np.sum(vals) - np.trace(a)) <= 1e-12 * np.linalg.norm(a)
 
     def test_convergence_error_after_max_sweeps(self, monkeypatch):
         monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 1)
@@ -172,7 +185,7 @@ class TestJacobi:
             a = good.copy()
             a[i, j] = a[j, i] = bad
             with pytest.raises(JacobiConvergenceError, match="non-finite"):
-                jacobi_eigenvalues(np.stack([good, a]))
+                solve_stack(np.stack([good, a]))
             _assert_raises_unswept(monkeypatch, np.stack([good, a]),
                                    "non-finite")
 
@@ -198,15 +211,13 @@ class TestJacobi:
 
     @pytest.mark.parametrize("kernel", ["compiled_kernel", "numpy"])
     def test_any_memory_layout(self, request, monkeypatch, kernel):
-        # a Fortran-ordered matrix, a transposed view and a Fortran-ordered
-        # stack give the bits of the same values in C order
+        # a Fortran-ordered matrix and a transposed view give the bits of
+        # the same values in C order
         lib = ORACLE if kernel == "numpy" else request.getfixturevalue(kernel)
         rs = np.random.RandomState(23)
-        x = rs.randn(3, 9, 9)
-        stack = x + x.transpose(0, 2, 1)
-        m = stack[0].copy()
-        for c_order, other in [(m, np.asfortranarray(m)), (m, m.T),
-                               (stack, np.asfortranarray(stack))]:
+        x = rs.randn(9, 9)
+        m = x + x.T
+        for c_order, other in [(m, np.asfortranarray(m)), (m, m.T)]:
             assert not other.flags.c_contiguous
             assert _same_bits(_solve_with(monkeypatch, lib, other),
                               _solve_with(monkeypatch, lib, c_order))
@@ -229,8 +240,9 @@ class TestJacobiDeterminism:
 
 
 def _stack_member(kind, n, seed):
-    """Laplacian of one graph of a stack mix at vertex count n."""
-    return lb.laplacian(_stack_graph(kind, n, seed))
+    """Laplacian of one graph of a stack mix at vertex count n, as an int64
+    array."""
+    return np.array(lb.laplacian(_stack_graph(kind, n, seed)))
 
 
 def _stack_graph(kind, n, seed):
@@ -274,11 +286,10 @@ class TestJacobiStack:
     @settings(max_examples=40, deadline=None)
     def test_stacked_bits_equal_alone(self, mix):
         mats, order = mix
-        stacked = jacobi_eigenvalues(np.stack([mats[i] for i in order]))
+        stacked = solve_stack(np.stack([mats[i] for i in order]))
         assert stacked.shape == (len(mats), mats[0].shape[0])
         for row, i in zip(stacked, order):
-            alone = jacobi_eigenvalues(mats[i])
-            assert (row.view(np.int64) == alone.view(np.int64)).all()
+            assert _same_bits(row, jacobi_eigenvalues(mats[i]))
 
     def test_spectra_of_matches_spectrum(self):
         graphs = [g for _, g in named_corpus() + gnp_corpus()[:60]
@@ -297,7 +308,7 @@ class TestJacobiStack:
         original = spectra.jacobi_eigenvalues
 
         def counting(matrix):
-            shapes.append(np.shape(matrix))
+            shapes.append((matrix.count, matrix.n, matrix.n))
             return original(matrix)
 
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
@@ -312,14 +323,14 @@ class TestJacobiStack:
 
     def test_one_by_one_stack(self):
         stack = np.array([[[5.0]], [[0.0]], [[-2.5]]])
-        assert jacobi_eigenvalues(stack).tolist() == [[5.0], [0.0], [-2.5]]
+        assert solve_stack(stack).tolist() == [[5.0], [0.0], [-2.5]]
         spec, = lb.spectra_of([fam("K:1")])
         assert spec.mu == (0.0,) and spec.component_count == 1
 
     @pytest.mark.parametrize("shape", [(2, 3, 4), (3,), (2, 2, 2, 2), ()])
     def test_rejects_non_square_stack(self, shape):
         with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.zeros(shape))
+            solve_stack(np.zeros(shape))
 
     def test_convergence_error_on_a_stack(self, monkeypatch):
         monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 1)
@@ -327,7 +338,7 @@ class TestJacobiStack:
                           lb.laplacian(fam("GNP:12:0.5:1")),
                           np.diag(np.arange(12.0))])
         with pytest.raises(JacobiConvergenceError):
-            jacobi_eigenvalues(stack)
+            solve_stack(stack)
 
 
 def _stacked_round_robin(n, b):
@@ -406,6 +417,8 @@ def _temporaries_jacobi(matrix):
 
 
 def _same_bits(a, b):
+    """a and b, ndarrays or array('d')s, hold the same doubles bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and (a.view(np.int64) == b.view(np.int64)).all()
 
 
@@ -417,7 +430,7 @@ class TestJacobiRoundInPlace:
         for n in range(2, 65):
             stack = np.stack([_stack_member(kind, n, 7 * n + 1)
                               for kind in kinds])
-            assert _same_bits(jacobi_eigenvalues(stack),
+            assert _same_bits(solve_stack(stack),
                               _temporaries_jacobi(stack)), n
 
     @pytest.mark.parametrize("tiny", [0.0, -0.0, 5e-324, -5e-324])
@@ -438,7 +451,7 @@ class TestJacobiRoundInPlace:
                 assert _same_bits(jacobi_eigenvalues(a),
                                   _temporaries_jacobi(a)), m
                 stack = np.stack([a, a[::-1, ::-1]])
-                assert _same_bits(jacobi_eigenvalues(stack),
+                assert _same_bits(solve_stack(stack),
                                   _temporaries_jacobi(stack)), m
 
 
@@ -616,10 +629,11 @@ class TestCompiledKernel:
                           str(n), "--p", "0.5",
                           "--out-dir", str(tmp_path / f"{model}-{n}")])
         capsys.readouterr()
-        assert [np.shape(s) for s in stacks] == [
+        assert [(s.count, s.n, s.n) for s in stacks] == [
             (12, n, n) for _ in range(3) for n in range(4, 13)]
         for laplacians in stacks:
-            stack = np.asarray(laplacians)
+            stack = laplacian_stack(laplacians.rows, laplacians.count,
+                                    laplacians.n)
             want = _exits_with(monkeypatch, ORACLE, stack)
             assert _exits_with(monkeypatch, compiled_kernel, stack) == want
             monkeypatch.setattr(spectra, "_lib", compiled_kernel)
@@ -688,7 +702,7 @@ class TestCompiledKernel:
             placed[...] = stack
             assert placed.ctypes.data % 64 == offset
             monkeypatch.setattr(spectra, "_lib", compiled_kernel)
-            assert _same_bits(jacobi_eigenvalues(placed),
+            assert _same_bits(solve_stack(placed),
                               np.frombuffer(want[0]).reshape(3, 33)), offset
             values, sweeps = np.zeros((3, 33)), np.zeros(3, np.intc)
             assert compiled_kernel.jacobi_solve(
@@ -768,18 +782,20 @@ def _random_schedule(rng, n, k, rounds):
 
 
 # Solves one stack in a fresh interpreter that imports the package from the
-# directory argv[1]. Prints "ready", waits for a line on stdin, then prints
-# the sha256 of the eigenvalues' bits.
+# directory argv[1], and solve_stack from the directory argv[3]. Prints
+# "ready", waits for a line on stdin, then prints the sha256 of the
+# eigenvalues' bits.
 _BUILD_PROBE = """
 import hashlib, sys
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = [sys.argv[1], sys.argv[3]]
 import numpy as np
 from lapbounds import spectra
+from jacobi_oracle import solve_stack
 if not spectra.__file__.startswith(sys.argv[1]):
     sys.exit("imported " + spectra.__file__)
 print("ready", flush=True)
 sys.stdin.readline()
-vals = spectra.jacobi_eigenvalues(np.load(sys.argv[2]))
+vals = solve_stack(np.load(sys.argv[2]))
 print(hashlib.sha256(vals.tobytes()).hexdigest(), flush=True)
 """
 
@@ -826,7 +842,7 @@ class TestKernelBuild:
         stack = np.stack([_stack_member(kind, 24, 5)
                           for kind in ("gnp", "tree", "clique_union")])
         np.save(tmp_path / "stack.npy", stack)
-        digest = hashlib.sha256(jacobi_eigenvalues(stack).tobytes())
+        digest = hashlib.sha256(solve_stack(stack).tobytes())
         return tmp_path, digest.hexdigest()
 
     @staticmethod
@@ -835,7 +851,7 @@ class TestKernelBuild:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         procs = [subprocess.Popen(
             [sys.executable, "-c", _BUILD_PROBE, str(root),
-             str(root / "stack.npy")],
+             str(root / "stack.npy"), str(Path(__file__).parent)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, env=env)
             for _ in range(count)]
@@ -1480,20 +1496,23 @@ class TestBareissAgainstSymbolic:
     def test_reduced_laplacian_determinant(self, g):
         if g.n == 1:
             return
-        L = lb.laplacian(g)
-        reduced = sympy.Matrix([[int(L[i, j]) for j in range(1, g.n)]
-                                for i in range(1, g.n)])
+        # the Laplacian from the edges and the degrees, not laplacian(g)
+        L = sympy.diag(*[g.degree(v) for v in range(g.n)])
+        for u, v in g.edges:
+            L[u, v] = L[v, u] = -1
         # the determinant route counts spanning trees for disconnected
         # graphs too (it is zero there), so no connectivity guard is needed
-        assert lb.spanning_trees_exact(g) == int(reduced.det())
+        assert lb.spanning_trees_exact(g) == int(L[1:, 1:].det())
 
-    def test_mask_rows_give_the_numpy_laplacians_count(self):
-        # the reduced Laplacian built from the masks gives the count that
-        # the one cut from laplacian(g) gives, on every atlas graph
+    def test_networkx_reduced_laplacians_give_the_count(self):
+        # the reduced Laplacian built from networkx's edges and degrees
+        # gives spanning_trees_exact's count, on every atlas graph
         nx = pytest.importorskip("networkx")
         for G in nx.graph_atlas_g()[1:]:
-            g = lb.build_graph(G.number_of_nodes(), G.edges())
-            reduced = lb.laplacian(g)[1:, 1:].tolist()
+            n = G.number_of_nodes()
+            g = lb.build_graph(n, G.edges())
+            reduced = [[G.degree(u) if u == v else -int(G.has_edge(u, v))
+                        for v in range(1, n)] for u in range(1, n)]
             assert (lb.spanning_trees_exact(g)
                     == spectra._bareiss_determinant(reduced)), G.edges()
 
