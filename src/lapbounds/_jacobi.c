@@ -1,19 +1,19 @@
 /* The Jacobi eigensolver of lapbounds.spectra, whole, and the G(n, p) coin
  * block of lapbounds.families.
  *
- * jacobi_solve solves a stack of symmetric matrices: it copies them, or
- * fills them from packed neighbour-mask rows, into a 64-byte aligned stack
- * of its own, builds the round-robin schedule, sweeps, tests each matrix for
- * convergence and retires it with its final diagonal. It is the only
- * solver: the tests check it against the same solve written in numpy
- * (numpy_solve in tests/jacobi_oracle.py), and both do the same IEEE
- * operations in the same order, so they give the same bits and retire each
- * matrix after the same sweep. Build it without fast-math and without
- * contraction (-fno-fast-math -ffp-contract=off), since a fused
- * multiply-add would round once where numpy rounds twice, and a reordered
- * sum would round differently; and with -fno-math-errno, so that sqrt
- * compiles to its instruction alone and the hypot loop vectorizes (nothing
- * here reads errno).
+ * jacobi_solve solves symmetric matrices one after another: it copies each,
+ * or fills it from packed neighbour-mask rows, into a 64-byte aligned work
+ * matrix of its own, sweeps it in the round-robin schedule until it
+ * converges, and writes its final diagonal. It is the only solver: the
+ * tests check it against the same solve written in numpy (numpy_solve in
+ * tests/jacobi_oracle.py), and both do the same IEEE operations in the same
+ * order, so they give the same bits and stop each matrix after the same
+ * sweep. Build it without fast-math and without contraction
+ * (-fno-fast-math -ffp-contract=off), since a fused multiply-add would
+ * round once where numpy rounds twice, and a reordered sum would round
+ * differently; and with -fno-math-errno, so that sqrt compiles to its
+ * instruction alone and the hypot loop vectorizes (nothing here reads
+ * errno).
  *
  * Only the order in which independent pairs and entries are visited differs
  * from the oracle's numpy round, and rotate() holds the operations of every
@@ -25,10 +25,10 @@
  * in any order and grouped in any way, and every pair and entry still goes
  * through the same operations on the same operands.
  *
- * Each round of each matrix then takes three steps. The coefficients are
- * computed in phases, each over all k pairs and each vectorized: gather half
- * and apq; every first hypot; den and tt; every second hypot; c and t. Then
- * the columns are walked as runs: maximal stretches of consecutive pairs of
+ * Each round then takes three steps. The coefficients are computed in
+ * phases, each over all k pairs and each vectorized: gather half and apq;
+ * every first hypot; den and tt; every second hypot; c and t. Then the
+ * columns are walked as runs: maximal stretches of consecutive pairs of
  * pq in which P steps by +1 or -1 and Q steps the opposite way; a pair that
  * starts no such stretch is a run of one. Pair i of round r of the
  * round-robin schedule is {(r + i) mod (M - 1), (r - i) mod (M - 1)}, M = n
@@ -55,8 +55,8 @@
  * there is one.
  * On a libm whose hypot is not glibc's algorithm, the common range rounds
  * as glibc does, and the tests that compare it with np.hypot say where.
- * The work stack is 64-byte aligned, so that a sweep's speed does not
- * depend on where the caller's buffer sits: an n = 64 sweep on a stack at
+ * The work matrix is 64-byte aligned, so that a sweep's speed does not
+ * depend on where the caller's buffer sits: an n = 64 sweep on a matrix at
  * 16 mod 32 bytes took about 15% longer than on one at 0 mod 32.
  *
  * gnp_rows draws the coins of one G(n, p) attempt from a splitmix64 state,
@@ -265,7 +265,7 @@ INLINE void coefficients(const double *m, ptrdiff_t n, const ptrdiff_t *P,
 /* The work arrays, c, t, h and the runs, are sized from k and allocated
  * here, not in jacobi_solve's block: jacobi_sweep is also called alone, by
  * the schedule tests. */
-INLINE int sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+INLINE int sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
                  ptrdiff_t rounds, ptrdiff_t k)
 {
     double *c = malloc(3 * k * sizeof(double)
@@ -277,44 +277,42 @@ INLINE int sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
     for (ptrdiff_t r = 0; r < rounds; r++) {
         const ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
         ptrdiff_t nseg = find_runs(P, Q, k, seg, dir);
-        for (double *m = a; m < a + b * n * n; m += n * n) {
-            coefficients(m, n, P, Q, k, h, c, t);
-            rotate_columns(m, n, P, Q, seg, dir, nseg, c, t);
-            for (ptrdiff_t i = 0; i < k; i++) {
-                rotate_rows(m + P[i] * n, m + Q[i] * n, n, c[i], t[i]);
-                m[P[i] * n + Q[i]] = m[Q[i] * n + P[i]] = 0.0;
-            }
+        coefficients(m, n, P, Q, k, h, c, t);
+        rotate_columns(m, n, P, Q, seg, dir, nseg, c, t);
+        for (ptrdiff_t i = 0; i < k; i++) {
+            rotate_rows(m + P[i] * n, m + Q[i] * n, n, c[i], t[i]);
+            m[P[i] * n + Q[i]] = m[Q[i] * n + P[i]] = 0.0;
         }
     }
     free(c);
     return 0;
 }
 
-/* a is b contiguous n x n matrices, row-major. Row r of pq (rounds x 2k)
- * holds round r's k disjoint pairs, all P then all Q. Returns 0, or -1 when
- * the work arrays cannot be allocated, before any entry is changed. */
+/* m is one n x n matrix, row-major. Row r of pq (rounds x 2k) holds round
+ * r's k disjoint pairs, all P then all Q. Returns 0, or -1 when the work
+ * arrays cannot be allocated, before any entry is changed. */
 #if defined(__x86_64__) && defined(__GNUC__)
 /* sweep built for AVX2. Wider vectors do the same IEEE operations on each
  * entry, and the avx2 target enables no fused multiply-add. */
 __attribute__((target("avx2")))
-static int sweep_avx2(double *a, ptrdiff_t b, ptrdiff_t n,
-                      const ptrdiff_t *pq, ptrdiff_t rounds, ptrdiff_t k)
+static int sweep_avx2(double *m, ptrdiff_t n, const ptrdiff_t *pq,
+                      ptrdiff_t rounds, ptrdiff_t k)
 {
-    return sweep(a, b, n, pq, rounds, k);
+    return sweep(m, n, pq, rounds, k);
 }
 
-int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+int jacobi_sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
                  ptrdiff_t rounds, ptrdiff_t k)
 {
     if (__builtin_cpu_supports("avx2"))
-        return sweep_avx2(a, b, n, pq, rounds, k);
-    return sweep(a, b, n, pq, rounds, k);
+        return sweep_avx2(m, n, pq, rounds, k);
+    return sweep(m, n, pq, rounds, k);
 }
 #else
-int jacobi_sweep(double *a, ptrdiff_t b, ptrdiff_t n, const ptrdiff_t *pq,
+int jacobi_sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
                  ptrdiff_t rounds, ptrdiff_t k)
 {
-    return sweep(a, b, n, pq, rounds, k);
+    return sweep(m, n, pq, rounds, k);
 }
 #endif
 
@@ -336,23 +334,24 @@ static void round_robin(ptrdiff_t n, ptrdiff_t *pq)
     }
 }
 
-/* count rows of n x n Laplacians from count neighbour masks of
- * (n + 7) / 8 little-endian bytes each: -1 where bit j is set and 0
- * elsewhere, then the mask's popcount on the diagonal, as
- * spectra._Laplacians unpacks them. */
-static void fill_laplacians(double *a, ptrdiff_t count, ptrdiff_t n,
-                            const unsigned char *rows)
+/* The n x n Laplacian of n neighbour masks of (n + 7) / 8 little-endian
+ * bytes each: -1 where bit j is set and 0 elsewhere, then the mask's
+ * popcount on the diagonal, as spectra.laplacian builds it. Returns the
+ * byte after the last mask. */
+static const unsigned char *fill_laplacian(double *a, ptrdiff_t n,
+                                           const unsigned char *rows)
 {
     ptrdiff_t width = (n + 7) / 8;
-    for (ptrdiff_t i = 0; i < count; i++, a += n, rows += width) {
+    for (ptrdiff_t i = 0; i < n; i++, a += n, rows += width) {
         int degree = 0;
         for (ptrdiff_t j = 0; j < n; j++)
             a[j] = ((rows[j >> 3] >> (j & 7)) & 1) ? -1.0 : 0.0;
         for (ptrdiff_t w = 0; w < width; w++)
             for (unsigned bits = rows[w]; bits; bits &= bits - 1)
                 degree++;
-        a[i % n] = degree;
+        a[i] = degree;
     }
+    return rows;
 }
 
 /* The squares of the n x n matrix x summed left to right, row by row, its
@@ -367,74 +366,73 @@ static double sum_squares(const double *x, ptrdiff_t n, int off)
     return s;
 }
 
-/* Solves the b symmetric n x n matrices of a, row-major, or when rows is
- * not NULL the Laplacians of those b * n neighbour masks, on a stack of its
- * own, 64-byte aligned: a is read only, and may be NULL with rows. Matrix
- * i's target is rel_tol times the square root of its sum_squares. It sweeps
- * until the square root of its off-diagonal sum_squares is at most its
- * target, and then leaves the stack: its diagonal goes to values[i * n ..
- * i * n + n - 1], and the number of sweeps it took to sweeps[i]. Returns the
- * number of matrices still above their target after max_sweeps sweeps, each
- * with sweeps[i] = -1; before any sweep, -2 when an entry is not finite and
- * -3 when a target overflows; or -1 when no memory is left. */
-ptrdiff_t jacobi_solve(const double *a, ptrdiff_t b, ptrdiff_t n,
+/* Solves b symmetric matrices one after another: matrix j has order ns[j]
+ * and follows matrix j - 1 in a, row-major, or when rows is not NULL is the
+ * Laplacian of the ns[j] neighbour masks that follow matrix j - 1's there.
+ * Each is loaded into one 64-byte aligned work matrix of the largest order:
+ * a is read only, and may be NULL with rows. Its target is rel_tol times
+ * the square root of its sum_squares. It is swept until the square root of
+ * its off-diagonal sum_squares is at most its target; then its diagonal
+ * goes to values, after those of the matrices before it, and the number of
+ * sweeps it took to sweeps[j]. Returns the number of matrices still above
+ * their target after max_sweeps sweeps, each with sweeps[j] = -1; before
+ * matrix j is swept, -2 when it has an entry that is not finite and -3 when
+ * its target overflows; or -1 when no memory is left. */
+ptrdiff_t jacobi_solve(const double *a, ptrdiff_t b, const int *ns,
                        const unsigned char *rows, ptrdiff_t max_sweeps,
                        double rel_tol, double *values, int *sweeps)
 {
-    ptrdiff_t nn = n * n, k = n / 2, rounds = n - 1 + n % 2;
+    ptrdiff_t top = 0, scheduled = -1, failed = 0;
     if (b == 0)
         return 0;
-    /* the stack, then the targets, the ids and the schedule, in one block
-     * of whole 64-byte lines */
-    size_t size = b * nn * sizeof(double)
-                  + b * (sizeof(double) + sizeof(ptrdiff_t))
-                  + rounds * 2 * k * sizeof(ptrdiff_t);
-    double *stack = aligned_alloc(64, (size + 63) / 64 * 64);
-    if (stack == NULL)
+    for (ptrdiff_t j = 0; j < b; j++)
+        top = ns[j] > top ? ns[j] : top;
+    /* the work matrix, then the schedule of at most top * top indices, in
+     * one block of whole 64-byte lines, at least one */
+    size_t size = top * top * (sizeof(double) + sizeof(ptrdiff_t));
+    double *m = aligned_alloc(64, (size / 64 + 1) * 64);
+    if (m == NULL)
         return -1;
-    double *target = stack + b * nn;
-    ptrdiff_t *id = (ptrdiff_t *)(target + b), *pq = id + b;
-    ptrdiff_t active = b;
-    if (rows != NULL)
-        fill_laplacians(stack, b * n, n, rows);
-    else
-        memcpy(stack, a, b * nn * sizeof(double));
-    for (ptrdiff_t i = 0; i < b * nn && active > 0; i++)
-        if (!isfinite(stack[i]))
-            active = -2;
-    for (ptrdiff_t j = 0; j < b && active > 0; j++) {
-        target[j] = rel_tol * sqrt(sum_squares(stack + j * nn, n, 0));
-        if (!isfinite(target[j]))
-            active = -3;
-        id[j] = j;
-    }
-    for (ptrdiff_t sweep = 0; active > 0; sweep++) {
-        ptrdiff_t kept = 0;
-        for (ptrdiff_t j = 0; j < active; j++) {
-            double *m = stack + j * nn;
-            if (sqrt(sum_squares(m, n, 1)) <= target[j]) {
-                for (ptrdiff_t i = 0; i < n; i++)
-                    values[id[j] * n + i] = m[i * n + i];
-                sweeps[id[j]] = (int)sweep;
-                continue;
-            }
-            if (kept < j)  /* converged matrices leave the stack */
-                memcpy(stack + kept * nn, m, nn * sizeof(double));
-            target[kept] = target[j];
-            id[kept++] = id[j];
+    ptrdiff_t *pq = (ptrdiff_t *)(m + top * top);
+    for (ptrdiff_t j = 0; j < b; j++) {
+        ptrdiff_t n = ns[j], nn = n * n, k = n / 2, rounds = n - 1 + n % 2;
+        if (rows != NULL) {
+            rows = fill_laplacian(m, n, rows);
+        } else {
+            memcpy(m, a, nn * sizeof(double));
+            a += nn;
         }
-        active = kept;
-        if (active == 0 || sweep >= max_sweeps)
+        /* a non-finite entry makes the target non-finite too */
+        double target = rel_tol * sqrt(sum_squares(m, n, 0));
+        if (!isfinite(target)) {
+            failed = -3;
+            for (ptrdiff_t i = 0; i < nn; i++)
+                if (!isfinite(m[i]))
+                    failed = -2;
             break;
-        if (sweep == 0)
-            round_robin(n, pq);
-        if (jacobi_sweep(stack, active, n, pq, rounds, k) != 0)
-            active = -1;
+        }
+        int converged, s;
+        for (s = 0; !(converged = sqrt(sum_squares(m, n, 1)) <= target)
+                    && s < max_sweeps; s++) {
+            if (scheduled != n) {
+                round_robin(n, pq);
+                scheduled = n;
+            }
+            if (jacobi_sweep(m, n, pq, rounds, k) != 0) {
+                failed = -1;
+                break;
+            }
+        }
+        if (failed < 0)
+            break;
+        for (ptrdiff_t i = 0; i < n; i++)
+            values[i] = m[i * n + i];
+        values += n;
+        sweeps[j] = converged ? s : -1;
+        failed += !converged;
     }
-    for (ptrdiff_t j = 0; j < active; j++)
-        sweeps[id[j]] = -1;
-    free(stack);
-    return active;
+    free(m);
+    return failed;
 }
 
 #define GOLDEN 0x9E3779B97F4A7C15u

@@ -40,8 +40,7 @@ if TYPE_CHECKING:
 
 MAX_N = 64  # vertex cap for --graph, --family, sweep specs and fuzz n-max
 # check, sweep and fuzz build and solve this many consecutive instances at a
-# time, in one spectra_of call (one stack per n inside it); only one chunk's
-# graphs are alive at once
+# time, in one spectra_of call; only one chunk's graphs are alive at once
 FUZZ_CHUNK = 64
 
 CSV_COLUMNS = ("graph_id", "n", "m") + BoundResult._fields

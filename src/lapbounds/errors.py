@@ -10,7 +10,7 @@ class SelfLoopError(LapboundsError):
 
 
 class VertexRangeError(LapboundsError):
-    """An edge endpoint lies outside 0..n-1."""
+    """A vertex, such as an edge endpoint, lies outside 0..n-1."""
 
 
 class ParseError(LapboundsError):

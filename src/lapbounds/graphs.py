@@ -85,10 +85,16 @@ class Graph:
         return tuple(tuple(comp) for comp in connected_components(self))
 
     def degree(self, v: int) -> int:
+        """The degree of v; VertexRangeError when v is outside 0..n-1."""
+        if not 0 <= v < self.n:
+            raise VertexRangeError(f"vertex {v} outside 0..{self.n - 1}")
         return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v >= 0 and self.masks[u] >> v & 1 == 1
+        """Whether u and v are adjacent; False when either is outside
+        0..n-1."""
+        return (0 <= u < self.n and 0 <= v < self.n
+                and self.masks[u] >> v & 1 == 1)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

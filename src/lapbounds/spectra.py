@@ -1,18 +1,17 @@
 """Laplacian spectra and spectral invariants.
 
 The eigensolver is a Jacobi iteration in the round-robin parallel ordering of
-Brent & Luk (1985), applied to one matrix or to a whole stack of matrices of
-one size at once; Jacobi keeps small eigenvalues accurate relative to their
+Brent & Luk (1985); Jacobi keeps small eigenvalues accurate relative to their
 size, which s_{-2} needs (Demmel & Veselic 1992). A solve is one call of
 jacobi_solve in _jacobi.c, compiled with -O3 on the first solve into this
-package's __pycache__: it fills a 64-byte aligned stack of its own from the
-graphs' neighbour masks, sweeps it, and retires each matrix as it converges.
-It sums its convergence tests left to right, with no BLAS, and each matrix
-leaves the stack on its own, so its eigenvalues are bit-identical whatever
-it was stacked with; spectra_of takes graphs of any vertex counts and solves
-one stack per n. Its rotations take hypot by glibc's algorithm (2.35 and
-later), inlined, on every pair in that algorithm's common range, whatever
-the host's libm; only the pairs outside it call the libm's hypot.
+package's __pycache__: it takes the graphs' neighbour masks and solves their
+Laplacians one after another, each filled into a 64-byte aligned work matrix
+of its own and swept until it converges. It sums its convergence tests left
+to right, with no BLAS, so a graph's eigenvalues are bit-identical whatever
+graphs it is solved with; spectra_of solves graphs of any vertex counts in
+one call. Its rotations take hypot by glibc's algorithm (2.35 and later),
+inlined, on every pair in that algorithm's common range, whatever the host's
+libm; only the pairs outside it call the libm's hypot.
 Where the library cannot be built, the first solve raises SolverBuildError.
 Zero eigenvalues are forced structurally: the graph's component count decides
 the zero multiplicity, and the numerically smallest values are checked against
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -40,16 +39,17 @@ TRACE_REL_TOL = 1e-9
 
 
 class _Laplacians:
-    """The Laplacians of graphs that all have n vertices, held as the packed
-    neighbour-mask rows (ceil(n / 8) little-endian bytes each) that
-    jacobi_solve fills its stack from, as laplacian fills its rows: -1 where
-    a mask bit is set, each mask's popcount on the diagonal."""
+    """The Laplacians of graphs of any vertex counts, held as their orders
+    ns and the packed neighbour-mask rows (ceil(n / 8) little-endian bytes
+    each) that jacobi_solve fills each matrix from, as laplacian fills its
+    rows: -1 where a mask bit is set, each mask's popcount on the
+    diagonal."""
 
     def __init__(self, graphs: Sequence[Graph]):
-        self.n, self.count = graphs[0].n, len(graphs)
-        width = (self.n + 7) // 8
-        self.rows = b"".join(mask.to_bytes(width, "little")
-                             for g in graphs for mask in g.masks)
+        self.ns = array("i", [g.n for g in graphs])
+        self.rows = b"".join(mask.to_bytes(width, "little") for g in graphs
+                             for width in [(g.n + 7) // 8]
+                             for mask in g.masks)
 
 
 def laplacian(g: Graph) -> list[list[int]]:
@@ -134,7 +134,7 @@ def _load_library():
     except OSError as exc:
         raise failed(exc) from exc
     size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
-    lib.jacobi_solve.argtypes = (ptr, size, size, ctypes.c_char_p, size,
+    lib.jacobi_solve.argtypes = (ptr, size, ptr, ctypes.c_char_p, size,
                                  ctypes.c_double, ptr, ptr)
     lib.jacobi_solve.restype = size
     lib.gnp_rows.argtypes = (ctypes.c_uint64, size, ctypes.c_double, ptr)
@@ -155,20 +155,22 @@ def _library():
     return _lib
 
 
-def _solve(a: Optional[array], b: int, n: int,
-           laplacians: Optional[_Laplacians] = None) -> tuple[array, array]:
-    """The final diagonals of the b matrices of order n, read from the
-    doubles of a or, with a None, filled from laplacians, and the sweeps
-    each matrix took: one jacobi_solve, which solves on a stack of its own
-    and leaves a as it was. Raises JacobiConvergenceError when the solve
-    fails, and SolverBuildError when the library cannot be built."""
-    if laplacians is None and (a is None or a.typecode != "d"
-                               or len(a) != b * n * n):
-        raise ValueError("the stack must hold b * n * n doubles")
-    values, sweeps = array("d", [0.0]) * (b * n), array("i", [0]) * b
+def _solve(a: Optional[array], ns: Sequence[int],
+           rows: Optional[bytes] = None) -> tuple[array, array]:
+    """The final diagonals of the matrices of orders ns, one after another,
+    read from the doubles of a or, with a None, filled from the neighbour
+    masks rows, and the sweeps each matrix took: one jacobi_solve, which
+    solves each matrix in a work matrix of its own and leaves a as it was.
+    Raises JacobiConvergenceError when the solve fails, and
+    SolverBuildError when the library cannot be built."""
+    ns = array("i", ns)
+    if rows is None and (a is None or a.typecode != "d"
+                         or len(a) != sum(n * n for n in ns)):
+        raise ValueError("a must hold the matrices' n * n doubles each")
+    values, sweeps = array("d", [0.0]) * sum(ns), array("i", [0]) * len(ns)
     code = _library().jacobi_solve(
-        None if a is None else a.buffer_info()[0], b, n,
-        laplacians and laplacians.rows, JACOBI_MAX_SWEEPS, JACOBI_REL_TOL,
+        None if a is None else a.buffer_info()[0], len(ns),
+        ns.buffer_info()[0], rows, JACOBI_MAX_SWEEPS, JACOBI_REL_TOL,
         values.buffer_info()[0], sweeps.buffer_info()[0])
     if code == -1:
         raise MemoryError("no memory for the Jacobi solve")
@@ -181,12 +183,12 @@ def _solve(a: Optional[array], b: int, n: int,
 
 
 def jacobi_eigenvalues(matrix):
-    """Eigenvalues of a symmetric matrix, or of each Laplacian of a stack.
+    """Eigenvalues of a symmetric matrix, or of each Laplacian of graphs.
 
-    matrix is either the _Laplacians stack that spectra_of passes, giving a
-    list of B array('d') rows, row i holding the eigenvalues of Laplacian i,
-    or one square matrix given as its n rows (lists of numbers, laplacian(g)
-    or a 2-D numpy array, read by iteration), giving an array('d') of n. Each
+    matrix is either the _Laplacians that spectra_of passes, giving a list
+    of array('d') rows, row i holding the eigenvalues of Laplacian i, or one
+    square matrix given as its n rows (lists of numbers, laplacian(g) or a
+    2-D numpy array, read by iteration), giving an array('d') of n. Each
     holds its matrix's final diagonal, in order. A matrix whose rows are not
     all n long raises ValueError.
 
@@ -201,27 +203,27 @@ def jacobi_eigenvalues(matrix):
     _jacobi.c, built on the first solve; SolverBuildError is raised when it
     cannot be built.
 
-    Each matrix sweeps until its own off-diagonal Frobenius norm drops below
-    JACOBI_REL_TOL times its own Frobenius norm (which rotations preserve),
-    both summed left to right, and then leaves the stack, never to be
-    rotated again. The rotations act on each matrix alone, so a matrix's
-    eigenvalues are bit-identical whatever it is stacked with. Raises
-    JacobiConvergenceError when any matrix is still above its target after
-    JACOBI_MAX_SWEEPS sweeps, and before the first sweep when any entry is
-    NaN or infinite or any matrix's Frobenius norm overflows (entries beyond
-    about 1e154): an infinite target would pass the unrotated diagonal off
-    as converged. Neither raises a RuntimeWarning, only the error. matrix is
-    never written: the solve fills a 64-byte aligned stack of its own.
+    Each matrix is solved on its own: it sweeps until its off-diagonal
+    Frobenius norm drops below JACOBI_REL_TOL times its Frobenius norm
+    (which rotations preserve), both summed left to right, so its
+    eigenvalues are bit-identical whatever matrices it is solved with.
+    Raises JacobiConvergenceError when any matrix is still above its target
+    after JACOBI_MAX_SWEEPS sweeps, and before a matrix is swept when any
+    of its entries is NaN or infinite or its Frobenius norm overflows
+    (entries beyond about 1e154): an infinite target would pass the
+    unrotated diagonal off as converged. Neither raises a RuntimeWarning,
+    only the error. matrix is never written: the solve fills a 64-byte
+    aligned work matrix of its own.
     """
     if isinstance(matrix, _Laplacians):
-        b, n = matrix.count, matrix.n
-        values = _solve(None, b, n, matrix)[0]
-        return [values[i * n:i * n + n] for i in range(b)]
+        values = _solve(None, matrix.ns, matrix.rows)[0]
+        return [values[end - n:end]
+                for n, end in zip(matrix.ns, accumulate(matrix.ns))]
     rows = list(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    return _solve(array("d", chain.from_iterable(rows)), 1, n)[0]
+    return _solve(array("d", chain.from_iterable(rows)), [n])[0]
 
 
 class Spectrum(NamedTuple):
@@ -269,21 +271,11 @@ def spectra_of(graphs: Sequence[Graph]) -> list[Spectrum]:
     """Laplacian spectra of graphs of any vertex counts, in order; one exact
     zero per component.
 
-    The graphs of each vertex count are solved as one stack, in one
-    jacobi_eigenvalues call, the counts in the order they first appear. A
-    graph's eigenvalues do not depend on the graphs it is stacked with.
+    The graphs are solved in one jacobi_eigenvalues call, each on its own,
+    so a graph's eigenvalues do not depend on the graphs solved with it.
     """
-    stacks: dict[int, list[int]] = {}  # the graphs' positions, by n
-    for i, g in enumerate(graphs):
-        stacks.setdefault(g.n, []).append(i)
-    out: list = [None] * len(graphs)
-    for positions in stacks.values():
-        stack = [graphs[i] for i in positions]
-        vals = jacobi_eigenvalues(_Laplacians(stack))
-        for i, g, v in zip(positions, stack, vals):
-            out[i] = _pin_zeros(sorted(v, reverse=True), len(g.components),
-                                2.0 * g.m)
-    return out
+    return [_pin_zeros(sorted(v, reverse=True), len(g.components), 2.0 * g.m)
+            for g, v in zip(graphs, jacobi_eigenvalues(_Laplacians(graphs)))]
 
 
 def spectrum(g: Graph) -> Spectrum:

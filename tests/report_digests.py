@@ -26,7 +26,10 @@ CALLS = [
     "fuzz --seed 7 --count 100 --model clique-union",
     "fuzz --seed 7 --count 150 --n-min 4 --n-max 40",
     "fuzz --seed 7 --count 3 --model gnp --p 0.001 --n-min 12 --n-max 12",
+    "fuzz --seed 7 --count 64 --n-min 2 --n-max 64",
     "sweep --family K:3..64",
+    "sweep --family S:3..64",
+    "sweep --family TREE:3..64:1",
     "sweep --family GNP:3..20:0.3:5",
     "sweep --family K:3..12 --format csv",
     "check --family K:4",

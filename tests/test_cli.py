@@ -476,25 +476,13 @@ class TestOneSolvePerGraph:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The n of every Laplacian solved, a stack counting each member."""
-        sizes = []
-        original = spectra.jacobi_eigenvalues
-
-        def counting(matrix):
-            sizes.extend([matrix.n] * matrix.count)
-            return original(matrix)
-
-        monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
-        return sizes
-
-    @pytest.fixture
-    def stacks(self, monkeypatch):
-        """(stack size, n) of every jacobi_eigenvalues call."""
+        """The n of every Laplacian of each jacobi_eigenvalues call, one
+        list a call."""
         calls = []
         original = spectra.jacobi_eigenvalues
 
         def counting(matrix):
-            calls.append((matrix.count, matrix.n))
+            calls.append(matrix.ns.tolist())
             return original(matrix)
 
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
@@ -514,9 +502,9 @@ class TestOneSolvePerGraph:
         return sizes
 
     @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
-    def test_fuzz(self, model, stacks, laplacians, tmp_path, capsys,
+    def test_fuzz(self, model, solves, laplacians, tmp_path, capsys,
                   monkeypatch):
-        """Each chunk's graphs are solved as one stack per distinct n."""
+        """Each chunk's graphs are solved in one jacobi_eigenvalues call."""
         chunk = 7
         monkeypatch.setattr(cli, "FUZZ_CHUNK", chunk)
         code, out, _ = run(["fuzz", "--seed", "7", "--count", "30",
@@ -527,22 +515,19 @@ class TestOneSolvePerGraph:
         failed = {f["index"] for f in corpus["generation_failures"]}
         evaluated = [(i, n) for i, n in enumerate(corpus["sizes"])
                      if i not in failed]
-        solved = [n for size, n in stacks for _ in range(size)]
-        assert sorted(solved) == sorted(n for _, n in evaluated)
-        assert sorted(laplacians) == sorted(n for _, n in evaluated)
-        per_chunk = Counter((i // chunk, n) for i, n in evaluated)
-        assert sorted(stacks) == sorted((size, n)
-                                        for (_, n), size in per_chunk.items())
+        assert solves == [[n for i, n in evaluated if i // chunk == c]
+                          for c in range(-(-30 // chunk))]
+        assert laplacians == [n for _, n in evaluated]
 
     def test_sweep(self, solves, laplacians, capsys):
         code, out, _ = run(["sweep", "--family", "K:3..8"], capsys)
         assert code in (0, 2, 3)
-        assert solves == laplacians == [3, 4, 5, 6, 7, 8]
+        assert solves == [laplacians] == [[3, 4, 5, 6, 7, 8]]
 
     def test_check(self, solves, laplacians, capsys):
         code, _, _ = run(["check", "--family", "GNP:12:0.5:1"], capsys)
         assert code in (0, 2, 3)
-        assert solves == laplacians == [12]
+        assert solves == [laplacians] == [[12]]
 
 
 class TestComponentsOncePerGraph:
@@ -784,8 +769,8 @@ def test_large_fuzz_violation_replays_through_check(tmp_path, capsys):
 
 
 class TestFuzzChunks:
-    """Fuzz solves each chunk's graphs of one n as a stack; no report bit
-    depends on which graphs share a stack."""
+    """Fuzz solves each chunk's graphs in one call; no report bit depends
+    on which graphs share a call."""
 
     @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
     def test_report_independent_of_chunk_size(self, model, tmp_path, capsys,

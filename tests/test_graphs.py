@@ -324,6 +324,15 @@ class TestMasksMatchTheSetCode:
         assert g.masks[1:] == (1,) * 69
         assert not g.has_edge(0, -1) and not g.has_edge(1, 70)
 
+    def test_vertices_outside_the_graph(self):
+        # a negative vertex does not wrap to the end of the masks
+        g = fam("S:4")
+        for u, v in [(-1, 0), (4, 0), (0, -1), (1, 70), (-5, -1)]:
+            assert not g.has_edge(u, v) and not g.has_edge(v, u), (u, v)
+        for v in (-1, 4, -5):
+            with pytest.raises(VertexRangeError, match="outside 0..3"):
+                g.degree(v)
+
 
 class TestDegrees:
     def test_star_degrees(self):

@@ -31,7 +31,7 @@ from lapbounds import (DisconnectedGraphError, JacobiConvergenceError,
 from lapbounds.spectra import jacobi_eigenvalues
 from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
                       named_corpus, tree_corpus)
-from jacobi_oracle import (ORACLE, laplacian_stack, numpy_sweep, round_robin,
+from jacobi_oracle import (ORACLE, laplacians, numpy_sweep, round_robin,
                            solve_stack)
 
 
@@ -294,32 +294,24 @@ class TestJacobiStack:
     def test_spectra_of_matches_spectrum(self):
         graphs = [g for _, g in named_corpus() + gnp_corpus()[:60]
                   + tree_corpus()[:40] + clique_union_corpus()[:20]]
-        groups = {}
-        for g in graphs:
-            groups.setdefault(g.n, []).append(g)
-        for group in groups.values():
-            assert lb.spectra_of(group) == [lb.spectrum(g) for g in group]
+        assert lb.spectra_of(graphs) == [lb.spectrum(g) for g in graphs]
         assert lb.spectra_of([]) == []
 
-    def test_spectra_of_solves_one_stack_of_one_n(self, monkeypatch):
-        graphs = [fam("S:6"), fam("P:6"), fam("K:6")]
-        alone = [lb.spectrum(g) for g in graphs]
-        shapes = []
+    def test_spectra_of_makes_one_solve(self, monkeypatch):
+        # graphs of any n go to one jacobi_eigenvalues call, in their order
+        graphs = [fam(label) for label in ("S:6", "S:7", "P:6", "K:7", "K:1")]
+        calls = []
         original = spectra.jacobi_eigenvalues
 
         def counting(matrix):
-            shapes.append((matrix.count, matrix.n, matrix.n))
+            calls.append(matrix.ns.tolist())
             return original(matrix)
 
         monkeypatch.setattr(spectra, "jacobi_eigenvalues", counting)
-        assert lb.spectra_of(graphs) == alone
-        assert shapes == [(3, 6, 6)]
-        # mixed n: one stack per n, in the order each n first appears
-        shapes.clear()
-        mixed = [fam(label) for label in ("S:6", "S:7", "P:6", "K:7", "K:1")]
-        solved = lb.spectra_of(mixed)
-        assert shapes == [(2, 6, 6), (2, 7, 7), (1, 1, 1)]
-        assert solved == [lb.spectrum(g) for g in mixed]
+        solved = lb.spectra_of(graphs)
+        assert calls == [[6, 7, 6, 7, 1]]
+        assert solved == [lb.spectrum(g) for g in graphs]
+        assert calls[1:] == [[g.n] for g in graphs]
 
     def test_one_by_one_stack(self):
         stack = np.array([[[5.0]], [[0.0]], [[-2.5]]])
@@ -527,17 +519,16 @@ def _solve_with(monkeypatch, lib, matrix):
 def _exits_with(monkeypatch, lib, stack):
     """The eigenvalue bits and the exit sweep of each matrix, as _solve
     gives them with lib, a compiled library or ORACLE. stack is a (B, n, n)
-    array, or a list of graphs of one n, whose masks the solve fills its
-    stack from."""
+    array, or a list of graphs of any n, whose masks the solve fills each
+    matrix from."""
     monkeypatch.setattr(spectra, "_lib", lib)
     if isinstance(stack, list):
-        b, n = len(stack), stack[0].n
-        values, sweeps = spectra._solve(None, b, n,
-                                        spectra._Laplacians(stack))
+        laplacians = spectra._Laplacians(stack)
+        values, sweeps = spectra._solve(None, laplacians.ns, laplacians.rows)
     else:
         b, n = stack.shape[:2]
         a = array("d", np.ascontiguousarray(stack, dtype=float).tobytes())
-        values, sweeps = spectra._solve(a, b, n)
+        values, sweeps = spectra._solve(a, [n] * b)
     return values.tobytes(), sweeps.tolist()
 
 
@@ -548,24 +539,24 @@ def _assert_raises_unswept(monkeypatch, stack, match):
         monkeypatch.setattr(spectra, "_lib", lib)
         a = array("d", stack.tobytes())
         with pytest.raises(JacobiConvergenceError, match=match):
-            spectra._solve(a, *stack.shape[:2])
+            spectra._solve(a, [len(stack[0])] * len(stack))
         assert a.tobytes() == stack.tobytes(), lib
 
 
 def _sweep_of(lib):
     """lib's jacobi_sweep, with numpy_sweep's signature."""
-    def sweep(a, pq):
-        assert a.flags.c_contiguous and a.dtype == np.float64
+    def sweep(m, pq):
+        assert m.flags.c_contiguous and m.dtype == np.float64
         assert pq.flags.c_contiguous and pq.dtype == np.intp
         assert lib.jacobi_sweep(
-            ctypes.c_void_p(a.ctypes.data), ctypes.c_ssize_t(len(a)),
-            ctypes.c_ssize_t(a.shape[1]), ctypes.c_void_p(pq.ctypes.data),
-            ctypes.c_ssize_t(len(pq)), ctypes.c_ssize_t(pq.shape[1] // 2)) == 0
+            ctypes.c_void_p(m.ctypes.data), ctypes.c_ssize_t(len(m)),
+            ctypes.c_void_p(pq.ctypes.data), ctypes.c_ssize_t(len(pq)),
+            ctypes.c_ssize_t(pq.shape[1] // 2)) == 0
     return sweep
 
 
 class TestCompiledKernel:
-    """The compiled solve gives the numpy oracle's bits, and retires each
+    """The compiled solve gives the numpy oracle's bits, and stops each
     matrix after the same sweep; its sweep gives numpy_sweep's bits."""
 
     def test_stacks_of_every_kind(self, monkeypatch, compiled_kernel):
@@ -600,10 +591,10 @@ class TestCompiledKernel:
             with pytest.raises(JacobiConvergenceError, match="after 2 sweeps"):
                 jacobi_eigenvalues(lb.laplacian(fam("S:40")))
             # the raw solve names S:40 as unconverged and still writes K:40
-            b, n = 2, 40
-            values, sweeps = array("d", [0.0]) * 80, array("i", [7]) * b
+            values, sweeps = array("d", [0.0]) * 80, array("i", [7]) * 2
             laplacians = spectra._Laplacians([fam("S:40"), fam("K:40")])
-            code = lib.jacobi_solve(None, b, n, laplacians.rows, 2,
+            code = lib.jacobi_solve(None, 2, laplacians.ns.buffer_info()[0],
+                                    laplacians.rows, 2,
                                     spectra.JACOBI_REL_TOL,
                                     values.buffer_info()[0],
                                     sweeps.buffer_info()[0])
@@ -611,9 +602,22 @@ class TestCompiledKernel:
             k40, = jacobi_eigenvalues(spectra._Laplacians([fam("K:40")]))
             assert values[40:].tobytes() == k40.tobytes()
 
-    def test_fuzz_small_stacks_at_seed_7(self, monkeypatch, compiled_kernel,
+    def test_mixed_orders_solve_as_alone(self, monkeypatch, compiled_kernel):
+        # each matrix gets the bits and the sweeps it gets alone, whatever
+        # the orders of the matrices solved before it
+        graphs = [fam(label) for label in ("S:40", "K:12", "P:5", "K:1")]
+        for order in (graphs, graphs[::-1]):
+            want = _exits_with(monkeypatch, ORACLE, order)
+            assert _exits_with(monkeypatch, compiled_kernel, order) == want
+            alone = [_exits_with(monkeypatch, compiled_kernel, [g])
+                     for g in order]
+            assert want == (b"".join(v for v, _ in alone),
+                            [s for _, (s,) in alone])
+        assert want[1] == [0, 4, 1, 8]
+
+    def test_fuzz_small_solves_at_seed_7(self, monkeypatch, compiled_kernel,
                                          tmp_path, capsys):
-        # the 27 calls of perfbench's fuzz-small pass, one stack each
+        # the 27 calls of perfbench's fuzz-small pass, one solve each
         stacks = []
         original = spectra.jacobi_eigenvalues
 
@@ -629,15 +633,14 @@ class TestCompiledKernel:
                           str(n), "--p", "0.5",
                           "--out-dir", str(tmp_path / f"{model}-{n}")])
         capsys.readouterr()
-        assert [(s.count, s.n, s.n) for s in stacks] == [
-            (12, n, n) for _ in range(3) for n in range(4, 13)]
-        for laplacians in stacks:
-            stack = laplacian_stack(laplacians.rows, laplacians.count,
-                                    laplacians.n)
+        assert [s.ns.tolist() for s in stacks] == [
+            [n] * 12 for _ in range(3) for n in range(4, 13)]
+        for solved in stacks:
+            stack = np.stack(laplacians(solved.rows, solved.ns))
             want = _exits_with(monkeypatch, ORACLE, stack)
             assert _exits_with(monkeypatch, compiled_kernel, stack) == want
             monkeypatch.setattr(spectra, "_lib", compiled_kernel)
-            assert (b"".join(v.tobytes() for v in original(laplacians))
+            assert (b"".join(v.tobytes() for v in original(solved))
                     == want[0])
 
     @pytest.mark.parametrize("bad, i, j", [(np.nan, 0, 0), (np.nan, 1, 2),
@@ -656,7 +659,7 @@ class TestCompiledKernel:
             for lib in (compiled_kernel, ORACLE):
                 with pytest.raises(JacobiConvergenceError):
                     _solve_with(monkeypatch, lib, a)
-                swept.append(a[None].copy())
+                swept.append(a.copy())
                 sweep = numpy_sweep if lib is ORACLE else _sweep_of(lib)
                 sweep(swept[-1], round_robin(4)[:1])
         assert np.array_equal(*swept, equal_nan=True)
@@ -671,8 +674,9 @@ class TestCompiledKernel:
                 x = rng.standard_normal((b, n, n))
                 x += x.transpose(0, 2, 1)
                 swept = [x.copy(), x.copy()]
-                sweep(swept[0], pq)
-                numpy_sweep(swept[1], pq)
+                for compiled, oracle in zip(*swept):
+                    sweep(compiled, pq)
+                    numpy_sweep(oracle, pq)
                 assert _same_bits(*swept), (n, k, pq)
 
     @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 65, 66, 97, 128,
@@ -688,8 +692,9 @@ class TestCompiledKernel:
 
     def test_input_at_any_offset_is_read_only(self, monkeypatch,
                                                compiled_kernel):
-        # the solve copies its input to a 64-byte aligned stack of its own,
-        # so where the input sits changes no bit, and the input is unchanged
+        # the solve copies each input matrix to a 64-byte aligned work matrix
+        # of its own, so where the input sits changes no bit, and the input
+        # is unchanged
         stack = np.stack([_stack_member(kind, 33, 4) for kind in
                           ("gnp", "tree", "clique_union")]).astype(float)
         want = _exits_with(monkeypatch, ORACLE, stack)
@@ -705,8 +710,10 @@ class TestCompiledKernel:
             assert _same_bits(solve_stack(placed),
                               np.frombuffer(want[0]).reshape(3, 33)), offset
             values, sweeps = np.zeros((3, 33)), np.zeros(3, np.intc)
+            ns = np.full(3, 33, np.intc)
             assert compiled_kernel.jacobi_solve(
-                placed.ctypes.data, 3, 33, None, spectra.JACOBI_MAX_SWEEPS,
+                placed.ctypes.data, 3, ns.ctypes.data, None,
+                spectra.JACOBI_MAX_SWEEPS,
                 spectra.JACOBI_REL_TOL, values.ctypes.data,
                 sweeps.ctypes.data) == 0
             assert (values.tobytes(), sweeps.tolist()) == want, offset
@@ -714,8 +721,8 @@ class TestCompiledKernel:
 
     def test_early_returns_free_the_stack(self):
         # 100,000 solves of each kind that returns before a sweep, in a
-        # child process: a leaked stack of one 8 x 8 matrix would add more
-        # than 50 MB to its peak resident set
+        # child process: a leaked work matrix of 8 x 8 would add more than
+        # 50 MB to its peak resident set
         done = subprocess.run(
             [sys.executable, "-c", _LEAK_PROBE], capture_output=True,
             text=True, timeout=300,
@@ -727,8 +734,8 @@ class TestCompiledKernel:
         assert int(grown) < 5 * 1024  # KiB
 
 
-# Runs 100,000 solves of an 8 x 8 stack with a NaN (-2), of one whose norm
-# overflows (-3) and of an empty stack (b = 0), after a warm-up of 1,000 of
+# Runs 100,000 solves of an 8 x 8 matrix with a NaN (-2), of one whose norm
+# overflows (-3) and of no matrix (b = 0), after a warm-up of 1,000 of
 # each; prints the return codes and the growth of ru_maxrss in KiB.
 _LEAK_PROBE = """
 import resource
@@ -737,11 +744,12 @@ from lapbounds import spectra
 lib = spectra._library()
 nan, huge = array("d", [1.0]) * 64, array("d", [1e200]) * 64
 nan[9] = float("nan")
-values, sweeps = array("d", [0.0]) * 8, array("i", [0])
+values, sweeps, ns = array("d", [0.0]) * 8, array("i", [0]), array("i", [8])
 out = values.buffer_info()[0], sweeps.buffer_info()[0]
 
 def solves(count):
-    return {lib.jacobi_solve(a.buffer_info()[0], b, 8, None, 64, 1e-12, *out)
+    return {lib.jacobi_solve(a.buffer_info()[0], b, ns.buffer_info()[0], None,
+                             64, 1e-12, *out)
             for a, b in ((nan, 1), (huge, 1), (nan, 0)) for _ in range(count)}
 
 solves(1000)
