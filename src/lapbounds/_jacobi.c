@@ -39,12 +39,12 @@
  * loop set up, once per four rows, and the last n mod 4 rows one at a time.
  * Last, the rows of each pair are rotated whole.
  *
- * The runs are read from pq itself, so any pq of disjoint pairs works, and
- * jacobi_sweep, one sweep over a given pq, is exported so that such
- * schedules can be tested. On x86-64 it picks its body itself, on each call:
- * the same sweep compiled for AVX2 where the CPU it runs on has AVX2, the
- * portable body otherwise, so a library built on one host stays safe to load
- * on another.
+ * The runs are read from pq itself, so any pq of disjoint pairs works; the
+ * tests sweep such schedules through a program that includes this file. On
+ * x86-64 jacobi_sweep picks the body of each sweep itself: the same sweep
+ * compiled for AVX2 where the CPU it runs on has AVX2, the portable body
+ * otherwise, so a library built on one host stays safe to load on another.
+ * The library exports jacobi_solve and gnp_rows alone.
  *
  * The hypot phases do not call libm for each pair: a vector hypot of
  * libmvec need not round as libm's does. They inline the algorithm of
@@ -57,7 +57,11 @@
  * as glibc does, and the tests that compare it with np.hypot say where.
  * The work matrix is 64-byte aligned, so that a sweep's speed does not
  * depend on where the caller's buffer sits: an n = 64 sweep on a matrix at
- * 16 mod 32 bytes took about 15% longer than on one at 0 mod 32.
+ * 16 mod 32 bytes took about 15% longer than on one at 0 mod 32. It lies in
+ * the one block that a solve allocates, padded to whole 64-byte lines, and
+ * the sweep's work arrays (c, t, h and the runs) and the schedule follow it
+ * there, c at the start of a line; so a sweep allocates nothing and cannot
+ * fail.
  *
  * gnp_rows draws the coins of one G(n, p) attempt from a splitmix64 state,
  * with the bits of rng.SplitMix64.uniform() < p.
@@ -68,7 +72,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Every helper is inlined into each body of jacobi_sweep, so that it is
+/* Every helper is inlined into each body of the sweep, so that it is
  * compiled for the instruction set of the body it serves. */
 #ifdef __GNUC__
 #define INLINE static inline __attribute__((always_inline))
@@ -262,17 +266,14 @@ INLINE void coefficients(const double *m, ptrdiff_t n, const ptrdiff_t *P,
     }
 }
 
-/* The work arrays, c, t, h and the runs, are sized from k and allocated
- * here, not in jacobi_solve's block: jacobi_sweep is also called alone, by
- * the schedule tests. */
-INLINE int sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
-                 ptrdiff_t rounds, ptrdiff_t k)
+/* One sweep of the n x n matrix m, row-major. Row r of pq (rounds x 2k)
+ * holds round r's k disjoint pairs, all P then all Q. work holds c, t and h,
+ * k doubles each, then the runs, 2k + 2 indices: a part of jacobi_solve's
+ * block. */
+INLINE void sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
+                  ptrdiff_t rounds, ptrdiff_t k, double *work)
 {
-    double *c = malloc(3 * k * sizeof(double)
-                       + (2 * k + 2) * sizeof(ptrdiff_t));
-    if (c == NULL)
-        return -1;
-    double *t = c + k, *h = t + k;
+    double *c = work, *t = c + k, *h = t + k;
     ptrdiff_t *seg = (ptrdiff_t *)(h + k), *dir = seg + k + 1;
     for (ptrdiff_t r = 0; r < rounds; r++) {
         const ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
@@ -284,35 +285,32 @@ INLINE int sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
             m[P[i] * n + Q[i]] = m[Q[i] * n + P[i]] = 0.0;
         }
     }
-    free(c);
-    return 0;
 }
 
-/* m is one n x n matrix, row-major. Row r of pq (rounds x 2k) holds round
- * r's k disjoint pairs, all P then all Q. Returns 0, or -1 when the work
- * arrays cannot be allocated, before any entry is changed. */
+/* sweep, by the body that the CPU it runs on can run. */
 #if defined(__x86_64__) && defined(__GNUC__)
 /* sweep built for AVX2. Wider vectors do the same IEEE operations on each
  * entry, and the avx2 target enables no fused multiply-add. */
 __attribute__((target("avx2")))
-static int sweep_avx2(double *m, ptrdiff_t n, const ptrdiff_t *pq,
-                      ptrdiff_t rounds, ptrdiff_t k)
+static void sweep_avx2(double *m, ptrdiff_t n, const ptrdiff_t *pq,
+                       ptrdiff_t rounds, ptrdiff_t k, double *work)
 {
-    return sweep(m, n, pq, rounds, k);
+    sweep(m, n, pq, rounds, k, work);
 }
 
-int jacobi_sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
-                 ptrdiff_t rounds, ptrdiff_t k)
+static void jacobi_sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
+                         ptrdiff_t rounds, ptrdiff_t k, double *work)
 {
     if (__builtin_cpu_supports("avx2"))
-        return sweep_avx2(m, n, pq, rounds, k);
-    return sweep(m, n, pq, rounds, k);
+        sweep_avx2(m, n, pq, rounds, k, work);
+    else
+        sweep(m, n, pq, rounds, k, work);
 }
 #else
-int jacobi_sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
-                 ptrdiff_t rounds, ptrdiff_t k)
+static void jacobi_sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
+                         ptrdiff_t rounds, ptrdiff_t k, double *work)
 {
-    return sweep(m, n, pq, rounds, k);
+    sweep(m, n, pq, rounds, k, work);
 }
 #endif
 
@@ -377,7 +375,8 @@ static double sum_squares(const double *x, ptrdiff_t n, int off)
  * sweeps it took to sweeps[j]. Returns the number of matrices still above
  * their target after max_sweeps sweeps, each with sweeps[j] = -1; before
  * matrix j is swept, -2 when it has an entry that is not finite and -3 when
- * its target overflows; or -1 when no memory is left. */
+ * its target overflows; or -1, before any matrix is read, when there is no
+ * memory for the block. */
 ptrdiff_t jacobi_solve(const double *a, ptrdiff_t b, const int *ns,
                        const unsigned char *rows, ptrdiff_t max_sweeps,
                        double rel_tol, double *values, int *sweeps)
@@ -387,13 +386,17 @@ ptrdiff_t jacobi_solve(const double *a, ptrdiff_t b, const int *ns,
         return 0;
     for (ptrdiff_t j = 0; j < b; j++)
         top = ns[j] > top ? ns[j] : top;
-    /* the work matrix, then the schedule of at most top * top indices, in
-     * one block of whole 64-byte lines, at least one */
-    size_t size = top * top * (sizeof(double) + sizeof(ptrdiff_t));
+    /* One block of whole 64-byte lines, at least one, allocated once: the
+     * work matrix, rounded up to whole lines; the sweep's work, c, t and h
+     * then the runs, sized for the largest k; and the schedule, at most
+     * top * top indices. */
+    ptrdiff_t padded = (top * top + 7) / 8 * 8, most = top / 2;
+    size_t size = (padded + 3 * most) * sizeof(double)
+                  + (2 * most + 2 + top * top) * sizeof(ptrdiff_t);
     double *m = aligned_alloc(64, (size / 64 + 1) * 64);
     if (m == NULL)
         return -1;
-    ptrdiff_t *pq = (ptrdiff_t *)(m + top * top);
+    ptrdiff_t *pq = (ptrdiff_t *)(m + padded + 3 * most) + 2 * most + 2;
     for (ptrdiff_t j = 0; j < b; j++) {
         ptrdiff_t n = ns[j], nn = n * n, k = n / 2, rounds = n - 1 + n % 2;
         if (rows != NULL) {
@@ -418,13 +421,8 @@ ptrdiff_t jacobi_solve(const double *a, ptrdiff_t b, const int *ns,
                 round_robin(n, pq);
                 scheduled = n;
             }
-            if (jacobi_sweep(m, n, pq, rounds, k) != 0) {
-                failed = -1;
-                break;
-            }
+            jacobi_sweep(m, n, pq, rounds, k, m + padded);
         }
-        if (failed < 0)
-            break;
         for (ptrdiff_t i = 0; i < n; i++)
             values[i] = m[i * n + i];
         values += n;

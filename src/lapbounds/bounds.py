@@ -208,18 +208,28 @@ def _lee_clique_rhs(ctx: GraphContext) -> float:
     return ctx.graph.n + acc
 
 
+def _lee_r2(n: int, a: float, b: float) -> float:
+    """1 + e^a + (n - 2) e^b: the right-hand side of every LEE_R2 row but
+    LEE_R2B."""
+    return 1.0 + math.exp(a) + (n - 2) * math.exp(b)
+
+
+def _tree_root(ctx: GraphContext, base: float) -> float:
+    """(t base)^(1/(n-2)), with the spanning-tree count t only ever in the
+    log domain."""
+    return math.exp((ctx.log_tree_count + math.log(base)) / (ctx.graph.n - 2))
+
+
 def _lee_r2a_m_rhs(ctx: GraphContext) -> float:
     n, m = ctx.graph.n, ctx.graph.m
     d1 = ctx.degrees[0]
-    return 1.0 + math.exp(1 + d1) + (n - 2) * math.exp((2 * m - 1 - d1) / (n - 2))
+    return _lee_r2(n, 1 + d1, (2 * m - 1 - d1) / (n - 2))
 
 
 def _lee_r2a_t_rhs(ctx: GraphContext) -> float:
     n = ctx.graph.n
     d1 = ctx.degrees[0]
-    # (t n / (1 + d1))^(1/(n-2)), with t only ever in the log domain
-    expo = math.exp((ctx.log_tree_count + math.log(n / (1.0 + d1))) / (n - 2))
-    return 1.0 + math.exp(1 + d1) + (n - 2) * math.exp(expo)
+    return _lee_r2(n, 1 + d1, _tree_root(ctx, n / (1.0 + d1)))
 
 
 def _lee_r2b_lhs(ctx: GraphContext) -> float:
@@ -234,17 +244,14 @@ def _lee_r2b_rhs(ctx: GraphContext) -> float:
 def _lee_r2c_m1_rhs(ctx: GraphContext) -> float:
     n, m = ctx.graph.n, ctx.graph.m
     root = math.sqrt(ctx.zagreb / n)
-    return (1.0 + math.exp(2.0 * root)
-            + (n - 2) * math.exp((2 * m - 2.0 * root) / (n - 2)))
+    return _lee_r2(n, 2.0 * root, (2 * m - 2.0 * root) / (n - 2))
 
 
 def _lee_r2c_t_rhs(ctx: GraphContext) -> float:
     n = ctx.graph.n
     root = math.sqrt(ctx.zagreb / n)
-    # (t n sqrt(n) / (2 sqrt(M1)))^(1/(n-2)), t in the log domain
     base = n * math.sqrt(n) / (2.0 * math.sqrt(ctx.zagreb))
-    expo = math.exp((ctx.log_tree_count + math.log(base)) / (n - 2))
-    return 1.0 + math.exp(2.0 * root) + (n - 2) * math.exp(expo)
+    return _lee_r2(n, 2.0 * root, _tree_root(ctx, base))
 
 
 def _eq_kf_compare(ctx: GraphContext, param: Param) -> bool:

@@ -103,8 +103,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError("n must be >= 1")
     if n == 1:
         return build_graph(1, [])
-    if n == 2:
-        return build_graph(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     return build_graph(n, _prufer_decode(seq, n))

@@ -69,13 +69,12 @@ def majorizes(x: Sequence[float], y: Sequence[float]) -> MajorizationVerdict:
 
 
 def grone_sequence(d: Sequence[int]) -> tuple[tuple[int, ...], bool]:
-    """(d_1+1, d_2, ..., d_{n-1}, d_n - 1) plus a non-increasing flag."""
+    """(d_1+1, d_2, ..., d_{n-1}, d_n - 1) plus a non-increasing flag,
+    always True: d_1 + 1 > d_1 >= ... >= d_n > d_n - 1."""
     if len(d) < 2:
         raise SequenceTooShortError("need at least two degrees")
     _require_sorted(d, "degree sequence")
-    seq = (d[0] + 1,) + tuple(d[1:-1]) + (d[-1] - 1,)
-    mono = all(map(ge, seq, seq[1:]))
-    return seq, mono
+    return (d[0] + 1,) + tuple(d[1:-1]) + (d[-1] - 1,), True
 
 
 def merged_grone_sequence(d: Sequence[int]) -> tuple[tuple[int, ...], bool]:
@@ -98,7 +97,6 @@ def check_grone(degrees: Sequence[int],
     """Grone sequence of degrees against the spectrum (connected, n >= 2)."""
     if spec.component_count != 1:
         raise DisconnectedGraphError("comparison needs a connected graph")
-    # d_1 + 1 > d_1 >= ... >= d_n > d_n - 1: already non-increasing
     seq, _ = grone_sequence(degrees)
     return majorizes(tuple(map(float, seq)), spec.mu)
 

@@ -6,7 +6,7 @@ signatures of its jacobi_solve and gnp_rows, so a test puts it in
 spectra._lib to run every solve and draw through the oracle; solve_stack
 solves a (b, n, n) numpy stack with whichever of the two spectra._lib
 holds. numpy_solve and numpy_sweep do the same IEEE operations on each
-entry in the same order as jacobi_solve and jacobi_sweep, one matrix at a
+entry in the same order as jacobi_solve and its sweep, one matrix at a
 time, and sum their convergence tests left to right, with no BLAS, so the
 two give the same bits and stop each matrix after the same sweep. gnp_rows
 draws one uniform() per pair, in u-major order, where the library draws the
@@ -49,9 +49,10 @@ def numpy_sweep(m, pq):
 
     Each round in numpy: the rotation coefficients of all k pairs, then the
     P and Q columns, then the P and Q rows, then m[P, Q] = m[Q, P] = 0. This
-    is numpy_solve's sweep, and the reference that _jacobi.c's jacobi_sweep
-    is tested against bit for bit, its AVX2 body and its portable one, on
-    the round-robin schedule and on any other pq of disjoint pairs. The
+    is numpy_solve's sweep, and the reference that _jacobi.c's static sweep
+    is tested against bit for bit, its AVX2 body and its portable one,
+    through a test program that includes _jacobi.c, on the round-robin
+    schedule and on any other pq of disjoint pairs. The
     compiled sweep visits the entries in another order, the columns one run
     of pairs at a time (a stretch of pairs of adjacent columns, or a lone
     pair), but each entry goes through the same operations on the same

@@ -1,10 +1,11 @@
 """Digests of the CLI's output on a fixed list of calls, for a byte check.
 
 For each call it prints one line: the sha256 and the exit code of (exit
-code, stdout, stderr, sorted --out-dir tree), then the argv. The CLI runs
-in-process, from the lapbounds on sys.path, with COLUMNS=80; each fuzz call
-writes to a fresh temporary --out-dir, whose path reads OUT in the output.
-Run it on two trees and diff the lines:
+code, stdout, stderr, sorted tree of OUT), then the argv. The CLI runs
+in-process, from the lapbounds on sys.path, with COLUMNS=80. Each call gets
+a fresh temporary directory OUT, whose path reads OUT in the output: a fuzz
+call writes its --out-dir there, and GRAPH in a call names the edge list
+EDGES, written there as graph.el. Run it on two trees and diff the lines:
 
     PYTHONPATH=src python3 tests/report_digests.py > new.txt
     PYTHONPATH=../parent/src python3 tests/report_digests.py > old.txt
@@ -17,6 +18,9 @@ import io
 import os
 import tempfile
 from pathlib import Path
+
+# two triangles joined by the edge (2, 3)
+EDGES = "# a test graph\n6 7\n0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n"
 
 CALLS = [
     "fuzz --seed 7 --count 100 --model gnp",
@@ -50,6 +54,15 @@ CALLS = [
     "fuzz --seed -5 --count 2",
     "check --family K:4 --alphas -2,-1",
     "check --family K:4 --bounds=--",
+    "check --graph GRAPH",
+    "check --graph GRAPH --format csv --ks 1,3",
+    "invariants --graph GRAPH",
+    "check --family K:4 --strict-applicability",
+    "check --family GNP:12:0.3:2 --strict-applicability --format csv",
+    "check --family C:6 --bounds LEE_R2C_T,KF_NEW,LEE_R2A_T",
+    "check --family P:4 --alphas=-1,2 --ks 1,2",
+    "invariants --family P:6 --ks 1,3,5",
+    "sweep --family TREE:3..12:4 --ks 2,4 --format csv",
 ]
 
 
@@ -60,6 +73,11 @@ def digest(main, call: str) -> str:
         out_dir = Path(tmp, "out")
         if argv[0] == "fuzz":
             argv += ["--out-dir", str(out_dir)]
+        if "GRAPH" in argv:
+            out_dir.mkdir()
+            graph = out_dir / "graph.el"
+            graph.write_text(EDGES)
+            argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

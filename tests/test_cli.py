@@ -923,6 +923,19 @@ class TestReportsPinned:
         assert self._projection(argv, tmp_path, capsys) == digest
 
 
+def test_report_digests_script_runs(capsys):
+    # tests/report_digests.py, the byte check between two checkouts, runs
+    # on this CLI: a line is the sha256 of what main gives, its exit code
+    # and the call, and GRAPH reads the script's own edge list
+    import report_digests
+    line = report_digests.digest(main, "check --family K:4")
+    code, out, err = run(["check", "--family", "K:4"], capsys)
+    blob = repr((code, out, err, [])).encode()
+    assert line == f"{hashlib.sha256(blob).hexdigest()} 2 check --family K:4"
+    line = report_digests.digest(main, "invariants --graph GRAPH")
+    assert line.endswith(" 0 invariants --graph GRAPH")
+
+
 def _in_order(fields):
     """Dicts with the keys of fields in their order (fixed_dictionaries
     does not keep it), each value drawn from its strategy."""

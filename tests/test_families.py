@@ -215,6 +215,15 @@ class TestRandomFamilies:
         assert fam("TREE:1:0").n == 1
         assert fam("TREE:2:0").m == 1
         assert fam("TREE:3:5").m == 2
+        # the empty Prufer sequence decodes to the one edge at every seed
+        assert {lb.random_tree(2, seed) for seed in range(50)} == {
+            lb.build_graph(2, [(0, 1)])}
+
+    def test_random_families_reject_n_below_1(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            lb.random_tree(0, 1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            lb.gnp_connected(0, 0.5, 1)
 
     @given(st.integers(min_value=3, max_value=40),
            st.integers(min_value=0, max_value=2 ** 63))
@@ -284,6 +293,16 @@ class TestRandomFamilies:
             lb.gnp_connected(5, 0.0, 1)
         with pytest.raises(ValueError):
             lb.gnp_connected(5, 1.5, 1)
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("spec, why", [
+        (lb.FamilySpec("nope"), "unknown family kind 'nope'"),
+        (lb.FamilySpec("complete"), "complete needs n$"),
+        (lb.FamilySpec("cycle", n=2), "cycle needs n >= 3, got 2")])
+    def test_rejects_an_illegal_spec(self, spec, why):
+        with pytest.raises(ValueError, match=why):
+            lb.generate(spec)
 
 
 class TestParseFamily:

@@ -199,6 +199,24 @@ class TestJacobi:
                 jacobi_eigenvalues(a)
             _assert_raises_unswept(monkeypatch, a[None], "overflows")
 
+    @pytest.mark.parametrize("a", [None, array("f", [1.0]),
+                                   array("d", [1.0, 2.0])])
+    def test_solve_rejects_a_malformed_input(self, a):
+        # no matrices and no masks, floats that are not doubles, or a count
+        # of doubles that is not n * n for each matrix of ns
+        with pytest.raises(ValueError, match="n \\* n doubles"):
+            spectra._solve(a, [1])
+
+    def test_no_memory_for_the_block_raises_memory_error(self, monkeypatch):
+        class NoMemory:
+            @staticmethod
+            def jacobi_solve(*args):
+                return -1
+
+        monkeypatch.setattr(spectra, "_lib", NoMemory())
+        with pytest.raises(MemoryError, match="Jacobi solve"):
+            jacobi_eigenvalues([[1.0]])
+
     def test_entries_near_1e150_solve(self):
         rs = np.random.RandomState(150)
         a = rs.randn(8, 8)
@@ -543,15 +561,24 @@ def _assert_raises_unswept(monkeypatch, stack, match):
         assert a.tobytes() == stack.tobytes(), lib
 
 
-def _sweep_of(lib):
-    """lib's jacobi_sweep, with numpy_sweep's signature."""
+@pytest.fixture(params=["portable", "avx2"])
+def sweep_body(request, harness):
+    """One of _jacobi.c's two sweep bodies, from the harness, with
+    numpy_sweep's signature: it sweeps m over the schedule pq in place, with
+    work arrays of its own, laid out as in jacobi_solve's block."""
+    if request.param == "avx2" and not harness.has_avx2():
+        pytest.skip("no AVX2 on this host")
+    body = getattr(harness, f"one_sweep_{request.param}")
+
     def sweep(m, pq):
         assert m.flags.c_contiguous and m.dtype == np.float64
         assert pq.flags.c_contiguous and pq.dtype == np.intp
-        assert lib.jacobi_sweep(
-            ctypes.c_void_p(m.ctypes.data), ctypes.c_ssize_t(len(m)),
-            ctypes.c_void_p(pq.ctypes.data), ctypes.c_ssize_t(len(pq)),
-            ctypes.c_ssize_t(pq.shape[1] // 2)) == 0
+        k = pq.shape[1] // 2
+        # c, t and h, k doubles each, then the runs, 2k + 2 indices
+        work = np.empty(3 * k * m.itemsize + (2 * k + 2) * pq.itemsize,
+                        np.uint8)
+        body(m.ctypes.data, len(m), pq.ctypes.data, len(pq), k,
+             work.ctypes.data)
     return sweep
 
 
@@ -647,7 +674,7 @@ class TestCompiledKernel:
                                            (np.inf, 1, 1), (-np.inf, 1, 1),
                                            (np.inf, 1, 2), (-np.inf, 1, 2)])
     def test_nan_and_inf_alike(self, monkeypatch, compiled_kernel,
-                                     bad, i, j):
+                               sweep_body, bad, i, j):
         # (0, 3) is a pair of the first round and a[0, 3] == 0, so after
         # that round a NaN at a[0, 0] shows whether the clamp of den
         # propagates it
@@ -656,18 +683,17 @@ class TestCompiledKernel:
         a[i, j] = a[j, i] = bad
         swept = []
         with np.errstate(invalid="ignore"):
-            for lib in (compiled_kernel, ORACLE):
+            for lib, sweep in ((compiled_kernel, sweep_body),
+                               (ORACLE, numpy_sweep)):
                 with pytest.raises(JacobiConvergenceError):
                     _solve_with(monkeypatch, lib, a)
                 swept.append(a.copy())
-                sweep = numpy_sweep if lib is ORACLE else _sweep_of(lib)
                 sweep(swept[-1], round_robin(4)[:1])
         assert np.array_equal(*swept, equal_nan=True)
 
     @pytest.mark.parametrize("b", [1, 3])
-    def test_any_schedule_of_disjoint_pairs(self, compiled_variant, b):
+    def test_any_schedule_of_disjoint_pairs(self, sweep_body, b):
         rng = np.random.default_rng(18 + b)
-        sweep = _sweep_of(compiled_variant)
         for n in [2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 40, 64, 65]:
             for k in sorted({1, n // 2, int(rng.integers(1, n // 2 + 1))}):
                 pq = _random_schedule(rng, n, k, rounds=12)
@@ -675,7 +701,7 @@ class TestCompiledKernel:
                 x += x.transpose(0, 2, 1)
                 swept = [x.copy(), x.copy()]
                 for compiled, oracle in zip(*swept):
-                    sweep(compiled, pq)
+                    sweep_body(compiled, pq)
                     numpy_sweep(oracle, pq)
                 assert _same_bits(*swept), (n, k, pq)
 
@@ -918,8 +944,7 @@ class TestKernelBuild:
                 capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, (std, done.stderr)
         lib = ctypes.CDLL(str(library))
-        assert all(hasattr(lib, name)
-                   for name in ("jacobi_solve", "jacobi_sweep", "gnp_rows"))
+        assert all(hasattr(lib, name) for name in ("jacobi_solve", "gnp_rows"))
         if host == "not x86-64":  # and no AVX2 code: no 256-bit register
             objdump = shutil.which("objdump")
             if objdump is None:
@@ -986,8 +1011,9 @@ class TestKernelBuild:
         assert "hypot" in names
         assert not [name for name in names if name.startswith("_ZGV")]
 
-    def test_library_exports_its_three_functions(self):
-        # the inlined hypot and every other helper stay out of the ABI
+    def test_library_exports_its_two_functions(self):
+        # the sweep, the inlined hypot and every other helper stay out of
+        # the ABI
         lib = spectra._load_library()
         nm = shutil.which("nm")
         if nm is None:
@@ -997,7 +1023,7 @@ class TestKernelBuild:
                                timeout=60).stdout
         assert sorted(line.split()[-1] for line in table.splitlines()
                       if line.split()[1] == "T") == [
-            "gnp_rows", "jacobi_solve", "jacobi_sweep"]
+            "gnp_rows", "jacobi_solve"]
 
     def test_build_removes_stale_libraries(self, tmp_path, monkeypatch,
                                            compiled_kernel):
@@ -1063,6 +1089,20 @@ class TestKernelBuild:
         stderr = _build_failure(*run, compiler, tmp_path / "__pycache__")
         assert "no-such-header-lapbounds.h" in "\n".join(stderr)
 
+    def test_compiler_timeout_fails(self, tmp_path, monkeypatch):
+        # a compiler still running after the build's timeout is killed by
+        # subprocess.run; the build fails and leaves no .tmp file behind
+        def timed_out(command, **kwargs):
+            raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+        shutil.copy(Path(spectra.__file__).with_name("_jacobi.c"), tmp_path)
+        monkeypatch.setattr(spectra, "__file__", str(tmp_path / "spectra.py"))
+        monkeypatch.setattr(subprocess, "run", timed_out)
+        with pytest.raises(lb.SolverBuildError,
+                           match="timed out after 120 seconds"):
+            spectra._load_library()
+        assert list((tmp_path / "__pycache__").iterdir()) == []
+
     def test_missing_compiler_fails(self, package):
         root, _ = package
         cache = root / "lapbounds" / "__pycache__"
@@ -1088,10 +1128,12 @@ class TestKernelBuild:
         assert built[0].endswith(".so")
 
 
-# _jacobi.c's hypots on count pairs, k at a time, as coefficients calls
-# it: h[i] = hypot(x[i], y[i]), or hypot(1, y[i]) when x is NULL; portable,
-# and on x86-64 also built for AVX2.
-_HYPOT_PROGRAM = """
+# _jacobi.c with entry points into its static helpers, each portable and,
+# on x86-64, also built for AVX2: hypots on count pairs, k at a time, as
+# coefficients calls it (h[i] = hypot(x[i], y[i]), or hypot(1, y[i]) when x
+# is NULL), and one sweep of m over the schedule pq, with the caller's work
+# arrays. has_avx2() says whether the CPU runs the AVX2 bodies.
+_HARNESS = """
 #include "_jacobi.c"
 
 static const double unit = 1.0;
@@ -1114,6 +1156,12 @@ void hypots_portable(double *h, const double *x, const double *y,
     batches(h, x, y, count, k);
 }
 
+void one_sweep_portable(double *m, ptrdiff_t n, const ptrdiff_t *pq,
+                        ptrdiff_t rounds, ptrdiff_t k, double *work)
+{
+    sweep(m, n, pq, rounds, k, work);
+}
+
 #if defined(__x86_64__) && defined(__GNUC__)
 __attribute__((target("avx2")))
 void hypots_avx2(double *h, const double *x, const double *y,
@@ -1122,12 +1170,48 @@ void hypots_avx2(double *h, const double *x, const double *y,
     batches(h, x, y, count, k);
 }
 
+void one_sweep_avx2(double *m, ptrdiff_t n, const ptrdiff_t *pq,
+                    ptrdiff_t rounds, ptrdiff_t k, double *work)
+{
+    sweep_avx2(m, n, pq, rounds, k, work);
+}
+
 int has_avx2(void)
 {
     return __builtin_cpu_supports("avx2");
 }
+#else
+int has_avx2(void)
+{
+    return 0;
+}
 #endif
 """
+
+
+@pytest.fixture(scope="session")
+def harness(tmp_path_factory):
+    """_HARNESS built with the library's flags and loaded, its entry points'
+    argument types set."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler {cc[0]!r} on PATH")
+    root = tmp_path_factory.mktemp("harness")
+    (root / "harness.c").write_text(_HARNESS)
+    library = root / "harness.so"
+    subprocess.run(
+        [*cc, *spectra._CFLAGS, "-I", str(Path(spectra.__file__).parent),
+         "-o", str(library), str(root / "harness.c")], check=True,
+        timeout=120)
+    lib = ctypes.CDLL(str(library))
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
+    for body in ("portable", "avx2"):
+        if hasattr(lib, f"hypots_{body}"):
+            getattr(lib, f"hypots_{body}").argtypes = (ptr,) * 3 + (size,) * 2
+            getattr(lib, f"one_sweep_{body}").argtypes = (
+                ptr, size, ptr, size, size, ptr)
+    return lib
+
 
 _PAIRS = 1_000_000
 
@@ -1205,24 +1289,10 @@ class TestInlineHypot:
     where the two differ."""
 
     @pytest.fixture(scope="class")
-    def bodies(self, tmp_path_factory):
-        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        if shutil.which(cc[0]) is None:
-            pytest.skip(f"no C compiler {cc[0]!r} on PATH")
-        root = tmp_path_factory.mktemp("hypot")
-        (root / "hypots.c").write_text(_HYPOT_PROGRAM)
-        library = root / "hypots.so"
-        subprocess.run(
-            [*cc, *spectra._CFLAGS, "-I",
-             str(Path(spectra.__file__).parent), "-o", str(library),
-             str(root / "hypots.c")], check=True, timeout=120)
-        lib = ctypes.CDLL(str(library))
-        bodies = [lib.hypots_portable]
-        if hasattr(lib, "has_avx2") and lib.has_avx2():
-            bodies.append(lib.hypots_avx2)
-        for body in bodies:
-            body.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_ssize_t,) * 2
-        return bodies
+    def bodies(self, harness):
+        if harness.has_avx2():
+            return [harness.hypots_portable, harness.hypots_avx2]
+        return [harness.hypots_portable]
 
     @pytest.mark.parametrize("kind", ["zeros", "subnormal", "tiny", "huge",
                                       "negligible", "equal", "one",
