@@ -29,18 +29,19 @@
  * phases, each over all k pairs and each vectorized: gather half and apq;
  * every first hypot; den and tt; every second hypot; c and t. Then the
  * columns are walked as runs: maximal stretches of consecutive pairs of
- * pq in which P steps by +1 or -1 and Q steps the opposite way; a pair that
- * starts no such stretch is a run of one. Pair i of round r of the
- * round-robin schedule is {(r + i) mod (M - 1), (r - i) mod (M - 1)}, M = n
- * rounded up to even, except pair 0, which is {r, M - 1}; so a round splits
- * into a few such runs, and in each row a run reads and writes one ascending
- * and one descending unit-stride stream, which the compiler vectorizes. Each
- * run walks four rows at a time, so that its c and t are loaded, and its
- * loop set up, once per four rows, and the last n mod 4 rows one at a time.
- * Last, the rows of each pair are rotated whole.
+ * pq in which P steps by +1 and Q by -1; a pair that starts no such stretch
+ * is a run of one. Round r of the round-robin schedule, M = n rounded up to
+ * even, pairs r with M - 1 and every a < b <= M - 2 with a + b = 2r mod
+ * (M - 1); round_robin lists the latter sum by sum, a rising, so a round
+ * splits into at most three runs, and in each row a run reads and writes
+ * one ascending and one descending unit-stride stream, which the compiler
+ * vectorizes. Each run walks four rows at a time, so that its c and t are
+ * loaded, and its loop set up, once per four rows, and the last n mod 4
+ * rows one at a time. Last, the rows of each pair are rotated whole.
  *
- * The runs are read from pq itself, so any pq of disjoint pairs works; the
- * tests sweep such schedules through a program that includes this file. On
+ * The runs are read from pq itself, so any pq of disjoint pairs works,
+ * each pair of a stretch in which P steps by -1 as a run of one; the tests
+ * sweep such schedules through a program that includes this file. On
  * x86-64 jacobi_sweep picks the body of each sweep itself: the same sweep
  * compiled for AVX2 where the CPU it runs on has AVX2, the portable body
  * otherwise, so a library built on one host stays safe to load on another.
@@ -90,15 +91,13 @@ INLINE void rotate(double *u, double *v, double c, double t)
     *v = xq * c + xp * t;
 }
 
-/* u[s * l] and v[-s * l] of one row, for l < len, rotated by c[l] and t[l].
- * s is +1 or -1, and each call passes a constant, so that each inlined copy
- * streams both sides. */
-INLINE void rotate_run(double *restrict u, double *restrict v, ptrdiff_t s,
+/* u[l] and v[-l] of one row, for l < len, rotated by c[l] and t[l]. */
+INLINE void rotate_run(double *restrict u, double *restrict v,
                        const double *restrict c, const double *restrict t,
                        ptrdiff_t len)
 {
     for (ptrdiff_t l = 0; l < len; l++)
-        rotate(u + s * l, v - s * l, c[l], t[l]);
+        rotate(u + l, v - l, c[l], t[l]);
 }
 
 /* rotate_run on four rows at once, u0 and v0 in the first and ui and vi
@@ -108,30 +107,27 @@ INLINE void rotate_run4(double *restrict u0, double *restrict v0,
                         double *restrict u1, double *restrict v1,
                         double *restrict u2, double *restrict v2,
                         double *restrict u3, double *restrict v3,
-                        ptrdiff_t s, const double *restrict c,
-                        const double *restrict t, ptrdiff_t len)
+                        const double *restrict c, const double *restrict t,
+                        ptrdiff_t len)
 {
     for (ptrdiff_t l = 0; l < len; l++) {
-        rotate(u0 + s * l, v0 - s * l, c[l], t[l]);
-        rotate(u1 + s * l, v1 - s * l, c[l], t[l]);
-        rotate(u2 + s * l, v2 - s * l, c[l], t[l]);
-        rotate(u3 + s * l, v3 - s * l, c[l], t[l]);
+        rotate(u0 + l, v0 - l, c[l], t[l]);
+        rotate(u1 + l, v1 - l, c[l], t[l]);
+        rotate(u2 + l, v2 - l, c[l], t[l]);
+        rotate(u3 + l, v3 - l, c[l], t[l]);
     }
 }
 
 /* Splits a round's k pairs into runs seg[j] .. seg[j + 1] - 1, j < the
- * count returned, with dir[j] the step of P, +1 or -1 (+1 for a run of one).
- */
+ * count returned. */
 INLINE ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
-                           ptrdiff_t k, ptrdiff_t *seg, ptrdiff_t *dir)
+                           ptrdiff_t k, ptrdiff_t *seg)
 {
     ptrdiff_t nseg = 0;
     for (ptrdiff_t i = 0; i < k; nseg++) {
         seg[nseg] = i++;
-        ptrdiff_t dp = i < k && P[i] - P[i - 1] == -1 ? -1 : 1;
-        while (i < k && P[i] - P[i - 1] == dp && Q[i] - Q[i - 1] == -dp)
+        while (i < k && P[i] - P[i - 1] == 1 && Q[i] - Q[i - 1] == -1)
             i++;
-        dir[nseg] = dp;
     }
     seg[nseg] = k;
     return nseg;
@@ -140,29 +136,18 @@ INLINE ptrdiff_t find_runs(const ptrdiff_t *P, const ptrdiff_t *Q,
 /* Columns P and Q of every row of the n x n matrix m, run by run. */
 INLINE void rotate_columns(double *m, ptrdiff_t n, const ptrdiff_t *P,
                            const ptrdiff_t *Q, const ptrdiff_t *seg,
-                           const ptrdiff_t *dir, ptrdiff_t nseg,
-                           const double *c, const double *t)
+                           ptrdiff_t nseg, const double *c, const double *t)
 {
     for (ptrdiff_t j = 0; j < nseg; j++) {
         ptrdiff_t i = seg[j], len = seg[j + 1] - i;
         const double *ci = c + i, *ti = t + i;
+        double *u = m + P[i], *v = m + Q[i];
         ptrdiff_t row = 0;
-        for (; row + 4 <= n; row += 4) {
-            double *u = m + row * n + P[i], *v = m + row * n + Q[i];
-            if (dir[j] > 0)
-                rotate_run4(u, v, u + n, v + n, u + 2 * n, v + 2 * n,
-                            u + 3 * n, v + 3 * n, 1, ci, ti, len);
-            else
-                rotate_run4(u, v, u + n, v + n, u + 2 * n, v + 2 * n,
-                            u + 3 * n, v + 3 * n, -1, ci, ti, len);
-        }
-        for (; row < n; row++) {
-            double *u = m + row * n + P[i], *v = m + row * n + Q[i];
-            if (dir[j] > 0)
-                rotate_run(u, v, 1, ci, ti, len);
-            else
-                rotate_run(u, v, -1, ci, ti, len);
-        }
+        for (; row + 4 <= n; row += 4, u += 4 * n, v += 4 * n)
+            rotate_run4(u, v, u + n, v + n, u + 2 * n, v + 2 * n,
+                        u + 3 * n, v + 3 * n, ci, ti, len);
+        for (; row < n; row++, u += n, v += n)
+            rotate_run(u, v, ci, ti, len);
     }
 }
 
@@ -268,18 +253,18 @@ INLINE void coefficients(const double *m, ptrdiff_t n, const ptrdiff_t *P,
 
 /* One sweep of the n x n matrix m, row-major. Row r of pq (rounds x 2k)
  * holds round r's k disjoint pairs, all P then all Q. work holds c, t and h,
- * k doubles each, then the runs, 2k + 2 indices: a part of jacobi_solve's
+ * k doubles each, then the runs, k + 1 indices: a part of jacobi_solve's
  * block. */
 INLINE void sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
                   ptrdiff_t rounds, ptrdiff_t k, double *work)
 {
     double *c = work, *t = c + k, *h = t + k;
-    ptrdiff_t *seg = (ptrdiff_t *)(h + k), *dir = seg + k + 1;
+    ptrdiff_t *seg = (ptrdiff_t *)(h + k);
     for (ptrdiff_t r = 0; r < rounds; r++) {
         const ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
-        ptrdiff_t nseg = find_runs(P, Q, k, seg, dir);
+        ptrdiff_t nseg = find_runs(P, Q, k, seg);
         coefficients(m, n, P, Q, k, h, c, t);
-        rotate_columns(m, n, P, Q, seg, dir, nseg, c, t);
+        rotate_columns(m, n, P, Q, seg, nseg, c, t);
         for (ptrdiff_t i = 0; i < k; i++) {
             rotate_rows(m + P[i] * n, m + Q[i] * n, n, c[i], t[i]);
             m[P[i] * n + Q[i]] = m[Q[i] * n + P[i]] = 0.0;
@@ -315,19 +300,24 @@ static void jacobi_sweep(double *m, ptrdiff_t n, const ptrdiff_t *pq,
 #endif
 
 /* Row r of pq, r < n - 1 + n % 2, gets round r's k = n / 2 pairs of the
- * round-robin schedule above, all P = min, then all Q = max; for an odd n,
- * pair 0 meets M - 1 = n, the bye, and is dropped. The pq of the
- * oracle's round_robin. */
+ * round-robin schedule above, all P then all Q: for s = 2r mod (M - 1),
+ * then s + M - 1, each {a, s - a} with a < s - a <= M - 2, a rising, one
+ * run per sum; then {r, M - 1}, unless n is odd and M - 1 = n is the bye.
+ * Each round holds the pairs of the oracle's round_robin, in another
+ * order. */
 static void round_robin(ptrdiff_t n, ptrdiff_t *pq)
 {
-    ptrdiff_t m = n + n % 2, k = n / 2, odd = n % 2;
+    ptrdiff_t m = n + n % 2, k = n / 2;
     for (ptrdiff_t r = 0; r < m - 1; r++) {
-        ptrdiff_t *P = pq + 2 * k * r, *Q = P + k;
-        for (ptrdiff_t i = odd; i < m / 2; i++) {
-            ptrdiff_t u = (r + i) % (m - 1);
-            ptrdiff_t v = i ? (r - i + m - 1) % (m - 1) : m - 1;
-            P[i - odd] = u < v ? u : v;
-            Q[i - odd] = u < v ? v : u;
+        ptrdiff_t *P = pq + 2 * k * r, *Q = P + k, i = 0;
+        for (ptrdiff_t s = 2 * r % (m - 1); s < 2 * (m - 1); s += m - 1)
+            for (ptrdiff_t a = s > m - 2 ? s - (m - 2) : 0; 2 * a < s; a++) {
+                P[i] = a;
+                Q[i++] = s - a;
+            }
+        if (i < k) {
+            P[i] = r;
+            Q[i] = m - 1;
         }
     }
 }
@@ -392,11 +382,11 @@ ptrdiff_t jacobi_solve(const double *a, ptrdiff_t b, const int *ns,
      * top * top indices. */
     ptrdiff_t padded = (top * top + 7) / 8 * 8, most = top / 2;
     size_t size = (padded + 3 * most) * sizeof(double)
-                  + (2 * most + 2 + top * top) * sizeof(ptrdiff_t);
+                  + (most + 1 + top * top) * sizeof(ptrdiff_t);
     double *m = aligned_alloc(64, (size / 64 + 1) * 64);
     if (m == NULL)
         return -1;
-    ptrdiff_t *pq = (ptrdiff_t *)(m + padded + 3 * most) + 2 * most + 2;
+    ptrdiff_t *pq = (ptrdiff_t *)(m + padded + 3 * most) + most + 1;
     for (ptrdiff_t j = 0; j < b; j++) {
         ptrdiff_t n = ns[j], nn = n * n, k = n / 2, rounds = n - 1 + n % 2;
         if (rows != NULL) {

@@ -2,12 +2,14 @@
 
 Exit codes for every subcommand: 0 when no verdict is VIOLATED and every
 agreement flag is true, 2 when any verdict is VIOLATED, 3 when an agreement
-failure is the only problem, 1 for a usage or input error. Three other
-causes also exit 1: a numeric overflow in any row, a --family G(n, p) graph
+failure is the only problem, 1 for a usage or input error. Five other
+causes also exit 1: a numeric overflow in any row; a --family G(n, p) graph
 with no connected draw within the retry cap (fuzz lists such an instance
-under corpus.generation_failures instead), and a Jacobi solver that cannot
-be built (no C compiler, a compiler error, or a __pycache__ that cannot be
-written), whose error line names the compiler command.
+under corpus.generation_failures instead); a Jacobi solver that cannot be
+built (no C compiler, a compiler error, or a __pycache__ that cannot be
+written), whose error line names the compiler command; a failed solve
+(JacobiConvergenceError or SpectralInconsistencyError); and an --out-dir
+that cannot be created.
 
 Output is deterministic for a fixed (configuration, seed): no timestamps or
 absolute paths ever enter a report, counterexample files are referenced by

@@ -31,7 +31,8 @@ class RetryExhaustedError(LapboundsError):
 
 class JacobiConvergenceError(LapboundsError):
     """The Jacobi sweep limit was reached before the off-diagonal target, or
-    the matrix has a non-finite entry, so no target can be met."""
+    the matrix has a non-finite entry or a Frobenius norm that overflows, so
+    no target can be met."""
 
 
 class SolverBuildError(LapboundsError):

@@ -30,8 +30,9 @@ def round_robin(n):
     Every pair p < q meets exactly once in n - 1 rounds (n rounds when n is
     odd: the pairing with the bye slot n is dropped, so one index sits out).
     Row r of the (rounds, 2k) np.intp result holds round r's k = n // 2
-    disjoint pairs (P, Q): all P, then all Q. _jacobi.c builds the same
-    schedule from the same formula.
+    disjoint pairs (P, Q): all P, then all Q. _jacobi.c's round_robin holds
+    the same pairs in each round, in another order, so that each round's
+    columns walk in at most three runs.
     """
     m = n + n % 2
     r = np.arange(m - 1)[:, None]

@@ -574,9 +574,8 @@ def sweep_body(request, harness):
         assert m.flags.c_contiguous and m.dtype == np.float64
         assert pq.flags.c_contiguous and pq.dtype == np.intp
         k = pq.shape[1] // 2
-        # c, t and h, k doubles each, then the runs, 2k + 2 indices
-        work = np.empty(3 * k * m.itemsize + (2 * k + 2) * pq.itemsize,
-                        np.uint8)
+        # c, t and h, k doubles each, then the runs, k + 1 indices
+        work = np.empty(3 * k * m.itemsize + (k + 1) * pq.itemsize, np.uint8)
         body(m.ctypes.data, len(m), pq.ctypes.data, len(pq), k,
              work.ctypes.data)
     return sweep
@@ -693,10 +692,14 @@ class TestCompiledKernel:
 
     @pytest.mark.parametrize("b", [1, 3])
     def test_any_schedule_of_disjoint_pairs(self, sweep_body, b):
+        # the random schedules, and the oracle's round_robin, whose long
+        # stretches of P stepping -1 the sweep walks pair by pair
         rng = np.random.default_rng(18 + b)
         for n in [2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 31, 40, 64, 65]:
-            for k in sorted({1, n // 2, int(rng.integers(1, n // 2 + 1))}):
-                pq = _random_schedule(rng, n, k, rounds=12)
+            ks = sorted({1, n // 2, int(rng.integers(1, n // 2 + 1))})
+            for k in [*ks, None]:
+                pq = (round_robin(n) if k is None
+                      else _random_schedule(rng, n, k, rounds=12))
                 x = rng.standard_normal((b, n, n))
                 x += x.transpose(0, 2, 1)
                 swept = [x.copy(), x.copy()]
@@ -704,6 +707,26 @@ class TestCompiledKernel:
                     sweep_body(compiled, pq)
                     numpy_sweep(oracle, pq)
                 assert _same_bits(*swept), (n, k, pq)
+
+    def test_library_schedule_splits_rounds_into_ascending_runs(self,
+                                                                harness):
+        # _jacobi.c's round_robin holds the oracle's pairs in each round, in
+        # another order: a round splits into at most three runs, each a
+        # stretch of pairs in which P steps +1 and Q -1
+        for n in range(2, 67):
+            want, k = round_robin(n), n // 2
+            pq = np.full_like(want, -1)
+            harness.schedule(n, pq.ctypes.data)
+            P, Q = pq[:, :k], pq[:, k:]
+            assert (sorted(zip(P.flat, Q.flat))
+                    == list(combinations(range(n), 2))), n
+            for r, (got, row) in enumerate(zip(pq, want)):
+                assert (set(zip(got[:k], got[k:]))
+                        == set(zip(row[:k], row[k:]))), (n, r)
+                runs = 1 + sum(not (got[i] - got[i - 1] == 1
+                                    and got[k + i] - got[k + i - 1] == -1)
+                               for i in range(1, k))
+                assert runs <= 3, (n, r, got)
 
     @pytest.mark.parametrize("n", [*range(2, 10), 63, 64, 65, 66, 97, 128,
                                    129])
@@ -1132,7 +1155,8 @@ class TestKernelBuild:
 # on x86-64, also built for AVX2: hypots on count pairs, k at a time, as
 # coefficients calls it (h[i] = hypot(x[i], y[i]), or hypot(1, y[i]) when x
 # is NULL), and one sweep of m over the schedule pq, with the caller's work
-# arrays. has_avx2() says whether the CPU runs the AVX2 bodies.
+# arrays. has_avx2() says whether the CPU runs the AVX2 bodies, and
+# schedule() writes round_robin's pq for order n.
 _HARNESS = """
 #include "_jacobi.c"
 
@@ -1160,6 +1184,11 @@ void one_sweep_portable(double *m, ptrdiff_t n, const ptrdiff_t *pq,
                         ptrdiff_t rounds, ptrdiff_t k, double *work)
 {
     sweep(m, n, pq, rounds, k, work);
+}
+
+void schedule(ptrdiff_t n, ptrdiff_t *pq)
+{
+    round_robin(n, pq);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -1210,6 +1239,7 @@ def harness(tmp_path_factory):
             getattr(lib, f"hypots_{body}").argtypes = (ptr,) * 3 + (size,) * 2
             getattr(lib, f"one_sweep_{body}").argtypes = (
                 ptr, size, ptr, size, size, ptr)
+    lib.schedule.argtypes = (size, ptr)
     return lib
 
 
