@@ -33,13 +33,13 @@ class.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
-from operator import mul
-from typing import Callable, NamedTuple, Optional, Union
+from functools import lru_cache
+from operator import itemgetter, mul
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (BadParameterError, DisconnectedGraphError,
                      SequenceTooShortError, UnknownBoundError)
-from .graphs import (Graph, GraphClass, classify, degree_sequence,
+from .graphs import (Graph, GraphClass, cached, classify, degree_sequence,
                      conjugate_sequence, first_zagreb)
 from .majorization import grone_sequence, merged_grone_sequence, power_sum
 from .spectra import (Spectrum, complement_spectrum, kirchhoff, lee,
@@ -55,20 +55,68 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 Param = Union[float, int, None]
 
 
-class Comparison(NamedTuple):
+def _by_value(seq: tuple[int, ...]
+              ) -> tuple[tuple[int, ...], Sequence[int]]:
+    """The distinct values of seq, and the index among them of each
+    entry."""
+    values = tuple(dict.fromkeys(seq))
+    if len(values) == len(seq):
+        return values, range(len(seq))
+    index = dict(zip(values, range(len(values))))
+    return values, list(map(index.__getitem__, seq))
+
+
+def _expander(positions: Sequence[int]) -> Callable[[list], Sequence]:
+    """Maps a list of terms, one per distinct value, to the terms at these
+    positions: the term of each entry, in order, so their sum adds the same
+    floats as one term per entry would."""
+    if not positions:
+        return itemgetter(slice(0, 0))
+    # each new value takes the next index, so no position exceeds the
+    # largest before it by more than one. In a whole sequence (its first
+    # position 0) or a slice of a sorted one (its positions never fall),
+    # positions whose last exceeds their first by their count less one
+    # thus rise by one at each entry
+    if positions[-1] - positions[0] == len(positions) - 1:
+        return itemgetter(slice(positions[0], positions[-1] + 1))
+    return itemgetter(*positions)
+
+
+# an integer sequence read by value: its distinct values, and the expander
+# of its positions among them; f over the sequence is
+# expand(list(map(f, values))), with f called once per distinct value.
+# Not tuple(map(...)): CPython makes that tuple with ten slots and shrinks
+# it, and once freed the shrunken tuple stays on a free list, so a run
+# that repeats the call grows by up to 2,000 such tuples per length
+ByValue = tuple[tuple[int, ...], Callable[[list], Sequence]]
+
+
+class Comparison:
     """A majorization row's sequence c, whether it is non-increasing, and
     whether the spectrum is c: c non-increasing and sum c_i^2 = tr L^2 =
-    sum d_i^2 + 2m (see the module docstring)."""
+    sum d_i^2 + 2m (see the module docstring).
 
-    c: tuple[int, ...]
-    monotone: bool
-    equal: bool
+    middle, when given, reads c_2..c_{k-1} by value; otherwise it is made
+    from c on first use.
+    """
+
+    def __init__(self, c: tuple[int, ...], monotone: bool, equal: bool,
+                 middle: Optional[ByValue] = None):
+        self.c, self.monotone, self.equal = c, monotone, equal
+        if middle is not None:
+            self.middle = middle
+
+    @cached
+    def middle(self) -> ByValue:
+        values, positions = _by_value(self.c[1:-1])
+        return values, _expander(positions)
 
     def ends_first(self, f: Callable[[int], float]) -> float:
         """f(c_1) + (f over c_2..c_{k-1}, summed from 0) + f(c_k), the order
         the reports were recorded in; f is exp, or a.__rpow__ for x^a."""
         c = self.c
-        return f(c[0]) + sum(map(f, c[1:-1])) + f(c[-1])
+        values, expand = self.middle
+        return f(c[0]) + sum(expand(list(map(f, values)))) + f(c[-1])
 
 
 class GraphContext:
@@ -86,19 +134,28 @@ class GraphContext:
         if spec is not None:
             self.spec = spec
 
-    @cached_property
+    @cached
     def degrees(self) -> tuple[int, ...]:
         return degree_sequence(self.graph)
 
-    @cached_property
+    @cached
+    def degree_values(self) -> tuple[tuple[int, ...], Sequence[int]]:
+        return _by_value(self.degrees)
+
+    @cached
+    def degree_terms(self) -> ByValue:
+        values, positions = self.degree_values
+        return values, _expander(positions)
+
+    @cached
     def conjugate(self) -> tuple[int, ...]:
         return conjugate_sequence(self.degrees)
 
-    @cached_property
+    @cached
     def gclass(self) -> GraphClass:
         return classify(self.graph)
 
-    @cached_property
+    @cached
     def spec(self) -> Spectrum:
         return spectrum(self.graph)
 
@@ -110,7 +167,7 @@ class GraphContext:
             value = self._s_alpha[alpha] = s_alpha(self.spec, alpha)
             return value
 
-    @cached_property
+    @cached
     def kirchhoff(self) -> float:
         """kirchhoff(spec), from the s_{-1} that the rows share."""
         spec = self.spec
@@ -118,44 +175,54 @@ class GraphContext:
             return spec.n * self.s_alpha(-1.0)
         return kirchhoff(spec)  # raises, or gives 0.0 for n = 1
 
-    @cached_property
+    # c_2..c_{k-1} is d_2..d_{n-1} in the Grone sequence and d_2..d_{n-2}
+    # in the merged one, so both read the degrees' values (f may be called
+    # on d_1 and d_n too)
+    @cached
     def grone(self) -> Comparison:
-        return self._comparison(*grone_sequence(self.degrees))
+        values, positions = self.degree_values
+        return self._comparison(*grone_sequence(self.degrees),
+                                (values, _expander(positions[1:-1])))
 
-    @cached_property
+    @cached
     def merged(self) -> Comparison:
-        return self._comparison(*merged_grone_sequence(self.degrees))
+        values, positions = self.degree_values
+        return self._comparison(*merged_grone_sequence(self.degrees),
+                                (values, _expander(positions[1:-2])))
 
-    @cached_property
+    @cached
     def conjugate_head(self) -> Comparison:
         return self._comparison(self.conjugate[:self.degrees[0]], True)
 
-    def _comparison(self, c: tuple[int, ...], monotone: bool) -> Comparison:
+    def _comparison(self, c: tuple[int, ...], monotone: bool,
+                    middle: Optional[ByValue] = None) -> Comparison:
         return Comparison(c, monotone, monotone and sum(map(mul, c, c))
-                          == self.zagreb + 2 * self.graph.m)
+                          == self.zagreb + 2 * self.graph.m, middle)
 
-    @cached_property
+    @cached
     def kf_new_rhs(self) -> float:
         return self.graph.n * self.merged.ends_first((-1.0).__rpow__)
 
-    @cached_property
+    @cached
     def kf_zt_rhs(self) -> float:
-        return -1.0 + (self.graph.n - 1) * sum(1.0 / x for x in self.degrees)
+        values, expand = self.degree_terms
+        return -1.0 + (self.graph.n - 1) * sum(
+            expand(list(map((1.0).__truediv__, values))))
 
-    @cached_property
+    @cached
     def lee_value(self) -> float:
         return lee(self.spec)
 
-    @cached_property
+    @cached
     def complement_lee(self) -> float:
         return lee(complement_spectrum(
             self.spec, self.graph.m, self.gclass.complement_component_count))
 
-    @cached_property
+    @cached
     def log_tree_count(self) -> float:
         return log_spanning_trees(self.spec)
 
-    @cached_property
+    @cached
     def zagreb(self) -> int:
         return first_zagreb(self.graph)
 
@@ -198,13 +265,16 @@ def _bip_n3(ctx: GraphContext) -> bool:
 
 
 def _rp_rhs(ctx: GraphContext, k: int) -> float:
-    return float(sum(x * (1 + x) ** (k - 1) for x in ctx.degrees))
+    values, expand = ctx.degree_terms
+    return float(sum(expand([x * (1 + x) ** (k - 1) for x in values])))
 
 
 def _lee_clique_rhs(ctx: GraphContext) -> float:
+    values, expand = ctx.degree_terms
     acc = 0.0
-    for x in ctx.degrees:
-        acc += x / (1.0 + x) * (math.exp(1.0 + x) - 1.0)
+    for term in expand([x / (1.0 + x) * (math.exp(1.0 + x) - 1.0)
+                        for x in values]):
+        acc += term
     return ctx.graph.n + acc
 
 
@@ -252,6 +322,11 @@ def _lee_r2c_t_rhs(ctx: GraphContext) -> float:
     root = math.sqrt(ctx.zagreb / n)
     base = n * math.sqrt(n) / (2.0 * math.sqrt(ctx.zagreb))
     return _lee_r2(n, 2.0 * root, _tree_root(ctx, base))
+
+
+def _lee_tree_rhs(n: int, c: tuple[int, ...]) -> float:
+    values, positions = _by_value(c)
+    return n - len(c) + sum(_expander(positions)(list(map(math.exp, values))))
 
 
 def _eq_kf_compare(ctx: GraphContext, param: Param) -> bool:
@@ -344,8 +419,7 @@ CATALOG: tuple[BoundSpec, ...] = (
               _lhs_lee, lambda ctx, p: ctx.grone.ends_first(math.exp),
               lambda ctx, p: ctx.grone.equal),
     BoundSpec("LEE_TREE", "upper", None, None, _tree, _lhs_lee,
-              lambda ctx, p: (ctx.graph.n - len(ctx.conjugate_head.c)
-                              + sum(map(math.exp, ctx.conjugate_head.c))),
+              lambda ctx, p: _lee_tree_rhs(ctx.graph.n, ctx.conjugate_head.c),
               lambda ctx, p: ctx.conjugate_head.equal),
     BoundSpec("LEE_CLIQUE", "lower", None, None, _any_n2,
               _lhs_lee, lambda ctx, p: _lee_clique_rhs(ctx), _eq_clique_union),
@@ -491,13 +565,21 @@ def evaluate_bound(bound_id: str, g: Graph, param: Param = None, *,
 
 
 @lru_cache(maxsize=32)
-def _plan(alphas: tuple[float, ...], ks: tuple[int, ...],
-          bound_ids: Optional[tuple[str, ...]]
+def _plan(alphas: tuple, ks: tuple, bound_ids: Optional[tuple],
+          types: tuple[type, ...]
           ) -> tuple[tuple[BoundSpec, Param, BoundResult], ...]:
-    """The (spec, param) rows of a catalog evaluation over grids and a
-    filter already passed through _legal, in order, each with its
-    NOT_APPLICABLE result."""
-    grids = {"alpha": alphas, "k": ks}
+    """The (spec, param) rows of a catalog evaluation over these grids and
+    filter, in order, each with its NOT_APPLICABLE result.
+
+    Every value goes through _legal here, so a grid is checked once per
+    cached plan, not once per graph. types, the grid values' types, only
+    keys the cache: (2,) is a legal ks, and (2.0,) and (True,), which hash
+    and compare equal to it, still miss and raise.
+    """
+    grids = {"alpha": [_legal("alpha", a) for a in alphas],
+             "k": [_legal("k", k) for k in ks]}
+    if bound_ids is not None:
+        bound_ids = [_legal("bound", b) for b in bound_ids]
     rows = []
     for spec in CATALOG:
         if bound_ids is not None and spec.bound_id not in bound_ids:
@@ -524,10 +606,14 @@ def evaluate_catalog(g: Graph, alphas: tuple[float, ...],
     BadParameterError, and an unknown filter id UnknownBoundError, whether
     or not a row would take the value.
     """
-    plan = _plan(tuple(_legal("alpha", a) for a in alphas),
-                 tuple(_legal("k", k) for k in ks),
-                 None if bound_ids is None
-                 else tuple(_legal("bound", b) for b in bound_ids))
+    alphas, ks = tuple(alphas), tuple(ks)
+    bound_ids = None if bound_ids is None else tuple(bound_ids)
+    types = tuple(list(map(type, alphas + ks)))  # see ByValue
+    try:
+        plan = _plan(alphas, ks, bound_ids, types)
+    except TypeError:  # an unhashable value: _legal rejects it or reads it
+        plan = _plan(tuple(_legal("alpha", a) for a in alphas),
+                     tuple(_legal("k", k) for k in ks), bound_ids, types)
     ctx = _context(g, ctx)
     return [_evaluate(spec, p, ctx, strict_applicability) or not_applicable
             for spec, p, not_applicable in plan]

@@ -5,11 +5,11 @@ agreement flag is true, 2 when any verdict is VIOLATED, 3 when an agreement
 failure is the only problem, 1 for a usage or input error. Five other
 causes also exit 1: a numeric overflow in any row; a --family G(n, p) graph
 with no connected draw within the retry cap (fuzz lists such an instance
-under corpus.generation_failures instead); a Jacobi solver that cannot be
-built (no C compiler, a compiler error, or a __pycache__ that cannot be
-written), whose error line names the compiler command; a failed solve
-(JacobiConvergenceError or SpectralInconsistencyError); and an --out-dir
-that cannot be created.
+under corpus.generation_failures instead, or with --format csv names it in
+a note on stderr); a Jacobi solver that cannot be built (no C compiler, a
+compiler error, or a __pycache__ that cannot be written), whose error line
+names the compiler command; a failed solve (JacobiConvergenceError or
+SpectralInconsistencyError); and an --out-dir that cannot be created.
 
 Output is deterministic for a fixed (configuration, seed): no timestamps or
 absolute paths ever enter a report, counterexample files are referenced by
@@ -21,6 +21,7 @@ import functools
 import io
 import itertools
 import json
+import operator
 import sys
 import types
 from pathlib import Path
@@ -108,8 +109,11 @@ def _dict_template(keys: Sequence[str], indent: str,
                         for key in keys], indent, "{}")
 
 
-# a row of a row report; a fuzz report's violation entry
-_JSON_ROW = _dict_template(CSV_COLUMNS, "  ", BoundResult._fields)
+# a row of a row report, up to its result's cells; those cells
+_JSON_ROW_START = "{\n    " + "".join(f'"{key}": %s,\n    '
+                                       for key in CSV_COLUMNS[:3])
+_JSON_CELLS = ",\n    ".join(f'"{key}": %s' for key in BoundResult._fields)
+# a fuzz report's violation entry
 _JSON_VIOLATION = _dict_template(
     ("index", "graph_id", "bound_id", "param", "lhs", "rhs", "margin", "n",
      "m", "edges", "file"), "    ",
@@ -150,12 +154,43 @@ class _Record(NamedTuple):
     violations: str = ""
 
 
+# a result's cells that depend on its plan row alone, and the others
+_PLAN_CELLS = operator.itemgetter(0, 1, 2, 6, 7, 8)
+_ROW_VALUES = operator.itemgetter(3, 4, 5)
+# row templates by the identity of their plan cells' values: an entry holds
+# those values, so no other object can take their ids while it is cached
+_ROW_TEMPLATES: dict[tuple[int, ...], tuple[list, list[str]]] = {}
+_ROW_TEMPLATES_MAX = 64
+
+
 def _json_rows(rec: _Record) -> str:
-    """The record's rows, as json.dumps(indent=2) writes them in a list."""
-    row = _JSON_ROW % (json.dumps(rec.graph_id).replace("%", "%%"),
-                       rec.n, rec.m)
-    return ",\n  ".join([row] * len(rec.results)) % _json_scalars(
-        itertools.chain.from_iterable(rec.results))
+    """The record's rows, as json.dumps(indent=2) writes them in a list.
+
+    Only lhs, rhs and margin are encoded per record, in one encoder call.
+    The other cells, bound_id, param and applicable, which the plan row
+    fixes, and the verdict and flags, which repeat over a family's graphs,
+    come from a template cached by their identities; the record's
+    graph_id, n and m then start each row.
+    """
+    plan = list(map(_PLAN_CELLS, rec.results))
+    # tuple() of a list, not of a map: see bounds.ByValue
+    key = tuple(list(map(id, itertools.chain.from_iterable(plan))))
+    try:
+        parts = _ROW_TEMPLATES[key][1]
+    except KeyError:
+        cells = [text.replace("%", "%%") for text in
+                 _json_scalars(itertools.chain.from_iterable(plan))]
+        parts = ["", *(_JSON_CELLS % (*cells[i:i + 3], "%s", "%s", "%s",
+                                      *cells[i + 3:i + 6]) + "\n  },\n  "
+                       for i in range(0, len(cells), 6))]
+        parts[-1] = parts[-1][:-len(",\n  ")]  # no separator after the last
+        if len(_ROW_TEMPLATES) >= _ROW_TEMPLATES_MAX:
+            _ROW_TEMPLATES.clear()
+        _ROW_TEMPLATES[key] = plan, parts
+    start = _JSON_ROW_START % (json.dumps(rec.graph_id).replace("%", "%%"),
+                               rec.n, rec.m)
+    return start.join(parts) % _json_scalars(itertools.chain.from_iterable(
+        map(_ROW_VALUES, rec.results)))
 
 
 def _json_violations(index: int, graph_id: str, g: Graph,
@@ -352,12 +387,15 @@ def _report(args, records: Iterable[_Record],
     text _record made of them.
     """
     rows: list = []
+    missing = []  # fuzz CSV: the instances that could not be generated
     code = 0
     for rec in records:
         # exit codes in rising severity: clean, agreement failure, VIOLATED
         code = max(code, _exit_code(rec.results), key=(0, 3, 2).index)
         if fuzz is None:
-            if args.format == "csv":
+            if rec.m is None:
+                missing.append(str(rec.index))
+            elif args.format == "csv":
                 rows.extend(_csv_rows(rec))
             elif rec.results:
                 rows.append(_json_rows(rec))
@@ -388,6 +426,9 @@ def _report(args, records: Iterable[_Record],
         print(_json_block(rows, ""))
     else:
         sys.stdout.write(_rows_to_csv(rows))
+    if missing:
+        print(f"note: {len(missing)} instances could not be generated and "
+              f"have no rows: indices {', '.join(missing)}", file=sys.stderr)
     return code
 
 

@@ -17,10 +17,28 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParseError, SelfLoopError, VertexRangeError
+
+
+class cached:
+    """functools.cached_property without its lock: the first read calls
+    func, and the value stored in the instance's __dict__ then hides this
+    non-data descriptor. On Python 3.11 cached_property takes an RLock on
+    every first read (3.12 dropped it); two threads that read one attribute
+    at once at worst both compute it."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class Graph:
@@ -63,11 +81,11 @@ class Graph:
     def __reduce__(self):  # pickle and copy rebuild it, as __setattr__ refuses
         return Graph, (self.n, self.masks)
 
-    @cached_property
+    @cached
     def m(self) -> int:
         return sum(map(int.bit_count, self.masks)) // 2
 
-    @cached_property
+    @cached
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The canonical edge tuple: (u, v) with u < v, sorted."""
         edges = []
@@ -79,7 +97,7 @@ class Graph:
                 above ^= low
         return tuple(edges)
 
-    @cached_property
+    @cached
     def components(self) -> tuple[tuple[int, ...], ...]:
         """connected_components(self), computed once per graph."""
         return tuple(tuple(comp) for comp in connected_components(self))
@@ -129,16 +147,18 @@ def complement(g: Graph) -> Graph:
                             for u, mask in enumerate(g.masks)))
 
 
-def _components(masks: Sequence[int], flip: int) -> list[list[int]]:
+def _components(masks: Sequence[int], flip: int,
+                unseen: int) -> list[list[int]]:
     """The one component walk: sorted vertex lists, ordered by smallest
-    member, of G when flip is 0 and of its complement when flip is -1.
+    member, of G when flip is 0 and of its complement when flip is -1. It
+    walks the vertices in the mask unseen only, which must be a union of
+    components.
 
     From a visited vertex x it takes the unvisited vertices joined to x in
     one step, (masks[x] ^ flip) & unseen: with flip = -1 that is ~masks[x],
     the complement's mask full ^ masks[x] ^ (1 << x) read on unseen vertices
     only, and x itself is never unseen.
     """
-    unseen = (1 << len(masks)) - 1
     comps: list[list[int]] = []
     while unseen:
         low = unseen & -unseen
@@ -160,12 +180,12 @@ def _components(masks: Sequence[int], flip: int) -> list[list[int]]:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest member."""
-    return _components(g.masks, 0)
+    return _components(g.masks, 0, (1 << g.n) - 1)
 
 
 def complement_components(g: Graph) -> list[list[int]]:
     """connected_components(complement(g)), without building the complement."""
-    return _components(g.masks, -1)
+    return _components(g.masks, -1, (1 << g.n) - 1)
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
@@ -263,23 +283,29 @@ def classify(g: Graph) -> GraphClass:
     K_1 counts as a degenerate star, complete graph and clique union all at
     once; K_2 is both a star and complete.
     """
-    n, m = g.n, g.m
+    n, m, masks = g.n, g.m, g.masks
     is_connected = len(g.components) == 1
     is_tree = is_connected and m == n - 1
     is_bipartite = _is_bipartite(g)
-    co_comps = complement_components(g)
+    # a vertex of degree n - 1 is a component of its own in the complement:
+    # count those, and walk the complement on the other vertices only
+    lone = 0
+    for v, mask in enumerate(masks):
+        if mask.bit_count() == n - 1:
+            lone |= 1 << v
+    co_comps = _components(masks, -1, ((1 << n) - 1) ^ lone)
     return GraphClass(
         component_count=len(g.components),
         is_connected=is_connected,
         is_tree=is_tree,
-        is_star=is_tree and n - 1 in map(int.bit_count, g.masks),
+        is_star=is_tree and lone != 0,
         is_complete=2 * m == n * (n - 1),
         is_clique_union=_is_clique_union(m, g.components),
         is_bipartite=is_bipartite,
         # sides a + b = n give m <= ab <= n^2/4, with equality only for
         # K_{n/2,n/2}
         is_balanced_complete_bipartite=is_bipartite and 4 * m == n * n,
-        complement_component_count=len(co_comps),
+        complement_component_count=lone.bit_count() + len(co_comps),
         is_complete_multipartite=_is_clique_union(
             n * (n - 1) // 2 - m, co_comps),
     )

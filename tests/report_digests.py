@@ -63,6 +63,13 @@ CALLS = [
     "check --family P:4 --alphas=-1,2 --ks 1,2",
     "invariants --family P:6 --ks 1,3,5",
     "sweep --family TREE:3..12:4 --ks 2,4 --format csv",
+    "sweep --family Kme:3..64",
+    "sweep --family GNP:3..64:0.9:2",
+    "sweep --family Kab:1..20:3",
+    "sweep --family C:3..64",
+    "sweep --family CLIQUES:3,3,2",
+    "sweep --family P:3..64 --alphas=-200",
+    "check --family K:4 --ks 100000",
 ]
 
 

@@ -142,6 +142,15 @@ class TestParamChecking:
         assert (lb.evaluate_catalog(g, (2,), ())
                 == lb.evaluate_catalog(g, (2.0,), ()))
 
+    def test_unhashable_grid_values(self):
+        # the plan cache cannot key them; they fail as _legal fails them
+        g = fam("K:4")
+        for ks in (([1],), ({1},)):
+            with pytest.raises(BadParameterError):
+                lb.evaluate_catalog(g, (2.0,), ks)
+        with pytest.raises(TypeError):
+            lb.evaluate_catalog(g, ([2.0],), ())
+
     def test_context_graph_mismatch(self):
         ctx = GraphContext(fam("K:4"))
         with pytest.raises(ValueError):
@@ -729,6 +738,61 @@ class TestVerdictScale:
         assert r.lhs == pytest.approx(float(lhs), rel=1e-12)
         assert r.rhs == pytest.approx(float(rhs), rel=1e-12)
         assert r.verdict == "HOLDS" and r.agreement and code == 0
+
+
+class TestSumsOverDistinctDegrees:
+    """A sum over a sequence taken from the degrees computes its term once
+    per distinct value, and still adds every term in the order of the
+    plain per-entry sum, so its float is the same bits."""
+
+    # few distinct values, as a dense family gives, or many
+    SEQUENCES = st.lists(st.integers(1, 4) | st.integers(1, 300), min_size=3,
+                         max_size=80).map(lambda xs: tuple(sorted(
+                             xs, reverse=True)))
+    # each term, and whether it is defined at 0
+    TERMS = [(a.__rpow__, a > 0) for a in ALPHAS] + [
+        (math.exp, True), ((1.0).__truediv__, False)]
+
+    def test_ends_first_calls_f_once_per_distinct_value(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(x)
+
+        assert lb.bounds.Comparison((5, 4, 4, 4, 3), True,
+                                    False).ends_first(f) == 20.0
+        assert sorted(calls) == [3, 4, 5]
+
+    @given(SEQUENCES)
+    @settings(max_examples=150)
+    def test_same_bits_as_the_per_entry_sums(self, c):
+        n = len(c)
+        # a stand-in graph of n vertices whose context reads c as degrees;
+        # its Grone and merged sequences read their middles off c's values
+        ctx = GraphContext(lb.build_graph(n, []))
+        ctx.degrees = c
+        for f, defined_at_0 in self.TERMS:
+            for seq, comparison in (
+                    (c, lb.bounds.Comparison(c, True, False)),
+                    (lb.grone_sequence(c)[0], ctx.grone),
+                    (lb.merged_grone_sequence(c)[0], ctx.merged)):
+                assert comparison.c == seq
+                if seq[-1] == 0 and not defined_at_0:
+                    continue  # the Grone sequence may end in 0
+                assert comparison.ends_first(f).hex() == (
+                    f(seq[0]) + sum(map(f, seq[1:-1])) + f(seq[-1])).hex()
+        assert ctx.kf_zt_rhs.hex() == (
+            -1.0 + (n - 1) * sum(1.0 / x for x in c)).hex()
+        acc = 0.0
+        for x in c:
+            acc += x / (1.0 + x) * (math.exp(1.0 + x) - 1.0)
+        assert lb.bounds._lee_clique_rhs(ctx).hex() == (n + acc).hex()
+        assert lb.bounds._lee_tree_rhs(n, c).hex() == (
+            n - len(c) + sum(map(math.exp, c))).hex()
+        for k in KS:
+            assert lb.bounds._rp_rhs(ctx, k) == float(
+                sum(x * (1 + x) ** (k - 1) for x in c))
 
 
 def tr_l2(g):

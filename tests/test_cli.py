@@ -434,6 +434,17 @@ class TestFuzzCommand:
         assert report["violations"] == report["agreement_failures"] == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_csv_notes_generation_failures_on_stderr(self, tmp_path, capsys):
+        code, out, err = run(["fuzz", "--seed", "7", "--count", "3",
+                              "--model", "gnp", "--p", "0.001", "--n-min",
+                              "12", "--n-max", "12", "--format", "csv",
+                              "--out-dir", str(tmp_path)], capsys)
+        # the report and the exit code are those of three clean instances
+        assert code == 0
+        assert out == ",".join(CSV_COLUMNS) + "\n"
+        assert err == ("note: 3 instances could not be generated and have no "
+                       "rows: indices 0, 1, 2\n")
+
     def test_validation(self, tmp_path, capsys):
         base = ["fuzz", "--out-dir", str(tmp_path)]
         assert run(base + ["--count", "0"], capsys)[0] == 1
@@ -608,27 +619,30 @@ class TestEdgesDerivedOnlyToPrint:
 
 
 class TestFactsOncePerGraph:
-    """GraphContext sorts the degrees and classify traverses the
-    complement once per evaluated graph."""
+    """GraphContext sorts the degrees and classify walks the complement once
+    per evaluated graph."""
 
     @pytest.mark.parametrize("model", ["gnp", "tree", "clique-union"])
     def test_fuzz(self, model, tmp_path, capsys, monkeypatch):
-        calls = {lb.graphs.degree_sequence: [],
-                 lb.graphs.complement_components: []}
+        sorted_degrees, walked = [], []
+        original_sort = lb.graphs.degree_sequence
+        original_walk = lb.graphs._components
 
-        def counting(original):
-            def wrapper(g):
-                calls[original].append(g)
-                return original(g)
-            return wrapper
+        def sorting(g):
+            sorted_degrees.append(g)
+            return original_sort(g)
+
+        def walking(masks, flip, unseen):
+            if flip == -1:  # a walk of the complement, by the graph's masks
+                walked.append(masks)
+            return original_walk(masks, flip, unseen)
 
         for name, module in list(sys.modules.items()):
             if name == "lapbounds" or name.startswith("lapbounds."):
                 for attr, value in list(vars(module).items()):
-                    for original in calls:
-                        if value is original:
-                            monkeypatch.setattr(module, attr,
-                                                counting(original))
+                    if value is original_sort:
+                        monkeypatch.setattr(module, attr, sorting)
+        monkeypatch.setattr(lb.graphs, "_components", walking)
         evaluated = []
         original_catalog = cli.evaluate_catalog
 
@@ -642,8 +656,36 @@ class TestFactsOncePerGraph:
                          capsys)
         assert code in (0, 2, 3)
         assert len(evaluated) == 30
-        for seen in calls.values():
-            assert Counter(map(id, seen)) == Counter(map(id, evaluated))
+        assert Counter(map(id, sorted_degrees)) == Counter(map(id, evaluated))
+        assert Counter(map(id, walked)) == Counter(
+            id(g.masks) for g in evaluated)
+
+
+class TestGridsCheckedOncePerPlan:
+    """A sweep checks its grids as a single check does: once in the CLI's
+    parse and once when the catalog's plan is first made, not per graph."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        original = lb.bounds._legal
+
+        def counting(kind, value):
+            calls.append(kind)
+            return original(kind, value)
+
+        monkeypatch.setattr(lb.bounds, "_legal", counting)
+        monkeypatch.setattr(cli, "_legal", counting)
+        lb.bounds._plan.cache_clear()
+        return calls
+
+    @pytest.mark.parametrize("argv", [["sweep", "--family", "K:3..64"],
+                                      ["check", "--family", "K:4"]])
+    def test_default_grids(self, argv, checks, capsys):
+        code, _, _ = run(argv, capsys)
+        assert code in (0, 2, 3)
+        # 6 alphas and 4 ks in the parse, and again in the one plan miss
+        assert len(checks) == 20
 
 
 class TestSequencesOncePerGraph:

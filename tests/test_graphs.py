@@ -449,6 +449,45 @@ class TestComplementComponents:
             assert lb.evaluate_bound("KF_ZT", g).verdict == "HOLDS"
 
 
+class TestClassifyComplementFacts:
+    """classify counts the vertices of degree n - 1 and walks the complement
+    on the others only; its complement facts must still be those of the
+    full walk, on graphs with some, all and none of their vertices of full
+    degree."""
+
+    @staticmethod
+    def check(g, label):
+        comps = lb.complement_components(g)
+        # each complement component is a clique of the complement exactly
+        # when its vertices are pairwise non-adjacent in g
+        cliques = all(g.masks[u] & sum(1 << v for v in comp) == 0
+                      for comp in comps for u in comp)
+        c = lb.classify(g)
+        assert (c.complement_component_count, c.is_complete_multipartite) \
+            == (len(comps), cliques), label
+
+    def test_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for i, G in enumerate(nx.graph_atlas_g()):
+            if G.number_of_nodes():
+                self.check(lb.build_graph(G.number_of_nodes(), G.edges()),
+                           f"atlas graph {i}")
+
+    @pytest.mark.parametrize("labels", [
+        [f"K:{n}" for n in range(1, 65)],
+        [f"Kme:{n}" for n in range(2, 65)],
+        [f"S:{n}" for n in range(1, 65)],
+        [f"Kab:{a}:{b}" for a in range(1, 33) for b in (a, a + 1, 64 - a)],
+        [f"CLIQUES:{sizes}" for sizes in (
+            "1", ",".join("1" * 64), ",".join("2" * 32), "32,32", "63,1",
+            "1,1,62", "5,4,3,2,1", "10,20,30,4")],
+        [f"GNP:{n}:0.9:{seed}" for n in range(3, 65) for seed in (1, 2, 3)],
+    ], ids=["K", "Kme", "S", "Kab", "CLIQUES", "GNP"])
+    def test_families(self, labels):
+        for label in labels:
+            self.check(fam(label), label)
+
+
 class TestClassify:
     def test_star(self):
         c = lb.classify(fam("S:6"))
