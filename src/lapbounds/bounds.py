@@ -53,63 +53,34 @@ VIOLATED = "VIOLATED"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
 Param = Union[float, int, None]
+# an integer sequence read by value (see _by_value)
+ByValue = tuple[tuple[int, ...], Callable[[list], Sequence]]
 
 
-def _by_value(seq: tuple[int, ...]
-              ) -> tuple[tuple[int, ...], Sequence[int]]:
-    """The distinct values of seq, and the index among them of each
-    entry."""
+def _by_value(seq: tuple[int, ...]) -> ByValue:
+    """seq read by value: its distinct values, and a function that maps a
+    list of terms, one per distinct value, to the term of each entry in
+    order, so their sum adds the same floats as one term per entry would."""
     values = tuple(dict.fromkeys(seq))
     if len(values) == len(seq):
-        return values, range(len(seq))
+        return values, itemgetter(slice(None))
     index = dict(zip(values, range(len(values))))
-    return values, list(map(index.__getitem__, seq))
-
-
-def _expander(positions: Sequence[int]) -> Callable[[list], Sequence]:
-    """Maps a list of terms, one per distinct value, to the terms at these
-    positions: the term of each entry, in order, so their sum adds the same
-    floats as one term per entry would."""
-    if not positions:
-        return itemgetter(slice(0, 0))
-    # each new value takes the next index, so no position exceeds the
-    # largest before it by more than one. In a whole sequence (its first
-    # position 0) or a slice of a sorted one (its positions never fall),
-    # positions whose last exceeds their first by their count less one
-    # thus rise by one at each entry
-    if positions[-1] - positions[0] == len(positions) - 1:
-        return itemgetter(slice(positions[0], positions[-1] + 1))
-    return itemgetter(*positions)
-
-
-# an integer sequence read by value: its distinct values, and the expander
-# of its positions among them; f over the sequence is
-# expand(list(map(f, values))), with f called once per distinct value.
-# Not tuple(map(...)): CPython makes that tuple with ten slots and shrinks
-# it, and once freed the shrunken tuple stays on a free list, so a run
-# that repeats the call grows by up to 2,000 such tuples per length
-ByValue = tuple[tuple[int, ...], Callable[[list], Sequence]]
+    # two or more entries, so the getter returns a tuple
+    return values, itemgetter(*map(index.__getitem__, seq))
 
 
 class Comparison:
     """A majorization row's sequence c, whether it is non-increasing, and
     whether the spectrum is c: c non-increasing and sum c_i^2 = tr L^2 =
-    sum d_i^2 + 2m (see the module docstring).
+    sum d_i^2 + 2m (see the module docstring)."""
 
-    middle, when given, reads c_2..c_{k-1} by value; otherwise it is made
-    from c on first use.
-    """
-
-    def __init__(self, c: tuple[int, ...], monotone: bool, equal: bool,
-                 middle: Optional[ByValue] = None):
+    def __init__(self, c: tuple[int, ...], monotone: bool, equal: bool):
         self.c, self.monotone, self.equal = c, monotone, equal
-        if middle is not None:
-            self.middle = middle
 
     @cached
     def middle(self) -> ByValue:
-        values, positions = _by_value(self.c[1:-1])
-        return values, _expander(positions)
+        """c_2..c_{k-1} read by value."""
+        return _by_value(self.c[1:-1])
 
     def ends_first(self, f: Callable[[int], float]) -> float:
         """f(c_1) + (f over c_2..c_{k-1}, summed from 0) + f(c_k), the order
@@ -139,13 +110,8 @@ class GraphContext:
         return degree_sequence(self.graph)
 
     @cached
-    def degree_values(self) -> tuple[tuple[int, ...], Sequence[int]]:
-        return _by_value(self.degrees)
-
-    @cached
     def degree_terms(self) -> ByValue:
-        values, positions = self.degree_values
-        return values, _expander(positions)
+        return _by_value(self.degrees)
 
     @cached
     def conjugate(self) -> tuple[int, ...]:
@@ -175,29 +141,21 @@ class GraphContext:
             return spec.n * self.s_alpha(-1.0)
         return kirchhoff(spec)  # raises, or gives 0.0 for n = 1
 
-    # c_2..c_{k-1} is d_2..d_{n-1} in the Grone sequence and d_2..d_{n-2}
-    # in the merged one, so both read the degrees' values (f may be called
-    # on d_1 and d_n too)
     @cached
     def grone(self) -> Comparison:
-        values, positions = self.degree_values
-        return self._comparison(*grone_sequence(self.degrees),
-                                (values, _expander(positions[1:-1])))
+        return self._comparison(*grone_sequence(self.degrees))
 
     @cached
     def merged(self) -> Comparison:
-        values, positions = self.degree_values
-        return self._comparison(*merged_grone_sequence(self.degrees),
-                                (values, _expander(positions[1:-2])))
+        return self._comparison(*merged_grone_sequence(self.degrees))
 
     @cached
     def conjugate_head(self) -> Comparison:
         return self._comparison(self.conjugate[:self.degrees[0]], True)
 
-    def _comparison(self, c: tuple[int, ...], monotone: bool,
-                    middle: Optional[ByValue] = None) -> Comparison:
+    def _comparison(self, c: tuple[int, ...], monotone: bool) -> Comparison:
         return Comparison(c, monotone, monotone and sum(map(mul, c, c))
-                          == self.zagreb + 2 * self.graph.m, middle)
+                          == self.zagreb + 2 * self.graph.m)
 
     @cached
     def kf_new_rhs(self) -> float:
@@ -325,8 +283,8 @@ def _lee_r2c_t_rhs(ctx: GraphContext) -> float:
 
 
 def _lee_tree_rhs(n: int, c: tuple[int, ...]) -> float:
-    values, positions = _by_value(c)
-    return n - len(c) + sum(_expander(positions)(list(map(math.exp, values))))
+    values, expand = _by_value(c)
+    return n - len(c) + sum(expand(list(map(math.exp, values))))
 
 
 def _eq_kf_compare(ctx: GraphContext, param: Param) -> bool:
@@ -565,21 +523,13 @@ def evaluate_bound(bound_id: str, g: Graph, param: Param = None, *,
 
 
 @lru_cache(maxsize=32)
-def _plan(alphas: tuple, ks: tuple, bound_ids: Optional[tuple],
-          types: tuple[type, ...]
+def _plan(alphas: tuple[float, ...], ks: tuple[int, ...],
+          bound_ids: Optional[tuple[str, ...]]
           ) -> tuple[tuple[BoundSpec, Param, BoundResult], ...]:
-    """The (spec, param) rows of a catalog evaluation over these grids and
-    filter, in order, each with its NOT_APPLICABLE result.
-
-    Every value goes through _legal here, so a grid is checked once per
-    cached plan, not once per graph. types, the grid values' types, only
-    keys the cache: (2,) is a legal ks, and (2.0,) and (True,), which hash
-    and compare equal to it, still miss and raise.
-    """
-    grids = {"alpha": [_legal("alpha", a) for a in alphas],
-             "k": [_legal("k", k) for k in ks]}
-    if bound_ids is not None:
-        bound_ids = [_legal("bound", b) for b in bound_ids]
+    """The (spec, param) rows of a catalog evaluation over grids and a
+    filter already passed through _legal, in order, each with its
+    NOT_APPLICABLE result."""
+    grids = {"alpha": alphas, "k": ks}
     rows = []
     for spec in CATALOG:
         if bound_ids is not None and spec.bound_id not in bound_ids:
@@ -606,14 +556,10 @@ def evaluate_catalog(g: Graph, alphas: tuple[float, ...],
     BadParameterError, and an unknown filter id UnknownBoundError, whether
     or not a row would take the value.
     """
-    alphas, ks = tuple(alphas), tuple(ks)
-    bound_ids = None if bound_ids is None else tuple(bound_ids)
-    types = tuple(list(map(type, alphas + ks)))  # see ByValue
-    try:
-        plan = _plan(alphas, ks, bound_ids, types)
-    except TypeError:  # an unhashable value: _legal rejects it or reads it
-        plan = _plan(tuple(_legal("alpha", a) for a in alphas),
-                     tuple(_legal("k", k) for k in ks), bound_ids, types)
+    plan = _plan(tuple(_legal("alpha", a) for a in alphas),
+                 tuple(_legal("k", k) for k in ks),
+                 None if bound_ids is None
+                 else tuple(_legal("bound", b) for b in bound_ids))
     ctx = _context(g, ctx)
     return [_evaluate(spec, p, ctx, strict_applicability) or not_applicable
             for spec, p, not_applicable in plan]

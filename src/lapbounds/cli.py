@@ -173,8 +173,7 @@ def _json_rows(rec: _Record) -> str:
     graph_id, n and m then start each row.
     """
     plan = list(map(_PLAN_CELLS, rec.results))
-    # tuple() of a list, not of a map: see bounds.ByValue
-    key = tuple(list(map(id, itertools.chain.from_iterable(plan))))
+    key = tuple(map(id, itertools.chain.from_iterable(plan)))
     try:
         parts = _ROW_TEMPLATES[key][1]
     except KeyError:

@@ -142,15 +142,6 @@ class TestParamChecking:
         assert (lb.evaluate_catalog(g, (2,), ())
                 == lb.evaluate_catalog(g, (2.0,), ()))
 
-    def test_unhashable_grid_values(self):
-        # the plan cache cannot key them; they fail as _legal fails them
-        g = fam("K:4")
-        for ks in (([1],), ({1},)):
-            with pytest.raises(BadParameterError):
-                lb.evaluate_catalog(g, (2.0,), ks)
-        with pytest.raises(TypeError):
-            lb.evaluate_catalog(g, ([2.0],), ())
-
     def test_context_graph_mismatch(self):
         ctx = GraphContext(fam("K:4"))
         with pytest.raises(ValueError):
@@ -764,12 +755,19 @@ class TestSumsOverDistinctDegrees:
                                     False).ends_first(f) == 20.0
         assert sorted(calls) == [3, 4, 5]
 
+    def test_isolated_vertex(self):
+        # K_3 plus an isolated vertex: degrees (2, 2, 2, 0), Grone sequence
+        # (3, 2, 2, -1), merged sequence (3, 2, 1); f never sees the 0
+        ctx = GraphContext(lb.build_graph(4, [(0, 1), (0, 2), (1, 2)]))
+        f = (-1.0).__rpow__
+        assert ctx.kf_new_rhs == 4 * (f(3) + f(2) + f(1))
+        assert ctx.grone.ends_first(f) == f(3) + (f(2) + f(2)) + f(-1)
+
     @given(SEQUENCES)
     @settings(max_examples=150)
     def test_same_bits_as_the_per_entry_sums(self, c):
         n = len(c)
-        # a stand-in graph of n vertices whose context reads c as degrees;
-        # its Grone and merged sequences read their middles off c's values
+        # a stand-in graph of n vertices whose context reads c as degrees
         ctx = GraphContext(lb.build_graph(n, []))
         ctx.degrees = c
         for f, defined_at_0 in self.TERMS:

@@ -661,33 +661,6 @@ class TestFactsOncePerGraph:
             id(g.masks) for g in evaluated)
 
 
-class TestGridsCheckedOncePerPlan:
-    """A sweep checks its grids as a single check does: once in the CLI's
-    parse and once when the catalog's plan is first made, not per graph."""
-
-    @pytest.fixture
-    def checks(self, monkeypatch):
-        calls = []
-        original = lb.bounds._legal
-
-        def counting(kind, value):
-            calls.append(kind)
-            return original(kind, value)
-
-        monkeypatch.setattr(lb.bounds, "_legal", counting)
-        monkeypatch.setattr(cli, "_legal", counting)
-        lb.bounds._plan.cache_clear()
-        return calls
-
-    @pytest.mark.parametrize("argv", [["sweep", "--family", "K:3..64"],
-                                      ["check", "--family", "K:4"]])
-    def test_default_grids(self, argv, checks, capsys):
-        code, _, _ = run(argv, capsys)
-        assert code in (0, 2, 3)
-        # 6 alphas and 4 ks in the parse, and again in the one plan miss
-        assert len(checks) == 20
-
-
 class TestSequencesOncePerGraph:
     """Each comparison sequence is derived at most once per fuzz graph by
     each of its owners: the catalog's GraphContext, and the check_grone or
