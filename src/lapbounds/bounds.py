@@ -42,7 +42,7 @@ from .errors import (BadParameterError, DisconnectedGraphError,
 from .graphs import (Graph, GraphClass, cached, classify, degree_sequence,
                      conjugate_sequence, first_zagreb)
 from .majorization import grone_sequence, merged_grone_sequence, power_sum
-from .spectra import (Spectrum, complement_spectrum, kirchhoff, lee,
+from .spectra import (Spectrum, _total, complement_spectrum, kirchhoff, lee,
                       log_spanning_trees, s_alpha, spectrum)
 
 EQUALITY_REL_TOL = 1e-7
@@ -87,7 +87,7 @@ class Comparison:
         the reports were recorded in; f is exp, or a.__rpow__ for x^a."""
         c = self.c
         values, expand = self.middle
-        return f(c[0]) + sum(expand(list(map(f, values)))) + f(c[-1])
+        return f(c[0]) + _total(expand(list(map(f, values)))) + f(c[-1])
 
 
 class GraphContext:
@@ -164,7 +164,7 @@ class GraphContext:
     @cached
     def kf_zt_rhs(self) -> float:
         values, expand = self.degree_terms
-        return -1.0 + (self.graph.n - 1) * sum(
+        return -1.0 + (self.graph.n - 1) * _total(
             expand(list(map((1.0).__truediv__, values))))
 
     @cached
@@ -229,11 +229,8 @@ def _rp_rhs(ctx: GraphContext, k: int) -> float:
 
 def _lee_clique_rhs(ctx: GraphContext) -> float:
     values, expand = ctx.degree_terms
-    acc = 0.0
-    for term in expand([x / (1.0 + x) * (math.exp(1.0 + x) - 1.0)
-                        for x in values]):
-        acc += term
-    return ctx.graph.n + acc
+    return ctx.graph.n + _total(expand(
+        [x / (1.0 + x) * (math.exp(1.0 + x) - 1.0) for x in values]))
 
 
 def _lee_r2(n: int, a: float, b: float) -> float:
@@ -284,7 +281,7 @@ def _lee_r2c_t_rhs(ctx: GraphContext) -> float:
 
 def _lee_tree_rhs(n: int, c: tuple[int, ...]) -> float:
     values, expand = _by_value(c)
-    return n - len(c) + sum(expand(list(map(math.exp, values))))
+    return n - len(c) + _total(expand(list(map(math.exp, values))))
 
 
 def _eq_kf_compare(ctx: GraphContext, param: Param) -> bool:
@@ -420,13 +417,15 @@ def _legal(kind: str, value) -> Union[float, int, str]:
     """The one legality check of the catalog's inputs; returns value in
     canonical form.
 
-    kind is "alpha", "k" or "bound": an alpha is a finite float other than
-    the trivial exponents 0 and 1, a k is an int (not a bool) >= 1, and a
-    bound id is one of BOUND_IDS. evaluate_catalog, evaluate_bound and the
-    CLI's grid parsers all check each value here.
+    kind is "alpha", "k" or "bound": an alpha is anything float() takes to
+    a finite float other than the trivial exponents 0 and 1, a k is an int
+    (not a bool) >= 1, and a bound id is a str among BOUND_IDS. Any other
+    value raises BadParameterError, or UnknownBoundError for a bound id.
+    evaluate_catalog, evaluate_bound and the CLI's grid parsers all check
+    each value here.
     """
     if kind == "bound":
-        if value not in _BY_ID:
+        if not isinstance(value, str) or value not in _BY_ID:
             raise UnknownBoundError(f"unknown bound id {value!r}")
         return value
     if kind == "k":
@@ -434,7 +433,11 @@ def _legal(kind: str, value) -> Union[float, int, str]:
             raise BadParameterError(
                 f"k must be an integer >= 1, got {value!r}")
         return value
-    alpha = float(value)
+    try:
+        alpha = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadParameterError(
+            f"alpha must be a real number, got {value!r}") from None
     if not math.isfinite(alpha):
         raise BadParameterError(f"alpha must be finite, got {alpha!r}")
     if alpha in (0.0, 1.0):

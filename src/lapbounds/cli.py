@@ -623,12 +623,11 @@ def _parser_class() -> type[argparse.ArgumentParser]:
             self.exit(1, f"{self.prog}: error: {message}\n")
 
         def _get_values(self, action, arg_strings):
-            # argparse drops the one "--" it finds among an option's
-            # strings, so "--opt=--" would leave the option holding []
-            values = super()._get_values(action, arg_strings)
-            if action.nargs is None and isinstance(values, list):
+            # "--opt=--": argparse up to 3.12 drops the "--" and leaves [],
+            # 3.13 keeps it as the value; both are refused here, alike
+            if action.nargs is None and arg_strings == ["--"]:
                 raise argparse.ArgumentError(action, "expected one argument")
-            return values
+            return super()._get_values(action, arg_strings)
 
     return _Parser
 

@@ -15,7 +15,7 @@ from .errors import (BadPinchError, DisconnectedGraphError,
                      DomainViolationError, LengthMismatchError,
                      NotSortedError, SequenceTooShortError)
 from .graphs import conjugate_sequence
-from .spectra import Spectrum
+from .spectra import Spectrum, _power_total
 
 PREFIX_TOL = 1e-9
 SUM_REL_TOL = 1e-9
@@ -115,7 +115,7 @@ def power_sum(x: Sequence[float], alpha: float) -> float:
             raise DomainViolationError(f"negative entry {v}")
         if v == 0 and alpha < 0:
             raise DomainViolationError("zero entry with negative exponent")
-    return float(sum(v ** alpha for v in x))
+    return _power_total(x, alpha)
 
 
 def pinch(x: Sequence[float], i: int, j: int, eps: float) -> tuple[float, ...]:

@@ -25,7 +25,7 @@ import os
 from array import array
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (DisconnectedGraphError, JacobiConvergenceError,
                      NoNonzeroEigenvaluesError, SolverBuildError,
@@ -36,6 +36,24 @@ JACOBI_MAX_SWEEPS = 64
 JACOBI_REL_TOL = 1e-12
 ZERO_SANITY_FACTOR = 1e-8
 TRACE_REL_TOL = 1e-9
+
+
+def _total(terms: Iterable[float]) -> float:
+    """The one float-sum rule behind every report: the terms added left to
+    right, starting from 0.0, on every Python. Built-in sum() compensates
+    float sums since 3.12, which would move report digits."""
+    acc = 0.0
+    for term in terms:
+        acc += term
+    return acc
+
+
+def _power_total(xs: Iterable[float], alpha: float) -> float:
+    """_total of x ** alpha over xs, with no generator in between."""
+    acc = 0.0
+    for x in xs:
+        acc += x ** alpha
+    return acc
 
 
 class _Laplacians:
@@ -261,9 +279,10 @@ def _pin_zeros(vals: list[float], cc: int, two_m: float) -> Spectrum:
                 f"eigenvalue {v} is too small for a non-zero eigenvalue "
                 f"(components={cc})")
     mu = tuple(head) + (0.0,) * cc
-    if abs(sum(mu) - two_m) > TRACE_REL_TOL * max(1.0, two_m):
+    total = _total(mu)
+    if abs(total - two_m) > TRACE_REL_TOL * max(1.0, two_m):
         raise SpectralInconsistencyError(
-            f"eigenvalue sum {sum(mu)} does not match 2m = {two_m}")
+            f"eigenvalue sum {total} does not match 2m = {two_m}")
     return Spectrum(mu=mu, h=n - cc, component_count=cc)
 
 
@@ -310,7 +329,7 @@ def s_alpha(spec: Spectrum, alpha: float) -> float:
             "graph has no non-zero Laplacian eigenvalues")
     if alpha == 0:
         return float(spec.h)
-    return float(sum(v ** alpha for v in spec.mu[:spec.h]))
+    return _power_total(spec.mu[:spec.h], alpha)
 
 
 def moment(spec: Spectrum, k: int) -> float:
@@ -333,7 +352,7 @@ def kirchhoff(spec: Spectrum) -> float:
 
 def lee(spec: Spectrum) -> float:
     """Laplacian Estrada index: sum of e^{mu_i} over all n eigenvalues."""
-    return float(sum(math.exp(v) for v in spec.mu))
+    return _total(map(math.exp, spec.mu))
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

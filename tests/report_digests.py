@@ -5,10 +5,15 @@ code, stdout, stderr, sorted tree of OUT), then the argv. The CLI runs
 in-process, from the lapbounds on sys.path, with COLUMNS=80. Each call gets
 a fresh temporary directory OUT, whose path reads OUT in the output: a fuzz
 call writes its --out-dir there, and GRAPH in a call names the edge list
-EDGES, written there as graph.el. Run it on two trees and diff the lines:
+EDGES, written there as graph.el. It needs only the standard library and a
+C compiler, so any CPython 3.10+ can run it.
 
-    PYTHONPATH=src python3 tests/report_digests.py > new.txt
-    PYTHONPATH=../parent/src python3 tests/report_digests.py > old.txt
+tests/report_digests.txt holds the lines every report must keep, and
+test_cli.py's TestReportDigests compares them on every CPython 3.10-3.13 it
+can start. A change that moves a report on purpose, or edits CALLS,
+records the file again and says why in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/report_digests.py > tests/report_digests.txt
 
 pytest does not collect it (its name does not start with test_).
 """
@@ -54,6 +59,11 @@ CALLS = [
     "fuzz --seed -5 --count 2",
     "check --family K:4 --alphas -2,-1",
     "check --family K:4 --bounds=--",
+    "sweep --family K:3 --alphas=--",
+    "sweep --family=--",
+    "fuzz --count 1 --p=--",
+    "fuzz --count 1 --model=--",
+    "fuzz --count=--",
     "check --graph GRAPH",
     "check --graph GRAPH --format csv --ks 1,3",
     "invariants --graph GRAPH",

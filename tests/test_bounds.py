@@ -19,6 +19,14 @@ from conftest import (clique_union_corpus, gnp_corpus, graph_strategy,
 
 ALPHAS = (-2.0, -1.0, -0.5, 0.5, 2.0, 3.0)
 KS = (1, 2, 3, 4)
+# any value a library caller might put in a grid, a filter or a parameter
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(),
+    st.decimals(), st.complex_numbers(), st.text(max_size=6),
+    st.binary(max_size=6), st.sampled_from(lb.BOUND_IDS),
+    st.sampled_from(["2.0", "-1", "1e999", "nan"]),
+    st.lists(st.floats(), max_size=2),
+    st.tuples(st.sampled_from(lb.BOUND_IDS)))
 
 
 def fam(text):
@@ -140,7 +148,50 @@ class TestParamChecking:
             with pytest.raises(BadParameterError):
                 lb.evaluate_catalog(g, (), ks)
         assert (lb.evaluate_catalog(g, (2,), ())
+                == lb.evaluate_catalog(g, ("2.0",), ())
                 == lb.evaluate_catalog(g, (2.0,), ()))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda g: lb.evaluate_catalog(g, ("x",), ()), BadParameterError),
+        (lambda g: one("P1_LOWER", g, "x"), BadParameterError),
+        (lambda g: lb.evaluate_catalog(g, ([2.0],), ()), BadParameterError),
+        (lambda g: lb.evaluate_catalog(g, (None,), ()), BadParameterError),
+        (lambda g: lb.evaluate_catalog(g, (1 + 0j,), ()), BadParameterError),
+        (lambda g: lb.evaluate_catalog(g, (10**400,), ()), BadParameterError),
+        (lambda g: one("P1_LOWER", g, 2**2000), BadParameterError),
+        (lambda g: lb.evaluate_catalog(g, (), (), bound_ids=(["P1_LOWER"],)),
+         UnknownBoundError),
+        (lambda g: one(["P1_LOWER"], g, 2.0), UnknownBoundError),
+    ], ids=["alphas x", "alpha x", "alphas list", "alphas None",
+            "alphas complex", "alphas 10**400", "alpha 2**2000",
+            "bound_ids list", "bound id list"])
+    def test_any_illegal_value_raises_a_documented_error(self, call, error):
+        # float()'s own TypeError, ValueError and OverflowError, and a
+        # dict lookup's "unhashable type", do not escape the rule
+        with pytest.raises(error):
+            call(fam("K:4"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(alphas=st.lists(ANY_VALUE, max_size=3),
+           ks=st.lists(ANY_VALUE, max_size=3),
+           bound_ids=st.none() | st.lists(ANY_VALUE, max_size=3),
+           bound_id=ANY_VALUE, param=ANY_VALUE)
+    def test_any_grid_returns_or_raises_a_documented_error(
+            self, alphas, ks, bound_ids, bound_id, param):
+        # an edgeless graph: its rows add exact zeros and fixed exponentials,
+        # so what is tested is the grid rule, not the arithmetic (a legal k
+        # beyond the float range still overflows in RP_MOMENT's lhs: ROADMAP
+        # item 22)
+        g = lb.build_graph(3, [])
+        try:
+            lb.evaluate_catalog(g, tuple(alphas), tuple(ks), bound_ids=(
+                None if bound_ids is None else tuple(bound_ids)))
+        except (BadParameterError, UnknownBoundError):
+            pass
+        try:
+            one(bound_id, g, param)
+        except (BadParameterError, UnknownBoundError):
+            pass
 
     def test_context_graph_mismatch(self):
         ctx = GraphContext(fam("K:4"))

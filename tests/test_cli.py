@@ -938,17 +938,84 @@ class TestReportsPinned:
         assert self._projection(argv, tmp_path, capsys) == digest
 
 
-def test_report_digests_script_runs(capsys):
-    # tests/report_digests.py, the byte check between two checkouts, runs
-    # on this CLI: a line is the sha256 of what main gives, its exit code
-    # and the call, and GRAPH reads the script's own edge list
-    import report_digests
-    line = report_digests.digest(main, "check --family K:4")
-    code, out, err = run(["check", "--family", "K:4"], capsys)
-    blob = repr((code, out, err, [])).encode()
-    assert line == f"{hashlib.sha256(blob).hexdigest()} 2 check --family K:4"
-    line = report_digests.digest(main, "invariants --graph GRAPH")
-    assert line.endswith(" 0 invariants --graph GRAPH")
+# calls whose text argparse writes itself, which a patch release can reword:
+# Python 3.13.13's "invalid choice" drops the quotes around each choice.
+# Under another interpreter their lines are compared by argv only.
+ARGPARSE_WORDED = {"bogus"}
+
+
+@functools.cache
+def _pythons() -> dict[int, str]:
+    """One interpreter for each minor version 3.10-3.13 that starts: the
+    first of pyenv's versions/*/bin/python3, then python3.10 ...
+    python3.13 on PATH."""
+    candidates = []
+    if shutil.which("pyenv"):
+        root = subprocess.run(["pyenv", "root"], capture_output=True,
+                              text=True, timeout=60).stdout.strip()
+        if root:
+            candidates += sorted(map(str, Path(root).glob(
+                "versions/*/bin/python3")))
+    candidates += filter(None, (shutil.which(f"python3.{minor}")
+                                for minor in range(10, 14)))
+    found = {}
+    for python in candidates:
+        try:
+            done = subprocess.run(
+                [python, "-c", "import sys; print(*sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.SubprocessError):
+            continue  # cannot start
+        if done.returncode == 0:
+            major, minor = map(int, done.stdout.split())
+            if major == 3 and 10 <= minor <= 13:
+                found.setdefault(minor, python)
+    return found
+
+
+class TestReportDigests:
+    """tests/report_digests.txt holds the digest line of every call in
+    report_digests.CALLS: this tree prints exactly those lines, under the
+    suite's interpreter and under every other CPython 3.10-3.13 found."""
+
+    GOLDEN = Path(__file__).with_name("report_digests.txt")
+
+    @staticmethod
+    def _by_argv(lines):
+        """lines, with each ARGPARSE_WORDED call's line cut to its argv."""
+        calls = [line.split(" ", 2)[2] for line in lines]
+        return [call if call in ARGPARSE_WORDED else line
+                for line, call in zip(lines, calls)]
+
+    def test_this_python(self, monkeypatch):
+        import report_digests
+        monkeypatch.setenv("COLUMNS", "80")
+        lines = [report_digests.digest(main, call)
+                 for call in report_digests.CALLS]
+        assert lines == self.GOLDEN.read_text().splitlines()
+
+    @pytest.mark.parametrize("minor", [10, 11, 12, 13], ids="3.{}".format)
+    def test_other_python(self, minor, tmp_path):
+        if minor == sys.version_info.minor:
+            pytest.skip("test_this_python covers the suite's interpreter")
+        python = _pythons().get(minor)
+        if python is None:
+            pytest.skip(f"no Python 3.{minor} starts here")
+        # a copy of the package, so that its library build, whose key
+        # depends on the interpreter's CC, leaves this tree's cache alone
+        package = Path(lb.__file__).parent
+        copy = tmp_path / "src" / "lapbounds"
+        copy.mkdir(parents=True)
+        for path in [*package.glob("*.py"), package / "_jacobi.c"]:
+            shutil.copy(path, copy)
+        done = subprocess.run(
+            [python, str(Path(__file__).with_name("report_digests.py"))],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
+            capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert (self._by_argv(done.stdout.splitlines())
+                == self._by_argv(self.GOLDEN.read_text().splitlines()))
 
 
 def _in_order(fields):

@@ -1399,6 +1399,13 @@ class TestSumInvariants:
         assert abs(lb.s_alpha(spec, 0.5) - 4.0) <= 1e-9
         assert lb.s_alpha(spec, 0.0) == 3.0
 
+    def test_float_sums_add_left_to_right(self):
+        # each 1e16 + 1.0 rounds back to 1e16; the built-in sum() of Python
+        # 3.12+ compensates and would give 1.0000000000000002e16
+        terms = (1e16, 1.0, 1.0)
+        spec = lb.Spectrum(mu=terms, h=3, component_count=0)
+        assert lb.s_alpha(spec, 1.0) == lb.power_sum(terms, 1.0) == 1e16
+
     def test_s_alpha_skips_structural_zeros(self):
         spec = lb.spectrum(fam("CLIQUES:3,2"))
         # only the three non-zero eigenvalues 3, 3, 2 contribute
