@@ -38,7 +38,7 @@ from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (BadParameterError, DisconnectedGraphError,
-                     SequenceTooShortError, UnknownBoundError)
+                     SequenceTooShortError, UnknownBoundError, shown)
 from .graphs import (Graph, GraphClass, cached, classify, degree_sequence,
                      conjugate_sequence, first_zagreb)
 from .majorization import grone_sequence, merged_grone_sequence, power_sum
@@ -93,10 +93,11 @@ class Comparison:
 class GraphContext:
     """Per-graph cache shared by the evaluators of all catalog entries.
 
-    Every invariant a catalog row reads is computed here, once per graph:
-    the rows only combine them. spec, when given, is g's spectrum solved
-    beforehand (the CLI solves a chunk of graphs together with spectra_of);
-    otherwise it is solved on first use.
+    Every invariant that the catalog rows share is computed here, once per
+    graph, and the rows combine them; the complement's Lee, which only
+    LEE_R2B reads, is computed by that row's lhs. spec, when given, is g's
+    spectrum solved beforehand (the CLI solves a chunk of graphs together
+    with spectra_of); otherwise it is solved on first use.
     """
 
     def __init__(self, g: Graph, spec: Optional[Spectrum] = None):
@@ -172,11 +173,6 @@ class GraphContext:
         return lee(self.spec)
 
     @cached
-    def complement_lee(self) -> float:
-        return lee(complement_spectrum(
-            self.spec, self.graph.m, self.gclass.complement_component_count))
-
-    @cached
     def log_tree_count(self) -> float:
         return log_spanning_trees(self.spec)
 
@@ -227,7 +223,7 @@ def _rp_rhs(ctx: GraphContext, k: int) -> float:
     return float(sum(expand([x * (1 + x) ** (k - 1) for x in values])))
 
 
-def _lee_clique_rhs(ctx: GraphContext) -> float:
+def _lee_clique_rhs(ctx: GraphContext, param: Param) -> float:
     values, expand = ctx.degree_terms
     return ctx.graph.n + _total(expand(
         [x / (1.0 + x) * (math.exp(1.0 + x) - 1.0) for x in values]))
@@ -245,43 +241,45 @@ def _tree_root(ctx: GraphContext, base: float) -> float:
     return math.exp((ctx.log_tree_count + math.log(base)) / (ctx.graph.n - 2))
 
 
-def _lee_r2a_m_rhs(ctx: GraphContext) -> float:
+def _lee_r2a_m_rhs(ctx: GraphContext, param: Param) -> float:
     n, m = ctx.graph.n, ctx.graph.m
     d1 = ctx.degrees[0]
     return _lee_r2(n, 1 + d1, (2 * m - 1 - d1) / (n - 2))
 
 
-def _lee_r2a_t_rhs(ctx: GraphContext) -> float:
+def _lee_r2a_t_rhs(ctx: GraphContext, param: Param) -> float:
     n = ctx.graph.n
     d1 = ctx.degrees[0]
     return _lee_r2(n, 1 + d1, _tree_root(ctx, n / (1.0 + d1)))
 
 
-def _lee_r2b_lhs(ctx: GraphContext) -> float:
-    return ctx.lee_value + ctx.complement_lee
+def _lee_r2b_lhs(ctx: GraphContext, param: Param) -> float:
+    return ctx.lee_value + lee(complement_spectrum(
+        ctx.spec, ctx.graph.m, ctx.gclass.complement_component_count))
 
 
-def _lee_r2b_rhs(ctx: GraphContext) -> float:
+def _lee_r2b_rhs(ctx: GraphContext, param: Param) -> float:
     n = ctx.graph.n
     return 2.0 + 2.0 * (n - 1) * math.exp(n / 2.0)
 
 
-def _lee_r2c_m1_rhs(ctx: GraphContext) -> float:
+def _lee_r2c_m1_rhs(ctx: GraphContext, param: Param) -> float:
     n, m = ctx.graph.n, ctx.graph.m
     root = math.sqrt(ctx.zagreb / n)
     return _lee_r2(n, 2.0 * root, (2 * m - 2.0 * root) / (n - 2))
 
 
-def _lee_r2c_t_rhs(ctx: GraphContext) -> float:
+def _lee_r2c_t_rhs(ctx: GraphContext, param: Param) -> float:
     n = ctx.graph.n
     root = math.sqrt(ctx.zagreb / n)
     base = n * math.sqrt(n) / (2.0 * math.sqrt(ctx.zagreb))
     return _lee_r2(n, 2.0 * root, _tree_root(ctx, base))
 
 
-def _lee_tree_rhs(n: int, c: tuple[int, ...]) -> float:
+def _lee_tree_rhs(ctx: GraphContext, param: Param) -> float:
+    c = ctx.conjugate_head.c
     values, expand = _by_value(c)
-    return n - len(c) + _total(expand(list(map(math.exp, values))))
+    return ctx.graph.n - len(c) + _total(expand(list(map(math.exp, values))))
 
 
 def _eq_kf_compare(ctx: GraphContext, param: Param) -> bool:
@@ -374,25 +372,19 @@ CATALOG: tuple[BoundSpec, ...] = (
               _lhs_lee, lambda ctx, p: ctx.grone.ends_first(math.exp),
               lambda ctx, p: ctx.grone.equal),
     BoundSpec("LEE_TREE", "upper", None, None, _tree, _lhs_lee,
-              lambda ctx, p: _lee_tree_rhs(ctx.graph.n, ctx.conjugate_head.c),
-              lambda ctx, p: ctx.conjugate_head.equal),
+              _lee_tree_rhs, lambda ctx, p: ctx.conjugate_head.equal),
     BoundSpec("LEE_CLIQUE", "lower", None, None, _any_n2,
-              _lhs_lee, lambda ctx, p: _lee_clique_rhs(ctx), _eq_clique_union),
+              _lhs_lee, _lee_clique_rhs, _eq_clique_union),
     BoundSpec("LEE_R2A_M", "lower", None, None, _connected_n(3),
-              _lhs_lee, lambda ctx, p: _lee_r2a_m_rhs(ctx),
-              _eq_complete_or_star),
+              _lhs_lee, _lee_r2a_m_rhs, _eq_complete_or_star),
     BoundSpec("LEE_R2A_T", "lower", None, None, _connected_n(3),
-              _lhs_lee, lambda ctx, p: _lee_r2a_t_rhs(ctx),
-              _eq_complete_or_star),
+              _lhs_lee, _lee_r2a_t_rhs, _eq_complete_or_star),
     BoundSpec("LEE_R2B", "strict_lower", None, None, _any_n2,
-              lambda ctx, p: _lee_r2b_lhs(ctx), lambda ctx, p: _lee_r2b_rhs(ctx),
-              _eq_never),
+              _lee_r2b_lhs, _lee_r2b_rhs, _eq_never),
     BoundSpec("LEE_R2C_M1", "lower", None, None, _bip_n3,
-              _lhs_lee, lambda ctx, p: _lee_r2c_m1_rhs(ctx),
-              _eq_balanced_bipartite),
+              _lhs_lee, _lee_r2c_m1_rhs, _eq_balanced_bipartite),
     BoundSpec("LEE_R2C_T", "lower", None, None, _bip_n3,
-              _lhs_lee, lambda ctx, p: _lee_r2c_t_rhs(ctx),
-              _eq_balanced_bipartite),
+              _lhs_lee, _lee_r2c_t_rhs, _eq_balanced_bipartite),
 )
 
 BOUND_IDS: tuple[str, ...] = tuple(spec.bound_id for spec in CATALOG)
@@ -426,18 +418,18 @@ def _legal(kind: str, value) -> Union[float, int, str]:
     """
     if kind == "bound":
         if not isinstance(value, str) or value not in _BY_ID:
-            raise UnknownBoundError(f"unknown bound id {value!r}")
+            raise UnknownBoundError(f"unknown bound id {shown(value)}")
         return value
     if kind == "k":
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise BadParameterError(
-                f"k must be an integer >= 1, got {value!r}")
+                f"k must be an integer >= 1, got {shown(value)}")
         return value
     try:
         alpha = float(value)
     except (TypeError, ValueError, OverflowError):
         raise BadParameterError(
-            f"alpha must be a real number, got {value!r}") from None
+            f"alpha must be a real number, got {shown(value)}") from None
     if not math.isfinite(alpha):
         raise BadParameterError(f"alpha must be finite, got {alpha!r}")
     if alpha in (0.0, 1.0):

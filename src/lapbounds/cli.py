@@ -119,11 +119,10 @@ _JSON_VIOLATION = _dict_template(
      "m", "edges", "file"), "    ",
     ("bound_id", "param", "lhs", "rhs", "margin", "file"))
 # the counts of one bound's verdicts and of one majorization check's
-# outcomes in a fuzz report
-_TALLY_KEYS = tuple(v.lower() for v in (HOLDS, EQUALITY, VIOLATED,
-                                        NOT_APPLICABLE))
+# outcomes in a fuzz report, in report order
+_VERDICTS = (HOLDS, EQUALITY, VIOLATED, NOT_APPLICABLE)
 _MAJORIZATION_KEYS = ("holds", "fails", "skipped")
-_JSON_TALLY = _dict_template(_TALLY_KEYS, "    ")
+_JSON_TALLY = _dict_template([v.lower() for v in _VERDICTS], "    ")
 _JSON_MAJORIZATION = _dict_template(_MAJORIZATION_KEYS, "    ")
 
 
@@ -149,7 +148,8 @@ class _Record(NamedTuple):
     m: Optional[int]  # None when the instance could not be generated
     results: list[BoundResult]
     # fuzz only: the outcome, "holds" or "fails", of each majorization check
-    # that ran, and the JSON text of the VIOLATED verdicts' report entries
+    # that ran, and, for the JSON report, the JSON text of the VIOLATED
+    # verdicts' report entries
     majorization: Optional[dict[str, str]] = None
     violations: str = ""
 
@@ -224,27 +224,32 @@ def _rows_to_csv(rows: Iterable[tuple], columns=CSV_COLUMNS) -> str:
     return buf.getvalue()
 
 
-def _json_fuzz(report: dict) -> str:
-    """json.dumps(report, indent=2) of cmd_fuzz's report, whose violations
-    list holds the JSON text of its entries (see _json_violations).
+def _json_fuzz(*, config: dict, sizes: list[int],
+               generation_failures: list[dict], tallies: dict,
+               majorization: dict, violations: list[str],
+               agreement_failures: list[dict]) -> str:
+    """json.dumps(indent=2) of the fuzz report made of these sections, in
+    report order, with sizes and generation_failures under corpus. Each
+    tally holds its counts in _JSON_TALLY's order and each majorization
+    check's in _JSON_MAJORIZATION's; violations holds the JSON text of its
+    entries (see _json_violations).
 
     Counts and indices are ints and print as they are, each bound's and
-    check's counts through a fixed template; every key, string and float
-    goes through json's C encoder, so json's pure-Python encoder never runs.
+    check's counts through a fixed template; every other key, string and
+    float goes through json's C encoder, so json's pure-Python encoder
+    never runs.
     """
-    config, corpus, tallies, majorization, violations, failures = \
-        report.values()
-    sizes, generation_failures = corpus.values()
-    return _json_dict(report, "", (
+    return _dict_template(("config", "corpus", "tallies", "majorization",
+                           "violations", "agreement_failures"), "") % (
         _json_dict(config, "  ", (
             _json_block(_json_scalars(value), "    ")
             if isinstance(value, list) else json.dumps(value)
             for value in config.values())),
-        _json_dict(corpus, "  ", (
+        _dict_template(("sizes", "generation_failures"), "  ") % (
             _json_block(list(map(str, sizes)), "    "),
             _json_block([_json_dict(failure, "      ",
                                     map(str, failure.values()))
-                         for failure in generation_failures], "    "))),
+                         for failure in generation_failures], "    ")),
         _json_dict(tallies, "  ", [_JSON_TALLY % tuple(counts.values())
                                    for counts in tallies.values()]),
         _json_dict(majorization, "  ", [
@@ -253,7 +258,7 @@ def _json_fuzz(report: dict) -> str:
         _json_block(violations, "  "),
         _json_block([_json_dict(failure, "    ",
                                 _json_scalars(failure.values()))
-                     for failure in failures], "  ")))
+                     for failure in agreement_failures], "  "))
 
 
 def _exit_code(results: Sequence[BoundResult]) -> int:
@@ -320,7 +325,8 @@ def _majorization(ctx: GraphContext) -> dict[str, str]:
 def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
             out_dir: Optional[Path]) -> _Record:
     """Evaluate one solved graph; with out_dir (fuzz) also run the
-    majorization checks and write the graph's counterexample files."""
+    majorization checks and write the graph's counterexample files, and
+    for a JSON report make its violation entries."""
     alphas, ks, bound_ids = grids
     ctx = GraphContext(g, spec)
     results = evaluate_catalog(g, alphas, ks,
@@ -332,7 +338,8 @@ def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
     files = [f"{r.bound_id}_{index}.el" for r in violated]
     violations = _json_violations(index, graph_id, g, [
         (r.bound_id, r.param, r.lhs, r.rhs, r.margin, fname)
-        for r, fname in zip(violated, files)]) if violated else ""
+        for r, fname in zip(violated, files)]
+    ) if violated and args.format == "json" else ""
     majorization = _majorization(ctx)
     # several violated parameters of one bound share one file
     files = dict.fromkeys(files + [f"{name}_{index}.el" for name, outcome
@@ -375,53 +382,27 @@ def _records(instances: Iterable[_Instance], args, grids,
                     for (index, graph_id, n, _), g in zip(chunk, graphs))
 
 
-def _report(args, records: Iterable[_Record],
-            fuzz: Optional[dict] = None) -> int:
-    """Fold the records into the report, print it, return the exit code.
+def _report(args, records: Iterable[_Record]) -> int:
+    """Fold the records into a row report (check, sweep, fuzz CSV), print
+    it, return the exit code.
 
-    Without fuzz (check, sweep, fuzz CSV) the report is the rows, kept as
-    the JSON text of each record's rows or as CSV rows; no row is ever a
-    dict. With fuzz (fuzz JSON) it is that aggregate report, whose empty
-    tallies and lists are filled in here, the violation entries as the JSON
-    text _record made of them.
+    The report is the rows, kept as the JSON text of each record's rows or
+    as CSV rows; no row is ever a dict. An instance that could not be
+    generated (fuzz CSV) has no rows, and a note on stderr names it.
     """
     rows: list = []
-    missing = []  # fuzz CSV: the instances that could not be generated
+    missing = []
     code = 0
     for rec in records:
         # exit codes in rising severity: clean, agreement failure, VIOLATED
         code = max(code, _exit_code(rec.results), key=(0, 3, 2).index)
-        if fuzz is None:
-            if rec.m is None:
-                missing.append(str(rec.index))
-            elif args.format == "csv":
-                rows.extend(_csv_rows(rec))
-            elif rec.results:
-                rows.append(_json_rows(rec))
-            continue
-        fuzz["corpus"]["sizes"].append(rec.n)
         if rec.m is None:
-            fuzz["corpus"]["generation_failures"].append(
-                {"index": rec.index, "n": rec.n})
-            continue
-        if rec.violations:
-            fuzz["violations"].append(rec.violations)
-        for r in rec.results:
-            fuzz["tallies"][r.bound_id][r.verdict.lower()] += 1
-            if not r.agreement:
-                fuzz["agreement_failures"].append({
-                    "index": rec.index,
-                    "graph_id": rec.graph_id,
-                    "bound_id": r.bound_id,
-                    "param": r.param,
-                    "verdict": r.verdict,
-                    "predicted_equality": r.predicted_equality,
-                })
-        for name, tally in fuzz["majorization"].items():
-            tally[rec.majorization.get(name, "skipped")] += 1
-    if fuzz is not None:
-        print(_json_fuzz(fuzz))
-    elif args.format == "json":
+            missing.append(str(rec.index))
+        elif args.format == "csv":
+            rows.extend(_csv_rows(rec))
+        elif rec.results:
+            rows.append(_json_rows(rec))
+    if args.format == "json":
         print(_json_block(rows, ""))
     else:
         sys.stdout.write(_rows_to_csv(rows))
@@ -429,6 +410,62 @@ def _report(args, records: Iterable[_Record],
         print(f"note: {len(missing)} instances could not be generated and "
               f"have no rows: indices {', '.join(missing)}", file=sys.stderr)
     return code
+
+
+def _fuzz_report(args, records: Iterable[_Record], grids) -> int:
+    """Fold the records into fuzz's JSON report, print it, return the exit
+    code.
+
+    Each section of the report is a local here, and _json_fuzz lays them
+    out. A bound's tally is keyed by verdict, and the violation entries are
+    the JSON text that _record made of them. The exit code is 2 when a
+    tally counts a VIOLATED row, else 3 when a row disagrees, else 0.
+    """
+    alphas, ks, bound_ids = grids
+    active = BOUND_IDS if bound_ids is None else bound_ids
+    config = {
+        "seed": args.seed,
+        "count": args.count,
+        "model": args.model,
+        "p": args.p,
+        "n_min": args.n_min,
+        "n_max": args.n_max,
+        "alphas": list(alphas),
+        "ks": list(ks),
+        "strict_applicability": args.strict_applicability,
+        "bounds": list(active),
+    }
+    sizes, generation_failures, violations, agreement_failures = [], [], [], []
+    tallies = {bid: dict.fromkeys(_VERDICTS, 0) for bid in active}
+    majorization = {name: dict.fromkeys(_MAJORIZATION_KEYS, 0)
+                    for name in MAJORIZATION_CHECKS}
+    for rec in records:
+        sizes.append(rec.n)
+        if rec.m is None:
+            generation_failures.append({"index": rec.index, "n": rec.n})
+            continue
+        if rec.violations:
+            violations.append(rec.violations)
+        for r in rec.results:
+            tallies[r.bound_id][r.verdict] += 1
+            if not r.agreement:
+                agreement_failures.append({
+                    "index": rec.index,
+                    "graph_id": rec.graph_id,
+                    "bound_id": r.bound_id,
+                    "param": r.param,
+                    "verdict": r.verdict,
+                    "predicted_equality": r.predicted_equality,
+                })
+        for name, tally in majorization.items():
+            tally[rec.majorization.get(name, "skipped")] += 1
+    print(_json_fuzz(config=config, sizes=sizes,
+                     generation_failures=generation_failures, tallies=tallies,
+                     majorization=majorization, violations=violations,
+                     agreement_failures=agreement_failures))
+    if any(tally[VIOLATED] for tally in tallies.values()):
+        return 2
+    return 3 if agreement_failures else 0
 
 
 def cmd_invariants(args) -> int:
@@ -516,7 +553,6 @@ def _fuzz_instances(args) -> Iterator[_Instance]:
 
 def cmd_fuzz(args) -> int:
     grids = _grids(args)
-    alphas, ks, bound_ids = grids
     if args.count < 1:
         _usage_error("--count must be >= 1")
     if not (2 <= args.n_min <= args.n_max <= MAX_N):
@@ -528,28 +564,7 @@ def cmd_fuzz(args) -> int:
     records = _records(_fuzz_instances(args), args, grids, out_dir)
     if args.format == "csv":
         return _report(args, records)
-    active = bound_ids if bound_ids is not None else BOUND_IDS
-    report = {
-        "config": {
-            "seed": args.seed,
-            "count": args.count,
-            "model": args.model,
-            "p": args.p,
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "alphas": list(alphas),
-            "ks": list(ks),
-            "strict_applicability": args.strict_applicability,
-            "bounds": list(active),
-        },
-        "corpus": {"sizes": [], "generation_failures": []},
-        "tallies": {bid: dict.fromkeys(_TALLY_KEYS, 0) for bid in active},
-        "majorization": {name: dict.fromkeys(_MAJORIZATION_KEYS, 0)
-                         for name in MAJORIZATION_CHECKS},
-        "violations": [],
-        "agreement_failures": [],
-    }
-    return _report(args, records, report)
+    return _fuzz_report(args, records, grids)
 
 
 class _Option(NamedTuple):

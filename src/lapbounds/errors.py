@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote
+a value."""
+
+
+def shown(value, form=repr) -> str:
+    """form(value) for an error message, form being repr or str. An int with
+    more digits than str() prints (sys.get_int_max_str_digits()), or a value
+    holding one, is named by its bit length or type instead, so that the
+    message, not a ValueError, is what the caller gets."""
+    try:
+        return form(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"<{type(value).__name__} too long to print>"
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}int of {value.bit_length()} bits>"
 
 
 class LapboundsError(Exception):

@@ -19,7 +19,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import ParseError, SelfLoopError, VertexRangeError
+from .errors import ParseError, SelfLoopError, VertexRangeError, shown
 
 
 class cached:
@@ -105,7 +105,8 @@ class Graph:
     def degree(self, v: int) -> int:
         """The degree of v; VertexRangeError when v is outside 0..n-1."""
         if not 0 <= v < self.n:
-            raise VertexRangeError(f"vertex {v} outside 0..{self.n - 1}")
+            raise VertexRangeError(
+                f"vertex {shown(v, str)} outside 0..{self.n - 1}")
         return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -123,18 +124,21 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     edge checked in list order; parallel edges collapse to one.
     """
     if n < 1:
-        raise ValueError(f"graph needs at least one vertex, got n={n}")
+        raise ValueError(
+            f"graph needs at least one vertex, got n={shown(n, str)}")
     masks = [0] * n
     for u, v in edges:
         try:
             u, v = operator.index(u), operator.index(v)
         except TypeError:
             raise VertexRangeError(
-                f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
+                f"edge ({shown(u)}, {shown(v)}) has a non-integer endpoint"
+            ) from None
         if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+            raise SelfLoopError(f"self-loop at vertex {shown(u)}")
         if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+            raise VertexRangeError(
+                f"edge ({shown(u)}, {shown(v)}) outside 0..{n - 1}")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, tuple(masks))

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import (BadPinchError, DisconnectedGraphError,
                      DomainViolationError, LengthMismatchError,
-                     NotSortedError, SequenceTooShortError)
+                     NotSortedError, SequenceTooShortError, shown)
 from .graphs import conjugate_sequence
 from .spectra import Spectrum, _power_total
 
@@ -112,7 +112,7 @@ def power_sum(x: Sequence[float], alpha: float) -> float:
     """Sum of x_i^alpha; entries must be >= 0, strictly positive if alpha < 0."""
     for v in x:
         if v < 0:
-            raise DomainViolationError(f"negative entry {v}")
+            raise DomainViolationError(f"negative entry {shown(v, str)}")
         if v == 0 and alpha < 0:
             raise DomainViolationError("zero entry with negative exponent")
     return _power_total(x, alpha)
@@ -126,7 +126,8 @@ def pinch(x: Sequence[float], i: int, j: int, eps: float) -> tuple[float, ...]:
     """
     _require_sorted(x, "x")
     if not (0 <= i < j < len(x)):
-        raise BadPinchError(f"need 0 <= i < j < len(x), got i={i} j={j}")
+        raise BadPinchError(f"need 0 <= i < j < len(x), got "
+                            f"i={shown(i, str)} j={shown(j, str)}")
     gap = x[i] - x[j]
     if not (0.0 < eps < gap / 2.0):
         raise BadPinchError(

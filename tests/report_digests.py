@@ -80,6 +80,9 @@ CALLS = [
     "sweep --family CLIQUES:3,3,2",
     "sweep --family P:3..64 --alphas=-200",
     "check --family K:4 --ks 100000",
+    "fuzz --seed 7 --count 100 --bounds P2_LOWER,KF_NEW,KF_ZT",
+    "fuzz --seed 7 --count 100 --bounds P2_LOWER,KF_NEW,KF_ZT "
+    "--strict-applicability",
 ]
 
 

@@ -162,12 +162,21 @@ class TestParamChecking:
         (lambda g: lb.evaluate_catalog(g, (), (), bound_ids=(["P1_LOWER"],)),
          UnknownBoundError),
         (lambda g: one(["P1_LOWER"], g, 2.0), UnknownBoundError),
+        (lambda g: lb.evaluate_catalog(g, (10**5000,), ()), BadParameterError),
+        (lambda g: lb.evaluate_catalog(g, (), (-10**5000,)),
+         BadParameterError),
+        (lambda g: one(10**5000, g), UnknownBoundError),
+        (lambda g: one([10**5000], g), UnknownBoundError),
+        (lambda g: one("RP_MOMENT", g, -10**5000), BadParameterError),
     ], ids=["alphas x", "alpha x", "alphas list", "alphas None",
             "alphas complex", "alphas 10**400", "alpha 2**2000",
-            "bound_ids list", "bound id list"])
+            "bound_ids list", "bound id list", "alphas 10**5000",
+            "ks -10**5000", "bound id 10**5000", "bound id [10**5000]",
+            "k -10**5000"])
     def test_any_illegal_value_raises_a_documented_error(self, call, error):
-        # float()'s own TypeError, ValueError and OverflowError, and a
-        # dict lookup's "unhashable type", do not escape the rule
+        # float()'s own TypeError, ValueError and OverflowError, a dict
+        # lookup's "unhashable type", and the ValueError of an int too long
+        # to print in the message do not escape the rule
         with pytest.raises(error):
             call(fam("K:4"))
 
@@ -836,8 +845,10 @@ class TestSumsOverDistinctDegrees:
         acc = 0.0
         for x in c:
             acc += x / (1.0 + x) * (math.exp(1.0 + x) - 1.0)
-        assert lb.bounds._lee_clique_rhs(ctx).hex() == (n + acc).hex()
-        assert lb.bounds._lee_tree_rhs(n, c).hex() == (
+        assert lb.bounds._lee_clique_rhs(ctx, None).hex() == (n + acc).hex()
+        # LEE_TREE reads its sequence from the conjugate head
+        ctx.conjugate_head = lb.bounds.Comparison(c, True, False)
+        assert lb.bounds._lee_tree_rhs(ctx, None).hex() == (
             n - len(c) + sum(map(math.exp, c))).hex()
         for k in KS:
             assert lb.bounds._rp_rhs(ctx, k) == float(

@@ -445,6 +445,26 @@ class TestFuzzCommand:
         assert err == ("note: 3 instances could not be generated and have no "
                        "rows: indices 0, 1, 2\n")
 
+    @pytest.mark.parametrize("fmt, calls", [("json", 97), ("csv", 0)])
+    def test_violation_entries_only_for_the_json_report(
+            self, fmt, calls, tmp_path, capsys, monkeypatch):
+        """The CSV report prints no violation entry, so it makes none; the
+        counterexample files are the same for both formats."""
+        made = []
+        original = cli._json_violations
+
+        def counting(*args):
+            made.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "_json_violations", counting)
+        code, _, _ = run(["fuzz", "--seed", "7", "--count", "100", "--model",
+                          "tree", "--format", fmt, "--out-dir",
+                          str(tmp_path)], capsys)
+        assert code == 2
+        assert len(made) == calls
+        assert len(list(tmp_path.iterdir())) > 0
+
     def test_validation(self, tmp_path, capsys):
         base = ["fuzz", "--out-dir", str(tmp_path)]
         assert run(base + ["--count", "0"], capsys)[0] == 1
@@ -1127,8 +1147,13 @@ class TestRowsToJson:
                 "param": param, "lhs": lhs, "rhs": rhs, "margin": margin,
                 "n": g.n, "m": g.m, "edges": edges, "file": fname,
             } for bid, param, lhs, rhs, margin, fname in cells)
-        assert cli._json_fuzz({**doc, "violations": texts}) == json.dumps(
-            {**doc, "violations": entries}, indent=2)
+        corpus = doc["corpus"]
+        assert cli._json_fuzz(
+            config=doc["config"], sizes=corpus["sizes"],
+            generation_failures=corpus["generation_failures"],
+            tallies=doc["tallies"], majorization=doc["majorization"],
+            violations=texts, agreement_failures=doc["agreement_failures"],
+        ) == json.dumps({**doc, "violations": entries}, indent=2)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--family", "K:3..12"],

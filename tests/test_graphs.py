@@ -34,6 +34,9 @@ class TestBuildGraph:
             lb.build_graph(3, [(0, 3)])
         with pytest.raises(VertexRangeError):
             lb.build_graph(3, [(-1, 2)])
+        # an endpoint too long to print is named by its bit length
+        with pytest.raises(VertexRangeError, match=r"\(0, <int of 16610 bits"):
+            lb.build_graph(3, [(0, 10**5000)])
 
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(ValueError):
@@ -329,7 +332,7 @@ class TestMasksMatchTheSetCode:
         g = fam("S:4")
         for u, v in [(-1, 0), (4, 0), (0, -1), (1, 70), (-5, -1)]:
             assert not g.has_edge(u, v) and not g.has_edge(v, u), (u, v)
-        for v in (-1, 4, -5):
+        for v in (-1, 4, -5, 10**5000):
             with pytest.raises(VertexRangeError, match="outside 0..3"):
                 g.degree(v)
 

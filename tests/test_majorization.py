@@ -125,6 +125,8 @@ class TestPowerSum:
             lb.power_sum((-1.0, 2.0), 2.0)
         with pytest.raises(DomainViolationError):
             lb.power_sum((0.0, 2.0), -1.0)
+        with pytest.raises(DomainViolationError, match="negative int of"):
+            lb.power_sum([-10**5000], 2.0)
 
     def test_zero_allowed_for_positive_alpha(self):
         assert lb.power_sum((0.0, 3.0), 2.0) == 9.0
@@ -145,6 +147,8 @@ class TestPinch:
             lb.pinch((3.0, 1.0), 1, 1, 0.1)
         with pytest.raises(BadPinchError):
             lb.pinch((3.0, 1.0), 0, 2, 0.1)
+        with pytest.raises(BadPinchError):
+            lb.pinch((3.0, 1.0), 0, 10**5000, 0.1)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(BadPinchError):
