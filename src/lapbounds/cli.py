@@ -101,12 +101,10 @@ def _json_block(items: Sequence[str], indent: str,
     return f"{brackets[0]}{sep[1:]}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
-def _dict_template(keys: Sequence[str], indent: str,
-                   later: Sequence[str] = ()) -> str:
+def _dict_template(keys: Sequence[str], indent: str) -> str:
     """json.dumps(indent=2) of a dict with these keys at this indent, a %s
-    slot for each value, %%s for the keys in later, which a second % fills."""
-    return _json_block([f'"{key}": {"%%s" if key in later else "%s"}'
-                        for key in keys], indent, "{}")
+    slot for each value."""
+    return _json_block([f'"{key}": %s' for key in keys], indent, "{}")
 
 
 # a row of a row report, up to its result's cells; those cells
@@ -116,8 +114,7 @@ _JSON_CELLS = ",\n    ".join(f'"{key}": %s' for key in BoundResult._fields)
 # a fuzz report's violation entry
 _JSON_VIOLATION = _dict_template(
     ("index", "graph_id", "bound_id", "param", "lhs", "rhs", "margin", "n",
-     "m", "edges", "file"), "    ",
-    ("bound_id", "param", "lhs", "rhs", "margin", "file"))
+     "m", "edges", "file"), "    ")
 # the counts of one bound's verdicts and of one majorization check's
 # outcomes in a fuzz report, in report order
 _VERDICTS = (HOLDS, EQUALITY, VIOLATED, NOT_APPLICABLE)
@@ -140,7 +137,8 @@ def _json_dict(d: dict, indent: str, values: Iterable[str]) -> str:
 
 
 class _Record(NamedTuple):
-    """What the report needs of one instance, once its graph is dropped."""
+    """The facts a report needs of one instance, once its graph is dropped;
+    the folds, _report and _fuzz_report, render them in either format."""
 
     index: int
     graph_id: str
@@ -148,10 +146,9 @@ class _Record(NamedTuple):
     m: Optional[int]  # None when the instance could not be generated
     results: list[BoundResult]
     # fuzz only: the outcome, "holds" or "fails", of each majorization check
-    # that ran, and, for the JSON report, the JSON text of the VIOLATED
-    # verdicts' report entries
+    # that ran, and the graph's edges when a verdict is VIOLATED
     majorization: Optional[dict[str, str]] = None
-    violations: str = ""
+    edges: tuple[tuple[int, int], ...] = ()
 
 
 # a result's cells that depend on its plan row alone, and the others
@@ -192,19 +189,26 @@ def _json_rows(rec: _Record) -> str:
         map(_ROW_VALUES, rec.results)))
 
 
-def _json_violations(index: int, graph_id: str, g: Graph,
-                     entries: list[tuple]) -> str:
-    """The fuzz report's violation entries of one graph, each entry's
-    (bound_id, param, lhs, rhs, margin, file) cells given; the graph's edge
-    block is written once and shared by its entries."""
-    edges = json.dumps(g.edges)[2:-2]
-    edges = ("[\n        [\n          " + edges.replace(
-        "], [", "\n        ],\n        [\n          ").replace(
-        ", ", ",\n          ") + "\n        ]\n      ]") if edges else "[]"
-    entry = _JSON_VIOLATION % (
-        index, json.dumps(graph_id).replace("%", "%%"), g.n, g.m, edges)
-    return ",\n    ".join([entry] * len(entries)) % _json_scalars(
-        itertools.chain.from_iterable(entries))
+def _counterexample(name: str, index: int) -> str:
+    """The basename of the counterexample file that a VIOLATED bound or a
+    failed majorization check, by its id, writes for instance index."""
+    return f"{name}_{index}.el"
+
+
+def _json_violations(rec: _Record, violated: Sequence[BoundResult]) -> str:
+    """The fuzz report's violation entries of one record, one for each of
+    its VIOLATED results, each naming the result's counterexample file; the
+    record's edge block is written once and shared by its entries."""
+    pair = _json_block(("%s", "%s"), "        ")
+    edges = _json_block([pair % edge for edge in rec.edges], "      ")
+    graph_id = json.dumps(rec.graph_id)
+    cells = _json_scalars(itertools.chain.from_iterable(
+        (r.bound_id, r.param, r.lhs, r.rhs, r.margin,
+         _counterexample(r.bound_id, rec.index)) for r in violated))
+    return ",\n    ".join([
+        _JSON_VIOLATION % (rec.index, graph_id, *cells[i:i + 5], rec.n, rec.m,
+                           edges, cells[i + 5])
+        for i in range(0, len(cells), 6)])
 
 
 def _csv_rows(rec: _Record) -> Iterator[tuple]:
@@ -261,12 +265,10 @@ def _json_fuzz(*, config: dict, sizes: list[int],
                      for failure in agreement_failures], "  "))
 
 
-def _exit_code(results: Sequence[BoundResult]) -> int:
-    if any(r.verdict == VIOLATED for r in results):
-        return 2
-    if any(not r.agreement for r in results):
-        return 3
-    return 0
+def _exit_code(violated: bool, disagreed: bool) -> int:
+    """2 when a verdict is VIOLATED, else 3 when an agreement flag is
+    false, else 0."""
+    return 2 if violated else 3 if disagreed else 0
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -306,9 +308,11 @@ def _resolve_input(args) -> _Instance:
 
 
 def _grids(args) -> tuple:
-    """The parsed --alphas, --ks and --bounds."""
+    """The catalog settings (alphas, ks, bound_ids, strict): the parsed
+    --alphas, --ks and --bounds, and --strict-applicability."""
     return (_parse_grid(args.alphas, "alpha", float),
-            _parse_grid(args.ks, "k", int), _parse_bounds(args.bounds))
+            _parse_grid(args.ks, "k", int), _parse_bounds(args.bounds),
+            args.strict_applicability)
 
 
 def _majorization(ctx: GraphContext) -> dict[str, str]:
@@ -322,40 +326,37 @@ def _majorization(ctx: GraphContext) -> dict[str, str]:
             for name, verdict in verdicts.items()}
 
 
-def _record(index: int, graph_id: str, g: Graph, spec: Spectrum, args, grids,
-            out_dir: Optional[Path]) -> _Record:
-    """Evaluate one solved graph; with out_dir (fuzz) also run the
-    majorization checks and write the graph's counterexample files, and
-    for a JSON report make its violation entries."""
-    alphas, ks, bound_ids = grids
+def _record(index: int, graph_id: str, g: Graph, spec: Spectrum,
+            settings: tuple, out_dir: Optional[Path]) -> _Record:
+    """Evaluate one solved graph under the catalog settings of _grids; with
+    out_dir (fuzz) also run the majorization checks, write the graph's
+    counterexample files and keep its edges when a verdict is VIOLATED.
+    The record is the same whatever format the report takes."""
+    alphas, ks, bound_ids, strict = settings
     ctx = GraphContext(g, spec)
-    results = evaluate_catalog(g, alphas, ks,
-                               strict_applicability=args.strict_applicability,
+    results = evaluate_catalog(g, alphas, ks, strict_applicability=strict,
                                bound_ids=bound_ids, ctx=ctx)
     if out_dir is None:
         return _Record(index, graph_id, g.n, g.m, results)
-    violated = [r for r in results if r.verdict == VIOLATED]
-    files = [f"{r.bound_id}_{index}.el" for r in violated]
-    violations = _json_violations(index, graph_id, g, [
-        (r.bound_id, r.param, r.lhs, r.rhs, r.margin, fname)
-        for r, fname in zip(violated, files)]
-    ) if violated and args.format == "json" else ""
     majorization = _majorization(ctx)
+    violated = [r.bound_id for r in results if r.verdict == VIOLATED]
     # several violated parameters of one bound share one file
-    files = dict.fromkeys(files + [f"{name}_{index}.el" for name, outcome
-                                   in majorization.items()
-                                   if outcome == "fails"])
+    failed = [name for name, outcome in majorization.items()
+              if outcome == "fails"]
+    files = dict.fromkeys(_counterexample(name, index)
+                          for name in violated + failed)
     if files:
         text = format_edge_list(g)
         for fname in files:
             (out_dir / fname).write_text(text)
     return _Record(index, graph_id, g.n, g.m, results, majorization,
-                   violations)
+                   g.edges if violated else ())
 
 
-def _records(instances: Iterable[_Instance], args, grids,
+def _records(instances: Iterable[_Instance], settings: tuple,
              out_dir: Optional[Path] = None) -> Iterator[_Record]:
-    """The solve stage: one record per instance, in index order.
+    """The solve stage: one record per instance, in index order, under the
+    catalog settings of _grids.
 
     Instances are taken FUZZ_CHUNK at a time: a chunk's graphs are built,
     solved together by one spectra_of call and evaluated one by one, and
@@ -377,7 +378,7 @@ def _records(instances: Iterable[_Instance], args, grids,
         # a generator expression: no loop variable keeps the chunk's last
         # graph alive while the next chunk is built
         yield from (_Record(index, graph_id, n, None, []) if g is None else
-                    _record(index, graph_id, g, next(spectra), args, grids,
+                    _record(index, graph_id, g, next(spectra), settings,
                             out_dir)
                     for (index, graph_id, n, _), g in zip(chunk, graphs))
 
@@ -392,10 +393,10 @@ def _report(args, records: Iterable[_Record]) -> int:
     """
     rows: list = []
     missing = []
-    code = 0
+    violated = disagreed = False
     for rec in records:
-        # exit codes in rising severity: clean, agreement failure, VIOLATED
-        code = max(code, _exit_code(rec.results), key=(0, 3, 2).index)
+        violated = violated or any(r.verdict == VIOLATED for r in rec.results)
+        disagreed = disagreed or not all(r.agreement for r in rec.results)
         if rec.m is None:
             missing.append(str(rec.index))
         elif args.format == "csv":
@@ -409,7 +410,7 @@ def _report(args, records: Iterable[_Record]) -> int:
     if missing:
         print(f"note: {len(missing)} instances could not be generated and "
               f"have no rows: indices {', '.join(missing)}", file=sys.stderr)
-    return code
+    return _exit_code(violated, disagreed)
 
 
 def _fuzz_report(args, records: Iterable[_Record], grids) -> int:
@@ -417,11 +418,12 @@ def _fuzz_report(args, records: Iterable[_Record], grids) -> int:
     code.
 
     Each section of the report is a local here, and _json_fuzz lays them
-    out. A bound's tally is keyed by verdict, and the violation entries are
-    the JSON text that _record made of them. The exit code is 2 when a
-    tally counts a VIOLATED row, else 3 when a row disagrees, else 0.
+    out. A bound's tally is keyed by verdict, and each record's VIOLATED
+    results, as they are tallied, become its violation entries (see
+    _json_violations). _exit_code reads the tallies' VIOLATED counts and
+    the agreement failures.
     """
-    alphas, ks, bound_ids = grids
+    alphas, ks, bound_ids, strict = grids
     active = BOUND_IDS if bound_ids is None else bound_ids
     config = {
         "seed": args.seed,
@@ -432,7 +434,7 @@ def _fuzz_report(args, records: Iterable[_Record], grids) -> int:
         "n_max": args.n_max,
         "alphas": list(alphas),
         "ks": list(ks),
-        "strict_applicability": args.strict_applicability,
+        "strict_applicability": strict,
         "bounds": list(active),
     }
     sizes, generation_failures, violations, agreement_failures = [], [], [], []
@@ -444,10 +446,11 @@ def _fuzz_report(args, records: Iterable[_Record], grids) -> int:
         if rec.m is None:
             generation_failures.append({"index": rec.index, "n": rec.n})
             continue
-        if rec.violations:
-            violations.append(rec.violations)
+        violated = []
         for r in rec.results:
             tallies[r.bound_id][r.verdict] += 1
+            if r.verdict == VIOLATED:
+                violated.append(r)
             if not r.agreement:
                 agreement_failures.append({
                     "index": rec.index,
@@ -457,15 +460,16 @@ def _fuzz_report(args, records: Iterable[_Record], grids) -> int:
                     "verdict": r.verdict,
                     "predicted_equality": r.predicted_equality,
                 })
+        if violated:
+            violations.append(_json_violations(rec, violated))
         for name, tally in majorization.items():
             tally[rec.majorization.get(name, "skipped")] += 1
     print(_json_fuzz(config=config, sizes=sizes,
                      generation_failures=generation_failures, tallies=tallies,
                      majorization=majorization, violations=violations,
                      agreement_failures=agreement_failures))
-    if any(tally[VIOLATED] for tally in tallies.values()):
-        return 2
-    return 3 if agreement_failures else 0
+    return _exit_code(any(tally[VIOLATED] for tally in tallies.values()),
+                      bool(agreement_failures))
 
 
 def cmd_invariants(args) -> int:
@@ -511,7 +515,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_check(args) -> int:
     instance = _resolve_input(args)
-    return _report(args, _records([instance], args, _grids(args)))
+    return _report(args, _records([instance], _grids(args)))
 
 
 def cmd_sweep(args) -> int:
@@ -519,7 +523,7 @@ def cmd_sweep(args) -> int:
     grids = _grids(args)
     return _report(args, _records(
         ((i, spec.label(), spec.order, functools.partial(generate, spec))
-         for i, spec in enumerate(specs)), args, grids))
+         for i, spec in enumerate(specs)), grids))
 
 
 def _fuzz_sizes(rng: SplitMix64, n: int) -> tuple[int, ...]:
@@ -533,12 +537,14 @@ def _fuzz_sizes(rng: SplitMix64, n: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def _fuzz_graph(model: str, rng: SplitMix64, n: int, p: float) -> Graph:
-    if model == "gnp":
-        return gnp_connected(n, p, rng.next_u64())
-    if model == "tree":
-        return random_tree(n, rng.next_u64())
-    return generate(FamilySpec(kind="clique_union", sizes=_fuzz_sizes(rng, n)))
+# each fuzz model, in --model's order, and how it builds an instance's
+# n-vertex graph from the rest of the instance's stream and --p
+_FUZZ_MODELS: dict[str, Callable[[SplitMix64, int, float], Graph]] = {
+    "gnp": lambda rng, n, p: gnp_connected(n, p, rng.next_u64()),
+    "tree": lambda rng, n, p: random_tree(n, rng.next_u64()),
+    "clique-union": lambda rng, n, p: generate(FamilySpec(
+        kind="clique_union", sizes=_fuzz_sizes(rng, n))),
+}
 
 
 def _fuzz_instances(args) -> Iterator[_Instance]:
@@ -548,7 +554,7 @@ def _fuzz_instances(args) -> Iterator[_Instance]:
         rng = SplitMix64(splitmix64(args.seed, i))
         n = rng.randrange(args.n_min, args.n_max)
         yield i, f"{args.model}-{i}", n, functools.partial(
-            _fuzz_graph, args.model, rng, n, args.p)
+            _FUZZ_MODELS[args.model], rng, n, args.p)
 
 
 def cmd_fuzz(args) -> int:
@@ -561,7 +567,7 @@ def cmd_fuzz(args) -> int:
         _usage_error("--p must lie in (0, 1]")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = _records(_fuzz_instances(args), args, grids, out_dir)
+    records = _records(_fuzz_instances(args), grids, out_dir)
     if args.format == "csv":
         return _report(args, records)
     return _fuzz_report(args, records, grids)
@@ -609,8 +615,7 @@ SUBCOMMANDS = {
     "fuzz": ("seeded random corpus evaluation", _COMMON + (
         _Option("--seed", int, 0),
         _Option("--count", int, 100),
-        _Option("--model", default="gnp",
-                choices=("gnp", "tree", "clique-union")),
+        _Option("--model", default="gnp", choices=tuple(_FUZZ_MODELS)),
         _Option("--p", float, 0.5, help="edge probability for the gnp model"),
         _Option("--n-min", int, 4),
         _Option("--n-max", int, 12),

@@ -119,15 +119,28 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate an edge list and set its bits in the neighbour masks.
 
-    Endpoints that are not integers (operator.index fails) and endpoints
-    outside 0..n-1 raise VertexRangeError, self-loops SelfLoopError, each
-    edge checked in list order; parallel edges collapse to one.
+    n is read through operator.index, so the graph's n is a plain int; an n
+    that is not an integer or is below 1 raises ValueError. An edge that is
+    not a pair, endpoints that are not integers (operator.index fails) and
+    endpoints outside 0..n-1 raise VertexRangeError, self-loops
+    SelfLoopError, each edge checked in list order; parallel edges collapse
+    to one.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(
+            f"graph needs an integer vertex count, got n={shown(n)}") from None
     if n < 1:
         raise ValueError(
             f"graph needs at least one vertex, got n={shown(n, str)}")
     masks = [0] * n
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise VertexRangeError(
+                f"edge {shown(edge)} is not a pair of vertices") from None
         try:
             u, v = operator.index(u), operator.index(v)
         except TypeError:

@@ -33,6 +33,7 @@ CALLS = [
     "fuzz --seed 7 --count 100 --model tree",
     "fuzz --seed 7 --count 100 --model tree --format csv",
     "fuzz --seed 7 --count 100 --model clique-union",
+    "fuzz --seed 7 --count 100 --model clique-union --format csv",
     "fuzz --seed 7 --count 150 --n-min 4 --n-max 40",
     "fuzz --seed 7 --count 3 --model gnp --p 0.001 --n-min 12 --n-max 12",
     "fuzz --seed 7 --count 64 --n-min 2 --n-max 64",

@@ -465,6 +465,28 @@ class TestFuzzCommand:
         assert len(made) == calls
         assert len(list(tmp_path.iterdir())) > 0
 
+    def test_records_do_not_depend_on_the_format(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """The record stage computes facts only: both formats' folds get
+        equal records, and the same counterexample files are written."""
+        received = {}
+
+        def capture(args, records, *_):
+            received[args.format] = list(records)
+            return 0
+
+        monkeypatch.setattr(cli, "_report", capture)
+        monkeypatch.setattr(cli, "_fuzz_report", capture)
+        trees = []
+        for fmt in ("json", "csv"):
+            out_dir = tmp_path / fmt
+            run(["fuzz", "--seed", "7", "--count", "100", "--model", "tree",
+                 "--format", fmt, "--out-dir", str(out_dir)], capsys)
+            trees.append(sorted((p.name, p.read_bytes())
+                                for p in out_dir.iterdir()))
+        assert received["json"] and received["json"] == received["csv"]
+        assert trees[0] and trees[0] == trees[1]
+
     def test_validation(self, tmp_path, capsys):
         base = ["fuzz", "--out-dir", str(tmp_path)]
         assert run(base + ["--count", "0"], capsys)[0] == 1
@@ -1135,12 +1157,18 @@ class TestRowsToJson:
         """A fuzz report of the CLI's shape, every key of it, with drawn
         strings (model, bound lists, graph ids), numbers and counts, and
         drawn violation entries, their bound ids and file names any string,
-        which _record turns into JSON text."""
+        which _json_violations renders from a record and its VIOLATED
+        results."""
         texts, entries = [], []
         for index, graph_id, g, drawn in graphs:
             cells = [(bid, param, lhs, rhs, margin, f"{bid}_{index}.el")
                      for bid, param, lhs, rhs, margin in drawn]
-            texts.append(cli._json_violations(index, graph_id, g, cells))
+            violated = [BoundResult(bid, param, True, lhs, rhs, margin,
+                                    "VIOLATED", False, True)
+                        for bid, param, lhs, rhs, margin in drawn]
+            rec = cli._Record(index, graph_id, g.n, g.m, violated,
+                              edges=g.edges)
+            texts.append(cli._json_violations(rec, violated))
             edges = [list(e) for e in g.edges]
             entries.extend({
                 "index": index, "graph_id": graph_id, "bound_id": bid,
@@ -1241,23 +1269,16 @@ class TestRowReportsSkipThePythonEncoder:
 
 
 class TestExitCodeLogic:
-    def _result(self, verdict, agreement):
-        return BoundResult(bound_id="KF_ZT", param=None, applicable=True,
-                           lhs=1.0, rhs=1.0, margin=0.0, verdict=verdict,
-                           predicted_equality=False, agreement=agreement)
+    """_exit_code(violated, disagreed), the one exit rule of both folds."""
 
     def test_violated_beats_agreement(self):
-        results = [self._result("VIOLATED", False),
-                   self._result("HOLDS", True)]
-        assert _exit_code(results) == 2
+        assert _exit_code(violated=True, disagreed=True) == 2
 
     def test_agreement_failure_alone_is_three(self):
-        results = [self._result("EQUALITY", False),
-                   self._result("HOLDS", True)]
-        assert _exit_code(results) == 3
+        assert _exit_code(violated=False, disagreed=True) == 3
 
     def test_clean_is_zero(self):
-        assert _exit_code([self._result("HOLDS", True)]) == 0
+        assert _exit_code(violated=False, disagreed=False) == 0
 
 
 class TestConsoleEntry:

@@ -1,6 +1,7 @@
 """Graph core: construction, components, degrees, recognizers, edge-list IO."""
 import copy
 import pickle
+import re
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -59,6 +60,38 @@ class TestBuildGraph:
         assert {type(x) for e in g.edges for x in e} == {int}
         assert lb.spectrum(g).mu == lb.spectrum(lb.build_graph(
             3, [(1, 2), (0, 2)])).mu
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 1, None, "abc"])
+    def test_rejects_edge_that_is_not_a_pair(self, edge):
+        with pytest.raises(VertexRangeError,
+                           match=f"^edge {re.escape(repr(edge))} is not a "
+                                 "pair of vertices$"):
+            lb.build_graph(3, [(0, 1), edge])
+
+    SCALARS = (st.integers(-3, 8) | st.booleans()
+               | st.integers(-3, 8).map(np.int64) | st.floats() | st.none()
+               | st.text(max_size=3))
+
+    @given(SCALARS, st.lists(SCALARS | st.lists(SCALARS, max_size=4).map(
+        tuple), max_size=6))
+    @example(True, [])
+    @example(np.int64(3), [(0, np.int8(2))])
+    @example(3.0, [])
+    @example(3, [(0, 1, 2)])
+    @settings(max_examples=300)
+    def test_returns_or_raises_what_it_documents(self, n, edges):
+        """Any n and edges give a graph with a plain-int n, which its edge
+        list reads back as, a LapboundsError or the ValueError that README
+        names for n."""
+        try:
+            g = lb.build_graph(n, edges)
+        except lb.LapboundsError:
+            return
+        except ValueError as exc:
+            assert str(exc).startswith("graph needs ")
+            return
+        assert type(g.n) is int and g.n == n
+        assert lb.parse_edge_list(lb.format_edge_list(g)) == g
 
     @staticmethod
     def tuple_key_build(n, edges):
